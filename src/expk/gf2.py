@@ -20,19 +20,22 @@ def _word_count(nbits: int) -> int:
     return (nbits + _WORD - 1) // _WORD
 
 
-def _pack_bits(bits) -> np.ndarray:
-    """Pack an iterable of 0/1 into little-endian uint64 words."""
-    arr = np.asarray(bits, dtype=np.uint8) & 1
-    if arr.size == 0:
-        return np.zeros(0, dtype=np.uint64)
-    padded = np.zeros(_word_count(arr.size) * _WORD, dtype=np.uint8)
-    padded[: arr.size] = arr
-    return np.packbits(padded, bitorder="little").view(np.uint64)
+def _pack_rows(bits: np.ndarray) -> np.ndarray:
+    """Pack a 2-D 0/1 array into uint64 words, one row per row.
 
-def _unpack_bits(words: np.ndarray, nbits: int) -> np.ndarray:
-    if nbits == 0:
-        return np.zeros(0, dtype=np.uint8)
-    return np.unpackbits(words.view(np.uint8), bitorder="little")[:nbits]
+    Rows are little-endian and padded with zeros to a whole number of
+    words; a nonzero entry packs as 1.
+    """
+    nrows, nbits = bits.shape
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    words = np.zeros((nrows, _word_count(nbits) * _WORD // 8), dtype=np.uint8)
+    words[:, : packed.shape[1]] = packed
+    return words.view(np.uint64)
+
+
+def _unpack_rows(words: np.ndarray, nbits: int) -> np.ndarray:
+    """The first ``nbits`` bits of each row of packed words, as uint8."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=nbits, bitorder="little")
 
 
 class Gf2Vector:
@@ -52,8 +55,8 @@ class Gf2Vector:
 
     @classmethod
     def from_bits(cls, bits) -> "Gf2Vector":
-        bits = np.asarray(bits, dtype=np.uint8)
-        return cls(bits.size, _pack_bits(bits))
+        bits = np.asarray(bits, dtype=np.uint8).reshape(1, -1) & 1
+        return cls(bits.size, _pack_rows(bits)[0])
 
     @classmethod
     def from_indices(cls, length: int, indices) -> "Gf2Vector":
@@ -61,7 +64,7 @@ class Gf2Vector:
         idx = np.asarray(list(indices), dtype=np.int64)
         if idx.size:
             bits[idx] ^= 1
-        return cls(length, _pack_bits(bits))
+        return cls.from_bits(bits)
 
     def get(self, i: int) -> int:
         if not 0 <= i < self.length:
@@ -70,7 +73,7 @@ class Gf2Vector:
         return int(self._words[w] >> np.uint64(b)) & 1
 
     def to_bits(self) -> np.ndarray:
-        return _unpack_bits(self._words, self.length)
+        return _unpack_rows(self._words[None, :], self.length)[0]
 
     def nonzero_indices(self) -> list[int]:
         return np.nonzero(self.to_bits())[0].tolist()
@@ -168,15 +171,13 @@ class Gf2Matrix:
 
     @classmethod
     def from_rows(cls, rows, col_count: int | None = None) -> "Gf2Matrix":
-        rows = [np.asarray(r, dtype=np.uint8) & 1 for r in rows]
+        rows = [np.asarray(r, dtype=np.uint8).ravel() & 1 for r in rows]
         if col_count is None:
             col_count = rows[0].size if rows else 0
-        words = np.zeros((len(rows), _word_count(col_count)), dtype=np.uint64)
-        for i, r in enumerate(rows):
-            if r.size != col_count:
-                raise ContractViolation("ragged rows")
-            words[i] = _pack_bits(r) if col_count else 0
-        return cls(len(rows), col_count, words)
+        if any(r.size != col_count for r in rows):
+            raise ContractViolation("ragged rows")
+        bits = np.array(rows, dtype=np.uint8).reshape(len(rows), col_count)
+        return cls(len(rows), col_count, _pack_rows(bits))
 
     @classmethod
     def from_triplets(cls, row_count, col_count, rows, cols) -> "Gf2Matrix":
@@ -208,10 +209,7 @@ class Gf2Matrix:
         return int(self._words[i, w] >> np.uint64(b)) & 1
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.row_count, self.col_count), dtype=np.uint8)
-        for i in range(self.row_count):
-            out[i] = _unpack_bits(self._words[i], self.col_count)
-        return out
+        return _unpack_rows(self._words, self.col_count)
 
     def is_zero(self) -> bool:
         return not self._words.any()
@@ -233,13 +231,8 @@ class Gf2Matrix:
     # -- algebra -----------------------------------------------------------
 
     def transpose(self) -> "Gf2Matrix":
-        dense = self.to_dense().T
-        words = np.zeros(
-            (self.col_count, _word_count(self.row_count)), dtype=np.uint64
-        )
-        for i in range(self.col_count):
-            words[i] = _pack_bits(dense[i]) if self.row_count else 0
-        return Gf2Matrix(self.col_count, self.row_count, words)
+        bits = _unpack_rows(self._words, self.col_count).T
+        return Gf2Matrix(self.col_count, self.row_count, _pack_rows(bits))
 
     def mul_vec(self, v: Gf2Vector) -> Gf2Vector:
         if v.length != self.col_count:
@@ -255,8 +248,8 @@ class Gf2Matrix:
         words = np.zeros(
             (self.row_count, _word_count(other.col_count)), dtype=np.uint64
         )
-        for i in range(self.row_count):
-            sel = np.nonzero(_unpack_bits(self._words[i], self.col_count))[0]
+        for i, row in enumerate(self.to_dense()):
+            sel = np.nonzero(row)[0]
             if sel.size:
                 words[i] = np.bitwise_xor.reduce(other._words[sel], axis=0)
         return Gf2Matrix(self.row_count, other.col_count, words)
@@ -286,23 +279,22 @@ class Gf2Matrix:
         if pivots and pivots[-1] == n:
             return None
         xbits = np.zeros(n, dtype=np.uint8)
-        for r, c in enumerate(pivots):
-            xbits[c] = (aug[r, w] >> np.uint64(sh)) & np.uint64(1)
+        xbits[pivots] = (aug[: len(pivots), w] >> np.uint64(sh)) & np.uint64(1)
         return Gf2Vector.from_bits(xbits)
 
     def kernel_basis(self) -> list[Gf2Vector]:
         """Deterministic basis of the null space, ordered by free column."""
         work = self._words.copy()
         pivots = _rref(work, self.col_count)
-        pivot_set = set(pivots)
-        basis = []
-        for f in range(self.col_count):
-            if f in pivot_set:
-                continue
-            bits = np.zeros(self.col_count, dtype=np.uint8)
-            bits[f] = 1
-            wf, bf = divmod(f, _WORD)
-            for r, c in enumerate(pivots):
-                bits[c] = (work[r, wf] >> np.uint64(bf)) & np.uint64(1)
-            basis.append(Gf2Vector.from_bits(bits))
-        return basis
+        free = np.setdiff1d(np.arange(self.col_count), pivots)
+        # Basis vector i sets free column free[i]; its pivot coordinates
+        # are column free[i] of the reduced rows.  Those columns are read
+        # byte by byte, so only rank x nfree bytes are unpacked, not all
+        # rank x ncols bits.
+        bits = np.zeros((free.size, self.col_count), dtype=np.uint8)
+        bits[np.arange(free.size), free] = 1
+        reduced = work[: len(pivots)].view(np.uint8)[:, free >> 3]
+        reduced >>= (free & 7).astype(np.uint8)
+        reduced &= 1
+        bits[:, pivots] = reduced.T
+        return [Gf2Vector(self.col_count, w) for w in _pack_rows(bits)]

@@ -154,6 +154,7 @@ class SimplicialSetModel:
             pos.setflags(write=False)
             self._nondeg_pos.append(pos)
         self._boundary_cache = {}
+        self._coboundary_cache = {}
 
     # -- construction helpers ---------------------------------------------
 
@@ -382,12 +383,15 @@ class SimplicialSetModel:
 
     def coboundary_matrix(self, n: int) -> Gf2Matrix:
         """Matrix of the coboundary on normalized cochains in degree n."""
-        top = self.top_nondegenerate_level()
         if n >= self.level_cap:
             raise CapError(f"coboundary at degree {n} needs level {n + 1}")
-        if n >= top:
-            return Gf2Matrix.zeros(self.nondeg_count(n + 1), self.nondeg_count(n))
-        return self.boundary_matrix(n + 1).transpose()
+        if n not in self._coboundary_cache:
+            if n >= self.top_nondegenerate_level():
+                m = Gf2Matrix.zeros(self.nondeg_count(n + 1), self.nondeg_count(n))
+            else:
+                m = self.boundary_matrix(n + 1).transpose()
+            self._coboundary_cache[n] = m
+        return self._coboundary_cache[n]
 
     def cohomology_basis(self, n: int) -> list[CochainClass]:
         """Deterministic cocycle representatives of a basis of H^n."""

@@ -136,8 +136,7 @@ class ModelCache:
         key = spec.to_json_text()
         if key in self.memory:
             return self.memory[key]
-        model = None
-        path = None
+        model = model_hash = path = None
         if self.cache_dir is not None:
             import hashlib
             import os
@@ -146,31 +145,34 @@ class ModelCache:
             digest = hashlib.sha256(key.encode()).hexdigest()[:24]
             path = os.path.join(self.cache_dir, f"model-{digest}.json")
             if os.path.exists(path):
-                model = self._load(path, key)
+                model, model_hash = self._load(path, key) or (None, None)
         if model is None:
             model = build_space(spec)
+            model_hash = model.content_hash()
             if path is not None:
                 doc = {
                     "spec": json.loads(key),
                     "model": model.to_json_dict(),
-                    "hash": model.content_hash(),
+                    "hash": model_hash,
                 }
                 with open(path, "w") as fh:
                     fh.write(canonical_json(doc))
         self.memory[key] = model
-        self.hashes[model.description or key] = model.content_hash()
+        self.hashes[model.description or key] = model_hash
         return model
 
     def _load(self, path, key):
+        """The cached model and its verified content hash, or None."""
         from .simplicial import SimplicialSetModel
 
         try:
             with open(path) as fh:
                 doc = json.load(fh)
             model = SimplicialSetModel.from_json_dict(doc["model"])
-            if model.content_hash() != doc.get("hash"):
+            model_hash = model.content_hash()
+            if model_hash != doc.get("hash"):
                 raise ValueError("hash mismatch")
-            return model
+            return model, model_hash
         except Exception as exc:  # corrupt cache: rebuild with a warning
             self.warnings.append(f"cache entry {path} rebuilt: {exc}")
             return None

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from expk.errors import ContractViolation
-from expk.gf2 import Gf2Matrix, Gf2Vector
+from expk.gf2 import _WORD, Gf2Matrix, Gf2Vector, _rref
 
 
 def brute_rank(dense):
@@ -33,6 +33,23 @@ def brute_kernel(dense):
 
 def mat(dense):
     return Gf2Matrix.from_rows(np.asarray(dense, dtype=np.uint8))
+
+
+def loop_kernel_basis(m):
+    """Reference kernel basis: one free column at a time, bit by bit."""
+    work = m._words.copy()
+    pivots = _rref(work, m.col_count)
+    basis = []
+    for f in range(m.col_count):
+        if f in pivots:
+            continue
+        bits = np.zeros(m.col_count, dtype=np.uint8)
+        bits[f] = 1
+        wf, bf = divmod(f, _WORD)
+        for r, c in enumerate(pivots):
+            bits[c] = (work[r, wf] >> np.uint64(bf)) & np.uint64(1)
+        basis.append(Gf2Vector.from_bits(bits))
+    return basis
 
 
 def test_rank_identity_and_zero():
@@ -157,3 +174,29 @@ def test_determinism_bit_identical():
     b = Gf2Vector.from_bits(rng.integers(0, 2, size=8, dtype=np.uint8))
     s1, s2 = m1.solve(b), m2.solve(b)
     assert (s1 is None and s2 is None) or s1 == s2
+
+
+@pytest.mark.parametrize("rows", [0, 1, 64, 65])
+@pytest.mark.parametrize("cols", [0, 1, 63, 64, 65, 128, 129])
+def test_packed_operations_across_word_boundaries(rows, cols):
+    rng = np.random.default_rng(1000 * rows + cols)
+    # Sparse matrices leave zero columns and interleaved free columns;
+    # dense ones are mostly of full rank.
+    for density in (0.05, 0.5):
+        dense = (rng.random((rows, cols)) < density).astype(np.uint8)
+        m = Gf2Matrix.from_rows(dense, col_count=cols)
+        assert m == Gf2Matrix.from_triplets(rows, cols, *np.nonzero(dense))
+        assert (m.to_dense() == dense).all()
+        t = m.transpose()
+        assert (t.row_count, t.col_count) == (cols, rows)
+        assert (t.to_dense() == dense.T).all()
+        assert t == Gf2Matrix.from_triplets(cols, rows, *np.nonzero(dense.T))
+        assert t.transpose() == m
+        basis = m.kernel_basis()
+        assert basis == loop_kernel_basis(m)
+        assert all(m.mul_vec(v).is_zero() for v in basis)
+
+
+def test_constructors_keep_the_low_bit():
+    assert Gf2Vector.from_bits([2, 3, 1]) == Gf2Vector.from_bits([0, 1, 1])
+    assert mat([[2, 3], [5, 4]]) == mat([[0, 1], [1, 0]])

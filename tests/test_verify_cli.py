@@ -91,6 +91,27 @@ def test_model_cache_memoizes():
     assert cache.model_for(spec) is cache.model_for(spec)
 
 
+def test_model_cache_hashes_each_model_once(tmp_path, monkeypatch):
+    calls = []
+    content_hash = SimplicialSetModel.content_hash
+
+    def counting_hash(model):
+        calls.append(model.description)
+        return content_hash(model)
+
+    monkeypatch.setattr(SimplicialSetModel, "content_hash", counting_hash)
+    spec = SpaceSpec("sphere", n=1, cap=3)
+    cache_dir = str(tmp_path / "cache")
+    built = ModelCache(cache_dir=cache_dir)
+    built.model_for(spec)
+    assert len(calls) == 1
+    loaded = ModelCache(cache_dir=cache_dir)
+    loaded.model_for(spec)
+    assert len(calls) == 2
+    assert not loaded.warnings
+    assert loaded.hashes == built.hashes
+
+
 def test_jobs_parallel_matches_serial():
     scope = ["betti-exp2-circle", "betti-exp3-circle", "props-kunneth"]
     serial = run_verify(scope=scope, jobs=1)
