@@ -17,12 +17,13 @@ from expk import (
     pushout,
     sphere,
     sym_power,
+    sym_projection,
 )
 
 x = sphere(1, cap=4)
 square = product(x, x)
-sym3, proj3 = sym_power(x, 3)
-sym2, proj2 = sym_power(x, 2)
+sym3 = sym_power(x, 3)
+proj2 = sym_projection(x, 2, source=square)
 alpha = diagonal_insertion(x, square=square, sym3=sym3)
 
 print("doubling map commutes with faces and degeneracies:", alpha.commutes())

@@ -52,7 +52,7 @@ for i in (2, 3):
     )
     print(f"  Sq^{i} of the degree-3 generator:", coords.to_bits())
 
-sym3_s2, _ = sym_power(sphere(2, cap=7), 3)
+sym3_s2 = sym_power(sphere(2, cap=7), 3)
 f2 = sym3_s2.cohomology_basis(2)[0]
 print("triple symmetric power of the 2-sphere:")
 print("  Sq^2 of the degree-2 generator:",

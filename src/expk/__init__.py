@@ -59,6 +59,7 @@ from .spaces import (
     pushout,
     sphere,
     sym_power,
+    sym_projection,
 )
 from .verify import CHECKS, VerificationReport, run_verify
 

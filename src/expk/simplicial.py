@@ -114,7 +114,7 @@ class ValidationReport:
         return "pass" if self.ok else f"fail: {self.violation}"
 
 
-def _as_id_array(a, size_hint=None):
+def _as_id_array(a):
     arr = np.ascontiguousarray(a, dtype=np.int32)
     arr.setflags(write=False)
     return arr
@@ -155,6 +155,7 @@ class SimplicialSetModel:
             self._nondeg_pos.append(pos)
         self._boundary_cache = {}
         self._coboundary_cache = {}
+        self._basis_cache = {}
 
     # -- construction helpers ---------------------------------------------
 
@@ -394,10 +395,18 @@ class SimplicialSetModel:
         return self._coboundary_cache[n]
 
     def cohomology_basis(self, n: int) -> list[CochainClass]:
-        """Deterministic cocycle representatives of a basis of H^n."""
+        """Deterministic cocycle representatives of a basis of H^n.
+
+        Computed once per degree; each call returns a fresh list.
+        """
         self._require_closed_top()
         if not 0 <= n <= self.level_cap:
             raise ContractViolation(f"degree {n} outside 0..cap")
+        if n not in self._basis_cache:
+            self._basis_cache[n] = self._cohomology_basis(n)
+        return list(self._basis_cache[n])
+
+    def _cohomology_basis(self, n: int) -> list[CochainClass]:
         if self.nondeg_count(n) == 0:
             return []
         cocycles = self.coboundary_matrix(n).kernel_basis()
@@ -473,12 +482,3 @@ class _Gf2Span:
                 return True
             x ^= row
         return False
-
-    def contains(self, v: Gf2Vector) -> bool:
-        x = self._to_int(v)
-        while x:
-            row = self._pivot_rows.get(x.bit_length() - 1)
-            if row is None:
-                return False
-            x ^= row
-        return True

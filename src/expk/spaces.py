@@ -1,6 +1,7 @@
 """Constructors for the spaces under study and the maps between them.
 
-Everything is built levelwise on dense integer ids:
+Everything is built levelwise on dense integer ids, and every model's
+face and degeneracy tables come from one loop over an image rule:
 
 * ``from_complex`` turns an ordered facet list into the simplicial set of
   weakly monotone vertex tuples supported on a face.
@@ -8,12 +9,16 @@ Everything is built levelwise on dense integer ids:
 * ``product`` / ``power`` use mixed-radix ids, so faces and degeneracies
   are plain integer arithmetic.
 * ``sym_power`` quotients the k-fold power by coordinate permutation;
-  level elements are sorted id tuples (multisets), and the levelwise
-  projection from the power is returned alongside the model.
+  level elements are sorted id tuples (multisets), enumerated directly.
+  ``sym_projection`` is the levelwise quotient map from the power.
 * ``exp_subsets`` keeps nonempty id subsets of size at most k; faces act
   elementwise with duplicates collapsing.
-* ``pushout`` glues two maps with a shared source, level by level, via
-  union-find.
+* ``pushout`` glues two maps with a shared source, level by level,
+  labelling each class by its smallest element.
+
+Symmetric powers, subset spaces and the maps into them share one
+canonical-key path: map key rows entrywise, sort them (collapsing
+repeats for subsets), and look the rows up in the target level.
 
 Each constructed model records its canonical per-level labels in
 ``simplex_keys`` (id tuples into the input model's levels); these are
@@ -114,7 +119,30 @@ def identity_map(x: SimplicialSetModel) -> SimplicialMapModel:
 
 
 # ---------------------------------------------------------------------------
-# id-tuple lookup machinery
+# canonical keys and the levelwise operator loop
+
+
+def _encode(rows: np.ndarray, base: int) -> np.ndarray:
+    """Positional base-``base`` int64 code of each key row."""
+    rows = np.asarray(rows, dtype=np.int64)
+    codes = np.zeros(rows.shape[0], dtype=np.int64)
+    for j in range(rows.shape[1]):
+        codes = codes * base + rows[:, j]
+    return codes
+
+
+def _canonical(rows: np.ndarray, sentinel: int | None = None) -> np.ndarray:
+    """Sort each key row; with a sentinel, repeated entries collapse to it.
+
+    Sorted rows are multiset keys.  Subset keys are padded with the
+    sentinel (the level size), so a collapsed repeat becomes padding and
+    sorts to the end.
+    """
+    rows = np.sort(rows, axis=1)
+    if sentinel is not None:
+        rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = sentinel
+        rows.sort(axis=1)
+    return rows
 
 
 class _RowCoder:
@@ -126,27 +154,24 @@ class _RowCoder:
     """
 
     def __init__(self, keys: np.ndarray, base: int):
-        self.keys = keys
         self.base = max(int(base), 1)
-        self.width = keys.shape[1] if keys.ndim == 2 else 1
+        self.width = keys.shape[1]
         self._fast = self.base**self.width < 2**62
         if self._fast:
-            codes = self.encode(keys)
+            codes = _encode(keys, self.base)
             self._order = np.argsort(codes, kind="stable").astype(np.int64)
             self._sorted = codes[self._order]
         else:
             self._table = {tuple(row): i for i, row in enumerate(keys.tolist())}
 
-    def encode(self, rows: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.int64)
-        codes = np.zeros(rows.shape[0], dtype=np.int64)
-        for j in range(self.width):
-            codes = codes * self.base + rows[:, j]
-        return codes
-
     def lookup(self, rows: np.ndarray) -> np.ndarray:
+        if rows.shape[1] != self.width:
+            # positional codes would read a short row as zero-padded
+            raise ContractViolation(
+                f"lookup of width-{rows.shape[1]} rows among width-{self.width} keys"
+            )
         if self._fast:
-            codes = self.encode(rows)
+            codes = _encode(rows, self.base)
             pos = np.searchsorted(self._sorted, codes)
             if pos.size and (
                 pos.max() >= self._sorted.size
@@ -154,12 +179,63 @@ class _RowCoder:
             ):
                 raise ContractViolation("lookup of a key outside the level")
             return self._order[pos].astype(np.int32)
-        out = np.fromiter(
+        return np.fromiter(
             (self._table[tuple(r)] for r in rows.tolist()),
             dtype=np.int32,
             count=len(rows),
         )
-        return out
+
+
+def _rows(tuples, width: int, count: int) -> np.ndarray:
+    """The ``count`` int tuples of one width, stacked into an array."""
+    return np.fromiter(
+        itertools.chain.from_iterable(tuples), dtype=np.int32, count=width * count
+    ).reshape(-1, width)
+
+
+def _levelwise_model(cap, level_sizes, image, description, simplex_keys=None):
+    """Model whose operator tables all come from one image rule.
+
+    ``image(op, m, i, t)`` gives, for every level-m simplex, the level-t
+    id of its image under operator i of kind ``op`` ("faces", t = m - 1,
+    or "degeneracies", t = m + 1).
+    """
+    faces = [[]] + [
+        [image("faces", m, i, m - 1) for i in range(m + 1)] for m in range(1, cap + 1)
+    ]
+    degeneracies = [
+        [image("degeneracies", m, i, m + 1) for i in range(m + 1)] if m < cap else []
+        for m in range(cap + 1)
+    ]
+    return SimplicialSetModel(
+        cap,
+        level_sizes,
+        faces,
+        degeneracies,
+        description=description,
+        simplex_keys=simplex_keys,
+    )
+
+
+def _key_quotient(x, level_keys, padded: bool, description: str):
+    """Model on canonical key rows of x's level ids; operators act entrywise.
+
+    In padded (subset) keys the level size marks an empty slot and
+    repeated ids collapse to it; otherwise keys are sorted multisets.
+    """
+    sizes = x.level_sizes
+    coders = [_RowCoder(keys, sizes[m] + padded) for m, keys in enumerate(level_keys)]
+
+    def image(op, m, i, t):
+        table = getattr(x, op)[m][i]
+        if padded:
+            table = np.append(table, np.int32(sizes[t]))  # empty slots stay empty
+        rows = _canonical(table[level_keys[m]], sizes[t] if padded else None)
+        return coders[t].lookup(rows)
+
+    return _levelwise_model(
+        x.level_cap, [len(keys) for keys in level_keys], image, description, level_keys
+    )
 
 
 def _check_level_size(what: str, level: int, size: int, bound: int):
@@ -188,59 +264,43 @@ def from_complex(facets, cap: int, description: str = "") -> SimplicialSetModel:
             raise ContractViolation(
                 f"facet {f} is not a strictly increasing vertex tuple"
             )
-    faces_of = set()
+    vertices = np.array(sorted({v for f in facets for v in f}), dtype=np.int32)
+    face_set = set()
     for f in facets:
-        for s in range(1, len(f) + 1):
-            faces_of.update(itertools.combinations(f, s))
-    vertices = sorted({v for f in facets for v in f})
-    face_set = {frozenset(f) for f in faces_of}
+        pos = np.searchsorted(vertices, f).tolist()
+        for s in range(1, len(pos) + 1):
+            face_set.update(frozenset(c) for c in itertools.combinations(pos, s))
 
-    level_keys = []
-    key_to_id = []
-    for m in range(cap + 1):
-        keys = [
-            t
-            for t in itertools.combinations_with_replacement(vertices, m + 1)
-            if frozenset(t) in face_set
-        ]
-        level_keys.append(keys)
-        key_to_id.append({t: i for i, t in enumerate(keys)})
+    # keys hold vertex positions; simplex_keys translate them to vertices
+    level_keys = [
+        np.array(
+            [
+                t
+                for t in itertools.combinations_with_replacement(
+                    range(vertices.size), m + 1
+                )
+                if frozenset(t) in face_set
+            ],
+            dtype=np.int32,
+        )
+        for m in range(cap + 1)
+    ]
+    coders = [_RowCoder(keys, vertices.size) for keys in level_keys]
 
-    faces = [[]]
-    for m in range(1, cap + 1):
-        ops = []
-        for i in range(m + 1):
-            ops.append(
-                np.fromiter(
-                    (key_to_id[m - 1][t[:i] + t[i + 1 :]] for t in level_keys[m]),
-                    dtype=np.int32,
-                    count=len(level_keys[m]),
-                )
-            )
-        faces.append(ops)
-    degeneracies = []
-    for m in range(cap + 1):
-        ops = []
-        if m + 1 <= cap:
-            for i in range(m + 1):
-                ops.append(
-                    np.fromiter(
-                        (
-                            key_to_id[m + 1][t[: i + 1] + t[i:]]
-                            for t in level_keys[m]
-                        ),
-                        dtype=np.int32,
-                        count=len(level_keys[m]),
-                    )
-                )
-        degeneracies.append(ops)
-    return SimplicialSetModel(
+    def image(op, m, i, t):
+        keys = level_keys[m]
+        if op == "faces":
+            rows = np.delete(keys, i, axis=1)
+        else:
+            rows = np.insert(keys, i, keys[:, i], axis=1)
+        return coders[t].lookup(rows)
+
+    return _levelwise_model(
         cap,
-        [len(k) for k in level_keys],
-        faces,
-        degeneracies,
-        description=description or "complex",
-        simplex_keys=[np.array(k, dtype=np.int32) for k in level_keys],
+        [len(keys) for keys in level_keys],
+        image,
+        description or "complex",
+        [vertices[keys] for keys in level_keys],
     )
 
 
@@ -281,45 +341,24 @@ def multi_product(
 
     coords = []
     for m in range(cap + 1):
-        ids = np.arange(level_sizes[m], dtype=np.int64)
         cs = np.empty((level_sizes[m], nf), dtype=np.int32)
-        rest = ids
+        rest = np.arange(level_sizes[m], dtype=np.int64)
         for j in range(nf - 1, -1, -1):
             rest, cs[:, j] = np.divmod(rest, sizes[m][j])
         coords.append(cs)
 
-    def recombine(mapped_cols, target_sizes):
-        out = np.zeros(mapped_cols[0].shape[0], dtype=np.int64)
-        for j in range(nf):
-            out = out * target_sizes[j] + mapped_cols[j]
-        return out.astype(np.int32)
+    def image(op, m, i, t):
+        ids = np.zeros(level_sizes[m], dtype=np.int64)
+        for j, f in enumerate(factors):
+            ids = ids * sizes[t][j] + getattr(f, op)[m][i][coords[m][:, j]]
+        return ids.astype(np.int32)
 
-    faces = [[]]
-    for m in range(1, cap + 1):
-        ops = []
-        for i in range(m + 1):
-            cols = [factors[j].faces[m][i][coords[m][:, j]] for j in range(nf)]
-            ops.append(recombine(cols, sizes[m - 1]))
-        faces.append(ops)
-    degeneracies = []
-    for m in range(cap + 1):
-        ops = []
-        if m + 1 <= cap:
-            for i in range(m + 1):
-                cols = [
-                    factors[j].degeneracies[m][i][coords[m][:, j]]
-                    for j in range(nf)
-                ]
-                ops.append(recombine(cols, sizes[m + 1]))
-        degeneracies.append(ops)
-    return SimplicialSetModel(
+    return _levelwise_model(
         cap,
         level_sizes,
-        faces,
-        degeneracies,
-        description=description
-        or "(" + " x ".join(f.description for f in factors) + ")",
-        simplex_keys=coords,
+        image,
+        description or "(" + " x ".join(f.description for f in factors) + ")",
+        coords,
     )
 
 
@@ -342,72 +381,25 @@ def power(x, k: int, max_level_size: int = DEFAULT_MAX_LEVEL_SIZE):
 # symmetric powers and finite subset spaces
 
 
-def sym_power(x, k: int, max_level_size: int = DEFAULT_MAX_LEVEL_SIZE):
+def sym_power(
+    x, k: int, max_level_size: int = DEFAULT_MAX_LEVEL_SIZE
+) -> SimplicialSetModel:
     """Orbit quotient of the k-fold power by coordinate permutation.
 
     Level elements are size-k multisets of level ids, canonically sorted
-    tuples in lexicographic order.  Returns the quotient model together
-    with the levelwise projection from the k-fold power.
+    tuples in lexicographic order, enumerated directly without building
+    the power.  ``sym_projection`` gives the quotient map from the power.
     """
     if k < 1:
         raise ContractViolation("multiset size must be at least 1")
-    cap = x.level_cap
-    for m, lm in enumerate(x.level_sizes):
-        _check_level_size("sym-power base", m, lm**k, max_level_size)
-    pw = power(x, k, max_level_size=max_level_size)
-
-    level_keys = []
-    coders = []
-    proj_maps = []
-    for m in range(cap + 1):
-        sorted_rows = np.sort(pw.simplex_keys[m], axis=1)
-        base = max(x.level_sizes[m], 1)
-        probe = _RowCoder(np.zeros((0, k), dtype=np.int32), base)
-        codes = probe.encode(sorted_rows)
-        uniq, inverse = np.unique(codes, return_inverse=True)
-        keys = _decode(uniq, base, k)
-        level_keys.append(keys)
-        coders.append(_RowCoder(keys, base))
-        proj_maps.append(inverse.astype(np.int32))
-
-    faces = [[]]
-    for m in range(1, cap + 1):
-        ops = []
-        for i in range(m + 1):
-            mapped = x.faces[m][i][level_keys[m]]
-            mapped.sort(axis=1)
-            ops.append(coders[m - 1].lookup(mapped))
-        faces.append(ops)
-    degeneracies = []
-    for m in range(cap + 1):
-        ops = []
-        if m + 1 <= cap:
-            for i in range(m + 1):
-                mapped = x.degeneracies[m][i][level_keys[m]]
-                mapped.sort(axis=1)
-                ops.append(coders[m + 1].lookup(mapped))
-        degeneracies.append(ops)
-
-    model = SimplicialSetModel(
-        cap,
-        [kk.shape[0] for kk in level_keys],
-        faces,
-        degeneracies,
-        description=f"sym_{k}({x.description})",
-        simplex_keys=level_keys,
-    )
-    projection = SimplicialMapModel(
-        pw, model, proj_maps, description=f"quotient {x.description}^{k} -> sym"
-    )
-    return model, projection
-
-
-def _decode(codes: np.ndarray, base: int, width: int) -> np.ndarray:
-    out = np.empty((codes.size, width), dtype=np.int32)
-    rest = codes.astype(np.int64)
-    for j in range(width - 1, -1, -1):
-        rest, out[:, j] = np.divmod(rest, base)
-    return out
+    counts = [math.comb(lm + k - 1, k) for lm in x.level_sizes]
+    for m, count in enumerate(counts):
+        _check_level_size("sym-power", m, count, max_level_size)
+    level_keys = [
+        _rows(itertools.combinations_with_replacement(range(lm), k), k, count)
+        for lm, count in zip(x.level_sizes, counts)
+    ]
+    return _key_quotient(x, level_keys, False, f"sym_{k}({x.description})")
 
 
 def _subset_level_count(level_size: int, k: int) -> int:
@@ -425,78 +417,36 @@ def exp_subsets(
     """
     if k < 1:
         raise ContractViolation("cardinality bound must be at least 1")
-    cap = x.level_cap
     for m, lm in enumerate(x.level_sizes):
         _check_level_size("subset space", m, _subset_level_count(lm, k), max_level_size)
-
     level_keys = []
-    coders = []
-    for m in range(cap + 1):
-        lm = x.level_sizes[m]
-        blocks = []
+    for lm in x.level_sizes:
+        keys = np.full((_subset_level_count(lm, k), k), lm, dtype=np.int32)
+        row = 0
         for s in range(1, min(k, lm) + 1):
-            combos = np.fromiter(
-                itertools.chain.from_iterable(
-                    itertools.combinations(range(lm), s)
-                ),
-                dtype=np.int32,
-                count=s * math.comb(lm, s),
-            ).reshape(-1, s)
-            padded = np.full((combos.shape[0], k), lm, dtype=np.int32)
-            padded[:, :s] = combos
-            blocks.append(padded)
-        keys = np.concatenate(blocks, axis=0) if blocks else np.zeros((0, k), np.int32)
+            count = math.comb(lm, s)
+            combos = itertools.combinations(range(lm), s)
+            keys[row : row + count, :s] = _rows(combos, s, count)
+            row += count
         level_keys.append(keys)
-        coders.append(_RowCoder(keys, lm + 1))
-
-    def canonical_image(keys, op, source_size, target_size):
-        cols = np.minimum(keys, source_size - 1) if source_size else keys
-        mapped = np.where(keys < source_size, op[cols], target_size)
-        mapped.sort(axis=1)
-        if k > 1:
-            dup = mapped[:, 1:] == mapped[:, :-1]
-            dup &= mapped[:, 1:] < target_size
-            mapped[:, 1:][dup] = target_size
-            mapped.sort(axis=1)
-        return mapped
-
-    faces = [[]]
-    for m in range(1, cap + 1):
-        ops = []
-        for i in range(m + 1):
-            img = canonical_image(
-                level_keys[m],
-                x.faces[m][i],
-                x.level_sizes[m],
-                x.level_sizes[m - 1],
-            )
-            ops.append(coders[m - 1].lookup(img))
-        faces.append(ops)
-    degeneracies = []
-    for m in range(cap + 1):
-        ops = []
-        if m + 1 <= cap:
-            for i in range(m + 1):
-                img = canonical_image(
-                    level_keys[m],
-                    x.degeneracies[m][i],
-                    x.level_sizes[m],
-                    x.level_sizes[m + 1],
-                )
-                ops.append(coders[m + 1].lookup(img))
-        degeneracies.append(ops)
-    return SimplicialSetModel(
-        cap,
-        [kk.shape[0] for kk in level_keys],
-        faces,
-        degeneracies,
-        description=f"exp_{k}({x.description})",
-        simplex_keys=level_keys,
-    )
+    return _key_quotient(x, level_keys, True, f"exp_{k}({x.description})")
 
 
 # ---------------------------------------------------------------------------
 # the squaring map and the gluing square
+
+
+def _multiset_map(x, source, target, rows, description) -> SimplicialMapModel:
+    """Send each source simplex to the target multiset ``rows`` of its key."""
+    if source.level_cap != x.level_cap or target.level_cap != x.level_cap:
+        raise ContractViolation("all caps must agree")
+    maps = [
+        _RowCoder(target.simplex_keys[m], x.level_sizes[m]).lookup(
+            _canonical(rows(source.simplex_keys[m]))
+        )
+        for m in range(x.level_cap + 1)
+    ]
+    return SimplicialMapModel(source, target, maps, description=description)
 
 
 def diagonal_insertion(
@@ -514,40 +464,54 @@ def diagonal_insertion(
     if square is None:
         square = product(x, x, max_level_size=max_level_size)
     if sym3 is None:
-        sym3, _ = sym_power(x, 3, max_level_size=max_level_size)
-    if square.level_cap != x.level_cap or sym3.level_cap != x.level_cap:
-        raise ContractViolation("all caps must agree")
-    maps = []
-    for m in range(x.level_cap + 1):
-        pairs = square.simplex_keys[m]
-        triples = np.column_stack([pairs[:, 0], pairs[:, 0], pairs[:, 1]])
-        triples.sort(axis=1)
-        coder = _RowCoder(sym3.simplex_keys[m], max(x.level_sizes[m], 1))
-        maps.append(coder.lookup(triples))
-    return SimplicialMapModel(
-        square, sym3, maps, description=f"(u,v) -> {{u,u,v}} on {x.description}"
+        sym3 = sym_power(x, 3, max_level_size=max_level_size)
+    return _multiset_map(
+        x,
+        square,
+        sym3,
+        lambda pairs: pairs[:, [0, 0, 1]],
+        f"(u,v) -> {{u,u,v}} on {x.description}",
     )
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
+def sym_projection(
+    x,
+    k: int,
+    source: SimplicialSetModel | None = None,
+    sym: SimplicialSetModel | None = None,
+) -> SimplicialMapModel:
+    """The quotient map from the k-fold power onto ``sym_power(x, k)``.
 
-    def __init__(self, n):
-        self.parent = list(range(n))
+    A k-tuple goes to the multiset of its coordinates.  A prebuilt power
+    (``source``) / symmetric-power model may be supplied, as for
+    ``diagonal_insertion``.
+    """
+    if source is None:
+        source = power(x, k)
+    if sym is None:
+        sym = sym_power(x, k)
+    return _multiset_map(
+        x, source, sym, lambda tuples: tuples, f"quotient {x.description}^{k} -> sym"
+    )
 
-    def find(self, a):
-        p = self.parent
-        while p[a] != a:
-            p[a] = p[p[a]]
-            a = p[a]
-        return a
 
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
+def _class_roots(size: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The smallest member of each element's class under u[z] ~ v[z].
+
+    Min-label propagation with pointer jumping: every element points at
+    a root; each round hooks each root onto the smallest root it shares
+    a pair with and flattens the result, until no pair spans two roots.
+    """
+    root = np.arange(size)
+    while True:
+        ru, rv = root[u], root[v]
+        if np.array_equal(ru, rv):
+            return root
+        low = np.minimum(ru, rv)
+        np.minimum.at(root, ru, low)
+        np.minimum.at(root, rv, low)
+        while not np.array_equal(root[root], root):
+            root = root[root]
 
 
 def pushout(f: SimplicialMapModel, g: SimplicialMapModel):
@@ -564,61 +528,29 @@ def pushout(f: SimplicialMapModel, g: SimplicialMapModel):
     if b.level_cap != cap:
         raise ContractViolation("pushout targets must share the level cap")
 
+    # elements of level m: a's ids, then b's ids shifted by a's level size
     class_of = []
     reps = []
     for m in range(cap + 1):
-        la, lb = a.level_sizes[m], b.level_sizes[m]
-        uf = _UnionFind(la + lb)
-        fm, gm = f.level_maps[m], g.level_maps[m]
-        for z in range(f.source.level_sizes[m]):
-            uf.union(int(fm[z]), la + int(gm[z]))
-        labels = np.empty(la + lb, dtype=np.int32)
-        root_to_class = {}
-        rep_list = []
-        for e in range(la + lb):
-            r = uf.find(e)
-            c = root_to_class.get(r)
-            if c is None:
-                c = len(rep_list)
-                root_to_class[r] = c
-                rep_list.append(e)
-            labels[e] = c
-        class_of.append(labels)
-        reps.append(np.array(rep_list, dtype=np.int64))
-
-    def induced(op_a, op_b, m, target_level):
         la = a.level_sizes[m]
-        la_t = a.level_sizes[target_level]
-        rep = reps[m]
-        out = np.empty(rep.size, dtype=np.int32)
-        in_a = rep < la
-        if in_a.any():
-            out[in_a] = class_of[target_level][op_a[rep[in_a]]]
-        if (~in_a).any():
-            out[~in_a] = class_of[target_level][la_t + op_b[rep[~in_a] - la]]
-        return out
-
-    faces = [[]]
-    for m in range(1, cap + 1):
-        faces.append(
-            [induced(a.faces[m][i], b.faces[m][i], m, m - 1) for i in range(m + 1)]
+        root = _class_roots(
+            la + b.level_sizes[m], f.level_maps[m], la + g.level_maps[m]
         )
-    degeneracies = []
-    for m in range(cap + 1):
-        ops = []
-        if m + 1 <= cap:
-            ops = [
-                induced(a.degeneracies[m][i], b.degeneracies[m][i], m, m + 1)
-                for i in range(m + 1)
-            ]
-        degeneracies.append(ops)
+        rep, labels = np.unique(root, return_inverse=True)
+        reps.append(rep)
+        class_of.append(labels.astype(np.int32))
 
-    glued = SimplicialSetModel(
+    def image(op, m, i, t):
+        table = np.concatenate(
+            [getattr(a, op)[m][i], a.level_sizes[t] + getattr(b, op)[m][i]]
+        )
+        return class_of[t][table[reps[m]]]
+
+    glued = _levelwise_model(
         cap,
-        [int(r.size) for r in reps],
-        faces,
-        degeneracies,
-        description=f"pushout({a.description} <- {f.source.description} -> {b.description})",
+        [rep.size for rep in reps],
+        image,
+        f"pushout({a.description} <- {f.source.description} -> {b.description})",
     )
     into_a = SimplicialMapModel(
         a,
@@ -641,19 +573,9 @@ def pushout(f: SimplicialMapModel, g: SimplicialMapModel):
 
 def _support_codes(keys: np.ndarray, level_size: int, width: int) -> np.ndarray:
     """Encode the support set of each key row (sorted, dedup, padded)."""
-    supp = np.sort(np.asarray(keys, dtype=np.int32), axis=1)
-    if supp.shape[1] < width:
-        pad = np.full((supp.shape[0], width - supp.shape[1]), level_size, np.int32)
-        supp = np.concatenate([supp, pad], axis=1)
-    if width > 1:
-        dup = supp[:, 1:] == supp[:, :-1]
-        dup &= supp[:, 1:] < level_size
-        supp[:, 1:][dup] = level_size
-        supp.sort(axis=1)
-    codes = np.zeros(supp.shape[0], dtype=np.int64)
-    for j in range(width):
-        codes = codes * (level_size + 1) + supp[:, j]
-    return codes
+    rows = np.full((keys.shape[0], width), level_size, dtype=np.int32)
+    rows[:, : keys.shape[1]] = keys
+    return _encode(_canonical(rows, level_size), level_size + 1)
 
 
 def compare_pushout_with_subsets(x, max_level_size: int = DEFAULT_MAX_LEVEL_SIZE):
@@ -666,11 +588,10 @@ def compare_pushout_with_subsets(x, max_level_size: int = DEFAULT_MAX_LEVEL_SIZE
     at most three points.  Returns (ok, detail).
     """
     square = product(x, x, max_level_size=max_level_size)
-    sym3, _ = sym_power(x, 3, max_level_size=max_level_size)
-    sym2, proj2 = sym_power(x, 2, max_level_size=max_level_size)
-    alpha = diagonal_insertion(x, square=square, sym3=sym3, max_level_size=max_level_size)
-    if proj2.source != square:
-        return False, "the two legs fail to share the square as source"
+    sym3 = sym_power(x, 3, max_level_size=max_level_size)
+    sym2 = sym_power(x, 2, max_level_size=max_level_size)
+    alpha = diagonal_insertion(x, square=square, sym3=sym3)
+    proj2 = sym_projection(x, 2, source=square, sym=sym2)
     glued, into_sym3, into_sym2 = pushout(alpha, proj2)
     subsets = exp_subsets(x, 3, max_level_size=max_level_size)
     for m in range(x.level_cap + 1):
@@ -705,7 +626,7 @@ def compare_pushout_with_subsets(x, max_level_size: int = DEFAULT_MAX_LEVEL_SIZE
 
 def compare_sym2_with_subsets(x, max_level_size: int = DEFAULT_MAX_LEVEL_SIZE):
     """Supports identify double-multiset levels with two-point subset levels."""
-    sym2, _ = sym_power(x, 2, max_level_size=max_level_size)
+    sym2 = sym_power(x, 2, max_level_size=max_level_size)
     subsets = exp_subsets(x, 2, max_level_size=max_level_size)
     for m in range(x.level_cap + 1):
         lm = x.level_sizes[m]
@@ -795,7 +716,7 @@ class SpaceSpec:
 
 
 def build_space(spec: SpaceSpec) -> SimplicialSetModel:
-    """Build the model a spec describes (projection maps are discarded)."""
+    """Build the model a spec describes."""
     cap = spec.default_cap()
     bound = spec.max_level_size
     if spec.kind == "complex":
@@ -808,14 +729,7 @@ def build_space(spec: SpaceSpec) -> SimplicialSetModel:
     if spec.kind == "power":
         return power(base, spec.k, max_level_size=bound)
     if spec.kind == "sym":
-        # Level sizes of the symmetric power are known in closed form, so
-        # oversized requests fail before the k-fold power is materialized.
-        for m, lm in enumerate(base.level_sizes):
-            _check_level_size(
-                "sym-power", m, math.comb(lm + spec.k - 1, spec.k), bound
-            )
-        model, _ = sym_power(base, spec.k, max_level_size=bound)
-        return model
+        return sym_power(base, spec.k, max_level_size=bound)
     if spec.kind == "exp":
         return exp_subsets(base, spec.k, max_level_size=bound)
     raise ContractViolation(f"unknown space kind {spec.kind!r}")

@@ -9,9 +9,12 @@ involved.  A check that would blow the per-level simplex budget reports
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import platform
 import sys
+import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -40,7 +43,7 @@ from .exact_sequences import (
     solve_template,
 )
 from .gf2 import Gf2Matrix
-from .simplicial import BettiTable, canonical_json
+from .simplicial import BettiTable, SimplicialSetModel, canonical_json
 from .spaces import (
     DEFAULT_MAX_LEVEL_SIZE,
     SpaceSpec,
@@ -122,6 +125,11 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+# entries get the mode a plain open() would give them; mkstemp makes 0600
+_UMASK = os.umask(0)
+os.umask(_UMASK)
+
+
 class ModelCache:
     """Builds models on demand; optionally persists them with hashes."""
 
@@ -138,9 +146,6 @@ class ModelCache:
             return self.memory[key]
         model = model_hash = path = None
         if self.cache_dir is not None:
-            import hashlib
-            import os
-
             os.makedirs(self.cache_dir, exist_ok=True)
             digest = hashlib.sha256(key.encode()).hexdigest()[:24]
             path = os.path.join(self.cache_dir, f"model-{digest}.json")
@@ -155,16 +160,25 @@ class ModelCache:
                     "model": model.to_json_dict(),
                     "hash": model_hash,
                 }
-                with open(path, "w") as fh:
-                    fh.write(canonical_json(doc))
+                self._store(path, canonical_json(doc))
         self.memory[key] = model
         self.hashes[model.description or key] = model_hash
         return model
 
+    def _store(self, path, text):
+        """Write an entry atomically: a crash leaves the old file or none."""
+        fd, tmp = tempfile.mkstemp(dir=self.cache_dir, prefix=".model-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.chmod(tmp, 0o666 & ~_UMASK)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+
     def _load(self, path, key):
         """The cached model and its verified content hash, or None."""
-        from .simplicial import SimplicialSetModel
-
         try:
             with open(path) as fh:
                 doc = json.load(fh)

@@ -73,7 +73,7 @@ def exp2_sphere2():
 
 @pytest.fixture(scope="module")
 def sym3_sphere2():
-    model, _ = sym_power(sphere(2, 7), 3)
+    model = sym_power(sphere(2, 7), 3)
     return model
 
 
@@ -122,8 +122,8 @@ def test_acceptance_5_steenrod(exp2_sphere2):
         exp_subsets(sphere(1, 3), 2),
         exp_subsets(sphere(1, 4), 3),
         exp2_sphere2,
-        sym_power(sphere(1, 3), 2)[0],
-        sym_power(sphere(2, 5), 2)[0],
+        sym_power(sphere(1, 3), 2),
+        sym_power(sphere(2, 5), 2),
     ]
     sq0_ok = True
     for model in suite:
@@ -199,7 +199,7 @@ def test_acceptance_9_property_suites(exp2_sphere2):
         moebius_band(),
         exp_subsets(sphere(1, 4), 3),
         exp2_sphere2,
-        sym_power(sphere(1, 3), 2)[0],
+        sym_power(sphere(1, 3), 2),
     ]
     ok = True
     for model in models:

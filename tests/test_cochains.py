@@ -101,7 +101,7 @@ def test_coboundary_identity_on_random_cochains(model_name, t2, rp2, exp2_s2):
         "torus": t2,
         "rp2": rp2,
         "exp2_s2": exp2_s2,
-        "sym2_s1": sym_power(sphere(1, 3), 2)[0],
+        "sym2_s1": sym_power(sphere(1, 3), 2),
     }
     s = models[model_name]
     rng = np.random.default_rng(20240811)
@@ -167,7 +167,7 @@ def test_squares_on_exp2_sphere3():
 
 
 def test_square_on_sym3_sphere2_hits_generator():
-    s, _ = sym_power(sphere(2, 7), 3)
+    s = sym_power(sphere(2, 7), 3)
     g2 = s.cohomology_basis(2)[0]
     image = steenrod_square(s, 2, g2)
     coords = express_in_basis(s, image, s.cohomology_basis(4))

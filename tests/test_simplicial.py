@@ -7,6 +7,7 @@ import pytest
 
 from expk.complexes import projective_plane, torus
 from expk.errors import CapError, ContractViolation
+from expk.gf2 import Gf2Matrix
 from expk.simplicial import BettiTable, SimplicialSetModel
 from expk.spaces import exp_subsets, point, product, sphere
 
@@ -140,6 +141,29 @@ def test_coboundary_matrix_is_the_cached_transpose():
             assert delta == model.boundary_matrix(n + 1).transpose()
         else:
             assert delta.is_zero()
+
+
+def test_cohomology_basis_is_cached_per_degree(monkeypatch):
+    shapes = []
+    kernel_basis = Gf2Matrix.kernel_basis
+
+    def counting_kernel(matrix):
+        shapes.append((matrix.row_count, matrix.col_count))
+        return kernel_basis(matrix)
+
+    monkeypatch.setattr(Gf2Matrix, "kernel_basis", counting_kernel)
+    model = torus()
+    first = model.cohomology_basis(1)
+    supports = [c.support for c in first]
+    assert len(shapes) == 1
+    first.clear()  # each call hands out its own list
+    again = model.cohomology_basis(1)
+    assert len(shapes) == 1
+    assert [c.support for c in again] == supports and len(supports) == 2
+    model.cohomology_basis(2)
+    assert len(shapes) == 2
+    with pytest.raises(CapError):  # the cap check still runs on every call
+        sphere(2, 2).cohomology_basis(0)
 
 
 def test_h0_of_connected_model_is_constant_class():

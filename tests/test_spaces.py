@@ -1,11 +1,16 @@
 """Space constructors, quotients, the gluing square, and resource bounds."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
 from expk.complexes import MOEBIUS_BAND_FACETS, projective_plane
 from expk.errors import ContractViolation, LevelSizeError
+from expk.simplicial import SimplicialSetModel
 from expk.spaces import (
+    SimplicialMapModel,
     SpaceSpec,
     build_space,
     compare_pushout_with_subsets,
@@ -20,6 +25,7 @@ from expk.spaces import (
     pushout,
     sphere,
     sym_power,
+    sym_projection,
 )
 
 
@@ -74,20 +80,31 @@ def test_kunneth_dimension_pairing():
 
 
 def test_sym_power_tables():
-    m, proj = sym_power(sphere(1, 3), 2)
+    m = sym_power(sphere(1, 3), 2)
     assert m.betti_table().dims == (1, 1, 0)
-    assert proj.commutes()
-    m2, _ = sym_power(sphere(2, 5), 2)
+    assert sym_projection(sphere(1, 3), 2, sym=m).commutes()
+    m2 = sym_power(sphere(2, 5), 2)
     assert m2.betti_table().dims == (1, 0, 1, 0, 1)
-    m3, _ = sym_power(sphere(2, 7), 3)
+    m3 = sym_power(sphere(2, 7), 3)
     assert m3.betti_table().dims == (1, 0, 1, 0, 1, 0, 1)
 
+
+
+def test_sym_projection_rejects_models_of_another_width():
+    x = sphere(1, 3)
+    # a pair (a, b) must not be read as the multiset {0, a, b}
+    with pytest.raises(ContractViolation):
+        sym_projection(x, 3, source=product(x, x))
+    with pytest.raises(ContractViolation):
+        sym_projection(x, 2, sym=sym_power(x, 3))
+    with pytest.raises(ContractViolation):
+        diagonal_insertion(x, sym3=sym_power(x, 2))
 
 def test_sym2_circle_against_hand_triangulated_moebius_band():
     # independent oracle: the band triangulated by hand, same pipeline
     band = from_complex(MOEBIUS_BAND_FACETS, 3)
     assert band.betti_table().dims == (1, 1, 0)
-    got, _ = sym_power(sphere(1, 3), 2)
+    got = sym_power(sphere(1, 3), 2)
     assert got.betti_table().matches(band.betti_table())
 
 
@@ -126,7 +143,7 @@ def test_exp3_nondegenerate_vanish_above_3n():
 def test_diagonal_insertion_on_vertices():
     x = sphere(1, 3)
     square = product(x, x)
-    sym3, _ = sym_power(x, 3)
+    sym3 = sym_power(x, 3)
     alpha = diagonal_insertion(x, square=square, sym3=sym3)
     assert alpha.commutes()
     keys = sym3.simplex_keys[0]
@@ -150,8 +167,8 @@ def test_pushout_source_mismatch():
 def test_pushout_square_commutes_and_maps_commute():
     x = sphere(1, 4)
     square = product(x, x)
-    sym3, _ = sym_power(x, 3)
-    _, proj2 = sym_power(x, 2)
+    sym3 = sym_power(x, 3)
+    proj2 = sym_projection(x, 2)
     alpha = diagonal_insertion(x, square=square, sym3=sym3)
     glued, ia, ib = pushout(alpha, proj2)
     assert glued.validate().ok
@@ -182,6 +199,9 @@ def test_from_complex_projective_plane():
 def test_from_complex_solid_triangle_contractible():
     solid = from_complex([(0, 1, 2)], 3)
     assert solid.betti_table().dims == (1, 0, 0)
+    relabelled = from_complex([(-3, 0, 5)], 3)  # keys keep the given labels
+    assert relabelled == solid
+    assert relabelled.simplex_keys[0].tolist() == [[-3], [0], [5]]
 
 
 def test_from_complex_boundary_tetrahedron_matches_sphere():
@@ -209,6 +229,115 @@ def test_level_size_budget_enforced():
         sym_power(sphere(2, 7), 3, max_level_size=1000)
     with pytest.raises(LevelSizeError):
         power(sphere(2, 7), 3, max_level_size=1000)
+
+
+def test_sym_power_budget_counts_multisets_not_tuples():
+    x = sphere(1, 4)
+    counts = [math.comb(lm + 2, 3) for lm in x.level_sizes]
+    bound = max(counts)
+    assert bound < max(lm**3 for lm in x.level_sizes)
+    model = sym_power(x, 3, max_level_size=bound)
+    assert model.level_sizes == counts
+    assert model.betti_table().matches((1, 1))
+    with pytest.raises(LevelSizeError):
+        sym_power(x, 3, max_level_size=bound - 1)
+    with pytest.raises(LevelSizeError):
+        power(x, 3, max_level_size=bound)
+
+
+def _discrete(size, description):
+    return SimplicialSetModel(0, [size], [[]], [[]], description=description)
+
+
+def _union_find_classes(la, lb, fm, gm):
+    """Class of each element of A + B by a scan-order union-find (the oracle)."""
+    parent = list(range(la + lb))
+
+    def find(e):
+        while parent[e] != e:
+            parent[e] = parent[parent[e]]
+            e = parent[e]
+        return e
+
+    for u, v in zip(fm.tolist(), (la + gm).tolist()):
+        ru, rv = sorted((find(u), find(v)))
+        parent[rv] = ru
+    classes = {}
+    return [classes.setdefault(find(e), len(classes)) for e in range(la + lb)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pushout_of_discrete_models_matches_union_find(seed):
+    rng = np.random.default_rng(seed)
+    la, lb = int(rng.integers(1, 60)), int(rng.integers(1, 60))
+    # a zigzag a0 - b0 - a1 - b1 - ... through shuffled ids needs several
+    # propagation rounds; random extra pairs make both legs non-injective
+    length = int(rng.integers(1, min(la, lb) + 1))
+    pa, pb = rng.permutation(la)[:length], rng.permutation(lb)[:length]
+    extra = int(rng.integers(0, 40))
+    fm = np.concatenate([pa, pa[1:], rng.integers(0, la, extra)])
+    gm = np.concatenate([pb, pb[:-1], rng.integers(0, lb, extra)])
+    source = _discrete(fm.size, "source")
+    a, b = _discrete(la, "A"), _discrete(lb, "B")
+    f = SimplicialMapModel(source, a, [fm])
+    g = SimplicialMapModel(source, b, [gm])
+    glued, into_a, into_b = pushout(f, g)
+    expect = _union_find_classes(la, lb, fm, gm)
+    assert glued.level_sizes == [max(expect) + 1]
+    assert into_a.level_maps[0].tolist() == expect[:la]
+    assert into_b.level_maps[0].tolist() == expect[la:]
+
+
+# sha256 of each model's content hash and simplex keys, and of each map's
+# level maps, as the constructors built them before multisets were
+# enumerated directly and pushout classes labelled in numpy.
+PINNED_SPACE_DIGESTS = {
+    "exp2-s3": "dce6810fc5e72f67228d9674f7d7106d6b5d7bb29ed910b988b11c9be3c65bc4",
+    "exp3-s2": "23bc7f17129ac1271e8e4bfe5f06d19acfc4a8dad657579263b09cfacf6a0c3c",
+    "glued-s1": "a47c582962390e6c320ac6d2c99a40c58bd2035db8068812f201e627de335ed3",
+    "glued-s2": "d4e3513edc98bb06714d1fc75afcfddb08b1e8f47ae74488b11640780fe9ee65",
+    "insertion-s1": "95f60b466645fa2565fc04efac6236125e3600581302b8d5db5adb37ae92648a",
+    "insertion-s2": "4a49059214257239c40bb485bd611c200620a17293a66d492d31229fa6c98c70",
+    "projection-s1": "4011fcd06c25fc9593fcf1af7e7dc1a59984d88b44375c1900ae4558c10540c7",
+    "projection-s2": "7c058aacb97d0c42bee89503fdcb2e7c81eece0fcad2aacda9b40dd08b30870d",
+    "sym2-s2": "5033e9f26c86dc2ae3b7bf9713e719c065b34b262cbd998de67b80d34c1d5f60",
+    "sym3-s1": "dd55cf5ca7f04f9c63665e3808a9ddcd2f637c01d11bce8cf1cc5504deb5a8ac",
+    "sym3-s2": "92633e021b4b47d1cba53ff749316a01e5e250856bc85b3d3b510b08de6457c8",
+}
+
+
+def _digest(model_or_map):
+    """sha256 over a model's content hash and keys, or a map's level maps."""
+    h = hashlib.sha256()
+    if isinstance(model_or_map, SimplicialMapModel):
+        arrays = model_or_map.level_maps
+    else:
+        h.update(model_or_map.content_hash().encode())
+        arrays = model_or_map.simplex_keys or []
+    for a in arrays:
+        a = np.ascontiguousarray(a, dtype=np.int32)
+        h.update(repr(a.shape).encode() + a.tobytes())
+    return h.hexdigest()
+
+
+def _pinned_objects():
+    out = {}
+    for kind, n, k in (("sym", 2, 2), ("sym", 1, 3), ("sym", 2, 3), ("exp", 3, 2), ("exp", 2, 3)):
+        out[f"{kind}{k}-s{n}"] = build_space(SpaceSpec(kind, n=n, k=k))
+    for n in (1, 2):
+        x = sphere(n, 3 * n + 1)
+        square = product(x, x)
+        alpha = diagonal_insertion(x, square=square, sym3=sym_power(x, 3))
+        proj2 = sym_projection(x, 2, source=square, sym=sym_power(x, 2))
+        out[f"insertion-s{n}"] = alpha
+        out[f"projection-s{n}"] = proj2
+        out[f"glued-s{n}"] = pushout(alpha, proj2)[0]
+    return out
+
+
+def test_models_and_maps_are_pinned():
+    got = {name: _digest(obj) for name, obj in _pinned_objects().items()}
+    assert got == PINNED_SPACE_DIGESTS
 
 
 def test_space_spec_round_trip_and_build():

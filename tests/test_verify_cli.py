@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from expk import verify
 from expk.cli import main
 from expk.simplicial import SimplicialSetModel
 from expk.verify import CHECKS, ModelCache, run_verify
@@ -83,6 +84,48 @@ def test_corrupt_cache_rebuilds_with_warning(tmp_path):
     report = run_verify(scope=["betti-exp2-circle"], cache_dir=cache_dir)
     assert report.passed
     assert any("rebuilt" in w for w in report.warnings)
+
+
+def test_failed_cache_write_leaves_no_entry(tmp_path, monkeypatch):
+    fdopen = os.fdopen
+
+    class TornFile:
+        """Writes half of the text, then fails like a full disk."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            self.fh.flush()
+            raise OSError("no space left on device")
+
+    cache_dir = str(tmp_path / "cache")
+    monkeypatch.setattr(verify.os, "fdopen", lambda fd, mode: TornFile(fdopen(fd, mode)))
+    with pytest.raises(OSError):
+        ModelCache(cache_dir=cache_dir).model_for(SpaceSpec("exp", n=1, k=2))
+    assert os.listdir(cache_dir) == []
+    monkeypatch.undo()
+    report = run_verify(scope=["betti-exp2-circle"], cache_dir=cache_dir)
+    assert report.passed
+    assert not report.warnings
+    assert [f for f in os.listdir(cache_dir) if f.endswith(".json")]
+
+
+def test_cache_entries_get_the_mode_of_a_plain_open(tmp_path):
+    cache_dir = tmp_path / "cache"
+    ModelCache(cache_dir=str(cache_dir)).model_for(SpaceSpec("exp", n=1, k=2))
+    (entry,) = [p for p in cache_dir.iterdir() if p.suffix == ".json"]
+    plain = tmp_path / "plain.json"
+    with open(plain, "w") as fh:
+        fh.write("{}")
+    assert entry.stat().st_mode == plain.stat().st_mode
 
 
 def test_model_cache_memoizes():
