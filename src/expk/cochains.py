@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BasisSpanError, ContractViolation
-from .gf2 import Gf2Matrix, Gf2Vector
+from .gf2 import Gf2Vector
 from .simplicial import CochainClass, SimplicialSetModel
 
 RING_TABLE_FORMAT = "ring-table/1"
@@ -106,7 +106,7 @@ def cup(s: SimplicialSetModel, a: CochainClass, b: CochainClass) -> CochainClass
 
 
 def coboundary(s: SimplicialSetModel, c: CochainClass) -> CochainClass:
-    support = s.coboundary_matrix(c.degree).mul_vec(c.support)
+    support = s.apply_coboundary(c.degree, c.support)
     degree = c.degree + 1
     cocycle = (
         s.nondeg_count(degree) == 0
@@ -138,45 +138,36 @@ def steenrod_square(s: SimplicialSetModel, i: int, a: CochainClass) -> CochainCl
 # expressing classes in a basis
 
 
-def _columns_matrix(columns, length: int) -> Gf2Matrix:
-    if not columns:
-        return Gf2Matrix.zeros(length, 0)
-    rows = Gf2Matrix.from_rows([c.to_bits() for c in columns], length)
-    return rows.transpose()
-
-
-def _solve_against(s, c: CochainClass, basis):
-    n = c.degree
-    cols = [b.support for b in basis]
-    ncob = 0
-    if n >= 1 and s.nondeg_count(n):
-        bnd = s.boundary_matrix(n)
-        ncob = bnd.row_count
-        cols.extend(bnd.row(r) for r in range(ncob))
-    mat = _columns_matrix(cols, s.nondeg_count(n))
-    x = mat.solve(c.support)
-    return x, ncob
+def _support_int(s: SimplicialSetModel, c: CochainClass) -> int:
+    if c.support.length != s.nondeg_count(c.degree):
+        raise ContractViolation(f"cochain length does not fit degree {c.degree}")
+    return c.support.to_int()
 
 
 def express_in_basis(s: SimplicialSetModel, c: CochainClass, basis) -> Gf2Vector:
-    """Coordinates of [c] in the given basis, modulo coboundaries."""
+    """Coordinates of [c] in a basis independent modulo coboundaries."""
     if not c.is_cocycle:
         raise ContractViolation("only cocycles have well-defined coordinates")
     for b in basis:
         if b.degree != c.degree:
             raise ContractViolation("basis degree mismatch")
-    x, _ = _solve_against(s, c, basis)
-    if x is None:
+    span = s.coboundary_span(c.degree)
+    for k, b in enumerate(basis):
+        if span.add(_support_int(s, b), 1 << k) is not None:
+            raise ContractViolation(
+                f"basis class {k} depends on the earlier ones modulo coboundaries"
+            )
+    rest, coords = span.reduce(_support_int(s, c))
+    if rest:
         raise BasisSpanError(
             f"basis does not span the class in degree {c.degree}"
         )
-    bits = x.to_bits()[: len(basis)]
-    return Gf2Vector.from_bits(bits)
+    return Gf2Vector.from_int(len(basis), coords)
 
 
 def is_coboundary(s: SimplicialSetModel, c: CochainClass) -> bool:
-    x, _ = _solve_against(s, c, [])
-    return x is not None
+    rest, _ = s.coboundary_span(c.degree).reduce(_support_int(s, c))
+    return not rest
 
 
 def cohomologous(s: SimplicialSetModel, c1: CochainClass, c2: CochainClass) -> bool:

@@ -1,10 +1,11 @@
 """Exact linear algebra over the two-element field.
 
-Matrices and vectors are bit-packed into unsigned 64-bit words so that a
-row elimination is a handful of word-level XORs.  Every operation is
-deterministic: pivots are always taken from the lowest-index nonzero row,
-so ranks, particular solutions, and kernel bases are reproducible bit for
-bit across runs.
+Matrices and vectors are bit-packed into unsigned 64-bit words.  All
+elimination goes through one routine, the tagged pivot table ``Gf2Span``.
+Its results are deterministic: the kernel basis is ordered by free
+column, ``solve`` returns the solution whose free variables are zero, and
+cohomology representatives are the first cocycles, in kernel order, that
+are independent modulo coboundaries.
 """
 
 from __future__ import annotations
@@ -38,6 +39,11 @@ def _unpack_rows(words: np.ndarray, nbits: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), axis=1, count=nbits, bitorder="little")
 
 
+def _row_ints(words: np.ndarray) -> list[int]:
+    """Each row of packed words as a python int, bit j = column j."""
+    return [int.from_bytes(row.tobytes(), "little") for row in words.astype("<u8")]
+
+
 class Gf2Vector:
     """Immutable bit vector over the two-element field."""
 
@@ -59,12 +65,13 @@ class Gf2Vector:
         return cls(bits.size, _pack_rows(bits)[0])
 
     @classmethod
-    def from_indices(cls, length: int, indices) -> "Gf2Vector":
-        bits = np.zeros(length, dtype=np.uint8)
-        idx = np.asarray(list(indices), dtype=np.int64)
-        if idx.size:
-            bits[idx] ^= 1
-        return cls.from_bits(bits)
+    def from_int(cls, length: int, x: int) -> "Gf2Vector":
+        """The vector whose bit i is bit i of the python int ``x``."""
+        data = x.to_bytes(_word_count(length) * _WORD // 8, "little")
+        return cls(length, np.frombuffer(data, dtype="<u8"))
+
+    def to_int(self) -> int:
+        return _row_ints(self._words[None, :])[0]
 
     def get(self, i: int) -> int:
         if not 0 <= i < self.length:
@@ -78,9 +85,6 @@ class Gf2Vector:
     def nonzero_indices(self) -> list[int]:
         return np.nonzero(self.to_bits())[0].tolist()
 
-    def weight(self) -> int:
-        return int(np.bitwise_count(self._words).sum())
-
     def is_zero(self) -> bool:
         return not self._words.any()
 
@@ -88,11 +92,6 @@ class Gf2Vector:
         if self.length != other.length:
             raise ContractViolation("vector length mismatch")
         return Gf2Vector(self.length, self._words ^ other._words)
-
-    def dot(self, other: "Gf2Vector") -> int:
-        if self.length != other.length:
-            raise ContractViolation("vector length mismatch")
-        return int(np.bitwise_count(self._words & other._words).sum()) & 1
 
     def __eq__(self, other) -> bool:
         return (
@@ -108,33 +107,59 @@ class Gf2Vector:
         return f"Gf2Vector({self.length}, ones={self.nonzero_indices()})"
 
 
-def _rref(words: np.ndarray, ncols: int):
-    """In-place reduced row echelon form; returns the pivot columns.
+class Gf2Span:
+    """Row space over GF(2) kept as a pivot table, one row per leading bit.
 
-    Scans columns left to right and picks the lowest-index available row
-    as pivot, then clears the column everywhere else.
+    Vectors and tags are python ints, bit i = coordinate i.  A row's tag
+    is the xor of the tags of the inputs combined into it, so a vector
+    that reduces to zero yields the relation among the inputs.
     """
-    nrows = words.shape[0]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        w, b = divmod(c, _WORD)
-        bit = np.uint64(1 << b)
-        below = np.nonzero(words[r:, w] & bit)[0]
-        if below.size == 0:
-            continue
-        p = r + int(below[0])
-        if p != r:
-            words[[r, p]] = words[[p, r]]
-        hits = (words[:, w] & bit) != 0
-        hits[r] = False
-        if hits.any():
-            words[hits] ^= words[r]
-        pivots.append(c)
-        r += 1
-    return pivots
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, vectors=()):
+        self._rows = {}
+        for x in vectors:
+            self.add(x)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def copy(self) -> "Gf2Span":
+        out = Gf2Span()
+        out._rows = dict(self._rows)
+        return out
+
+    def reduce(self, x: int, tag: int = 0) -> tuple[int, int]:
+        """Clear the leading bits of x that the table holds; (rest, tag)."""
+        rows = self._rows
+        while x:
+            row = rows.get(x.bit_length() - 1)
+            if row is None:
+                break
+            x ^= row[0]
+            tag ^= row[1]
+        return x, tag
+
+    def add(self, x: int, tag: int = 0) -> int | None:
+        """Insert x; None when it enlarges the span, else the relation's tag."""
+        x, tag = self.reduce(x, tag)
+        if x:
+            self._rows[x.bit_length() - 1] = (x, tag)
+            return None
+        return tag
+
+
+def relations(vectors) -> list[int]:
+    """Relations among the vectors, one per input that depends on earlier ones.
+
+    Input j's relation is bit j plus the unique combination of the earlier
+    independent inputs that equals it.  For the columns of a matrix this
+    is the kernel basis ordered by free column.
+    """
+    span = Gf2Span()
+    tags = [span.add(x, 1 << i) for i, x in enumerate(vectors)]
+    return [t for t in tags if t is not None]
 
 
 class Gf2Matrix:
@@ -201,12 +226,9 @@ class Gf2Matrix:
 
     # -- accessors ---------------------------------------------------------
 
-    def row(self, i: int) -> Gf2Vector:
-        return Gf2Vector(self.col_count, self._words[i])
-
-    def get(self, i: int, j: int) -> int:
-        w, b = divmod(j, _WORD)
-        return int(self._words[i, w] >> np.uint64(b)) & 1
+    def row_ints(self) -> list[int]:
+        """Each row as a python int, bit j = column j."""
+        return _row_ints(self._words)
 
     def to_dense(self) -> np.ndarray:
         return _unpack_rows(self._words, self.col_count)
@@ -245,56 +267,40 @@ class Gf2Matrix:
     def matmul(self, other: "Gf2Matrix") -> "Gf2Matrix":
         if self.col_count != other.row_count:
             raise ContractViolation("dimension mismatch in matrix product")
-        words = np.zeros(
-            (self.row_count, _word_count(other.col_count)), dtype=np.uint64
-        )
-        for i, row in enumerate(self.to_dense()):
-            sel = np.nonzero(row)[0]
-            if sel.size:
-                words[i] = np.bitwise_xor.reduce(other._words[sel], axis=0)
+        words = np.zeros((self.row_count, _word_count(other.col_count)), np.uint64)
+        for i, row in enumerate(self._words):
+            words[i] = other.combine_rows(Gf2Vector(self.col_count, row))._words
         return Gf2Matrix(self.row_count, other.col_count, words)
+
+    def combine_rows(self, v: Gf2Vector) -> Gf2Vector:
+        """The xor of the rows that v selects: the product v.m."""
+        if v.length != self.row_count:
+            raise ContractViolation("dimension mismatch in vector-matrix product")
+        selected = self._words[np.nonzero(v.to_bits())[0]]
+        return Gf2Vector(self.col_count, np.bitwise_xor.reduce(selected, axis=0))
 
     def rank(self) -> int:
         if self._rank is None:
-            work = self._words.copy()
-            self._rank = len(_rref(work, self.col_count))
+            self._rank = len(Gf2Span(self.row_ints()))
         return self._rank
 
-    def solve(self, b: Gf2Vector):
-        """One solution of m.x = b, or None when the system is inconsistent.
+    def _column_ints(self) -> list[int]:
+        return _row_ints(_pack_rows(self.to_dense().T))
 
-        Free variables are set to zero, so the result is the echelon-form
-        particular solution.
-        """
+    def solve(self, b: Gf2Vector):
+        """The solution of m.x = b with free variables zero, or None."""
         if b.length != self.row_count:
             raise ContractViolation("right-hand side length must equal row count")
+        # The solution is the relation of b appended as a last column.
         n = self.col_count
-        aug_cols = n + 1
-        aug = np.zeros((self.row_count, _word_count(aug_cols)), dtype=np.uint64)
-        aug[:, : self._words.shape[1]] = self._words
-        w, sh = divmod(n, _WORD)
-        bbits = b.to_bits()
-        aug[:, w] |= bbits.astype(np.uint64) << np.uint64(sh)
-        pivots = _rref(aug, aug_cols)
-        if pivots and pivots[-1] == n:
+        found = relations([*self._column_ints(), b.to_int()])
+        if not found or not found[-1] >> n:
             return None
-        xbits = np.zeros(n, dtype=np.uint8)
-        xbits[pivots] = (aug[: len(pivots), w] >> np.uint64(sh)) & np.uint64(1)
-        return Gf2Vector.from_bits(xbits)
+        return Gf2Vector.from_int(n, found[-1] ^ 1 << n)
 
     def kernel_basis(self) -> list[Gf2Vector]:
         """Deterministic basis of the null space, ordered by free column."""
-        work = self._words.copy()
-        pivots = _rref(work, self.col_count)
-        free = np.setdiff1d(np.arange(self.col_count), pivots)
-        # Basis vector i sets free column free[i]; its pivot coordinates
-        # are column free[i] of the reduced rows.  Those columns are read
-        # byte by byte, so only rank x nfree bytes are unpacked, not all
-        # rank x ncols bits.
-        bits = np.zeros((free.size, self.col_count), dtype=np.uint8)
-        bits[np.arange(free.size), free] = 1
-        reduced = work[: len(pivots)].view(np.uint8)[:, free >> 3]
-        reduced >>= (free & 7).astype(np.uint8)
-        reduced &= 1
-        bits[:, pivots] = reduced.T
-        return [Gf2Vector(self.col_count, w) for w in _pack_rows(bits)]
+        return [
+            Gf2Vector.from_int(self.col_count, x)
+            for x in relations(self._column_ints())
+        ]

@@ -18,6 +18,10 @@ Conventions
 * Mod-2 Betti numbers are ``nullity(boundary_n) - rank(boundary_{n+1})``;
   with field coefficients these are simultaneously the homology and
   cohomology dimensions.
+* Cochains are read off boundary rows: the degree-n cocycles are the
+  relations among the rows of ``boundary_{n+1}``, the coboundaries are
+  spanned by the rows of ``boundary_n``, and the basis of H^n is the
+  first cocycles that are independent modulo coboundaries.
 
 The top stored level must be free of nondegenerate simplices before a
 Betti table is trusted; otherwise ``CapError`` is raised.
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapError, ContractViolation
-from .gf2 import Gf2Matrix, Gf2Vector
+from .gf2 import Gf2Matrix, Gf2Span, Gf2Vector, relations
 
 MODEL_FORMAT = "simplicial-set-model/1"
 BETTI_FORMAT = "betti-table/1"
@@ -154,7 +158,7 @@ class SimplicialSetModel:
             pos.setflags(write=False)
             self._nondeg_pos.append(pos)
         self._boundary_cache = {}
-        self._coboundary_cache = {}
+        self._span_cache = {}
         self._basis_cache = {}
 
     # -- construction helpers ---------------------------------------------
@@ -203,10 +207,6 @@ class SimplicialSetModel:
         if 0 <= n <= self.level_cap:
             return int(self._nondeg_ids[n].size)
         return 0
-
-    def nondeg_position(self, n: int) -> np.ndarray:
-        """Map level-n ids to positions among nondegenerate ids (-1 otherwise)."""
-        return self._nondeg_pos[n]
 
     def top_nondegenerate_level(self) -> int:
         for n in range(self.level_cap, -1, -1):
@@ -382,18 +382,6 @@ class SimplicialSetModel:
             dims.append(nullity - rank_above)
         return BettiTable(tuple(dims))
 
-    def coboundary_matrix(self, n: int) -> Gf2Matrix:
-        """Matrix of the coboundary on normalized cochains in degree n."""
-        if n >= self.level_cap:
-            raise CapError(f"coboundary at degree {n} needs level {n + 1}")
-        if n not in self._coboundary_cache:
-            if n >= self.top_nondegenerate_level():
-                m = Gf2Matrix.zeros(self.nondeg_count(n + 1), self.nondeg_count(n))
-            else:
-                m = self.boundary_matrix(n + 1).transpose()
-            self._coboundary_cache[n] = m
-        return self._coboundary_cache[n]
-
     def cohomology_basis(self, n: int) -> list[CochainClass]:
         """Deterministic cocycle representatives of a basis of H^n.
 
@@ -407,24 +395,31 @@ class SimplicialSetModel:
         return list(self._basis_cache[n])
 
     def _cohomology_basis(self, n: int) -> list[CochainClass]:
-        if self.nondeg_count(n) == 0:
+        length = self.nondeg_count(n)
+        if length == 0:
             return []
-        cocycles = self.coboundary_matrix(n).kernel_basis()
-        span = _Gf2Span()
-        if n > 0:
-            # Coboundary images in degree n are the rows of the boundary
-            # matrix one degree up the chain direction.
-            bnd = self.boundary_matrix(n)
-            for i in range(bnd.row_count):
-                span.add(bnd.row(i))
-        reps = []
-        for v in cocycles:
-            if span.add(v):
-                reps.append(CochainClass(n, v, True))
-        return reps
+        coboundaries = self.coboundary_span(n)
+        return [
+            CochainClass(n, Gf2Vector.from_int(length, z), True)
+            for z in relations(self.boundary_matrix(n + 1).row_ints())
+            if coboundaries.add(z) is None
+        ]
+
+    def coboundary_span(self, n: int) -> Gf2Span:
+        """Span of the degree-n coboundaries, as a copy: threads share the cache."""
+        if n not in self._span_cache:
+            rows = self.boundary_matrix(n).row_ints() if n >= 1 else []
+            self._span_cache[n] = Gf2Span(rows)
+        return self._span_cache[n].copy()
+
+    def apply_coboundary(self, degree: int, support: Gf2Vector) -> Gf2Vector:
+        """Coboundary of a cochain: the xor of the rows of ``boundary_{degree+1}``."""
+        if degree >= self.level_cap:
+            raise CapError(f"coboundary at degree {degree} needs level {degree + 1}")
+        return self.boundary_matrix(degree + 1).combine_rows(support)
 
     def is_cocycle(self, degree: int, support: Gf2Vector) -> bool:
-        return self.coboundary_matrix(degree).mul_vec(support).is_zero()
+        return self.apply_coboundary(degree, support).is_zero()
 
     # -- serialization -----------------------------------------------------------
 
@@ -459,26 +454,3 @@ class SimplicialSetModel:
 
     def content_hash(self) -> str:
         return hashlib.sha256(self.to_json_text().encode()).hexdigest()
-
-
-class _Gf2Span:
-    """Incremental row space over GF(2), vectors held as python ints."""
-
-    def __init__(self):
-        self._pivot_rows = {}
-
-    @staticmethod
-    def _to_int(v: Gf2Vector) -> int:
-        return int.from_bytes(v._words.tobytes(), "little")
-
-    def add(self, v: Gf2Vector) -> bool:
-        """Reduce v against the span; returns True when v enlarges it."""
-        x = self._to_int(v)
-        while x:
-            p = x.bit_length() - 1
-            row = self._pivot_rows.get(p)
-            if row is None:
-                self._pivot_rows[p] = x
-                return True
-            x ^= row
-        return False

@@ -97,18 +97,6 @@ class SimplicialMapModel:
         return f"SimplicialMapModel({self.description or 'unnamed'})"
 
 
-def compose(outer: SimplicialMapModel, inner: SimplicialMapModel) -> SimplicialMapModel:
-    if inner.target is not outer.source and inner.target != outer.source:
-        raise ContractViolation("composition endpoints do not match")
-    maps = [o[i] for o, i in zip(outer.level_maps, inner.level_maps)]
-    return SimplicialMapModel(
-        inner.source,
-        outer.target,
-        maps,
-        description=f"{outer.description} . {inner.description}",
-    )
-
-
 def identity_map(x: SimplicialSetModel) -> SimplicialMapModel:
     return SimplicialMapModel(
         x,

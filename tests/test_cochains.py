@@ -1,5 +1,8 @@
 """Cup products, cup-i products, squares, and coordinates in a basis."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -253,6 +256,42 @@ def test_express_in_basis_span_error(t2):
     a, b = t2.cohomology_basis(1)
     with pytest.raises(BasisSpanError):
         express_in_basis(t2, a, [b])
+
+
+def test_express_in_basis_rejects_dependent_classes(t2):
+    a, b = t2.cohomology_basis(1)
+    both = CochainClass(1, a.support ^ b.support, True)
+    for c, basis in ((both, [a, b, both]), (a, [a, a])):
+        with pytest.raises(ContractViolation):
+            express_in_basis(t2, c, basis)
+
+
+def test_cochain_length_must_fit_its_degree(t2):
+    a, b = t2.cohomology_basis(1)
+    short = CochainClass(1, Gf2Vector.zeros(3), True)
+    for call in (
+        lambda: express_in_basis(t2, short, [a, b]),
+        lambda: express_in_basis(t2, a, [short]),
+        lambda: is_coboundary(t2, short),
+    ):
+        with pytest.raises(ContractViolation):
+            call()
+
+
+def test_shared_spans_under_threads():
+    # Threads share one model's cached coboundary spans; each caller adds
+    # its basis to a copy, so every thread sees the serial ring table.
+    expected = ring_table(torus())
+    model = torus()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(ring_table, model) for _ in range(8)]
+            tables = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(t == expected for t in tables)
 
 
 def test_ring_table_structure(t2):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from expk.errors import ContractViolation
-from expk.gf2 import _WORD, Gf2Matrix, Gf2Vector, _rref
+from expk.gf2 import _WORD, Gf2Matrix, Gf2Vector, _word_count
 
 
 def brute_rank(dense):
@@ -33,6 +33,50 @@ def brute_kernel(dense):
 
 def mat(dense):
     return Gf2Matrix.from_rows(np.asarray(dense, dtype=np.uint8))
+
+
+def _rref(words: np.ndarray, ncols: int):
+    """In-place reduced row echelon form; returns the pivot columns.
+
+    Scans columns left to right and picks the lowest-index available row
+    as pivot, then clears the column everywhere else.
+    """
+    nrows = words.shape[0]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        w, b = divmod(c, _WORD)
+        bit = np.uint64(1 << b)
+        below = np.nonzero(words[r:, w] & bit)[0]
+        if below.size == 0:
+            continue
+        p = r + int(below[0])
+        if p != r:
+            words[[r, p]] = words[[p, r]]
+        hits = (words[:, w] & bit) != 0
+        hits[r] = False
+        if hits.any():
+            words[hits] ^= words[r]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def rref_solution(m, b):
+    """Reference solve: RREF of [m | b], free variables set to zero."""
+    n = m.col_count
+    aug = np.zeros((m.row_count, _word_count(n + 1)), dtype=np.uint64)
+    aug[:, : m._words.shape[1]] = m._words
+    w, sh = divmod(n, _WORD)
+    aug[:, w] |= b.to_bits().astype(np.uint64) << np.uint64(sh)
+    pivots = _rref(aug, n + 1)
+    if pivots and pivots[-1] == n:
+        return None
+    xbits = np.zeros(n, dtype=np.uint8)
+    xbits[pivots] = (aug[: len(pivots), w] >> np.uint64(sh)) & np.uint64(1)
+    return Gf2Vector.from_bits(xbits)
 
 
 def loop_kernel_basis(m):
@@ -195,6 +239,10 @@ def test_packed_operations_across_word_boundaries(rows, cols):
         basis = m.kernel_basis()
         assert basis == loop_kernel_basis(m)
         assert all(m.mul_vec(v).is_zero() for v in basis)
+        assert m.rank() == len(_rref(m._words.copy(), cols))
+        x = Gf2Vector.from_bits(rng.integers(0, 2, size=cols, dtype=np.uint8))
+        b = m.mul_vec(x)
+        assert m.solve(b) == rref_solution(m, b)
 
 
 def test_constructors_keep_the_low_bit():

@@ -7,7 +7,8 @@ import pytest
 
 from expk.complexes import projective_plane, torus
 from expk.errors import CapError, ContractViolation
-from expk.gf2 import Gf2Matrix
+from expk import simplicial
+from expk.gf2 import relations
 from expk.simplicial import BettiTable, SimplicialSetModel
 from expk.spaces import exp_subsets, point, product, sphere
 
@@ -132,26 +133,14 @@ def test_cohomology_bases_are_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_BASES_SHA256
 
 
-def test_coboundary_matrix_is_the_cached_transpose():
-    model = torus()
-    for n in range(model.level_cap):
-        delta = model.coboundary_matrix(n)
-        assert model.coboundary_matrix(n) is delta
-        if n < model.top_nondegenerate_level():
-            assert delta == model.boundary_matrix(n + 1).transpose()
-        else:
-            assert delta.is_zero()
-
-
 def test_cohomology_basis_is_cached_per_degree(monkeypatch):
     shapes = []
-    kernel_basis = Gf2Matrix.kernel_basis
 
-    def counting_kernel(matrix):
-        shapes.append((matrix.row_count, matrix.col_count))
-        return kernel_basis(matrix)
+    def counting_relations(rows):
+        shapes.append(len(rows))
+        return relations(rows)
 
-    monkeypatch.setattr(Gf2Matrix, "kernel_basis", counting_kernel)
+    monkeypatch.setattr(simplicial, "relations", counting_relations)
     model = torus()
     first = model.cohomology_basis(1)
     supports = [c.support for c in first]

@@ -1,0 +1,82 @@
+"""One sha256 digest of every GF(2) elimination output the tables rest on.
+
+For each model below it records, in a fixed order:
+
+* for every boundary matrix: the rank, the kernel basis, and the solution
+  of one seeded consistent system (right-hand side = matrix times a
+  seeded random vector);
+* the cohomology basis in every degree;
+* the coordinates of Sq^0 of each basis class in that basis.
+
+Two versions of the library that print the same digest agree bit for bit
+on all of these.  Run from the repository root:
+
+    PYTHONPATH=src python3 tools/elimination_digest.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+
+import numpy as np
+
+from expk.cochains import express_in_basis, steenrod_square
+from expk.complexes import projective_plane, torus
+from expk.gf2 import Gf2Vector
+from expk.spaces import SpaceSpec, build_space, sphere
+
+MODELS = {
+    "torus": torus,
+    "rp2": projective_plane,
+    "sphere2-cap4": lambda: sphere(2, 4),
+    "exp3-sphere1": lambda: build_space(SpaceSpec("exp", n=1, k=3)),
+    "exp2-sphere2": lambda: build_space(SpaceSpec("exp", n=2, k=2)),
+    "exp2-sphere3": lambda: build_space(SpaceSpec("exp", n=3, k=2)),
+    "exp3-sphere2": lambda: build_space(SpaceSpec("exp", n=2, k=3)),
+    "sym3-sphere1": lambda: build_space(SpaceSpec("sym", n=1, k=3)),
+    "sym3-sphere2": lambda: build_space(SpaceSpec("sym", n=2, k=3)),
+}
+
+
+def model_outputs(model, seed: int) -> dict:
+    rng = np.random.default_rng(seed)
+    boundaries = []
+    for n in range(1, model.level_cap + 1):
+        m = model.boundary_matrix(n)
+        x = Gf2Vector.from_bits(rng.integers(0, 2, size=m.col_count, dtype=np.uint8))
+        solution = m.solve(m.mul_vec(x))
+        boundaries.append(
+            {
+                "rank": m.rank(),
+                "kernel": [v.nonzero_indices() for v in m.kernel_basis()],
+                "solve": solution.nonzero_indices(),
+            }
+        )
+    bases, squares = [], []
+    for d in range(model.top_nondegenerate_level() + 1):
+        basis = model.cohomology_basis(d)
+        bases.append([c.support.nonzero_indices() for c in basis])
+        squares.append(
+            [
+                express_in_basis(model, steenrod_square(model, 0, c), basis)
+                .nonzero_indices()
+                for c in basis
+            ]
+        )
+    return {"boundaries": boundaries, "bases": bases, "sq0": squares}
+
+
+def main() -> int:
+    total = hashlib.sha256()
+    for seed, (name, build) in enumerate(MODELS.items()):
+        text = json.dumps(model_outputs(build(), seed), separators=(",", ":"))
+        total.update(name.encode() + b"\0" + text.encode() + b"\0")
+        print(f"{name}: {hashlib.sha256(text.encode()).hexdigest()}", flush=True)
+    print(f"digest: {total.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
