@@ -9,7 +9,8 @@ Subcommands map one-to-one onto library entry points:
   verify  run the named checks (all by default) and emit a report
 
 Progress goes to stderr, results to stdout; exit status 0 means every
-selected check passed (skipped checks do not fail a run).  The cache
+selected check passed (skipped checks do not fail a run).  ``betti`` and
+``sq`` exit 2 when a model file's ``hash`` does not match its model.  The cache
 directory may also be set through the EXPK_CACHE_DIR environment
 variable; flags win over the environment.
 """
@@ -17,6 +18,7 @@ variable; flags win over the environment.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -86,16 +88,23 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _load_model(path) -> SimplicialSetModel:
+def _load_model(path) -> SimplicialSetModel | None:
+    """The model of a file; None, with a message, when its hash does not match."""
     with open(path) as fh:
         doc = json.load(fh)
-    if "model" in doc:
-        doc = doc["model"]
-    return SimplicialSetModel.from_json_dict(doc)
+    model = SimplicialSetModel.from_json_dict(doc.get("model", doc))
+    if "hash" in doc and doc["hash"] != model.content_hash():
+        # files written before hash scheme 2 carry the SHA-256 of the model's text
+        if doc["hash"] != hashlib.sha256(model.to_json_text().encode()).hexdigest():
+            print(f"{path}: the model does not match its hash", file=sys.stderr)
+            return None
+    return model
 
 
 def cmd_betti(args) -> int:
     model = _load_model(args.model)
+    if model is None:
+        return 2
     table = model.betti_table()
     if args.format == "json":
         _write_out(canonical_json(table.to_json_dict()), args.out)
@@ -108,6 +117,8 @@ def cmd_betti(args) -> int:
 
 def cmd_sq(args) -> int:
     model = _load_model(args.model)
+    if model is None:
+        return 2
     basis = model.cohomology_basis(args.degree)
     target = model.cohomology_basis(args.degree + args.index)
     rows = []

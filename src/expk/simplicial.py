@@ -25,11 +25,24 @@ Conventions
 
 The top stored level must be free of nondegenerate simplices before a
 Betti table is trusted; otherwise ``CapError`` is raised.
+
+Serialization
+-------------
+* ``words()`` is the model's canonical word stream: every ``faces[n][i]``,
+  then every ``degeneracies[n][i]``, in (n, i) order, as little-endian
+  int32; ``from_words`` slices such a stream back into operator tables.
+* ``content_hash`` is SHA-256 over one header line -- the canonical JSON of
+  ``{"scheme": HASH_SCHEME, "description", "level_cap", "level_sizes"}``
+  and a newline -- followed by the word stream.  No JSON is built for the
+  arrays.
+* The JSON document (``MODEL_FORMAT``, ``to_json_text``/``from_json_dict``)
+  is the exchange format of the command line.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -39,6 +52,7 @@ from .errors import CapError, ContractViolation
 from .gf2 import Gf2Matrix, Gf2Span, Gf2Vector, relations
 
 MODEL_FORMAT = "simplicial-set-model/1"
+HASH_SCHEME = "simplicial-set-model-hash/2"
 BETTI_FORMAT = "betti-table/1"
 
 
@@ -452,5 +466,47 @@ class SimplicialSetModel:
     def from_json_text(cls, text: str) -> "SimplicialSetModel":
         return cls.from_json_dict(json.loads(text))
 
+    def header(self) -> dict:
+        """Everything but the operator tables; ``from_words`` reads it back."""
+        return {
+            "description": self.description,
+            "level_cap": self.level_cap,
+            "level_sizes": list(self.level_sizes),
+        }
+
+    def words(self) -> list:
+        """The word stream: every face table, then every degeneracy table."""
+        return [
+            np.asarray(a, dtype="<i4")
+            for a in itertools.chain(*self.faces, *self.degeneracies)
+        ]
+
+    @classmethod
+    def from_words(cls, header: dict, words) -> "SimplicialSetModel":
+        """The model of a ``header()`` and its word stream, as slices of ``words``."""
+        cap = int(header["level_cap"])
+        sizes = [int(s) for s in header["level_sizes"]]
+        if len(sizes) != cap + 1:
+            raise ContractViolation("level_sizes must cover 0..cap")
+        counts = [(n + 1) * sizes[n] for n in range(cap + 1)]
+        if len(words) != sum(counts[1:]) + sum(counts[:cap]):
+            raise ContractViolation("word stream length does not match level_sizes")
+        offset = 0
+
+        def take(n):
+            nonlocal offset
+            offset += sizes[n]
+            return words[offset - sizes[n] : offset]
+
+        faces = [[take(n) for _ in range(n + 1)] if n else [] for n in range(cap + 1)]
+        degeneracies = [
+            [take(n) for _ in range(n + 1)] if n < cap else [] for n in range(cap + 1)
+        ]
+        return cls(cap, sizes, faces, degeneracies, description=header["description"])
+
     def content_hash(self) -> str:
-        return hashlib.sha256(self.to_json_text().encode()).hexdigest()
+        head = canonical_json({"scheme": HASH_SCHEME, **self.header()}) + "\n"
+        h = hashlib.sha256(head.encode())
+        for table in self.words():
+            h.update(table)
+        return h.hexdigest()

@@ -15,6 +15,7 @@ import os
 import platform
 import sys
 import tempfile
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -139,38 +140,43 @@ class ModelCache:
         self.memory = {}
         self.hashes = {}
         self.warnings = []
+        self._locks = {}  # spec key -> the lock its build or load holds
 
     def model_for(self, spec: SpaceSpec):
         key = spec.to_json_text()
-        if key in self.memory:
-            return self.memory[key]
-        model = model_hash = path = None
-        if self.cache_dir is not None:
-            os.makedirs(self.cache_dir, exist_ok=True)
-            digest = hashlib.sha256(key.encode()).hexdigest()[:24]
-            path = os.path.join(self.cache_dir, f"model-{digest}.json")
-            if os.path.exists(path):
-                model, model_hash = self._load(path, key) or (None, None)
-        if model is None:
-            model = build_space(spec)
-            model_hash = model.content_hash()
-            if path is not None:
-                doc = {
-                    "spec": json.loads(key),
-                    "model": model.to_json_dict(),
-                    "hash": model_hash,
-                }
-                self._store(path, canonical_json(doc))
-        self.memory[key] = model
-        self.hashes[model.description or key] = model_hash
-        return model
+        # one setdefault call on a str key is atomic: every thread gets one lock
+        with self._locks.setdefault(key, threading.Lock()):
+            if key in self.memory:
+                return self.memory[key]
+            model = model_hash = path = None
+            if self.cache_dir is not None:
+                os.makedirs(self.cache_dir, exist_ok=True)
+                digest = hashlib.sha256(key.encode()).hexdigest()[:24]
+                path = os.path.join(self.cache_dir, f"model-{digest}.bin")
+                if os.path.exists(path):
+                    model, model_hash = self._load(path, key) or (None, None)
+            if model is None:
+                model = build_space(spec)
+                model_hash = model.content_hash()
+                if path is not None:
+                    self._store(path, key, model, model_hash)
+            self.memory[key] = model
+            self.hashes[model.description or key] = model_hash
+            return model
 
-    def _store(self, path, text):
-        """Write an entry atomically: a crash leaves the old file or none."""
+    def _store(self, path, key, model, model_hash):
+        """Write an entry atomically: a crash leaves the old file or none.
+
+        An entry is one canonical-JSON header line (``spec``, ``hash`` and the
+        model's ``header()``), then the model's word stream.
+        """
+        header = {"spec": json.loads(key), "hash": model_hash, **model.header()}
         fd, tmp = tempfile.mkstemp(dir=self.cache_dir, prefix=".model-", suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(text)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(canonical_json(header).encode() + b"\n")
+                for table in model.words():
+                    fh.write(table)
             os.chmod(tmp, 0o666 & ~_UMASK)
             os.replace(tmp, path)
         except BaseException:
@@ -180,11 +186,14 @@ class ModelCache:
     def _load(self, path, key):
         """The cached model and its verified content hash, or None."""
         try:
-            with open(path) as fh:
-                doc = json.load(fh)
-            model = SimplicialSetModel.from_json_dict(doc["model"])
+            with open(path, "rb") as fh:
+                header = json.loads(fh.readline())
+                words = np.frombuffer(fh.read(), dtype="<i4")
+            if canonical_json(header["spec"]) != key:
+                raise ValueError("entry is for another spec")
+            model = SimplicialSetModel.from_words(header, words)
             model_hash = model.content_hash()
-            if model_hash != doc.get("hash"):
+            if model_hash != header["hash"]:
                 raise ValueError("hash mismatch")
             return model, model_hash
         except Exception as exc:  # corrupt cache: rebuild with a warning

@@ -3,6 +3,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from expk.complexes import projective_plane, torus
@@ -10,7 +11,7 @@ from expk.errors import CapError, ContractViolation
 from expk import simplicial
 from expk.gf2 import relations
 from expk.simplicial import BettiTable, SimplicialSetModel
-from expk.spaces import exp_subsets, point, product, sphere
+from expk.spaces import SpaceSpec, build_space, exp_subsets, point, product, sphere
 
 
 def circle():
@@ -172,6 +173,56 @@ def test_serialization_round_trip_bit_exact():
     assert loaded == model
     assert loaded.content_hash() == model.content_hash()
     assert loaded.betti_table() == model.betti_table()
+
+
+# Scheme-2 content hashes: sha256 of the header line, then the word stream.
+PINNED_CONTENT_HASHES = {
+    "torus": "d75c72bb5839962ed910f60bb43c2fcdfbeee7652fe827771da5c0af6c26557d",
+    "exp2-s2": "281d1c0d96c9dbc883c129942fe35211f154a3e1e86ae39a5a96d65cf25d6209",
+    "exp3-s2": "87f8afda82022ca5144368c87c80231e1277e3671d2281ee33f168eabe5cc828",
+    "sym3-s2": "d4ee31273a859947935d42055ce6f8f17a8f88c54ca64dbce63c62ad55129a6d",
+}
+
+
+def test_content_hash_is_pinned():
+    models = {
+        "torus": torus(),
+        "exp2-s2": build_space(SpaceSpec("exp", n=2, k=2)),
+        "exp3-s2": build_space(SpaceSpec("exp", n=2, k=3)),
+        "sym3-s2": build_space(SpaceSpec("sym", n=2, k=3)),
+    }
+    assert {name: m.content_hash() for name, m in models.items()} == PINNED_CONTENT_HASHES
+
+    t = models["torus"]
+    head = json.dumps(
+        {
+            "description": t.description,
+            "level_cap": t.level_cap,
+            "level_sizes": t.level_sizes,
+            "scheme": "simplicial-set-model-hash/2",
+        },
+        separators=(",", ":"),
+    )
+    tables = [f for fs in t.faces for f in fs] + [s for ss in t.degeneracies for s in ss]
+    stream = b"".join(np.asarray(a, dtype="<i4").tobytes() for a in tables)
+    assert hashlib.sha256(head.encode() + b"\n" + stream).hexdigest() == t.content_hash()
+
+    words = np.concatenate(t.words())
+    assert SimplicialSetModel.from_words(t.header(), words) == t
+    words[0] = (words[0] + 1) % t.level_sizes[0]  # one face id, still in range
+    flipped = SimplicialSetModel.from_words(t.header(), words)
+    renamed = SimplicialSetModel.from_words({**t.header(), "description": "other"}, words)
+    hashes = {t.content_hash(), flipped.content_hash(), renamed.content_hash()}
+    assert len(hashes) == 3
+
+
+def test_from_words_rejects_a_stream_of_the_wrong_length():
+    t = torus()
+    words = np.concatenate(t.words())
+    with pytest.raises(ContractViolation):
+        SimplicialSetModel.from_words(t.header(), words[:-1])
+    with pytest.raises(ContractViolation):
+        SimplicialSetModel.from_words({**t.header(), "level_cap": t.level_cap + 1}, words)
 
 
 def test_betti_table_serialization():

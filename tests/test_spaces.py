@@ -312,7 +312,8 @@ def _digest(model_or_map):
     if isinstance(model_or_map, SimplicialMapModel):
         arrays = model_or_map.level_maps
     else:
-        h.update(model_or_map.content_hash().encode())
+        text = model_or_map.to_json_text()  # what content_hash hashed before scheme 2
+        h.update(hashlib.sha256(text.encode()).hexdigest().encode())
         arrays = model_or_map.simplex_keys or []
     for a in arrays:
         a = np.ascontiguousarray(a, dtype=np.int32)

@@ -38,6 +38,7 @@ square = cochains.steenrod_square(model, 0, basis[0])
 cochains.express_in_basis(model, square, basis)
 cochains.is_coboundary(model, square)
 model.content_hash()
+model.to_json_text()
 summary = tracer.summary()
 print(json.dumps({"summary": summary, "metrics": layer_metrics([summary], {})}))
 """

@@ -1,13 +1,19 @@
 """The verification harness and the command-line surface."""
 
+import hashlib
 import json
 import os
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from expk import verify
 from expk.cli import main
-from expk.simplicial import SimplicialSetModel
+from expk.simplicial import SimplicialSetModel, canonical_json
 from expk.verify import CHECKS, ModelCache, run_verify
 from expk.spaces import SpaceSpec
 
@@ -70,30 +76,80 @@ def test_cache_round_trip_bit_identical(tmp_path):
     assert not second.warnings
 
 
+def _cache_entry(cache_dir):
+    """Path, header and word-stream body of the one entry in ``cache_dir``."""
+    (name,) = [f for f in os.listdir(cache_dir) if f.endswith(".bin")]
+    path = os.path.join(cache_dir, name)
+    with open(path, "rb") as fh:
+        header = json.loads(fh.readline())
+        body = fh.read()
+    return path, header, body
+
+
+def _header_line(header):
+    return canonical_json(header).encode() + b"\n"
+
+
 def test_corrupt_cache_rebuilds_with_warning(tmp_path):
     cache_dir = str(tmp_path / "cache")
     run_verify(scope=["betti-exp2-circle"], cache_dir=cache_dir)
-    files = [f for f in os.listdir(cache_dir) if f.endswith(".json")]
-    assert files
-    victim = os.path.join(cache_dir, files[0])
-    with open(victim) as fh:
-        doc = json.load(fh)
-    doc["hash"] = "0" * 64
-    with open(victim, "w") as fh:
-        json.dump(doc, fh)
+    victim, header, body = _cache_entry(cache_dir)
+    header["hash"] = "0" * 64
+    with open(victim, "wb") as fh:
+        fh.write(_header_line(header) + body)
     report = run_verify(scope=["betti-exp2-circle"], cache_dir=cache_dir)
     assert report.passed
     assert any("rebuilt" in w for w in report.warnings)
+
+
+def _flip_first_word(header, body):
+    words = np.frombuffer(body, dtype="<i4").copy()
+    flipped = (words[0] + 1) % header["level_sizes"][0]  # still a valid face id
+    assert flipped != words[0]
+    words[0] = flipped
+    return _header_line(header) + words.tobytes()
+
+
+def _other_spec(header, body):
+    header["spec"]["k"] = 3
+    return _header_line(header) + body
+
+
+DAMAGE = {
+    "cut-mid-body": (lambda h, b: _header_line(h) + b[: len(b) // 2 + 2], "multiple"),
+    "header-only": (lambda h, b: _header_line(h), "length"),
+    "empty-file": (lambda h, b: b"", "Expecting value"),
+    "flipped-word": (_flip_first_word, "hash mismatch"),
+    "other-spec": (_other_spec, "another spec"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGE))
+def test_damaged_cache_entry_is_rebuilt(tmp_path, damage):
+    damaged, reason = DAMAGE[damage]
+    cache_dir = str(tmp_path / "cache")
+    first = run_verify(scope=["betti-exp2-circle"], cache_dir=cache_dir)
+    victim, header, body = _cache_entry(cache_dir)
+    with open(victim, "wb") as fh:
+        fh.write(damaged(header, body))
+    report = run_verify(scope=["betti-exp2-circle"], cache_dir=cache_dir)
+    assert report.passed
+    (warning,) = report.warnings
+    assert "rebuilt" in warning and reason in warning
+    assert report.model_hashes == first.model_hashes
+    again = run_verify(scope=["betti-exp2-circle"], cache_dir=cache_dir)
+    assert not again.warnings  # the rebuild rewrote the entry
 
 
 def test_failed_cache_write_leaves_no_entry(tmp_path, monkeypatch):
     fdopen = os.fdopen
 
     class TornFile:
-        """Writes half of the text, then fails like a full disk."""
+        """Writes the header line and half of the next chunk, then fails like a full disk."""
 
         def __init__(self, fh):
             self.fh = fh
+            self.writes = 0
 
         def __enter__(self):
             return self
@@ -101,8 +157,12 @@ def test_failed_cache_write_leaves_no_entry(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             self.fh.close()
 
-        def write(self, text):
-            self.fh.write(text[: len(text) // 2])
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 1:
+                return self.fh.write(data)
+            data = memoryview(data).cast("B")
+            self.fh.write(data[: len(data) // 2])
             self.fh.flush()
             raise OSError("no space left on device")
 
@@ -115,13 +175,13 @@ def test_failed_cache_write_leaves_no_entry(tmp_path, monkeypatch):
     report = run_verify(scope=["betti-exp2-circle"], cache_dir=cache_dir)
     assert report.passed
     assert not report.warnings
-    assert [f for f in os.listdir(cache_dir) if f.endswith(".json")]
+    assert [f for f in os.listdir(cache_dir) if f.endswith(".bin")]
 
 
 def test_cache_entries_get_the_mode_of_a_plain_open(tmp_path):
     cache_dir = tmp_path / "cache"
     ModelCache(cache_dir=str(cache_dir)).model_for(SpaceSpec("exp", n=1, k=2))
-    (entry,) = [p for p in cache_dir.iterdir() if p.suffix == ".json"]
+    (entry,) = [p for p in cache_dir.iterdir() if p.suffix == ".bin"]
     plain = tmp_path / "plain.json"
     with open(plain, "w") as fh:
         fh.write("{}")
@@ -153,6 +213,46 @@ def test_model_cache_hashes_each_model_once(tmp_path, monkeypatch):
     assert len(calls) == 2
     assert not loaded.warnings
     assert loaded.hashes == built.hashes
+
+
+@pytest.mark.parametrize("populated", [False, True], ids=["build", "load"])
+def test_concurrent_requests_build_or_load_once(tmp_path, monkeypatch, populated):
+    spec = SpaceSpec("exp", n=1, k=2)
+    cache_dir = str(tmp_path / "cache")
+    if populated:
+        ModelCache(cache_dir=cache_dir).model_for(spec)
+    calls = []
+    build_space, load = verify.build_space, ModelCache._load
+
+    def slow_build(spec):
+        calls.append("build")
+        time.sleep(0.05)  # keep the other threads waiting at the lock
+        return build_space(spec)
+
+    def slow_load(cache, path, key):
+        calls.append("load")
+        time.sleep(0.05)
+        return load(cache, path, key)
+
+    monkeypatch.setattr(verify, "build_space", slow_build)
+    monkeypatch.setattr(ModelCache, "_load", slow_load)
+    cache = ModelCache(cache_dir=cache_dir)
+    start = threading.Barrier(4)
+
+    def request(_):
+        start.wait(timeout=30)
+        return cache.model_for(spec)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            models = list(pool.map(request, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert calls == ["load" if populated else "build"]
+    assert all(m is models[0] for m in models)
+    assert not cache.warnings
 
 
 def test_jobs_parallel_matches_serial():
@@ -201,6 +301,27 @@ def test_cli_build_betti_sq_round_trip(tmp_path, capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["squares"] == [{"generator": 0, "coordinates": [1]}]
+
+
+def test_cli_rejects_a_model_file_that_does_not_match_its_hash(tmp_path, capsys):
+    model_path = tmp_path / "circle.json"
+    assert main(["build", "--kind", "sphere", "--n", "1", "--out", str(model_path)]) == 0
+    doc = json.loads(model_path.read_text())
+    model = SimplicialSetModel.from_json_dict(doc["model"])
+    # a file from before hash scheme 2 carries the SHA-256 of the model's text
+    doc["hash"] = hashlib.sha256(model.to_json_text().encode()).hexdigest()
+    model_path.write_text(canonical_json(doc))
+    assert main(["betti", str(model_path)]) == 0
+    capsys.readouterr()
+
+    face = doc["model"]["faces"][1][0]
+    face[0] = (face[0] + 1) % doc["model"]["level_sizes"][0]  # tampered, still valid
+    model_path.write_text(canonical_json(doc))
+    assert main(["betti", str(model_path)]) == 2
+    assert main(["sq", str(model_path), "--degree", "1", "--index", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("does not match its hash") == 2
 
 
 def test_cli_build_complex_from_facets(tmp_path, capsys):
