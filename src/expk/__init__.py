@@ -17,6 +17,7 @@ from .cochains import (
     cup_i,
     express_in_basis,
     ring_table,
+    square_coordinates,
     steenrod_square,
     unit_class,
 )

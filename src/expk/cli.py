@@ -23,17 +23,17 @@ import json
 import os
 import sys
 
-from .catalog import expected_betti
-from .cochains import express_in_basis, steenrod_square
+from . import catalog
+from .cochains import square_coordinates
 from .errors import LevelSizeError
 from .exact_sequences import ExactTemplate, solve_template
 from .simplicial import SimplicialSetModel, canonical_json
-from .spaces import DEFAULT_MAX_LEVEL_SIZE, SpaceSpec, build_space
+from .spaces import DEFAULT_MAX_LEVEL_SIZE, SPACE_KINDS, SpaceSpec, build_space
 from .verify import CHECKS, run_verify
 
 
 def _add_spec_arguments(p):
-    p.add_argument("--kind", required=True, choices=("sphere", "product", "power", "sym", "exp", "complex"))
+    p.add_argument("--kind", required=True, choices=SPACE_KINDS)
     p.add_argument("--n", type=int, help="sphere dimension")
     p.add_argument("--k", type=int, help="arity / cardinality bound")
     p.add_argument("--cap", type=int, help="level cap (defaults per kind)")
@@ -119,20 +119,20 @@ def cmd_sq(args) -> int:
     model = _load_model(args.model)
     if model is None:
         return 2
-    basis = model.cohomology_basis(args.degree)
-    target = model.cohomology_basis(args.degree + args.index)
-    rows = []
-    for idx, cls in enumerate(basis):
-        image = steenrod_square(model, args.index, cls)
-        coords = express_in_basis(model, image, target).to_bits().tolist()
-        rows.append({"generator": idx, "coordinates": coords})
+    rows = [
+        {"generator": idx, "coordinates": coords}
+        for idx, coords in enumerate(
+            square_coordinates(model, args.index, args.degree)
+        )
+    ]
+    target_rank = len(model.cohomology_basis(args.degree + args.index))
     if args.format == "json":
         _write_out(
             canonical_json(
                 {
                     "degree": args.degree,
                     "index": args.index,
-                    "target_rank": len(target),
+                    "target_rank": target_rank,
                     "squares": rows,
                 }
             ),
@@ -196,7 +196,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    table = expected_betti(args.kind, args.n)
+    table = catalog.expected_betti(args.kind, args.n)
     _write_out(canonical_json(table.to_json_dict()), args.out)
     return 0
 
@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("catalog", help="print an expected table")
-    p.add_argument("kind", choices=("exp2", "exp3", "E0", "E", "C3", "grassmannian"))
+    p.add_argument("kind", choices=catalog.KINDS)
     p.add_argument("n", type=int)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_catalog)

@@ -165,6 +165,20 @@ def express_in_basis(s: SimplicialSetModel, c: CochainClass, basis) -> Gf2Vector
     return Gf2Vector.from_int(len(basis), coords)
 
 
+def square_coordinates(s: SimplicialSetModel, i: int, d: int) -> list:
+    """Sq^i of each basis class of H^d, as coordinates in the basis of H^(d+i).
+
+    One 0/1 list per generator of H^d, in basis order; both bases are the
+    model's deterministic ``cohomology_basis``.
+    """
+    basis = s.cohomology_basis(d)
+    target = s.cohomology_basis(d + i)
+    return [
+        express_in_basis(s, steenrod_square(s, i, c), target).to_bits().tolist()
+        for c in basis
+    ]
+
+
 def is_coboundary(s: SimplicialSetModel, c: CochainClass) -> bool:
     rest, _ = s.coboundary_span(c.degree).reduce(_support_int(s, c))
     return not rest

@@ -259,6 +259,21 @@ def _dim_of(table, k: int) -> int:
     return table[k] if 0 <= k < len(table) else 0
 
 
+def _ladder(blocks) -> ExactTemplate:
+    """The template 0 -> a -> b -(given)-> c -> a' -> ... -> c'' -> 0.
+
+    Each block is ``(a, b, given, c)``: three terms, joined by a plain
+    arrow, the ``given`` arrow and, after c, a plain arrow into the next
+    block (or the closing zero).
+    """
+    terms, arrows = [Term("0", 0)], [Arrow()]
+    for a, b, given, c in blocks:
+        terms += (a, b, c)
+        arrows += (Arrow(), given, Arrow())
+    terms.append(Term("0", 0))
+    return ExactTemplate(tuple(terms), tuple(arrows))
+
+
 def gysin_template(
     base: BettiTable, fiber_dim: int, euler_cup_ranks
 ) -> ExactTemplate:
@@ -290,18 +305,15 @@ def gysin_template(
     # Repeating block: E^k -> B^{k-d} -(cup e)-> B^{k+1} -> E^{k+1} -> ...
     # The k = -1 block is all zeros except its trailing B^0, which feeds
     # the first genuine unknown E^0 the way the sequence itself does.
-    # Each appended arrow leaves the term appended just before it.
-    terms = [Term("0", 0)]
-    arrows = [Arrow()]
-    for k in range(-1, top + d + 2):
-        terms.append(Term(f"E^{k}", 0 if k < 0 else None))
-        arrows.append(Arrow())
-        terms.append(Term(f"B^{k - d}", _dim_of(base, k - d)))
-        arrows.append(Arrow("rank", cup_rank(k - d)))
-        terms.append(Term(f"B^{k + 1}", _dim_of(base, k + 1)))
-        arrows.append(Arrow())
-    terms.append(Term("0", 0))
-    return ExactTemplate(tuple(terms), tuple(arrows))
+    return _ladder(
+        (
+            Term(f"E^{k}", 0 if k < 0 else None),
+            Term(f"B^{k - d}", _dim_of(base, k - d)),
+            Arrow("rank", cup_rank(k - d)),
+            Term(f"B^{k + 1}", _dim_of(base, k + 1)),
+        )
+        for k in range(-1, top + d + 2)
+    )
 
 
 def exp2_cover_template(n: int, overlap_dims) -> ExactTemplate:
@@ -319,20 +331,15 @@ def exp2_cover_template(n: int, overlap_dims) -> ExactTemplate:
     """
     if n < 2:
         raise ContractViolation("the covering argument needs n >= 2")
-    terms = [Term("0", 0)]
-    arrows = [Arrow()]
-    for k in range(0, 2 * n + 2):
-        pieces = (1 if k <= n else 0) + (1 if k in (0, n) else 0)
-        overlap = _dim_of(overlap_dims, k)
-        combined_rank = 1 if k <= n else 0
-        terms.append(Term(f"X^{k}", None))
-        arrows.append(Arrow())
-        terms.append(Term(f"U^{k}", pieces))
-        arrows.append(Arrow("rank", combined_rank))
-        terms.append(Term(f"I^{k}", overlap))
-        arrows.append(Arrow())
-    terms.append(Term("0", 0))
-    return ExactTemplate(tuple(terms), tuple(arrows))
+    return _ladder(
+        (
+            Term(f"X^{k}", None),
+            Term(f"U^{k}", (1 if k <= n else 0) + (1 if k in (0, n) else 0)),
+            Arrow("rank", 1 if k <= n else 0),
+            Term(f"I^{k}", _dim_of(overlap_dims, k)),
+        )
+        for k in range(0, 2 * n + 2)
+    )
 
 
 def exp3_cover_template(n: int, c3_dims, exp2_dims, total_dims) -> ExactTemplate:
@@ -348,28 +355,25 @@ def exp3_cover_template(n: int, c3_dims, exp2_dims, total_dims) -> ExactTemplate
     """
     if n < 2:
         raise ContractViolation("the covering argument needs n >= 2")
-    top = 3 * n + 1
-    terms = [Term("0", 0)]
-    arrows = [Arrow()]
-    for k in range(0, top + 1):
-        u = _dim_of(c3_dims, k) + _dim_of(exp2_dims, k)
-        e = _dim_of(total_dims, k)
-        if k == 0 or 1 <= k <= n - 1:
-            rank = 1
-        elif k == n:
-            rank = 2
-        elif n + 1 <= k <= 2 * n - 1:
-            rank = 1  # the distinct-triples piece alone survives
-        else:
-            rank = 0  # the two-point piece restricts to zero at 2n
-        terms.append(Term(f"X^{k}", None))
-        arrows.append(Arrow())
-        terms.append(Term(f"U^{k}", u))
-        arrows.append(Arrow("rank", rank))
-        terms.append(Term(f"I^{k}", e))
-        arrows.append(Arrow())
-    terms.append(Term("0", 0))
-    return ExactTemplate(tuple(terms), tuple(arrows))
+
+    def rank(k):
+        if k < n:
+            return 1
+        if k == n:
+            return 2
+        # the distinct-triples piece alone survives below 2n; the two-point
+        # piece restricts to zero from 2n on
+        return 1 if k < 2 * n else 0
+
+    return _ladder(
+        (
+            Term(f"X^{k}", None),
+            Term(f"U^{k}", _dim_of(c3_dims, k) + _dim_of(exp2_dims, k)),
+            Arrow("rank", rank(k)),
+            Term(f"I^{k}", _dim_of(total_dims, k)),
+        )
+        for k in range(0, 3 * n + 2)
+    )
 
 
 def exp3_gluing_template(
@@ -387,27 +391,18 @@ def exp3_gluing_template(
     """
     if n < 1:
         raise ContractViolation("needs n >= 1")
-    top = 3 * n + 1
-    terms = [Term("0", 0)]
-    arrows = [Arrow()]
-    for k in range(0, top + 1):
-        u = _dim_of(exp2_dims, k) + _dim_of(sym3_dims, k)
-        p = _dim_of(product_dims, k)
-        if k in (n, n + 1):
-            x = Term(f"X^{k}", 0)
-        else:
-            x = Term(f"X^{k}", None)
+
+    def restriction(k):
         if k == 0:
-            arrow = Arrow("rank", 1)
-        elif k == 2 * n:
-            arrow = Arrow("zero")
-        else:
-            arrow = Arrow()
-        terms.append(x)
-        arrows.append(Arrow())
-        terms.append(Term(f"U^{k}", u))
-        arrows.append(arrow)
-        terms.append(Term(f"P^{k}", p))
-        arrows.append(Arrow())
-    terms.append(Term("0", 0))
-    return ExactTemplate(tuple(terms), tuple(arrows))
+            return Arrow("rank", 1)
+        return Arrow("zero") if k == 2 * n else Arrow()
+
+    return _ladder(
+        (
+            Term(f"X^{k}", 0 if k in (n, n + 1) else None),
+            Term(f"U^{k}", _dim_of(exp2_dims, k) + _dim_of(sym3_dims, k)),
+            restriction(k),
+            Term(f"P^{k}", _dim_of(product_dims, k)),
+        )
+        for k in range(0, 3 * n + 2)
+    )

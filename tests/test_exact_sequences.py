@@ -1,5 +1,7 @@
 """Rank propagation in exact-sequence templates."""
 
+import hashlib
+
 import pytest
 
 from expk.catalog import expected_betti
@@ -171,6 +173,71 @@ def test_gluing_template_with_observed_tables():
     t = exp3_gluing_template(1, (1, 1), (1, 1), (1, 2, 1))
     got = extract_degree_dims(t, solve_template(t), "X^")
     assert got.matches(expected_betti("exp3", 1).dims)
+
+
+# sha256 of to_json_text() of each builder's template, recorded before the
+# builders shared one ladder routine
+PINNED_TEMPLATES = {
+    "gysin": {
+        1: "e203db12fb6ace42d72364ea0863c8b90f93107eba04fa9cabeeb77467461134",
+        2: "c37e35a980c88be610e918bdc3f1f479b16fcbb5d00d8921c4d066cc9bc6a8e9",
+        3: "e5777d16eac7fa1641a3e64fdba9fd0f68d9b8559a0061101e969a9a331998f5",
+        4: "793c086b3712b3aca4c6736b0347f68052d36373365746e660ad5df0164a250f",
+        5: "c87590a7a1dfcc8b8034af0e6fd863115cf1d04184fd42597e9c1fab17cc6c86",
+        6: "fc8b0862fa4a407bdb52ec6c7503be039202d72898b6e1c4f0e33826e87da93c",
+    },
+    "exp2-cover": {
+        2: "06268c394b2ca7f23f4fc4ac6f13956bc8593e4bd7ba3b7fd48326442900715f",
+        3: "38118ce2cb34e9e4710f44dd9228454b2f3cffca172cda1c67241e36671bb772",
+        4: "55c401c68fa04d6eeaf71e0e5cc4acaf83d1858f8d072b464429a02199051e7a",
+        5: "620b73ceafb05b16776ce8f80f06eec839cfcce86aae138a05d61506401e43f7",
+        6: "df396e85bb8f73deaf5b350aa76f1bf67b46d370fc4f5cfb979c54c7986f9fa3",
+    },
+    "exp3-cover": {
+        2: "913e9929111d68c8342473dd06bc5fa88a4f88ee8ca0509f51b9750f59757824",
+        3: "bddc9f02c85701a7cdac1b5843927500ebba84b7930e8ec6b631c6663d55f3d4",
+        4: "77e2833e8c95c095893d067a650f1e0a8e05531c0f61783d5c6c39a9caa3ccab",
+        5: "6fd8702453125aba0000deebe6cd287462628834e95ebc0aef4614ef1f3b0ea9",
+        6: "b3221f780208d8614c2cddf4c37463330298b4b4c90e169b87fdc42e6b8974f3",
+    },
+    "gluing": {
+        1: "a2da998c656deae53a33369d8e3e94e749d3730f2a91c4a130951f86b89c1356",
+        2: "f681a2a8d98c2b07ad7a69128b275df310a6fc581e95341010f836f68ffd4165",
+        3: "dfbdfe2e671578d3b9400a067d88e5708da5313c79564eccf648497be8a650b8",
+        4: "167d366ed36fb3acb176d074f77ca6a0899d87323c561290b308f68e25b30bca",
+        5: "ccd33243448fd5d665897e2e7fa52253d10c9ba2c4415453d21aa9cee64e96d7",
+        6: "0e46e0228a5818d4412fd7ba075c5a0be7f41821d79a4efebf4082724d1c2082",
+    },
+}
+
+BUILDERS = {
+    # Euler class of degree n + 1 on a base with one class in each degree 0..2n
+    "gysin": lambda n: gysin_template(BettiTable((1,) * (2 * n + 1)), n, {0: 1}),
+    "exp2-cover": lambda n: exp2_cover_template(n, expected_betti("E0", n).dims),
+    "exp3-cover": lambda n: exp3_cover_template(
+        n,
+        expected_betti("C3", n).dims,
+        expected_betti("exp2", n).dims,
+        expected_betti("E", n).dims,
+    ),
+    # fixed inputs: the catalog's exp2 table, one class in each even degree
+    # 0..2n, and the table of the product of two n-spheres
+    "gluing": lambda n: exp3_gluing_template(
+        n,
+        expected_betti("exp2", n).dims,
+        (1, 0) * n + (1,),
+        (1,) + (0,) * (n - 1) + (2,) + (0,) * (n - 1) + (1,),
+    ),
+}
+
+
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+def test_template_builders_are_pinned(builder):
+    got = {
+        n: hashlib.sha256(BUILDERS[builder](n).to_json_text().encode()).hexdigest()
+        for n in PINNED_TEMPLATES[builder]
+    }
+    assert got == PINNED_TEMPLATES[builder]
 
 
 def test_extract_requires_forced_terms():

@@ -11,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from expk import verify
+from expk import complexes, verify
 from expk.cli import main
 from expk.simplicial import SimplicialSetModel, canonical_json
 from expk.verify import CHECKS, ModelCache, run_verify
@@ -260,6 +260,71 @@ def test_jobs_parallel_matches_serial():
     serial = run_verify(scope=scope, jobs=1)
     parallel = run_verify(scope=scope, jobs=2)
     assert entries_without_time(serial) == entries_without_time(parallel)
+
+
+def _hashes_of(report, kind, n, k):
+    """The model hashes of every spec of ``kind`` with these n and k."""
+    out = set()
+    for key, value in report.model_hashes.items():
+        spec = json.loads(key)
+        if (spec["kind"], spec.get("n"), spec.get("k")) == (kind, n, k):
+            out.add(value)
+    return out
+
+
+def test_model_hashes_keep_every_model():
+    # props-simplicial asks for two-point subsets of the circle at caps 3 and 4
+    serial = run_verify(scope=["props-simplicial"])
+    assert len(_hashes_of(serial, "exp", 1, 2)) == 2
+    assert all(json.loads(key)["format"] == "space-spec/1" for key in serial.model_hashes)
+    scope = ["betti-exp2-circle", "props-simplicial", "sq0-identity"]
+    serial = run_verify(scope=scope)
+    assert run_verify(scope=scope, jobs=2).model_hashes == serial.model_hashes
+
+
+def test_store_removes_the_legacy_json_entry(tmp_path):
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    key = SpaceSpec("exp", n=1, k=2).to_json_text()
+    digest = hashlib.sha256(key.encode()).hexdigest()[:24]
+    (cache_dir / f"model-{digest}.json").write_text("{}")
+    report = run_verify(scope=["betti-exp2-circle"], cache_dir=str(cache_dir))
+    assert report.passed and not report.warnings
+    assert os.listdir(cache_dir) == [f"model-{digest}.bin"]
+
+
+# one row of each kind: _betti, _comparison, _sequence, _squares, plus cup-torus
+ROW_KINDS_SCOPE = [
+    "betti-exp2-circle",
+    "cup-torus",
+    "lesolve-gysin-e0",
+    "pushout-circle",
+    "sq1-projective-plane",
+]
+ROW_KINDS_DIGEST = "896f77df87f0b32e83083dfb125bc0ff35a4524d6ddb47b423426ddac644d9e2"
+
+
+def test_one_row_of_each_kind_is_pinned():
+    report = run_verify(scope=ROW_KINDS_SCOPE)
+    assert report.passed
+    by_id = {r.check_id: r for r in report.results}
+    assert by_id["sq1-projective-plane"].computed == {"Sq1 H1->H2": [[1]]}
+    entries = canonical_json(entries_without_time(report))
+    assert hashlib.sha256(entries.encode()).hexdigest() == ROW_KINDS_DIGEST
+
+
+def test_a_squares_row_that_misses_the_generator_fails(monkeypatch):
+    # on the torus Sq1 = 0 from H1 (two generators) to H2: coordinates [[0], [0]]
+    row = verify._squares(lambda ctx: complexes.torus(), (1, 1))
+    monkeypatch.setitem(CHECKS, "sq1-torus", ("degree-1 square on the torus", row))
+    report = run_verify(scope=["sq1-torus"])
+    (res,) = report.results
+    assert res.status == "fail" and not report.passed
+    assert res.computed == {"Sq1 H1->H2": [[0], [0]]}
+    assert res.expected == {"Sq1 H1->H2": [[1]]}
+    (line,) = [ln for ln in report.human_table().splitlines() if ln.startswith("sq1-torus")]
+    assert "computed={'Sq1 H1->H2': [[0], [0]]}" in line
+    assert "expected={'Sq1 H1->H2': [[1]]}" in line
 
 
 def test_all_registered_checks_have_descriptions():

@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from expk.cochains import express_in_basis, steenrod_square
+from expk.cochains import square_coordinates
 from expk.complexes import projective_plane, torus
 from expk.gf2 import Gf2Vector
 from expk.spaces import SpaceSpec, build_space, sphere
@@ -60,9 +60,8 @@ def model_outputs(model, seed: int) -> dict:
         bases.append([c.support.nonzero_indices() for c in basis])
         squares.append(
             [
-                express_in_basis(model, steenrod_square(model, 0, c), basis)
-                .nonzero_indices()
-                for c in basis
+                [j for j, bit in enumerate(coords) if bit]
+                for coords in square_coordinates(model, 0, d)
             ]
         )
     return {"boundaries": boundaries, "bases": bases, "sq0": squares}
