@@ -8,11 +8,14 @@ Subcommands map one-to-one onto library entry points:
   solve   exact-sequence template file -> solution or certificate
   verify  run the named checks (all by default) and emit a report
 
-Progress goes to stderr, results to stdout; exit status 0 means every
-selected check passed (skipped checks do not fail a run).  ``betti`` and
-``sq`` exit 2 when a model file's ``hash`` does not match its model.  The cache
-directory may also be set through the EXPK_CACHE_DIR environment
-variable; flags win over the environment.
+Progress goes to stderr, results to stdout.  Exit status 0 means every
+selected check passed (skipped checks do not fail a run), 1 that a check
+failed or a template is inconsistent, and 2 that the input was rejected,
+with a message on stderr: an argument the subcommand cannot take (one
+line, ``expk: <message>``), an unknown check id, a model file whose
+``hash`` does not match its model, or a build over the simplex budget.
+The cache directory may also be set through the EXPK_CACHE_DIR
+environment variable; flags win over the environment.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import sys
 
 from . import catalog
 from .cochains import square_coordinates
-from .errors import LevelSizeError
+from .errors import CapError, ContractViolation, LevelSizeError
 from .exact_sequences import ExactTemplate, solve_template
 from .simplicial import SimplicialSetModel, canonical_json
 from .spaces import DEFAULT_MAX_LEVEL_SIZE, SPACE_KINDS, SpaceSpec, build_space
@@ -257,7 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (CapError, ContractViolation) as exc:
+        print(f"expk: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

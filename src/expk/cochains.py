@@ -45,27 +45,24 @@ def full_values(s: SimplicialSetModel, c: CochainClass) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _interval_cuts(n: int, i: int, p: int):
-    """Even/odd position sets of all admissible cuts, as deletion lists.
+    """Even/odd position sets of all admissible cuts, as face words.
 
-    Returns tuples (delete_for_even, delete_for_odd); deleting those
-    positions from an n-simplex leaves the p-face evaluated by the first
-    factor and the (n - p + i)-face evaluated by the second.
+    Returns pairs (even_word, odd_word); each word deletes the positions
+    outside its union of intervals, so applied to an n-simplex it gives
+    the p-face evaluated by the first factor and the (n - p + i)-face
+    evaluated by the second.
     """
-    every = set(range(n + 1))
+
+    def word(kept):
+        return tuple(("faces", t) for t in range(n + 1) if t not in kept)
+
     out = []
     for cuts in itertools.combinations(range(n + 1), i + 1):
         bounds = (0, *cuts, n)
-        even, odd = set(), set()
-        for t in range(i + 2):
-            lo = bounds[t] if t else 0
-            hi = bounds[t + 1]
-            block = range(lo, hi + 1)
-            (even if t % 2 == 0 else odd).update(block)
-        if len(even) != p + 1:
-            continue
-        out.append(
-            (tuple(sorted(every - even)), tuple(sorted(every - odd)))
-        )
+        blocks = [set(range(bounds[t], bounds[t + 1] + 1)) for t in range(i + 2)]
+        even, odd = set().union(*blocks[::2]), set().union(*blocks[1::2])
+        if len(even) == p + 1:
+            out.append((word(even), word(odd)))
     return tuple(out)
 
 
@@ -86,10 +83,8 @@ def cup_i(
     bv = full_values(s, b)
     ids = s.nondeg_ids(n)
     out = np.zeros(m, dtype=np.uint8)
-    for delete_even, delete_odd in _interval_cuts(n, i, p):
-        e_ids = s.face_word(n, ids, delete_even)
-        o_ids = s.face_word(n, ids, delete_odd)
-        out ^= av[e_ids] & bv[o_ids]
+    for even_word, odd_word in _interval_cuts(n, i, p):
+        out ^= av[s.apply(n, even_word, ids)] & bv[s.apply(n, odd_word, ids)]
     support = Gf2Vector.from_bits(out)
     cocycle = n < s.level_cap and s.is_cocycle(n, support)
     return CochainClass(n, support, cocycle)

@@ -180,21 +180,6 @@ class Gf2Matrix:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def zeros(cls, row_count: int, col_count: int) -> "Gf2Matrix":
-        return cls(
-            row_count,
-            col_count,
-            np.zeros((row_count, _word_count(col_count)), dtype=np.uint64),
-        )
-
-    @classmethod
-    def identity(cls, n: int) -> "Gf2Matrix":
-        words = np.zeros((n, _word_count(n)), dtype=np.uint64)
-        idx = np.arange(n)
-        words[idx, idx // _WORD] = np.uint64(1) << (idx % _WORD).astype(np.uint64)
-        return cls(n, n, words)
-
-    @classmethod
     def from_rows(cls, rows, col_count: int | None = None) -> "Gf2Matrix":
         rows = [np.asarray(r, dtype=np.uint8).ravel() & 1 for r in rows]
         if col_count is None:

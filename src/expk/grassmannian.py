@@ -16,7 +16,6 @@ order subtleties because each graded piece is tiny.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 from .errors import ContractViolation
@@ -147,7 +146,6 @@ class GradedQuotient:
                 rows.append(row)
         return rows, monos, index
 
-    @lru_cache(maxsize=None)
     def _ideal_rank(self, d: int) -> int:
         rows, monos, _ = self._ideal_rows(d)
         if not rows:

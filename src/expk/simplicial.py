@@ -28,9 +28,11 @@ Betti table is trusted; otherwise ``CapError`` is raised.
 
 Serialization
 -------------
-* ``words()`` is the model's canonical word stream: every ``faces[n][i]``,
-  then every ``degeneracies[n][i]``, in (n, i) order, as little-endian
-  int32; ``from_words`` slices such a stream back into operator tables.
+* ``operators(cap)`` is the one operator order: every ``faces[n][i]``,
+  then every ``degeneracies[n][i]``, in (n, i) order.  ``words()`` is the
+  model's canonical word stream, its tables in that order as
+  little-endian int32; ``from_words`` slices such a stream back into
+  operator tables, and ``from_operators`` builds any model in that order.
 * ``content_hash`` is SHA-256 over one header line -- the canonical JSON of
   ``{"scheme": HASH_SCHEME, "description", "level_cap", "level_sizes"}``
   and a newline -- followed by the word stream.  No JSON is built for the
@@ -41,6 +43,7 @@ Serialization
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import itertools
 import json
@@ -138,6 +141,47 @@ def _as_id_array(a):
     return arr
 
 
+def operators(cap: int) -> tuple:
+    """Every operator of a cap-``cap`` model as (kind, n, i, target level).
+
+    Faces of levels 1..cap come first, then degeneracies of levels
+    0..cap-1, each in (n, i) order: the order of the word stream.
+    """
+    faces = [("faces", n, i, n - 1) for n in range(1, cap + 1) for i in range(n + 1)]
+    degeneracies = [
+        ("degeneracies", n, i, n + 1) for n in range(cap) for i in range(n + 1)
+    ]
+    return tuple(faces + degeneracies)
+
+
+def _identities(cap: int):
+    """The simplicial identities a cap-``cap`` model stores both sides of.
+
+    Yields (family, n, i, j, lhs, rhs) in scan order: family, level,
+    indices.  ``lhs`` and ``rhs`` are words on level n (see ``apply``).
+    """
+    d, s = "faces", "degeneracies"
+    for n in range(2, cap + 1):
+        for j in range(1, n + 1):
+            for i in range(j):
+                yield "face-face", n, i, j, ((d, i), (d, j)), ((d, j - 1), (d, i))
+    for n in range(cap - 1):
+        for j in range(n + 1):
+            for i in range(j + 1):
+                lhs, rhs = ((s, i), (s, j)), ((s, j + 1), (s, i))
+                yield "degeneracy-degeneracy", n, i, j, lhs, rhs
+    for n in range(cap):
+        for j in range(n + 1):
+            for i in range(n + 2):
+                if i < j:
+                    family, rhs = "low", ((s, j - 1), (d, i))
+                elif i <= j + 1:
+                    family, rhs = "identity", ()
+                else:
+                    family, rhs = "high", ((s, j), (d, i - 1))
+                yield f"face-degeneracy-{family}", n, i, j, ((d, i), (s, j)), rhs
+
+
 class SimplicialSetModel:
     """Levelwise simplicial set on dense integer ids; immutable once built."""
 
@@ -178,30 +222,22 @@ class SimplicialSetModel:
     # -- construction helpers ---------------------------------------------
 
     def _check_shapes(self):
-        cap = self.level_cap
-        if len(self.faces) != cap + 1 or len(self.degeneracies) != cap + 1:
-            raise ContractViolation("face/degeneracy tables must cover 0..cap")
-        if self.faces[0]:
-            raise ContractViolation("level 0 has no face operators")
-        for n in range(1, cap + 1):
-            if len(self.faces[n]) != n + 1:
-                raise ContractViolation(f"level {n} needs {n + 1} face operators")
-            for i, f in enumerate(self.faces[n]):
-                if f.shape != (self.level_sizes[n],):
-                    raise ContractViolation(f"face ({n},{i}) has wrong length")
-                if f.size and (f.min() < 0 or f.max() >= self.level_sizes[n - 1]):
-                    raise ContractViolation(f"face ({n},{i}) points out of range")
-        for n in range(cap + 1):
-            expect = n + 1 if n + 1 <= cap else 0
-            if len(self.degeneracies[n]) != expect:
-                raise ContractViolation(f"level {n} needs {expect} degeneracies")
-            for i, s in enumerate(self.degeneracies[n]):
-                if s.shape != (self.level_sizes[n],):
-                    raise ContractViolation(f"degeneracy ({n},{i}) has wrong length")
-                if s.size and (s.min() < 0 or s.max() >= self.level_sizes[n + 1]):
-                    raise ContractViolation(
-                        f"degeneracy ({n},{i}) points out of range"
-                    )
+        cap, sizes = self.level_cap, self.level_sizes
+        ops = operators(cap)
+        counts = collections.Counter((kind, n) for kind, n, _, _ in ops)
+        for kind in ("faces", "degeneracies"):
+            tables = getattr(self, kind)
+            if len(tables) != cap + 1:
+                raise ContractViolation("face/degeneracy tables must cover 0..cap")
+            for n, level in enumerate(tables):
+                if len(level) != counts[kind, n]:
+                    raise ContractViolation(f"level {n} needs {counts[kind, n]} {kind}")
+        for kind, n, i, t in ops:
+            table = getattr(self, kind)[n][i]
+            if table.shape != (sizes[n],):
+                raise ContractViolation(f"{kind}[{n}][{i}] has wrong length")
+            if table.size and (table.min() < 0 or table.max() >= sizes[t]):
+                raise ContractViolation(f"{kind}[{n}][{i}] points out of range")
 
     def _mark_nondegenerate(self):
         flags = [np.ones(sz, dtype=bool) for sz in self.level_sizes]
@@ -228,31 +264,30 @@ class SimplicialSetModel:
                 return n
         return -1
 
-    def face_word(self, level: int, ids, deleted) -> np.ndarray:
-        """Apply the face operators deleting the given vertex positions."""
-        cur = np.asarray(ids)
-        lvl = level
-        for t in sorted(deleted, reverse=True):
-            cur = self.faces[lvl][t][cur]
-            lvl -= 1
-        return cur
+    def apply(self, level: int, word, ids=None) -> np.ndarray:
+        """The images of level-``level`` ids (all of them by default) under a word.
+
+        A word is a tuple of (kind, index) pairs, read as a composite of
+        operators: the last pair acts first, so d_i s_j is
+        (("faces", i), ("degeneracies", j)).
+        """
+        out = ids
+        for kind, i in reversed(word):
+            table = getattr(self, kind)[level][i]
+            out = table if out is None else table[out]
+            level += -1 if kind == "faces" else 1
+        if out is None:
+            return np.arange(self.level_sizes[level], dtype=np.int32)
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, SimplicialSetModel):
             return NotImplemented
-        if (
-            self.level_cap != other.level_cap
-            or self.level_sizes != other.level_sizes
-        ):
-            return False
-        for n in range(self.level_cap + 1):
-            for a, b in zip(self.faces[n], other.faces[n]):
-                if not np.array_equal(a, b):
-                    return False
-            for a, b in zip(self.degeneracies[n], other.degeneracies[n]):
-                if not np.array_equal(a, b):
-                    return False
-        return True
+        return (
+            self.level_cap == other.level_cap
+            and self.level_sizes == other.level_sizes
+            and all(map(np.array_equal, self.words(), other.words()))
+        )
 
     def __hash__(self):
         return hash((self.level_cap, tuple(self.level_sizes)))
@@ -266,81 +301,17 @@ class SimplicialSetModel:
     # -- simplicial identity validation -------------------------------------
 
     def validate(self) -> ValidationReport:
-        """Check all five identity families wherever both sides are stored.
+        """Check every simplicial identity whose both sides are stored.
 
-        Returns a passing report or the first violation in a fixed scan
-        order (family, level, indices), with a witness simplex.
+        Returns a passing report or the first violation in the scan order
+        of ``_identities`` (family, level, indices), with a witness simplex.
+        No separate injectivity scan: d_j s_j = id already fails on any
+        non-injective s_j.
         """
-        F, S, cap = self.faces, self.degeneracies, self.level_cap
-
-        def first_bad(lhs, rhs, name, n, i, j):
-            bad = np.nonzero(lhs != rhs)[0]
+        for family, n, i, j, lhs, rhs in _identities(self.level_cap):
+            bad = np.flatnonzero(self.apply(n, lhs) != self.apply(n, rhs))
             if bad.size:
-                return Violation(name, n, i, j, int(bad[0]))
-            return None
-
-        # d_i d_j = d_{j-1} d_i for i < j
-        for n in range(2, cap + 1):
-            for j in range(1, n + 1):
-                for i in range(j):
-                    v = first_bad(
-                        F[n - 1][i][F[n][j]],
-                        F[n - 1][j - 1][F[n][i]],
-                        "face-face",
-                        n,
-                        i,
-                        j,
-                    )
-                    if v:
-                        return ValidationReport(False, v)
-        # s_i s_j = s_{j+1} s_i for i <= j
-        for n in range(cap - 1):
-            for j in range(n + 1):
-                for i in range(j + 1):
-                    v = first_bad(
-                        S[n + 1][i][S[n][j]],
-                        S[n + 1][j + 1][S[n][i]],
-                        "degeneracy-degeneracy",
-                        n,
-                        i,
-                        j,
-                    )
-                    if v:
-                        return ValidationReport(False, v)
-        # d_i s_j interchange laws
-        for n in range(cap):
-            for j in range(n + 1):
-                for i in range(n + 2):
-                    lhs = F[n + 1][i][S[n][j]]
-                    if i < j:
-                        if n == 0:
-                            continue  # needs s_{j-1} d_i on level n >= 1
-                        rhs = S[n - 1][j - 1][F[n][i]]
-                        name = "face-degeneracy-low"
-                    elif i in (j, j + 1):
-                        rhs = np.arange(self.level_sizes[n], dtype=np.int32)
-                        name = "face-degeneracy-identity"
-                    else:
-                        if n == 0:
-                            continue
-                        rhs = S[n - 1][j][F[n][i - 1]]
-                        name = "face-degeneracy-high"
-                    v = first_bad(lhs, rhs, name, n, i, j)
-                    if v:
-                        return ValidationReport(False, v)
-        # levelwise injectivity of each degeneracy operator
-        for n in range(cap):
-            for i, s in enumerate(S[n]):
-                if np.unique(s).size != s.size:
-                    # find one collision witness
-                    order = np.argsort(s, kind="stable")
-                    dup = np.nonzero(np.diff(s[order]) == 0)[0][0]
-                    return ValidationReport(
-                        False,
-                        Violation(
-                            "degeneracy-injective", n, i, i, int(order[dup])
-                        ),
-                    )
+                return ValidationReport(False, Violation(family, n, i, j, int(bad[0])))
         return ValidationReport(True)
 
     # -- normalized chains -----------------------------------------------------
@@ -475,11 +446,29 @@ class SimplicialSetModel:
         }
 
     def words(self) -> list:
-        """The word stream: every face table, then every degeneracy table."""
+        """The word stream: every operator table, in ``operators`` order."""
         return [
-            np.asarray(a, dtype="<i4")
-            for a in itertools.chain(*self.faces, *self.degeneracies)
+            np.asarray(getattr(self, kind)[n][i], dtype="<i4")
+            for kind, n, i, _ in operators(self.level_cap)
         ]
+
+    @classmethod
+    def from_operators(
+        cls, cap, level_sizes, table, description="", simplex_keys=None
+    ) -> "SimplicialSetModel":
+        """The model whose operator tables come from one rule.
+
+        ``table(kind, n, i, t)`` gives, for every level-n simplex, the
+        level-t id of its image under operator i of ``kind`` ("faces" or
+        "degeneracies"); it is called once per operator, in ``operators``
+        order.
+        """
+        faces = [[] for _ in range(cap + 1)]
+        degeneracies = [[] for _ in range(cap + 1)]
+        tables = {"faces": faces, "degeneracies": degeneracies}
+        for kind, n, i, t in operators(cap):
+            tables[kind][n].append(table(kind, n, i, t))
+        return cls(cap, level_sizes, faces, degeneracies, description, simplex_keys)
 
     @classmethod
     def from_words(cls, header: dict, words) -> "SimplicialSetModel":
@@ -488,21 +477,17 @@ class SimplicialSetModel:
         sizes = [int(s) for s in header["level_sizes"]]
         if len(sizes) != cap + 1:
             raise ContractViolation("level_sizes must cover 0..cap")
-        counts = [(n + 1) * sizes[n] for n in range(cap + 1)]
-        if len(words) != sum(counts[1:]) + sum(counts[:cap]):
+        ops = operators(cap)
+        starts = list(itertools.accumulate((sizes[n] for _, n, _, _ in ops), initial=0))
+        if len(words) != starts[-1]:
             raise ContractViolation("word stream length does not match level_sizes")
-        offset = 0
+        start = dict(zip(ops, starts))
 
-        def take(n):
-            nonlocal offset
-            offset += sizes[n]
-            return words[offset - sizes[n] : offset]
+        def table(kind, n, i, t):
+            first = start[kind, n, i, t]
+            return words[first : first + sizes[n]]
 
-        faces = [[take(n) for _ in range(n + 1)] if n else [] for n in range(cap + 1)]
-        degeneracies = [
-            [take(n) for _ in range(n + 1)] if n < cap else [] for n in range(cap + 1)
-        ]
-        return cls(cap, sizes, faces, degeneracies, description=header["description"])
+        return cls.from_operators(cap, sizes, table, description=header["description"])
 
     def content_hash(self) -> str:
         head = canonical_json({"scheme": HASH_SCHEME, **self.header()}) + "\n"

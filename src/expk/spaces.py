@@ -1,7 +1,8 @@
 """Constructors for the spaces under study and the maps between them.
 
 Everything is built levelwise on dense integer ids, and every model's
-face and degeneracy tables come from one loop over an image rule:
+face and degeneracy tables come from one image rule, handed to
+``SimplicialSetModel.from_operators``:
 
 * ``from_complex`` turns an ordered facet list into the simplicial set of
   weakly monotone vertex tuples supported on a face.
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, LevelSizeError
-from .simplicial import SimplicialSetModel, canonical_json
+from .simplicial import SimplicialSetModel, canonical_json, operators
 
 DEFAULT_MAX_LEVEL_SIZE = 5_000_000
 
@@ -67,19 +68,12 @@ class SimplicialMapModel:
     def commutes(self) -> bool:
         """Exhaustive levelwise check against all faces and degeneracies."""
         src, tgt, f = self.source, self.target, self.level_maps
-        for n in range(1, src.level_cap + 1):
-            for i in range(n + 1):
-                if not np.array_equal(
-                    tgt.faces[n][i][f[n]], f[n - 1][src.faces[n][i]]
-                ):
-                    return False
-        for n in range(src.level_cap):
-            for i in range(n + 1):
-                if not np.array_equal(
-                    tgt.degeneracies[n][i][f[n]], f[n + 1][src.degeneracies[n][i]]
-                ):
-                    return False
-        return True
+        return all(
+            np.array_equal(
+                getattr(tgt, kind)[n][i][f[n]], f[t][getattr(src, kind)[n][i]]
+            )
+            for kind, n, i, t in operators(src.level_cap)
+        )
 
     def __eq__(self, other):
         if not isinstance(other, SimplicialMapModel):
@@ -107,7 +101,7 @@ def identity_map(x: SimplicialSetModel) -> SimplicialMapModel:
 
 
 # ---------------------------------------------------------------------------
-# canonical keys and the levelwise operator loop
+# canonical keys
 
 
 def _encode(rows: np.ndarray, base: int) -> np.ndarray:
@@ -181,30 +175,6 @@ def _rows(tuples, width: int, count: int) -> np.ndarray:
     ).reshape(-1, width)
 
 
-def _levelwise_model(cap, level_sizes, image, description, simplex_keys=None):
-    """Model whose operator tables all come from one image rule.
-
-    ``image(op, m, i, t)`` gives, for every level-m simplex, the level-t
-    id of its image under operator i of kind ``op`` ("faces", t = m - 1,
-    or "degeneracies", t = m + 1).
-    """
-    faces = [[]] + [
-        [image("faces", m, i, m - 1) for i in range(m + 1)] for m in range(1, cap + 1)
-    ]
-    degeneracies = [
-        [image("degeneracies", m, i, m + 1) for i in range(m + 1)] if m < cap else []
-        for m in range(cap + 1)
-    ]
-    return SimplicialSetModel(
-        cap,
-        level_sizes,
-        faces,
-        degeneracies,
-        description=description,
-        simplex_keys=simplex_keys,
-    )
-
-
 def _key_quotient(x, level_keys, padded: bool, description: str):
     """Model on canonical key rows of x's level ids; operators act entrywise.
 
@@ -221,7 +191,7 @@ def _key_quotient(x, level_keys, padded: bool, description: str):
         rows = _canonical(table[level_keys[m]], sizes[t] if padded else None)
         return coders[t].lookup(rows)
 
-    return _levelwise_model(
+    return SimplicialSetModel.from_operators(
         x.level_cap, [len(keys) for keys in level_keys], image, description, level_keys
     )
 
@@ -283,7 +253,7 @@ def from_complex(facets, cap: int, description: str = "") -> SimplicialSetModel:
             rows = np.insert(keys, i, keys[:, i], axis=1)
         return coders[t].lookup(rows)
 
-    return _levelwise_model(
+    return SimplicialSetModel.from_operators(
         cap,
         [len(keys) for keys in level_keys],
         image,
@@ -341,7 +311,7 @@ def multi_product(
             ids = ids * sizes[t][j] + getattr(f, op)[m][i][coords[m][:, j]]
         return ids.astype(np.int32)
 
-    return _levelwise_model(
+    return SimplicialSetModel.from_operators(
         cap,
         level_sizes,
         image,
@@ -534,7 +504,7 @@ def pushout(f: SimplicialMapModel, g: SimplicialMapModel):
         )
         return class_of[t][table[reps[m]]]
 
-    glued = _levelwise_model(
+    glued = SimplicialSetModel.from_operators(
         cap,
         [rep.size for rep in reps],
         image,

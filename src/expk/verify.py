@@ -126,9 +126,8 @@ os.umask(_UMASK)
 class ModelCache:
     """Builds models on demand; optionally persists them with hashes."""
 
-    def __init__(self, cache_dir=None, max_level_size=DEFAULT_MAX_LEVEL_SIZE):
+    def __init__(self, cache_dir=None):
         self.cache_dir = cache_dir
-        self.max_level_size = max_level_size
         self.memory = {}
         self.hashes = {}  # spec key -> content hash of its model
         self.warnings = []
@@ -628,7 +627,7 @@ def run_verify(
     unknown = [s for s in selected if s not in CHECKS]
     if unknown:
         raise KeyError(f"unknown checks: {unknown}")
-    cache = ModelCache(cache_dir=cache_dir, max_level_size=max_level_size)
+    cache = ModelCache(cache_dir=cache_dir)
     ctx = CheckContext(cache=cache, max_level_size=max_level_size, seed=seed)
 
     def run_one(check_id):

@@ -39,6 +39,86 @@ def test_corrupted_face_pointer_reports_identity():
     assert "fails at level" in str(report)
 
 
+def one_vertex_circle():
+    """The circle as one vertex and one loop, stored up to level 2.
+
+    Level ids: (*), (s0 *, loop), (s0 s0 *, s0 loop, s1 loop).
+    """
+    faces = [[], [[0, 0], [0, 0]], [[0, 1, 0], [0, 1, 1], [0, 0, 1]]]
+    degeneracies = [[[0]], [[0, 1], [0, 2]], []]
+    return SimplicialSetModel(2, [1, 2, 3], faces, degeneracies, "one-vertex circle")
+
+
+def corrupted(model, kind, n, i, entry, value):
+    """A copy of ``model`` with one entry of one operator table changed."""
+    tables = {
+        k: [[a.copy() for a in level] for level in getattr(model, k)]
+        for k in ("faces", "degeneracies")
+    }
+    tables[kind][n][i][entry] = value
+    return SimplicialSetModel(
+        model.level_cap, model.level_sizes, tables["faces"], tables["degeneracies"]
+    )
+
+
+def seeded_corruption(model, seed):
+    """One seeded table entry moved to another id of its target level."""
+    rng = np.random.default_rng(seed)
+    ops = [
+        (kind, n, i)
+        for kind in ("faces", "degeneracies")
+        for n, level in enumerate(getattr(model, kind))
+        for i in range(len(level))
+    ]
+    kind, n, i = ops[rng.integers(len(ops))]
+    table = getattr(model, kind)[n][i]
+    size = model.level_sizes[n - 1 if kind == "faces" else n + 1]
+    entry = int(rng.integers(table.size))
+    value = int((table[entry] + rng.integers(1, size)) % size)
+    return corrupted(model, kind, n, i, entry, value)
+
+
+# The first violation of each corrupted model: family, level, i, j, simplex.
+PINNED_VIOLATIONS = {
+    ("circle", 0): ("degeneracy-degeneracy", 1, 0, 0, 3),
+    ("circle", 1): ("face-face", 3, 0, 2, 6),
+    ("circle", 12): ("face-degeneracy-identity", 0, 0, 0, 0),
+    ("sphere2", 33): ("face-degeneracy-low", 2, 0, 1, 8),
+    ("torus", 0): ("face-degeneracy-identity", 2, 0, 0, 51),
+    ("torus", 13): ("face-degeneracy-low", 2, 0, 1, 70),
+    ("exp2-circle", 2): ("degeneracy-degeneracy", 1, 0, 1, 6),
+    ("exp2-circle", 7): ("face-degeneracy-low", 2, 0, 2, 28),
+    # d2 s0 loop := loop; only d_i s_j = s_j d_(i-1) for i > j + 1 sees it
+    ("one-vertex circle", "d2 s0 loop"): ("face-degeneracy-high", 1, 2, 0, 1),
+    # s0 loop := s0 s0 *; a non-injective degeneracy fails d_j s_j = id
+    ("one-vertex circle", "s0 loop"): ("face-degeneracy-identity", 1, 0, 0, 1),
+}
+
+
+def test_first_violations_are_pinned():
+    models = {
+        "circle": circle(),
+        "sphere2": sphere(2),
+        "torus": torus(),
+        "exp2-circle": exp_subsets(circle(), 2),
+    }
+    x = one_vertex_circle()
+    assert x.validate().ok
+    assert x.betti_table().dims == (1, 1)
+    broken = {
+        (name, seed): seeded_corruption(models[name], seed)
+        for name, seed in PINNED_VIOLATIONS
+        if name in models
+    }
+    broken["one-vertex circle", "d2 s0 loop"] = corrupted(x, "faces", 2, 2, 1, 1)
+    broken["one-vertex circle", "s0 loop"] = corrupted(x, "degeneracies", 1, 0, 1, 0)
+    reports = {key: str(model.validate()) for key, model in broken.items()}
+    template = "fail: identity '{}' fails at level {}, indices (i={}, j={}), simplex {}"
+    assert reports == {
+        key: template.format(*where) for key, where in PINNED_VIOLATIONS.items()
+    }
+
+
 def test_every_space_model_validates():
     for model in (
         sphere(1, 3),

@@ -151,6 +151,18 @@ def test_diagonal_insertion_on_vertices():
         assert sorted([u, u, v]) == keys[alpha.level_maps[0][pid]].tolist()
 
 
+def test_a_map_with_one_wrong_entry_does_not_commute():
+    x = sphere(1, 3)
+    alpha = diagonal_insertion(x)
+    assert alpha.commutes()
+    sizes = alpha.target.level_sizes
+    for m in range(x.level_cap + 1):
+        maps = [f.copy() for f in alpha.level_maps]
+        maps[m][0] = (maps[m][0] + 1) % sizes[m]
+        broken = SimplicialMapModel(alpha.source, alpha.target, maps)
+        assert not broken.commutes(), m
+
+
 def test_pushout_identity_maps():
     x = sphere(1, 3)
     glued, ia, ib = pushout(identity_map(x), identity_map(x))

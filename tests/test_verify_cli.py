@@ -389,6 +389,25 @@ def test_cli_rejects_a_model_file_that_does_not_match_its_hash(tmp_path, capsys)
     assert captured.err.count("does not match its hash") == 2
 
 
+def test_cli_input_errors_exit_2_with_one_line(tmp_path, capsys):
+    model_path = str(tmp_path / "exp2s2.json")
+    build = ["build", "--kind", "exp", "--n", "2", "--k", "2", "--out", model_path]
+    assert main(build) == 0
+    capsys.readouterr()
+    for argv in (
+        ["sq", model_path, "--degree", "3", "--index", "3"],  # H^6 is above the cap
+        ["sq", model_path, "--degree", "2", "--index", "-1"],
+        ["build", "--kind", "exp", "--n", "2"],  # no --k
+        ["catalog", "exp2", "0"],
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("expk: "), argv
+        assert captured.err.count("\n") == 1, argv
+        assert "Traceback" not in captured.err
+
+
 def test_cli_build_complex_from_facets(tmp_path, capsys):
     rc = main(
         [
