@@ -45,11 +45,6 @@ class ExpectedTable:
     note: str = ""
     documentation_only: bool = False
 
-    def dim(self, k: int) -> int:
-        if 0 <= k < len(self.dims):
-            return self.dims[k]
-        return 0
-
     def to_json_dict(self) -> dict:
         d = {
             "kind": self.kind,

@@ -11,9 +11,10 @@ Subcommands map one-to-one onto library entry points:
 Progress goes to stderr, results to stdout.  Exit status 0 means every
 selected check passed (skipped checks do not fail a run), 1 that a check
 failed or a template is inconsistent, and 2 that the input was rejected,
-with a message on stderr: an argument the subcommand cannot take (one
-line, ``expk: <message>``), an unknown check id, a model file whose
-``hash`` does not match its model, or a build over the simplex budget.
+with a message on stderr: an argument the subcommand cannot take, a file
+that cannot be read or written, or input that is not JSON (one line,
+``expk: <message>``), an unknown check id, a model file whose ``hash``
+does not match its model, or a build over the simplex budget.
 The cache directory may also be set through the EXPK_CACHE_DIR
 environment variable; flags win over the environment.
 """
@@ -262,7 +263,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (CapError, ContractViolation) as exc:
+    except (CapError, ContractViolation, OSError, json.JSONDecodeError) as exc:
         print(f"expk: {exc}", file=sys.stderr)
         return 2
 

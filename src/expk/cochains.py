@@ -230,15 +230,13 @@ class RingTable:
         }
 
 
-def ring_table(s: SimplicialSetModel, max_degree: int | None = None) -> RingTable:
+def ring_table(s: SimplicialSetModel) -> RingTable:
     """Cup products of all basis classes within the computable range.
 
     Graded commutativity (mod 2 equality of both orders) is verified
     while the table is assembled.
     """
-    top = s.top_nondegenerate_level()
-    if max_degree is None:
-        max_degree = top
+    max_degree = s.top_nondegenerate_level()
     bases = {d: s.cohomology_basis(d) for d in range(max_degree + 1)}
     labels = tuple(
         (d, tuple(f"h{d}[{i}]" for i in range(len(bases[d]))))

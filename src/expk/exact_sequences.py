@@ -275,14 +275,15 @@ def _ladder(blocks) -> ExactTemplate:
 
 
 def gysin_template(
-    base: BettiTable, fiber_dim: int, euler_cup_ranks
+    base: BettiTable, fiber_dim: int, euler_cup_ranks: dict
 ) -> ExactTemplate:
     """Long exact sequence of a sphere-bundle with the given Euler ranks.
 
     ``fiber_dim`` is the dimension d of the sphere fiber, so the Euler
     class lives in degree d + 1 and ``euler_cup_ranks[j]`` pins the rank
-    of the cup map from base degree j to base degree j + d + 1.  Total
-    space dimensions appear as unknowns named ``E^k``.
+    of the cup map from base degree j to base degree j + d + 1; a degree
+    missing from the dict has rank 0.  Total space dimensions appear as
+    unknowns named ``E^k``.
     """
     d = fiber_dim
     if d < 1:
@@ -290,10 +291,7 @@ def gysin_template(
     top = base.max_degree if hasattr(base, "max_degree") else len(base) - 1
 
     def cup_rank(j: int) -> int:
-        if isinstance(euler_cup_ranks, dict):
-            r = euler_cup_ranks.get(j, 0)
-        else:
-            r = euler_cup_ranks[j] if 0 <= j < len(euler_cup_ranks) else 0
+        r = euler_cup_ranks.get(j, 0)
         lo_dim = _dim_of(base, j)
         hi_dim = _dim_of(base, j + d + 1)
         if r > min(lo_dim, hi_dim):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import ContractViolation
-from .gf2 import Gf2Matrix
+from .gf2 import Gf2Span
 from .simplicial import BettiTable
 
 
@@ -133,29 +133,24 @@ class GradedQuotient:
         return 2 * self.n - 2
 
     def _ideal_rows(self, d: int):
-        """Vectors spanning the degree-d piece of the relation ideal."""
-        monos = monomials_of_degree(d)
-        index = {m: i for i, m in enumerate(monos)}
-        rows = []
-        for rel, rel_deg in zip(self.relations, (self.n, self.n + 1)):
-            for (i, j) in monomials_of_degree(d - rel_deg):
-                shifted = PolyGF2(frozenset({(i, j)})) * rel
-                row = [0] * len(monos)
-                for m in shifted.monomials:
-                    row[index[m]] = 1
-                rows.append(row)
-        return rows, monos, index
+        """Bit rows spanning the degree-d piece of the relation ideal.
 
-    def _ideal_rank(self, d: int) -> int:
-        rows, monos, _ = self._ideal_rows(d)
-        if not rows:
-            return 0
-        return Gf2Matrix.from_rows(rows, len(monos)).rank()
+        Returns the rows and the index of the degree-d monomials, bit i
+        standing for monomial i.
+        """
+        index = {m: i for i, m in enumerate(monomials_of_degree(d))}
+        rows = [
+            _bits(PolyGF2(frozenset({mono})) * rel, index)
+            for rel, rel_deg in zip(self.relations, (self.n, self.n + 1))
+            for mono in monomials_of_degree(d - rel_deg)
+        ]
+        return rows, index
 
     def dim(self, d: int) -> int:
         if d < 0 or d > self.top_degree:
             return 0
-        return len(monomials_of_degree(d)) - self._ideal_rank(d)
+        rows, index = self._ideal_rows(d)
+        return len(index) - len(Gf2Span(rows))
 
     def dims(self) -> BettiTable:
         return BettiTable(tuple(self.dim(d) for d in range(self.top_degree + 1)))
@@ -168,17 +163,18 @@ class GradedQuotient:
             )
         if k < 2:
             return 0
-        rows, monos, index = self._ideal_rows(k)
-        base_rank = self._ideal_rank(k)
+        rows, index = self._ideal_rows(k)
+        span = Gf2Span(rows)
+        ideal_rank = len(span)
         a2 = PolyGF2.a2()
-        for (i, j) in monomials_of_degree(k - 2):
-            shifted = PolyGF2(frozenset({(i, j)})) * a2
-            row = [0] * len(monos)
-            for m in shifted.monomials:
-                row[index[m]] = 1
-            rows.append(row)
-        total = Gf2Matrix.from_rows(rows, len(monos)).rank()
-        return total - base_rank
+        for mono in monomials_of_degree(k - 2):
+            span.add(_bits(PolyGF2(frozenset({mono})) * a2, index))
+        return len(span) - ideal_rank
+
+
+def _bits(poly: PolyGF2, index: dict) -> int:
+    """The polynomial as a bit row over the monomials of ``index``."""
+    return sum(1 << index[m] for m in poly.monomials)
 
 
 def graded_dims(n: int) -> BettiTable:

@@ -411,7 +411,6 @@ def diagonal_insertion(
     x,
     square: SimplicialSetModel | None = None,
     sym3: SimplicialSetModel | None = None,
-    max_level_size: int = DEFAULT_MAX_LEVEL_SIZE,
 ) -> SimplicialMapModel:
     """The map sending a pair (u, v) to the multiset {u, u, v}.
 
@@ -420,9 +419,9 @@ def diagonal_insertion(
     supplied to avoid reconstruction; they must match structurally.
     """
     if square is None:
-        square = product(x, x, max_level_size=max_level_size)
+        square = product(x, x)
     if sym3 is None:
-        sym3 = sym_power(x, 3, max_level_size=max_level_size)
+        sym3 = sym_power(x, 3)
     return _multiset_map(
         x,
         square,

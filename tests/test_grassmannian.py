@@ -88,6 +88,20 @@ def test_catalog_agrees_with_computed_dims():
         assert graded_dims(n).matches(expected_betti("grassmannian", n).dims)
 
 
+def test_multiplication_rank_builds_the_ideal_rows_once(monkeypatch):
+    calls = []
+    ideal_rows = GradedQuotient._ideal_rows
+
+    def counted(self, d):
+        calls.append(d)
+        return ideal_rows(self, d)
+
+    monkeypatch.setattr(GradedQuotient, "_ideal_rows", counted)
+    rank = GradedQuotient(5).multiplication_rank(6)
+    assert calls == [6]
+    assert rank == graded_dims(5).dims[6]  # onto above the middle degree
+
+
 def test_quotient_guards():
     with pytest.raises(ContractViolation):
         GradedQuotient(1)

@@ -54,6 +54,21 @@ def test_over_budget_reports_skipped_not_crash():
     assert report.passed  # skips do not fail a run
 
 
+def test_a_row_reports_the_spec_its_model_was_built_from():
+    report = run_verify(scope=["betti-exp2-circle"], max_level_size=100)
+    (res,) = report.results
+    assert res.status == "pass" and res.spec["max_level_size"] == 100
+    assert list(report.model_hashes) == [canonical_json(res.spec)]
+
+
+def test_models_built_outside_the_cache_obey_the_budget():
+    # the product of two circles at cap 3 has 144 simplices at level 3
+    report = run_verify(scope=["props-kunneth"], max_level_size=100)
+    (res,) = report.results
+    assert res.status == "skipped"
+    assert "over budget" in res.detail
+
+
 def test_report_is_self_contained_and_ordered():
     report = run_verify(scope=["betti-exp2-circle", "betti-exp2-sphere2"])
     ids = [r.check_id for r in report.results]
@@ -394,11 +409,16 @@ def test_cli_input_errors_exit_2_with_one_line(tmp_path, capsys):
     build = ["build", "--kind", "exp", "--n", "2", "--k", "2", "--out", model_path]
     assert main(build) == 0
     capsys.readouterr()
+    broken_path = tmp_path / "broken.json"
+    broken_path.write_text("{")
     for argv in (
         ["sq", model_path, "--degree", "3", "--index", "3"],  # H^6 is above the cap
         ["sq", model_path, "--degree", "2", "--index", "-1"],
         ["build", "--kind", "exp", "--n", "2"],  # no --k
         ["catalog", "exp2", "0"],
+        ["betti", str(tmp_path / "nope.json")],  # no such file
+        ["betti", str(broken_path)],  # not JSON
+        ["build", "--kind", "complex", "--facets", "[[0,1]"],  # not JSON
     ):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
