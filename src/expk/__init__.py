@@ -54,6 +54,7 @@ from .spaces import (
     exp_subsets,
     from_complex,
     identity_map,
+    one_vertex_sphere,
     point,
     power,
     product,

@@ -6,7 +6,13 @@ face and degeneracy tables come from one image rule, handed to
 
 * ``from_complex`` turns an ordered facet list into the simplicial set of
   weakly monotone vertex tuples supported on a face.
-* ``sphere(n)`` is the boundary of the standard (n+1)-simplex.
+* ``sphere(n)`` is the boundary of the standard (n+1)-simplex, ∂Δⁿ⁺¹;
+  its level m has C(m+n+2, n+1) − C(m, n+1) simplices.
+* ``one_vertex_sphere(n)`` is Δⁿ/∂Δⁿ: a basepoint plus the surjective
+  monotone maps [m] -> [n], C(m, n) + 1 simplices at level m.  Levelwise
+  products, quotients and pushouts of either model realise to the same
+  space (realisation commutes with finite products and colimits), so the
+  one-vertex model gives the same tables from far smaller levels.
 * ``product`` / ``power`` use mixed-radix ids, so faces and degeneracies
   are plain integer arithmetic.
 * ``sym_power`` quotients the k-fold power by coordinate permutation;
@@ -18,8 +24,9 @@ face and degeneracy tables come from one image rule, handed to
   labelling each class by its smallest element.
 
 Symmetric powers, subset spaces and the maps into them share one
-canonical-key path: map key rows entrywise, sort them (collapsing
-repeats for subsets), and look the rows up in the target level.
+canonical-key path: map key rows entrywise, sort them (a min/max network
+for rows of width 2 or 3; collapsing repeats for subsets), and look the
+rows up in the target level.
 
 Each constructed model records its canonical per-level labels in
 ``simplex_keys`` (id tuples into the input model's levels); these are
@@ -113,6 +120,28 @@ def _encode(rows: np.ndarray, base: int) -> np.ndarray:
     return codes
 
 
+# compare-exchange column pairs that sort rows of width 2 or 3
+_SORTING_NETWORKS = {2: ((0, 1),), 3: ((0, 1), (1, 2), (0, 1))}
+
+
+def _sort_rows(rows: np.ndarray) -> np.ndarray:
+    """A copy of ``rows`` with each row sorted ascending.
+
+    Rows of width 2 or 3 go through a min/max sorting network, a few
+    whole-column passes; on rows that narrow, ``np.sort(axis=1)`` spends
+    its time in per-row overhead.
+    """
+    network = _SORTING_NETWORKS.get(rows.shape[1])
+    if network is None:
+        return np.sort(rows, axis=1)
+    rows = rows.copy()
+    for a, b in network:
+        low = np.minimum(rows[:, a], rows[:, b])
+        np.maximum(rows[:, a], rows[:, b], out=rows[:, b])
+        rows[:, a] = low
+    return rows
+
+
 def _canonical(rows: np.ndarray, sentinel: int | None = None) -> np.ndarray:
     """Sort each key row; with a sentinel, repeated entries collapse to it.
 
@@ -120,10 +149,10 @@ def _canonical(rows: np.ndarray, sentinel: int | None = None) -> np.ndarray:
     sentinel (the level size), so a collapsed repeat becomes padding and
     sorts to the end.
     """
-    rows = np.sort(rows, axis=1)
+    rows = _sort_rows(rows)
     if sentinel is not None:
         rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = sentinel
-        rows.sort(axis=1)
+        rows = _sort_rows(rows)
     return rows
 
 
@@ -246,12 +275,7 @@ def from_complex(facets, cap: int, description: str = "") -> SimplicialSetModel:
     coders = [_RowCoder(keys, vertices.size) for keys in level_keys]
 
     def image(op, m, i, t):
-        keys = level_keys[m]
-        if op == "faces":
-            rows = np.delete(keys, i, axis=1)
-        else:
-            rows = np.insert(keys, i, keys[:, i], axis=1)
-        return coders[t].lookup(rows)
+        return coders[t].lookup(_vertex_rows(level_keys[m], op, i))
 
     return SimplicialSetModel.from_operators(
         cap,
@@ -262,16 +286,66 @@ def from_complex(facets, cap: int, description: str = "") -> SimplicialSetModel:
     )
 
 
-def sphere(n: int, cap: int | None = None) -> SimplicialSetModel:
-    """Boundary of the standard (n+1)-simplex on n+2 ordered vertices."""
+def _vertex_rows(keys: np.ndarray, op: str, i: int) -> np.ndarray:
+    """Monotone vertex rows under face i (delete) or degeneracy i (repeat)."""
+    if op == "faces":
+        return np.delete(keys, i, axis=1)
+    return np.insert(keys, i, keys[:, i], axis=1)
+
+
+def _sphere_cap(n: int, cap: int | None) -> int:
+    """The level cap of an n-sphere model: n + 1 by default, at least n."""
     if n < 1:
         raise ContractViolation("sphere dimension must be at least 1")
     if cap is None:
-        cap = n + 1
+        return n + 1
     if cap < n:
         raise ContractViolation("cap must be at least the sphere dimension")
+    return cap
+
+
+def sphere(n: int, cap: int | None = None) -> SimplicialSetModel:
+    """Boundary of the standard (n+1)-simplex on n+2 ordered vertices."""
+    cap = _sphere_cap(n, cap)
     facets = list(itertools.combinations(range(n + 2), n + 1))
     return from_complex(facets, cap, description=f"sphere({n})")
+
+
+def one_vertex_sphere(n: int, cap: int | None = None) -> SimplicialSetModel:
+    """The n-simplex with its boundary collapsed to a point, Δⁿ/∂Δⁿ.
+
+    Level m holds the basepoint (id 0, keyed by the constant row of zeros)
+    and the surjective monotone maps [m] -> [n] as rows of vertex labels,
+    in the order of their step sets: C(m, n) + 1 simplices, against
+    C(m+n+2, n+1) − C(m, n+1) for the boundary of the (n+1)-simplex.  A
+    face whose row stops being surjective lands in the collapsed boundary,
+    the basepoint; the basepoint maps to itself under every operator.
+    """
+    cap = _sphere_cap(n, cap)
+    level_keys = []
+    for m in range(cap + 1):
+        count = math.comb(m, n)
+        steps = _rows(itertools.combinations(range(1, m + 1), n), n, count)
+        keys = np.zeros((count + 1, m + 1), dtype=np.int32)
+        # a row's label at position p counts the steps at or before p
+        keys[1:] = (steps[:, :, None] <= np.arange(m + 1)).sum(axis=1)
+        level_keys.append(keys)
+    coders = [_RowCoder(keys, n + 1) for keys in level_keys]
+
+    def image(op, m, i, t):
+        rows = _vertex_rows(level_keys[m], op, i)
+        onto = (rows[:, 0] == 0) & (rows[:, -1] == n)
+        onto &= (np.diff(rows, axis=1) <= 1).all(axis=1)
+        rows[~onto] = 0
+        return coders[t].lookup(rows)
+
+    return SimplicialSetModel.from_operators(
+        cap,
+        [len(keys) for keys in level_keys],
+        image,
+        f"one_vertex_sphere({n})",
+        level_keys,
+    )
 
 
 def point(cap: int) -> SimplicialSetModel:
@@ -602,10 +676,20 @@ def compare_sym2_with_subsets(x, max_level_size: int = DEFAULT_MAX_LEVEL_SIZE):
 
 SPACE_KINDS = ("sphere", "product", "power", "sym", "exp", "complex")
 
+# the sphere models a spec's ``base`` names
+SPHERE_BASES = {"boundary": sphere, "one-vertex": one_vertex_sphere}
+
 
 @dataclass(frozen=True)
 class SpaceSpec:
-    """Declarative description of a buildable space."""
+    """Declarative description of a buildable space.
+
+    ``base`` names the sphere model that every kind but ``complex`` is
+    built on: ``"boundary"`` (∂Δⁿ⁺¹, the default) or ``"one-vertex"``
+    (Δⁿ/∂Δⁿ).  The JSON form carries ``base`` only for ``"one-vertex"``,
+    so a boundary spec's text, and every hash keyed by it, is the one it
+    had before the field existed.
+    """
 
     kind: str
     n: int | None = None
@@ -613,13 +697,18 @@ class SpaceSpec:
     cap: int | None = None
     facets: tuple | None = None
     max_level_size: int = DEFAULT_MAX_LEVEL_SIZE
+    base: str = "boundary"
 
     def __post_init__(self):
         if self.kind not in SPACE_KINDS:
             raise ContractViolation(f"unknown space kind {self.kind!r}")
+        if self.base not in SPHERE_BASES:
+            raise ContractViolation(f"unknown sphere base {self.base!r}")
         if self.kind == "complex":
             if not self.facets:
                 raise ContractViolation("complex spec needs facets")
+            if self.base != "boundary":
+                raise ContractViolation("a complex spec has no sphere base")
         elif self.n is None or self.n < 1:
             raise ContractViolation("spec needs a sphere dimension n >= 1")
         if self.kind in ("power", "sym", "exp") and (self.k is None or self.k < 1):
@@ -648,6 +737,8 @@ class SpaceSpec:
             d["k"] = self.k
         d["cap"] = self.default_cap()
         d["max_level_size"] = self.max_level_size
+        if self.base != "boundary":  # boundary specs keep their pre-base text
+            d["base"] = self.base
         return d
 
     def to_json_text(self) -> str:
@@ -665,6 +756,7 @@ class SpaceSpec:
             cap=d.get("cap"),
             facets=tuple(tuple(f) for f in facets) if facets else None,
             max_level_size=d.get("max_level_size", DEFAULT_MAX_LEVEL_SIZE),
+            base=d.get("base", "boundary"),
         )
 
     @classmethod
@@ -678,7 +770,7 @@ def build_space(spec: SpaceSpec) -> SimplicialSetModel:
     bound = spec.max_level_size
     if spec.kind == "complex":
         return from_complex(spec.facets, cap)
-    base = sphere(spec.n, cap)
+    base = SPHERE_BASES[spec.base](spec.n, cap)
     if spec.kind == "sphere":
         return base
     if spec.kind == "product":

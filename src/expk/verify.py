@@ -45,7 +45,14 @@ from .exact_sequences import (
 )
 from .gf2 import Gf2Matrix
 from .simplicial import BettiTable, SimplicialSetModel, canonical_json
-from .spaces import DEFAULT_MAX_LEVEL_SIZE, SpaceSpec, build_space, product, sphere
+from .spaces import (
+    DEFAULT_MAX_LEVEL_SIZE,
+    SPHERE_BASES,
+    SpaceSpec,
+    build_space,
+    product,
+    sphere,
+)
 
 REPORT_FORMAT = "verification-report/1"
 
@@ -193,12 +200,14 @@ class CheckContext:
     max_level_size: int
     seed: int
 
-    def spec(self, kind, n=None, k=None, cap=None) -> SpaceSpec:
+    def spec(self, kind, n=None, k=None, cap=None, base="boundary") -> SpaceSpec:
         """The spec of a space under the run's per-level simplex budget."""
-        return SpaceSpec(kind, n=n, k=k, cap=cap, max_level_size=self.max_level_size)
+        return SpaceSpec(
+            kind, n=n, k=k, cap=cap, max_level_size=self.max_level_size, base=base
+        )
 
-    def space(self, kind, n=None, k=None, cap=None):
-        return self.cache.model_for(self.spec(kind, n, k, cap))
+    def space(self, kind, n=None, k=None, cap=None, base="boundary"):
+        return self.cache.model_for(self.spec(kind, n, k, cap, base))
 
 
 def _verdict(ok, detail="", **fields) -> dict:
@@ -215,15 +224,16 @@ def _all_hold(bad, detail, **fields) -> dict:
 # row kinds: each factory turns one row's data into a check
 
 
-def _betti(kind, n, k, expected=None, source="", detail=""):
+def _betti(kind, n, k, expected=None, source="", detail="", base="boundary"):
     """The Betti table of ``kind`` (``exp`` or ``sym``) at (n, k) is ``expected``.
 
     Without ``expected`` the row compares with the catalog table of
-    ``f"{kind}{k}"`` and reports that table's source.
+    ``f"{kind}{k}"`` and reports that table's source.  ``base`` names the
+    sphere model the space is built on.
     """
 
     def run(ctx):
-        spec = ctx.spec(kind, n=n, k=k)
+        spec = ctx.spec(kind, n=n, k=k, base=base)
         computed = ctx.cache.model_for(spec).betti_table()
         want, tag = expected, source
         if want is None:
@@ -285,16 +295,17 @@ def _sequence(ns, template, prefix, expected_kind, detail, source=""):
     return run
 
 
-def _comparison(compare, cap_per_n, n):
+def _comparison(compare, cap_per_n, n, base="boundary"):
     """The ``spaces`` comparison named ``compare`` holds on the n-sphere.
 
-    The sphere gets level cap ``cap_per_n * n + 1``.  The function is looked
-    up when the check runs, so a wrapper installed on ``spaces`` after
-    import (as the benchmark's tracer does) is the one called.
+    The sphere, the model ``base`` names, gets level cap ``cap_per_n * n + 1``.
+    The function is looked up when the check runs, so a wrapper installed
+    on ``spaces`` after import (as the benchmark's tracer does) is the one
+    called.
     """
 
     def run(ctx):
-        x = sphere(n, cap_per_n * n + 1)
+        x = SPHERE_BASES[base](n, cap_per_n * n + 1)
         return _verdict(*getattr(spaces, compare)(x, max_level_size=ctx.max_level_size))
 
     return run
@@ -356,6 +367,38 @@ def check_euler_exp3_sphere2(ctx):
         "inclusion-exclusion over the gluing square",
         computed={"lhs": lhs, "rhs": rhs, **chi},
         expected=3,
+    )
+
+
+# (kind, n, k) of the spaces whose tables must not depend on the sphere base
+AGREEING_SPACES = (
+    ("exp", 1, 2),
+    ("exp", 1, 3),
+    ("exp", 2, 2),
+    ("exp", 2, 3),
+    ("exp", 3, 2),
+    ("sym", 2, 3),
+)
+
+
+def check_models_agree(ctx):
+    """Each space's table on the one-vertex sphere is its table on ∂Δⁿ⁺¹."""
+    computed, expected = {}, {}
+    for kind, n, k in AGREEING_SPACES:
+        label = f"{kind}{k}(S{n})"
+        one_vertex = ctx.space(kind, n=n, k=k, base="one-vertex").betti_table()
+        computed[label] = list(one_vertex.dims)
+        expected[label] = list(ctx.space(kind, n=n, k=k).betti_table().dims)
+    bad = [
+        label
+        for label, dims in computed.items()
+        if not BettiTable(dims).matches(expected[label])
+    ]
+    return _all_hold(
+        bad,
+        "one-vertex and boundary sphere models give the same tables",
+        computed=computed,
+        expected=expected,
     )
 
 
@@ -536,17 +579,19 @@ CHECKS = {
     "betti-exp2-sphere2": ("two-point subsets of the 2-sphere", _betti("exp", 2, 2)),
     "betti-exp3-circle": ("three-point subsets of the circle", _betti("exp", 1, 3)),
     "betti-exp3-sphere2": ("three-point subsets of the 2-sphere", _betti("exp", 2, 3)),
-    "betti-exp3-sphere3": ("three-point subsets of the 3-sphere", _betti("exp", 3, 3)),
+    "betti-exp3-sphere3": ("three-point subsets of the 3-sphere",
+        _betti("exp", 3, 3, base="one-vertex")),
     "betti-sym3-sphere2": ("triple symmetric power of the 2-sphere", _betti(
         "sym", 2, 3, expected=(1, 0, 1, 0, 1, 0, 1),
         source="derived:triple-symmetric-power-of-2-sphere",
         detail="table of complex projective 3-space",
     )),
     "euler-exp3-sphere2": ("euler characteristic cross-check", check_euler_exp3_sphere2),
+    "models-agree": ("tables on the two sphere models", check_models_agree),
     "pushout-circle": ("gluing square vs subsets, circle",
-        _comparison("compare_pushout_with_subsets", 3, 1)),
+        _comparison("compare_pushout_with_subsets", 3, 1, base="one-vertex")),
     "pushout-sphere2": ("gluing square vs subsets, 2-sphere",
-        _comparison("compare_pushout_with_subsets", 3, 2)),
+        _comparison("compare_pushout_with_subsets", 3, 2, base="one-vertex")),
     "sym2-bijection-circle": ("double power vs two-point subsets, circle",
         _comparison("compare_sym2_with_subsets", 2, 1)),
     "sym2-bijection-sphere2": ("double power vs two-point subsets, 2-sphere",

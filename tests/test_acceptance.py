@@ -265,11 +265,11 @@ def test_acceptance_9_property_suites(exp2_sphere2):
     budget.done(bool(ok))
 
 
-def test_full_default_suite_reports_sphere3_as_skipped():
+def test_full_default_suite_computes_sphere3_table():
     report = run_verify()
     assert report.passed
     by_id = {r.check_id: r for r in report.results}
-    assert by_id["betti-exp3-sphere3"].status == "skipped"
-    assert "over budget" in by_id["betti-exp3-sphere3"].detail
-    failing = [r.check_id for r in report.results if r.status == "fail"]
+    assert by_id["betti-exp3-sphere3"].status == "pass"
+    assert by_id["betti-exp3-sphere3"].computed == [1, 0, 0, 0, 0, 2, 2, 1, 1, 1]
+    failing = [r.check_id for r in report.results if r.status != "pass"]
     assert failing == []

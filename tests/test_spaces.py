@@ -1,11 +1,13 @@
 """Space constructors, quotients, the gluing square, and resource bounds."""
 
 import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
+from expk.cochains import square_coordinates
 from expk.complexes import MOEBIUS_BAND_FACETS, projective_plane
 from expk.errors import ContractViolation, LevelSizeError
 from expk.simplicial import SimplicialSetModel
@@ -19,6 +21,7 @@ from expk.spaces import (
     exp_subsets,
     from_complex,
     identity_map,
+    one_vertex_sphere,
     point,
     power,
     product,
@@ -27,6 +30,7 @@ from expk.spaces import (
     sym_power,
     sym_projection,
 )
+from expk.spaces import _canonical
 
 
 def test_sphere_counts_and_tables():
@@ -48,6 +52,55 @@ def test_sphere_preconditions():
         sphere(0)
     with pytest.raises(ContractViolation):
         sphere(2, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_one_vertex_sphere_levels_and_table(n):
+    for cap in (n + 1, n + 3):
+        x = one_vertex_sphere(n, cap)
+        assert x.validate().ok
+        assert x.level_sizes == [math.comb(m, n) + 1 for m in range(cap + 1)]
+        assert x.betti_table().dims == (1,) + (0,) * (n - 1) + (1,)
+        # one vertex, one nondegenerate n-simplex
+        assert [x.nondeg_count(m) for m in range(cap + 1)] == [
+            int(m in (0, n)) for m in range(cap + 1)
+        ]
+
+
+def test_one_vertex_sphere_preconditions():
+    with pytest.raises(ContractViolation):
+        one_vertex_sphere(0)
+    with pytest.raises(ContractViolation):
+        one_vertex_sphere(3, 2)
+
+
+@pytest.mark.parametrize("n, total", [(2, 77), (3, 2714)])
+def test_one_vertex_exp3_nondegenerate_totals(n, total):
+    model = build_space(SpaceSpec("exp", n=n, k=3, base="one-vertex"))
+    assert sum(model.nondeg_count(m) for m in range(model.level_cap + 1)) == total
+
+
+@pytest.mark.parametrize(
+    "kind, n, k, squares",
+    [("exp", 2, 2, [(2, 2)]), ("exp", 3, 2, [(2, 3), (3, 3)]), ("sym", 2, 3, [(2, 2)])],
+)
+def test_one_vertex_squares_send_generator_to_generator(kind, n, k, squares):
+    model = build_space(SpaceSpec(kind, n=n, k=k, base="one-vertex"))
+    for i, d in squares:
+        assert square_coordinates(model, i, d) == [[1]]
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_canonical_rows_match_numpy_sort(width):
+    rng = np.random.default_rng(width)
+    rows = rng.integers(0, 6, size=(500, width)).astype(np.int32)
+    before = rows.copy()
+    assert np.array_equal(_canonical(rows), np.sort(rows, axis=1))
+    # the old sentinel path: sort, mark repeats with the sentinel, sort again
+    want = np.sort(rows, axis=1)
+    want[:, 1:][want[:, 1:] == want[:, :-1]] = 6
+    assert np.array_equal(_canonical(rows, 6), np.sort(want, axis=1))
+    assert np.array_equal(rows, before)  # the input rows are left alone
 
 
 def test_product_kunneth_tables():
@@ -364,9 +417,29 @@ def test_space_spec_round_trip_and_build():
     assert build_space(facets).betti_table().dims == (1, 1)
 
 
+def test_space_spec_base_round_trips_and_defaults_to_boundary():
+    spec = SpaceSpec("exp", n=3, k=3, base="one-vertex")
+    text = spec.to_json_text()
+    assert json.loads(text)["base"] == "one-vertex"
+    again = SpaceSpec.from_json_text(text)
+    assert again.base == "one-vertex" and again.to_json_text() == text
+    default = SpaceSpec("exp", n=2, k=3)
+    # the text every boundary spec had before the base field existed
+    assert default.to_json_text() == (
+        '{"cap":7,"format":"space-spec/1","k":3,"kind":"exp",'
+        '"max_level_size":5000000,"n":2}'
+    )
+    assert SpaceSpec.from_json_text(default.to_json_text()).base == "boundary"
+    assert SpaceSpec("exp", n=2, k=3, base="boundary") == default
+
+
 def test_space_spec_validation():
     with pytest.raises(ContractViolation):
         SpaceSpec("nonsense", n=1)
+    with pytest.raises(ContractViolation):
+        SpaceSpec("sphere", n=2, base="nonsense")
+    with pytest.raises(ContractViolation):
+        SpaceSpec("complex", facets=((0, 1),), base="one-vertex")
     with pytest.raises(ContractViolation):
         SpaceSpec("sym", n=2)
     with pytest.raises(ContractViolation):

@@ -54,6 +54,15 @@ def test_over_budget_reports_skipped_not_crash():
     assert report.passed  # skips do not fail a run
 
 
+def test_one_vertex_row_over_budget_reports_skipped():
+    # exp_3 of the one-vertex 3-sphere has 295,361 subsets at level 10
+    report = run_verify(scope=["betti-exp3-sphere3"], max_level_size=10_000)
+    (res,) = report.results
+    assert res.status == "skipped"
+    assert "over budget" in res.detail
+    assert report.passed
+
+
 def test_a_row_reports_the_spec_its_model_was_built_from():
     report = run_verify(scope=["betti-exp2-circle"], max_level_size=100)
     (res,) = report.results
