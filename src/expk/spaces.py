@@ -26,7 +26,11 @@ face and degeneracy tables come from one image rule, handed to
 Symmetric powers, subset spaces and the maps into them share one
 canonical-key path: map key rows entrywise, sort them (a min/max network
 for rows of width 2 or 3; collapsing repeats for subsets), and look the
-rows up in the target level.
+rows up in the target level.  A strictly increasing table, such as every
+degeneracy of either sphere model, keeps rows canonical and skips the
+sort.  Lookup reads a row's positional code in a dense table of all
+codes while that table is at most a few entries per key (every width-3
+level), and searches the sorted codes above that bound.
 
 Each constructed model records its canonical per-level labels in
 ``simplex_keys`` (id tuples into the input model's levels); these are
@@ -113,11 +117,30 @@ def identity_map(x: SimplicialSetModel) -> SimplicialMapModel:
 
 def _encode(rows: np.ndarray, base: int) -> np.ndarray:
     """Positional base-``base`` int64 code of each key row."""
-    rows = np.asarray(rows, dtype=np.int64)
     codes = np.zeros(rows.shape[0], dtype=np.int64)
     for j in range(rows.shape[1]):
-        codes = codes * base + rows[:, j]
+        codes *= base
+        codes += rows[:, j]
     return codes
+
+
+def _combos(n: int, width: int, repeat: bool) -> np.ndarray:
+    """The rows of ``itertools.combinations(range(n), width)`` as an array.
+
+    With ``repeat`` the rows are those of ``combinations_with_replacement``.
+    Built one column at a time: each row is repeated once per value its
+    next entry can take, and that entry is the row's first allowed value
+    plus a running offset inside the row's block, which keeps lex order.
+    """
+    rows = np.zeros((1, 0), dtype=np.int32)
+    first = np.zeros(1, dtype=np.int32)  # each row's smallest next entry
+    for _ in range(width):
+        counts = np.maximum(n - first, 0)
+        blocks = np.cumsum(counts) - counts  # where each row's block starts
+        column = np.repeat(first - blocks, counts) + np.arange(counts.sum())
+        rows = np.column_stack([np.repeat(rows, counts, axis=0), column])
+        first = column + (not repeat)
+    return rows.astype(np.int32, copy=False)
 
 
 # compare-exchange column pairs that sort rows of width 2 or 3
@@ -156,24 +179,41 @@ def _canonical(rows: np.ndarray, sentinel: int | None = None) -> np.ndarray:
     return rows
 
 
-class _RowCoder:
-    """Lookup table from canonical key rows to level ids.
+# a dense lookup table may spend this many entries per key
+_DENSE_ENTRIES_PER_KEY = 8
 
-    Rows are encoded positionally in base M into int64 when that fits,
-    with a dict fallback otherwise.  Ids follow the construction order of
-    the supplied key array.
+
+class _RowCoder:
+    """Lookup table from key rows to level ids, in the supplied keys' order.
+
+    A row's positional base-``base`` code (entries lie in [0, base))
+    indexes a dense int32 table holding -1 where no key has that code,
+    while base**width is at most ``_DENSE_ENTRIES_PER_KEY`` entries per
+    key.  Above that the codes are sorted and searched; from 2**62 on,
+    where codes stop fitting int64, rows go through a dict.  Every path
+    rejects a row that is not a key.
     """
 
     def __init__(self, keys: np.ndarray, base: int):
         self.base = max(int(base), 1)
         self.width = keys.shape[1]
-        self._fast = self.base**self.width < 2**62
-        if self._fast:
-            codes = _encode(keys, self.base)
-            self._order = np.argsort(codes, kind="stable").astype(np.int64)
-            self._sorted = codes[self._order]
+        span = self.base**self.width
+        # each path keeps one -1 slot past its codes, where misses land
+        ids = np.arange(len(keys) + 1, dtype=np.int32)
+        ids[-1] = -1
+        if span <= _DENSE_ENTRIES_PER_KEY * max(len(keys), 1):
+            self.kind = "dense"
+            self._span = span
+            self._dense = np.full(span + 1, -1, dtype=np.int32)
+            self._dense[_encode(keys, self.base)] = ids[:-1]
+        elif span < 2**62:
+            self.kind = "sorted"
+            codes = np.append(_encode(keys, self.base), np.iinfo(np.int64).max)
+            order = np.argsort(codes, kind="stable")
+            self._sorted, self._ids = codes[order], ids[order]
         else:
-            self._table = {tuple(row): i for i, row in enumerate(keys.tolist())}
+            self.kind = "dict"
+            self._table = dict(zip(map(tuple, keys.tolist()), ids[:-1].tolist()))
 
     def lookup(self, rows: np.ndarray) -> np.ndarray:
         if rows.shape[1] != self.width:
@@ -181,34 +221,38 @@ class _RowCoder:
             raise ContractViolation(
                 f"lookup of width-{rows.shape[1]} rows among width-{self.width} keys"
             )
-        if self._fast:
+        if self.kind == "dense":
+            # a negative code reads as a huge unsigned one
+            codes = _encode(rows, self.base).view(np.uint64)
+            ids = self._dense[np.minimum(codes, self._span)]
+        elif self.kind == "sorted":
             codes = _encode(rows, self.base)
             pos = np.searchsorted(self._sorted, codes)
-            if pos.size and (
-                pos.max() >= self._sorted.size
-                or not np.array_equal(self._sorted[pos], codes)
-            ):
-                raise ContractViolation("lookup of a key outside the level")
-            return self._order[pos].astype(np.int32)
-        return np.fromiter(
-            (self._table[tuple(r)] for r in rows.tolist()),
-            dtype=np.int32,
-            count=len(rows),
-        )
+            ids = np.where(self._sorted[pos] == codes, self._ids[pos], -1)
+        else:
+            ids = np.fromiter(
+                (self._table.get(r, -1) for r in map(tuple, rows.tolist())),
+                dtype=np.int32,
+                count=len(rows),
+            )
+        if ids.size and ids.min() < 0:
+            raise ContractViolation("lookup of a key outside the level")
+        return ids
 
 
-def _rows(tuples, width: int, count: int) -> np.ndarray:
-    """The ``count`` int tuples of one width, stacked into an array."""
-    return np.fromiter(
-        itertools.chain.from_iterable(tuples), dtype=np.int32, count=width * count
-    ).reshape(-1, width)
+def _increasing(table: np.ndarray) -> bool:
+    return bool((table[1:] > table[:-1]).all())
 
 
 def _key_quotient(x, level_keys, padded: bool, description: str):
     """Model on canonical key rows of x's level ids; operators act entrywise.
 
     In padded (subset) keys the level size marks an empty slot and
-    repeated ids collapse to it; otherwise keys are sorted multisets.
+    repeated ids collapse to it; otherwise keys are sorted multisets.  A
+    strictly increasing table keeps key rows sorted and their distinct
+    entries distinct (the padding slot tops a padded table), so its images
+    skip ``_canonical``; every degeneracy table of both sphere models is
+    increasing.
     """
     sizes = x.level_sizes
     coders = [_RowCoder(keys, sizes[m] + padded) for m, keys in enumerate(level_keys)]
@@ -217,7 +261,9 @@ def _key_quotient(x, level_keys, padded: bool, description: str):
         table = getattr(x, op)[m][i]
         if padded:
             table = np.append(table, np.int32(sizes[t]))  # empty slots stay empty
-        rows = _canonical(table[level_keys[m]], sizes[t] if padded else None)
+        rows = table[level_keys[m]]
+        if not _increasing(table):
+            rows = _canonical(rows, sizes[t] if padded else None)
         return coders[t].lookup(rows)
 
     return SimplicialSetModel.from_operators(
@@ -324,9 +370,8 @@ def one_vertex_sphere(n: int, cap: int | None = None) -> SimplicialSetModel:
     cap = _sphere_cap(n, cap)
     level_keys = []
     for m in range(cap + 1):
-        count = math.comb(m, n)
-        steps = _rows(itertools.combinations(range(1, m + 1), n), n, count)
-        keys = np.zeros((count + 1, m + 1), dtype=np.int32)
+        steps = _combos(m, n, repeat=False) + 1
+        keys = np.zeros((len(steps) + 1, m + 1), dtype=np.int32)
         # a row's label at position p counts the steps at or before p
         keys[1:] = (steps[:, :, None] <= np.arange(m + 1)).sum(axis=1)
         level_keys.append(keys)
@@ -424,13 +469,9 @@ def sym_power(
     """
     if k < 1:
         raise ContractViolation("multiset size must be at least 1")
-    counts = [math.comb(lm + k - 1, k) for lm in x.level_sizes]
-    for m, count in enumerate(counts):
-        _check_level_size("sym-power", m, count, max_level_size)
-    level_keys = [
-        _rows(itertools.combinations_with_replacement(range(lm), k), k, count)
-        for lm, count in zip(x.level_sizes, counts)
-    ]
+    for m, lm in enumerate(x.level_sizes):
+        _check_level_size("sym-power", m, math.comb(lm + k - 1, k), max_level_size)
+    level_keys = [_combos(lm, k, repeat=True) for lm in x.level_sizes]
     return _key_quotient(x, level_keys, False, f"sym_{k}({x.description})")
 
 
@@ -456,10 +497,9 @@ def exp_subsets(
         keys = np.full((_subset_level_count(lm, k), k), lm, dtype=np.int32)
         row = 0
         for s in range(1, min(k, lm) + 1):
-            count = math.comb(lm, s)
-            combos = itertools.combinations(range(lm), s)
-            keys[row : row + count, :s] = _rows(combos, s, count)
-            row += count
+            combos = _combos(lm, s, repeat=False)
+            keys[row : row + len(combos), :s] = combos
+            row += len(combos)
         level_keys.append(keys)
     return _key_quotient(x, level_keys, True, f"exp_{k}({x.description})")
 

@@ -1,6 +1,7 @@
 """Space constructors, quotients, the gluing square, and resource bounds."""
 
 import hashlib
+import itertools
 import json
 import math
 
@@ -30,7 +31,7 @@ from expk.spaces import (
     sym_power,
     sym_projection,
 )
-from expk.spaces import _canonical
+from expk.spaces import _canonical, _combos, _increasing, _RowCoder
 
 
 def test_sphere_counts_and_tables():
@@ -101,6 +102,65 @@ def test_canonical_rows_match_numpy_sort(width):
     want[:, 1:][want[:, 1:] == want[:, :-1]] = 6
     assert np.array_equal(_canonical(rows, 6), np.sort(want, axis=1))
     assert np.array_equal(rows, before)  # the input rows are left alone
+
+
+@pytest.mark.parametrize("repeat", [False, True])
+def test_combos_match_itertools(repeat):
+    enumerate_ = itertools.combinations_with_replacement if repeat else itertools.combinations
+    for n in range(8):
+        for width in range(1, 5):
+            want = list(enumerate_(range(n), width))
+            got = _combos(n, width, repeat)
+            assert got.dtype == np.int32 and got.shape == (len(want), width)
+            assert [tuple(r) for r in got.tolist()] == want
+
+
+@pytest.mark.parametrize(
+    "kind, keys, base, outside",
+    [
+        ("dense", _combos(4, 2, True), 4, [[1, 0], [0, -2], [4, 1]]),
+        ("sorted", _combos(6, 3, False), 6, [[2, 1, 0], [0, 0, 0], [-1, 0, 1]]),
+        ("dict", np.array([[1, 2], [3, 2**40 - 1]]), 2**40, [[1, 1], [2, 1]]),
+    ],
+)
+def test_row_coder_rejects_keys_outside_the_level_on_every_path(kind, keys, base, outside):
+    coder = _RowCoder(keys[::-1], base)
+    assert coder.kind == kind
+    assert np.array_equal(coder.lookup(keys), np.arange(len(keys))[::-1])
+    for row in outside:
+        rows = np.vstack([keys[:1], np.array([row], dtype=keys.dtype)])
+        with pytest.raises(ContractViolation, match="outside the level"):
+            coder.lookup(rows)
+    with pytest.raises(ContractViolation, match="rows among"):
+        coder.lookup(keys[:, 1:])
+
+
+def _relabelled(x, seed):
+    """x with each level's ids shuffled by a seeded permutation."""
+    rng = np.random.default_rng(seed)
+    new_id = [rng.permutation(size).astype(np.int32) for size in x.level_sizes]
+    old_id = [np.argsort(p).astype(np.int32) for p in new_id]
+
+    def image(op, m, i, t):
+        return new_id[t][getattr(x, op)[m][i][old_id[m]]]
+
+    return SimplicialSetModel.from_operators(
+        x.level_cap, x.level_sizes, image, f"relabelled {x.description}"
+    )
+
+
+@pytest.mark.parametrize("x", [sphere(1, 4), one_vertex_sphere(2, 7)], ids=["bd-s1", "ov-s2"])
+def test_quotients_of_relabelled_spheres_keep_their_tables(x):
+    shuffled = _relabelled(x, 7)
+    assert shuffled.validate().ok
+    # sphere degeneracies skip canonicalisation; shuffled ones cannot
+    assert all(_increasing(t) for level in x.degeneracies for t in level)
+    assert not all(_increasing(t) for level in shuffled.degeneracies for t in level)
+    for build in (exp_subsets, sym_power):
+        want, got = build(x, 3), build(shuffled, 3)
+        assert got.validate().ok
+        assert got.level_sizes == want.level_sizes
+        assert got.betti_table().dims == want.betti_table().dims
 
 
 def test_product_kunneth_tables():
@@ -359,6 +419,8 @@ def test_pushout_of_discrete_models_matches_union_find(seed):
 PINNED_SPACE_DIGESTS = {
     "exp2-s3": "dce6810fc5e72f67228d9674f7d7106d6b5d7bb29ed910b988b11c9be3c65bc4",
     "exp3-s2": "23bc7f17129ac1271e8e4bfe5f06d19acfc4a8dad657579263b09cfacf6a0c3c",
+    "exp2-s2-one-vertex": "aaa2c0ebc721f106d05dd8c3625ebe328f5f42425b0f91777e48bc62fc0394f5",
+    "exp3-s2-one-vertex": "563261fd1faf6f1fb30bc58fb6be43e4ab5d3f993b3af54a39248460b68e5092",
     "glued-s1": "a47c582962390e6c320ac6d2c99a40c58bd2035db8068812f201e627de335ed3",
     "glued-s2": "d4e3513edc98bb06714d1fc75afcfddb08b1e8f47ae74488b11640780fe9ee65",
     "insertion-s1": "95f60b466645fa2565fc04efac6236125e3600581302b8d5db5adb37ae92648a",
@@ -368,6 +430,7 @@ PINNED_SPACE_DIGESTS = {
     "sym2-s2": "5033e9f26c86dc2ae3b7bf9713e719c065b34b262cbd998de67b80d34c1d5f60",
     "sym3-s1": "dd55cf5ca7f04f9c63665e3808a9ddcd2f637c01d11bce8cf1cc5504deb5a8ac",
     "sym3-s2": "92633e021b4b47d1cba53ff749316a01e5e250856bc85b3d3b510b08de6457c8",
+    "sym3-s2-one-vertex": "f643e3e4469c30cade469e8902dad0776411577fb6d78dacc4011d243253163a",
 }
 
 
@@ -390,6 +453,9 @@ def _pinned_objects():
     out = {}
     for kind, n, k in (("sym", 2, 2), ("sym", 1, 3), ("sym", 2, 3), ("exp", 3, 2), ("exp", 2, 3)):
         out[f"{kind}{k}-s{n}"] = build_space(SpaceSpec(kind, n=n, k=k))
+    for kind, n, k in (("exp", 2, 2), ("exp", 2, 3), ("sym", 2, 3)):
+        spec = SpaceSpec(kind, n=n, k=k, base="one-vertex")
+        out[f"{kind}{k}-s{n}-one-vertex"] = build_space(spec)
     for n in (1, 2):
         x = sphere(n, 3 * n + 1)
         square = product(x, x)
