@@ -32,7 +32,13 @@ from .cochains import square_coordinates
 from .errors import CapError, ContractViolation, LevelSizeError
 from .exact_sequences import ExactTemplate, solve_template
 from .simplicial import SimplicialSetModel, canonical_json
-from .spaces import DEFAULT_MAX_LEVEL_SIZE, SPACE_KINDS, SpaceSpec, build_space
+from .spaces import (
+    DEFAULT_MAX_LEVEL_SIZE,
+    SPACE_KINDS,
+    SPHERE_BASES,
+    SpaceSpec,
+    build_space,
+)
 from .verify import CHECKS, run_verify
 
 
@@ -51,6 +57,12 @@ def _add_spec_arguments(p):
         default=DEFAULT_MAX_LEVEL_SIZE,
         help="per-level simplex budget",
     )
+    p.add_argument(
+        "--base",
+        choices=tuple(SPHERE_BASES),
+        default="boundary",
+        help="sphere model the space is built on (not for --kind complex)",
+    )
 
 
 def _spec_from_args(args) -> SpaceSpec:
@@ -64,6 +76,7 @@ def _spec_from_args(args) -> SpaceSpec:
         cap=args.cap,
         facets=facets,
         max_level_size=args.max_level_size,
+        base=args.base,
     )
 
 

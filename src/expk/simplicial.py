@@ -26,13 +26,26 @@ Conventions
 The top stored level must be free of nondegenerate simplices before a
 Betti table is trusted; otherwise ``CapError`` is raised.
 
+Construction
+------------
+``from_operators`` builds every model of ``expk.spaces`` from one image
+rule.  The rule gives every degeneracy table, and the faces of the
+nondegenerate simplices only.  Each degenerate simplex x is written once
+as s_j y, with j the smallest index whose degeneracy hits it, and its
+faces come from the tables of the level below by the identities
+d_i s_j = s_{j-1} d_i (i < j), id (i = j, j+1), s_j d_{i-1} (i > j+1).
+So on a built model these face-degeneracy identities hold by
+construction for that one (j, y) per simplex; ``validate`` still checks
+them for every other pair, and the face-face and degeneracy-degeneracy
+identities, against what the rule gave.
+
 Serialization
 -------------
 * ``operators(cap)`` is the one operator order: every ``faces[n][i]``,
   then every ``degeneracies[n][i]``, in (n, i) order.  ``words()`` is the
   model's canonical word stream, its tables in that order as
   little-endian int32; ``from_words`` slices such a stream back into
-  operator tables, and ``from_operators`` builds any model in that order.
+  operator tables and reads every one of them verbatim.
 * ``content_hash`` is SHA-256 over one header line -- the canonical JSON of
   ``{"scheme": HASH_SCHEME, "description", "level_cap", "level_sizes"}``
   and a newline -- followed by the word stream.  No JSON is built for the
@@ -182,6 +195,23 @@ def _identities(cap: int):
                 yield f"face-degeneracy-{family}", n, i, j, ((d, i), (s, j)), rhs
 
 
+def _degenerate_groups(degeneracies, size: int):
+    """Nondegenerate flags of a level, and each degenerate simplex once as s_j y.
+
+    ``degeneracies`` are the tables into the level, s_0 first.  Group j
+    pairs the simplices whose smallest degeneracy index is j (int32 ids)
+    with the y they come from; the scan also marks them degenerate.
+    """
+    degenerate = np.zeros(size, dtype=bool)
+    groups = []
+    for s in degeneracies:
+        new = ~degenerate[s]
+        xs = s[new]
+        degenerate[xs] = True
+        groups.append((xs, np.flatnonzero(new).astype(np.int32)))
+    return ~degenerate, groups
+
+
 class SimplicialSetModel:
     """Levelwise simplicial set on dense integer ids; immutable once built."""
 
@@ -193,6 +223,7 @@ class SimplicialSetModel:
         degeneracies,
         description: str = "",
         simplex_keys=None,
+        nondegenerate=None,
     ):
         self.level_cap = int(level_cap)
         self.level_sizes = [int(s) for s in level_sizes]
@@ -207,11 +238,16 @@ class SimplicialSetModel:
         # Construction metadata (canonical labels per level); not serialized.
         self.simplex_keys = simplex_keys
         self._check_shapes()
-        self.nondegenerate = self._mark_nondegenerate()
+        # from_operators passes the flags it marked while building the faces
+        if nondegenerate is None:
+            nondegenerate = self._mark_nondegenerate()
+        self.nondegenerate = nondegenerate
+        for f in self.nondegenerate:
+            f.setflags(write=False)
         self._nondeg_ids = [np.nonzero(nd)[0] for nd in self.nondegenerate]
         self._nondeg_pos = []
         for n, nd in enumerate(self.nondegenerate):
-            pos = np.full(self.level_sizes[n], -1, dtype=np.int64)
+            pos = np.full(self.level_sizes[n], -1, dtype=np.int32)
             pos[self._nondeg_ids[n]] = np.arange(self._nondeg_ids[n].size)
             pos.setflags(write=False)
             self._nondeg_pos.append(pos)
@@ -244,8 +280,6 @@ class SimplicialSetModel:
         for n in range(self.level_cap):
             for s in self.degeneracies[n]:
                 flags[n + 1][s] = False
-        for f in flags:
-            f.setflags(write=False)
         return flags
 
     # -- basic queries -------------------------------------------------------
@@ -456,23 +490,58 @@ class SimplicialSetModel:
     def from_operators(
         cls, cap, level_sizes, table, description="", simplex_keys=None
     ) -> "SimplicialSetModel":
-        """The model whose operator tables come from one rule.
+        """The model whose operator tables come from one image rule.
 
-        ``table(kind, n, i, t)`` gives, for every level-n simplex, the
-        level-t id of its image under operator i of ``kind`` ("faces" or
-        "degeneracies"); it is called once per operator, in ``operators``
-        order.
+        ``table(kind, n, i, t, ids)`` gives the level-t images of the
+        level-n ``ids`` (an id array, or ``slice(None)`` for the whole
+        level) under operator i of ``kind`` ("faces" or "degeneracies").
+        The rule is asked for every degeneracy on whole levels first, then
+        level by level for the faces of the nondegenerate simplices only.
+        Every other face is that of a degenerate x = s_j y, with j the
+        smallest index whose degeneracy hits x, and the simplicial
+        identities read it off the tables already built:
+
+            d_i s_j y = s_{j-1} d_i y (i < j), y (i = j, j+1),
+                        s_j d_{i-1} y (i > j+1).
+
+        So a rule that is a simplicial set gives the tables it would give on
+        every simplex.  ``from_words`` reads tables verbatim instead.
         """
-        faces = [[] for _ in range(cap + 1)]
-        degeneracies = [[] for _ in range(cap + 1)]
-        tables = {"faces": faces, "degeneracies": degeneracies}
-        for kind, n, i, t in operators(cap):
-            tables[kind][n].append(table(kind, n, i, t))
-        return cls(cap, level_sizes, faces, degeneracies, description, simplex_keys)
+        sizes = [int(s) for s in level_sizes]
+        degeneracies = [
+            [table("degeneracies", n, i, n + 1, slice(None)) for i in range(n + 1)]
+            for n in range(cap)
+        ] + [[]]
+        faces = [[]]
+        nondegenerate = [np.ones(sizes[0], dtype=bool)]
+        for n in range(1, cap + 1):
+            flags, groups = _degenerate_groups(degeneracies[n - 1], sizes[n])
+            ids = np.flatnonzero(flags).astype(np.int32)
+            level = []
+            for i in range(n + 1):
+                out = np.empty(sizes[n], dtype=np.int32)
+                out[ids] = table("faces", n, i, n - 1, ids)
+                for j, (xs, ys) in enumerate(groups):
+                    if i < j:
+                        out[xs] = degeneracies[n - 2][j - 1][faces[n - 1][i][ys]]
+                    elif i <= j + 1:
+                        out[xs] = ys
+                    else:
+                        out[xs] = degeneracies[n - 2][j][faces[n - 1][i - 1][ys]]
+                level.append(out)
+            faces.append(level)
+            nondegenerate.append(flags)
+        return cls(
+            cap, sizes, faces, degeneracies, description, simplex_keys, nondegenerate
+        )
 
     @classmethod
     def from_words(cls, header: dict, words) -> "SimplicialSetModel":
-        """The model of a ``header()`` and its word stream, as slices of ``words``."""
+        """The model of a ``header()`` and its word stream, as slices of ``words``.
+
+        Every table is read verbatim, so a damaged word changes the model
+        and its content hash.
+        """
         cap = int(header["level_cap"])
         sizes = [int(s) for s in header["level_sizes"]]
         if len(sizes) != cap + 1:
@@ -481,13 +550,12 @@ class SimplicialSetModel:
         starts = list(itertools.accumulate((sizes[n] for _, n, _, _ in ops), initial=0))
         if len(words) != starts[-1]:
             raise ContractViolation("word stream length does not match level_sizes")
-        start = dict(zip(ops, starts))
-
-        def table(kind, n, i, t):
-            first = start[kind, n, i, t]
-            return words[first : first + sizes[n]]
-
-        return cls.from_operators(cap, sizes, table, description=header["description"])
+        tables = {"faces": [[] for _ in sizes], "degeneracies": [[] for _ in sizes]}
+        for (kind, n, _, _), first in zip(ops, starts):
+            tables[kind][n].append(words[first : first + sizes[n]])
+        return cls(
+            cap, sizes, tables["faces"], tables["degeneracies"], header["description"]
+        )
 
     def content_hash(self) -> str:
         head = canonical_json({"scheme": HASH_SCHEME, **self.header()}) + "\n"

@@ -2,7 +2,11 @@
 
 Everything is built levelwise on dense integer ids, and every model's
 face and degeneracy tables come from one image rule, handed to
-``SimplicialSetModel.from_operators``:
+``SimplicialSetModel.from_operators``.  The rule maps the ids it is asked
+about: every simplex for the degeneracies, only the nondegenerate ones
+for the faces.  The faces of a degenerate s_j y follow from the tables
+below by the identities d_i s_j = s_{j-1} d_i, id, s_j d_{i-1}, so they
+hold by construction for that (j, y):
 
 * ``from_complex`` turns an ordered facet list into the simplicial set of
   weakly monotone vertex tuples supported on a face.
@@ -257,11 +261,11 @@ def _key_quotient(x, level_keys, padded: bool, description: str):
     sizes = x.level_sizes
     coders = [_RowCoder(keys, sizes[m] + padded) for m, keys in enumerate(level_keys)]
 
-    def image(op, m, i, t):
+    def image(op, m, i, t, ids):
         table = getattr(x, op)[m][i]
         if padded:
             table = np.append(table, np.int32(sizes[t]))  # empty slots stay empty
-        rows = table[level_keys[m]]
+        rows = table[level_keys[m][ids]]
         if not _increasing(table):
             rows = _canonical(rows, sizes[t] if padded else None)
         return coders[t].lookup(rows)
@@ -320,8 +324,8 @@ def from_complex(facets, cap: int, description: str = "") -> SimplicialSetModel:
     ]
     coders = [_RowCoder(keys, vertices.size) for keys in level_keys]
 
-    def image(op, m, i, t):
-        return coders[t].lookup(_vertex_rows(level_keys[m], op, i))
+    def image(op, m, i, t, ids):
+        return coders[t].lookup(_vertex_rows(level_keys[m][ids], op, i))
 
     return SimplicialSetModel.from_operators(
         cap,
@@ -377,8 +381,8 @@ def one_vertex_sphere(n: int, cap: int | None = None) -> SimplicialSetModel:
         level_keys.append(keys)
     coders = [_RowCoder(keys, n + 1) for keys in level_keys]
 
-    def image(op, m, i, t):
-        rows = _vertex_rows(level_keys[m], op, i)
+    def image(op, m, i, t, ids):
+        rows = _vertex_rows(level_keys[m][ids], op, i)
         onto = (rows[:, 0] == 0) & (rows[:, -1] == n)
         onto &= (np.diff(rows, axis=1) <= 1).all(axis=1)
         rows[~onto] = 0
@@ -424,11 +428,12 @@ def multi_product(
             rest, cs[:, j] = np.divmod(rest, sizes[m][j])
         coords.append(cs)
 
-    def image(op, m, i, t):
-        ids = np.zeros(level_sizes[m], dtype=np.int64)
+    def image(op, m, i, t, ids):
+        cs = coords[m][ids]
+        out = np.zeros(len(cs), dtype=np.int64)
         for j, f in enumerate(factors):
-            ids = ids * sizes[t][j] + getattr(f, op)[m][i][coords[m][:, j]]
-        return ids.astype(np.int32)
+            out = out * sizes[t][j] + getattr(f, op)[m][i][cs[:, j]]
+        return out.astype(np.int32)
 
     return SimplicialSetModel.from_operators(
         cap,
@@ -611,11 +616,11 @@ def pushout(f: SimplicialMapModel, g: SimplicialMapModel):
         reps.append(rep)
         class_of.append(labels.astype(np.int32))
 
-    def image(op, m, i, t):
+    def image(op, m, i, t, ids):
         table = np.concatenate(
             [getattr(a, op)[m][i], a.level_sizes[t] + getattr(b, op)[m][i]]
         )
-        return class_of[t][table[reps[m]]]
+        return class_of[t][table[reps[m][ids]]]
 
     glued = SimplicialSetModel.from_operators(
         cap,

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from expk.cochains import square_coordinates
-from expk.complexes import MOEBIUS_BAND_FACETS, projective_plane
+from expk.complexes import MOEBIUS_BAND_FACETS, projective_plane, torus
 from expk.errors import ContractViolation, LevelSizeError
-from expk.simplicial import SimplicialSetModel
+from expk.simplicial import SimplicialSetModel, operators
 from expk.spaces import (
     SimplicialMapModel,
     SpaceSpec,
@@ -141,8 +141,8 @@ def _relabelled(x, seed):
     new_id = [rng.permutation(size).astype(np.int32) for size in x.level_sizes]
     old_id = [np.argsort(p).astype(np.int32) for p in new_id]
 
-    def image(op, m, i, t):
-        return new_id[t][getattr(x, op)[m][i][old_id[m]]]
+    def image(op, m, i, t, ids):
+        return new_id[t][getattr(x, op)[m][i][old_id[m][ids]]]
 
     return SimplicialSetModel.from_operators(
         x.level_cap, x.level_sizes, image, f"relabelled {x.description}"
@@ -161,6 +161,73 @@ def test_quotients_of_relabelled_spheres_keep_their_tables(x):
         assert got.validate().ok
         assert got.level_sizes == want.level_sizes
         assert got.betti_table().dims == want.betti_table().dims
+
+
+def _every_simplex_from_operators(
+    cls, cap, level_sizes, table, description="", simplex_keys=None
+):
+    """``from_operators`` asking the rule for every table on whole levels.
+
+    The construction before faces of degenerate simplices came from the
+    simplicial identities; the reference the derivation must reproduce.
+    """
+    faces = [[] for _ in range(cap + 1)]
+    degeneracies = [[] for _ in range(cap + 1)]
+    tables = {"faces": faces, "degeneracies": degeneracies}
+    for kind, n, i, t in operators(cap):
+        tables[kind][n].append(table(kind, n, i, t, slice(None)))
+    return cls(cap, level_sizes, faces, degeneracies, description, simplex_keys)
+
+
+def _gluing_square(x):
+    square = product(x, x)
+    alpha = diagonal_insertion(x, square=square, sym3=sym_power(x, 3))
+    proj2 = sym_projection(x, 2, source=square, sym=sym_power(x, 2))
+    return pushout(alpha, proj2)
+
+
+def _relabelled_quotients(x):
+    shuffled = _relabelled(x, 7)
+    return shuffled, exp_subsets(shuffled, 3), sym_power(shuffled, 3)
+
+
+DERIVATION_CASES = {
+    **{
+        f"{build.__name__}({n}, {cap})": (lambda build=build, n=n, cap=cap: build(n, cap))
+        for build in (sphere, one_vertex_sphere)
+        for n in (1, 2, 3)
+        for cap in (n + 1, 3 * n + 1)
+    },
+    "exp3-s1": lambda: exp_subsets(sphere(1, 4), 3),
+    "exp3-s2": lambda: exp_subsets(sphere(2, 7), 3),
+    "exp3-s2-one-vertex": lambda: exp_subsets(one_vertex_sphere(2, 7), 3),
+    "sym3-s2": lambda: sym_power(sphere(2, 7), 3),
+    "sym3-s2-one-vertex": lambda: sym_power(one_vertex_sphere(2, 7), 3),
+    "product": lambda: product(sphere(1, 4), one_vertex_sphere(2, 4)),
+    "power": lambda: power(sphere(1, 4), 3),
+    "pushout": lambda: _gluing_square(sphere(1, 4)),
+    "torus": lambda: torus(),
+    "relabelled-bd-s1": lambda: _relabelled_quotients(sphere(1, 4)),
+    "relabelled-ov-s2": lambda: _relabelled_quotients(one_vertex_sphere(2, 7)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DERIVATION_CASES))
+def test_faces_from_the_identities_equal_the_rule_on_every_simplex(monkeypatch, case):
+    derived = DERIVATION_CASES[case]()
+    monkeypatch.setattr(
+        SimplicialSetModel, "from_operators", classmethod(_every_simplex_from_operators)
+    )
+    reference = DERIVATION_CASES[case]()
+    if isinstance(derived, SimplicialSetModel):
+        derived, reference = (derived,), (reference,)
+    assert len(derived) == len(reference)
+    for got, want in zip(derived, reference):
+        assert got == want
+        if isinstance(got, SimplicialSetModel):
+            assert got.content_hash() == want.content_hash()
+            for a, b in zip(got.nondegenerate, want.nondegenerate):
+                assert np.array_equal(a, b)
 
 
 def test_product_kunneth_tables():

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -11,6 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import expk
 from expk import complexes, verify
 from expk.cli import main
 from expk.simplicial import SimplicialSetModel, canonical_json
@@ -390,6 +392,33 @@ def test_cli_build_betti_sq_round_trip(tmp_path, capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["squares"] == [{"generator": 0, "coordinates": [1]}]
+
+
+def test_cli_build_on_the_one_vertex_base(tmp_path, capsys):
+    model_path = str(tmp_path / "exp3s3.json")
+    build = ["build", "--kind", "exp", "--n", "3", "--k", "3", "--out", model_path]
+    assert main(build + ["--base", "one-vertex"]) == 0
+    with open(model_path) as fh:
+        assert json.load(fh)["spec"]["base"] == "one-vertex"
+    assert main(["betti", model_path, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["dims"] == [1, 0, 0, 0, 0, 2, 2, 1, 1, 1]
+    complex_build = ["build", "--kind", "complex", "--facets", "[[0,1]]"]
+    assert main(complex_build + ["--base", "one-vertex"]) == 2
+    assert "no sphere base" in capsys.readouterr().err
+
+
+def test_package_runs_as_a_module():
+    src = os.path.dirname(os.path.dirname(expk.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "expk", "catalog", "exp3", "2"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["dims"] == [1, 0, 0, 0, 2, 1, 1]
 
 
 def test_cli_rejects_a_model_file_that_does_not_match_its_hash(tmp_path, capsys):
