@@ -10,11 +10,12 @@ Subcommands map one-to-one onto library entry points:
 
 Progress goes to stderr, results to stdout.  Exit status 0 means every
 selected check passed (skipped checks do not fail a run), 1 that a check
-failed or a template is inconsistent, and 2 that the input was rejected,
-with a message on stderr: an argument the subcommand cannot take, a file
-that cannot be read or written, or input that is not JSON (one line,
-``expk: <message>``), an unknown check id, a model file whose ``hash``
-does not match its model, or a build over the simplex budget.
+failed or a template is inconsistent, and 2 that the input was rejected.
+A rejected input gets one line ``expk: <message>`` on stderr: an argument
+the subcommand cannot take, a file that cannot be read or written, input
+that is not JSON or lacks a field of its document, a model file whose
+``hash`` does not match its model, or a build over the simplex budget.
+An unknown check id is reported with the list of check ids.
 The cache directory may also be set through the EXPK_CACHE_DIR
 environment variable; flags win over the environment.
 """
@@ -90,11 +91,7 @@ def _write_out(text, out):
 
 def cmd_build(args) -> int:
     spec = _spec_from_args(args)
-    try:
-        model = build_space(spec)
-    except LevelSizeError as exc:
-        print(f"build failed: {exc}", file=sys.stderr)
-        return 2
+    model = build_space(spec)
     doc = {
         "spec": spec.to_json_dict(),
         "model": model.to_json_dict(),
@@ -105,23 +102,22 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _load_model(path) -> SimplicialSetModel | None:
-    """The model of a file; None, with a message, when its hash does not match."""
+def _load_model(path) -> SimplicialSetModel:
+    """The model of a file whose ``hash``, if it carries one, matches the model."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ContractViolation(f"{path}: expected a JSON object, not {doc!r:.20}")
     model = SimplicialSetModel.from_json_dict(doc.get("model", doc))
     if "hash" in doc and doc["hash"] != model.content_hash():
         # files written before hash scheme 2 carry the SHA-256 of the model's text
         if doc["hash"] != hashlib.sha256(model.to_json_text().encode()).hexdigest():
-            print(f"{path}: the model does not match its hash", file=sys.stderr)
-            return None
+            raise ContractViolation(f"{path}: the model does not match its hash")
     return model
 
 
 def cmd_betti(args) -> int:
     model = _load_model(args.model)
-    if model is None:
-        return 2
     table = model.betti_table()
     if args.format == "json":
         _write_out(canonical_json(table.to_json_dict()), args.out)
@@ -134,8 +130,6 @@ def cmd_betti(args) -> int:
 
 def cmd_sq(args) -> int:
     model = _load_model(args.model)
-    if model is None:
-        return 2
     rows = [
         {"generator": idx, "coordinates": coords}
         for idx, coords in enumerate(
@@ -276,7 +270,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (CapError, ContractViolation, OSError, json.JSONDecodeError) as exc:
+    except (
+        CapError, ContractViolation, LevelSizeError, OSError, json.JSONDecodeError
+    ) as exc:
         print(f"expk: {exc}", file=sys.stderr)
         return 2
 

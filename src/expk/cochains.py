@@ -17,6 +17,11 @@ chain-level identity
 
 holds mod 2 (checked by the test suite on random cochains).  Steenrod
 squares are the diagonal values: Sq^i[u] = [u cup_{p-i} u].
+
+A model is read only through ``nondeg_count``, ``restrict`` and
+``level_cap`` (and its boundary methods, built on them): a cut's even and
+odd vertex sets go to ``restrict``, where -1 marks a degenerate face, and
+each cochain's values get one trailing 0 for -1 to read.
 """
 
 from __future__ import annotations
@@ -34,36 +39,28 @@ from .simplicial import CochainClass, SimplicialSetModel
 RING_TABLE_FORMAT = "ring-table/1"
 
 
-def full_values(s: SimplicialSetModel, c: CochainClass) -> np.ndarray:
-    """Dense 0/1 values over the whole level, zero on degenerate simplices."""
-    out = np.zeros(s.level_sizes[c.degree], dtype=np.uint8)
-    ids = s.nondeg_ids(c.degree)
-    if ids.size:
-        out[ids] = c.support.to_bits()
-    return out
-
-
 @lru_cache(maxsize=None)
 def _interval_cuts(n: int, i: int, p: int):
-    """Even/odd position sets of all admissible cuts, as face words.
+    """Even/odd vertex sets of all admissible cuts.
 
-    Returns pairs (even_word, odd_word); each word deletes the positions
-    outside its union of intervals, so applied to an n-simplex it gives
-    the p-face evaluated by the first factor and the (n - p + i)-face
-    evaluated by the second.
+    Returns pairs (even, odd) of sorted position tuples: restricted to
+    them, an n-simplex gives the p-face evaluated by the first factor and
+    the (n - p + i)-face evaluated by the second.
     """
-
-    def word(kept):
-        return tuple(("faces", t) for t in range(n + 1) if t not in kept)
-
     out = []
     for cuts in itertools.combinations(range(n + 1), i + 1):
         bounds = (0, *cuts, n)
         blocks = [set(range(bounds[t], bounds[t + 1] + 1)) for t in range(i + 2)]
         even, odd = set().union(*blocks[::2]), set().union(*blocks[1::2])
         if len(even) == p + 1:
-            out.append((word(even), word(odd)))
+            out.append((tuple(sorted(even)), tuple(sorted(odd))))
     return tuple(out)
+
+
+def _support(s: SimplicialSetModel, c: CochainClass) -> Gf2Vector:
+    if c.support.length != s.nondeg_count(c.degree):
+        raise ContractViolation(f"cochain length does not fit degree {c.degree}")
+    return c.support
 
 
 def cup_i(
@@ -79,12 +76,11 @@ def cup_i(
     m = s.nondeg_count(n)
     if m == 0:
         return CochainClass(n, Gf2Vector.zeros(0), True)
-    av = full_values(s, a)
-    bv = full_values(s, b)
-    ids = s.nondeg_ids(n)
+    # each cochain's values, then a 0 that the -1 of a degenerate face reads
+    av, bv = (np.append(_support(s, c).to_bits(), np.uint8(0)) for c in (a, b))
     out = np.zeros(m, dtype=np.uint8)
-    for even_word, odd_word in _interval_cuts(n, i, p):
-        out ^= av[s.apply(n, even_word, ids)] & bv[s.apply(n, odd_word, ids)]
+    for even, odd in _interval_cuts(n, i, p):
+        out ^= av[s.restrict(n, even)] & bv[s.restrict(n, odd)]
     support = Gf2Vector.from_bits(out)
     cocycle = n < s.level_cap and s.is_cocycle(n, support)
     return CochainClass(n, support, cocycle)
@@ -133,12 +129,6 @@ def steenrod_square(s: SimplicialSetModel, i: int, a: CochainClass) -> CochainCl
 # expressing classes in a basis
 
 
-def _support_int(s: SimplicialSetModel, c: CochainClass) -> int:
-    if c.support.length != s.nondeg_count(c.degree):
-        raise ContractViolation(f"cochain length does not fit degree {c.degree}")
-    return c.support.to_int()
-
-
 def express_in_basis(s: SimplicialSetModel, c: CochainClass, basis) -> Gf2Vector:
     """Coordinates of [c] in a basis independent modulo coboundaries."""
     if not c.is_cocycle:
@@ -148,11 +138,11 @@ def express_in_basis(s: SimplicialSetModel, c: CochainClass, basis) -> Gf2Vector
             raise ContractViolation("basis degree mismatch")
     span = s.coboundary_span(c.degree)
     for k, b in enumerate(basis):
-        if span.add(_support_int(s, b), 1 << k) is not None:
+        if span.add(_support(s, b).to_int(), 1 << k) is not None:
             raise ContractViolation(
                 f"basis class {k} depends on the earlier ones modulo coboundaries"
             )
-    rest, coords = span.reduce(_support_int(s, c))
+    rest, coords = span.reduce(_support(s, c).to_int())
     if rest:
         raise BasisSpanError(
             f"basis does not span the class in degree {c.degree}"
@@ -175,7 +165,7 @@ def square_coordinates(s: SimplicialSetModel, i: int, d: int) -> list:
 
 
 def is_coboundary(s: SimplicialSetModel, c: CochainClass) -> bool:
-    rest, _ = s.coboundary_span(c.degree).reduce(_support_int(s, c))
+    rest, _ = s.coboundary_span(c.degree).reduce(_support(s, c).to_int())
     return not rest
 
 

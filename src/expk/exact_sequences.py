@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import ContractViolation
-from .simplicial import BettiTable, canonical_json
+from .simplicial import BettiTable, canonical_json, read_document
 
 TEMPLATE_FORMAT = "exact-template/1"
 
@@ -78,8 +78,7 @@ class ExactTemplate:
 
     @classmethod
     def from_json_dict(cls, d) -> "ExactTemplate":
-        if d.get("format") != TEMPLATE_FORMAT:
-            raise ContractViolation("not an exact-template document")
+        read_document(d, TEMPLATE_FORMAT, "terms", "arrows")
         terms = tuple(Term(t["name"], t.get("dim")) for t in d["terms"])
         arrows = tuple(
             Arrow(a.get("kind", "unconstrained"), a.get("rank")) for a in d["arrows"]

@@ -18,6 +18,10 @@ Conventions
 * Mod-2 Betti numbers are ``nullity(boundary_n) - rank(boundary_{n+1})``;
   with field coefficients these are simultaneously the homology and
   cohomology dimensions.
+* The cohomology layer (the boundary here, cup-i and Sq in ``cochains``)
+  reads a model only through ``nondeg_count``, ``restrict`` and
+  ``level_cap``.  ``restrict(n, kept)`` gives each nondegenerate n-simplex's
+  face spanned by the vertex positions ``kept``; -1 marks a degenerate face.
 * Cochains are read off boundary rows: the degree-n cocycles are the
   relations among the rows of ``boundary_{n+1}``, the coboundaries are
   spanned by the rows of ``boundary_n``, and the basis of H^n is the
@@ -77,6 +81,16 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def read_document(d, fmt: str, *fields) -> dict:
+    """``d``, checked to be a ``fmt`` JSON object with every one of ``fields``."""
+    if not isinstance(d, dict) or d.get("format") != fmt:
+        raise ContractViolation(f"expected a JSON object of format {fmt}: {d!r:.30}")
+    for field in fields:
+        if field not in d:
+            raise ContractViolation(f"the {fmt} document has no {field!r} field")
+    return d
+
+
 @dataclass(frozen=True)
 class BettiTable:
     """Mod-2 graded dimensions, indexed from degree 0."""
@@ -107,8 +121,7 @@ class BettiTable:
 
     @classmethod
     def from_json_dict(cls, d) -> "BettiTable":
-        if d.get("format") != BETTI_FORMAT:
-            raise ContractViolation("not a betti-table document")
+        d = read_document(d, BETTI_FORMAT, "dims")
         return cls(tuple(int(x) for x in d["dims"]))
 
     def __str__(self):
@@ -244,11 +257,11 @@ class SimplicialSetModel:
         self.nondegenerate = nondegenerate
         for f in self.nondegenerate:
             f.setflags(write=False)
-        self._nondeg_ids = [np.nonzero(nd)[0] for nd in self.nondegenerate]
+        self._nondegenerate_ids = [np.nonzero(nd)[0] for nd in self.nondegenerate]
         self._nondeg_pos = []
         for n, nd in enumerate(self.nondegenerate):
             pos = np.full(self.level_sizes[n], -1, dtype=np.int32)
-            pos[self._nondeg_ids[n]] = np.arange(self._nondeg_ids[n].size)
+            pos[self._nondegenerate_ids[n]] = np.arange(self._nondegenerate_ids[n].size)
             pos.setflags(write=False)
             self._nondeg_pos.append(pos)
         self._boundary_cache = {}
@@ -284,12 +297,9 @@ class SimplicialSetModel:
 
     # -- basic queries -------------------------------------------------------
 
-    def nondeg_ids(self, n: int) -> np.ndarray:
-        return self._nondeg_ids[n]
-
     def nondeg_count(self, n: int) -> int:
         if 0 <= n <= self.level_cap:
-            return int(self._nondeg_ids[n].size)
+            return int(self._nondegenerate_ids[n].size)
         return 0
 
     def top_nondegenerate_level(self) -> int:
@@ -298,14 +308,31 @@ class SimplicialSetModel:
                 return n
         return -1
 
-    def apply(self, level: int, word, ids=None) -> np.ndarray:
-        """The images of level-``level`` ids (all of them by default) under a word.
+    def restrict(self, n: int, kept) -> np.ndarray:
+        """Where the face spanned by ``kept`` of each nondegenerate n-simplex lies.
+
+        ``kept`` is a nonempty tuple of positions in 0..n, read as a set.
+        One int32 entry per nondegenerate n-simplex: the face's
+        nondegenerate position, or -1 where the face is degenerate.
+        """
+        if not (0 <= n <= self.level_cap and kept and 0 <= min(kept) <= max(kept) <= n):
+            raise ContractViolation(f"{kept} is not a nonempty subset of 0..{n}")
+        ids, level = self._nondegenerate_ids[n], n
+        # delete from the highest position down, so lower positions keep their index
+        for t in range(n, -1, -1):
+            if t not in kept:
+                ids = self.faces[level][t][ids]
+                level -= 1
+        return self._nondeg_pos[level][ids]
+
+    def apply(self, level: int, word) -> np.ndarray:
+        """The images of every level-``level`` id under a word.
 
         A word is a tuple of (kind, index) pairs, read as a composite of
         operators: the last pair acts first, so d_i s_j is
         (("faces", i), ("degeneracies", j)).
         """
-        out = ids
+        out = None
         for kind, i in reversed(word):
             table = getattr(self, kind)[level][i]
             out = table if out is None else table[out]
@@ -359,21 +386,12 @@ class SimplicialSetModel:
         if not 1 <= n <= self.level_cap:
             raise ContractViolation(f"boundary degree {n} outside 1..cap")
         if n not in self._boundary_cache:
-            cols_ids = self._nondeg_ids[n]
-            rows_pos = self._nondeg_pos[n - 1]
-            row_idx = []
-            col_idx = []
-            ncols = cols_ids.size
-            for i in range(n + 1):
-                tgt = self.faces[n][i][cols_ids]
-                pos = rows_pos[tgt]
-                keep = pos >= 0
-                row_idx.append(pos[keep])
-                col_idx.append(np.nonzero(keep)[0])
-            rows = np.concatenate(row_idx) if row_idx else np.zeros(0, np.int64)
-            cols = np.concatenate(col_idx) if col_idx else np.zeros(0, np.int64)
+            kept_sets = [tuple(t for t in range(n + 1) if t != i) for i in range(n + 1)]
+            rows = np.concatenate([self.restrict(n, kept) for kept in kept_sets])
+            cols = np.tile(np.arange(self.nondeg_count(n)), n + 1)
+            keep = rows >= 0
             self._boundary_cache[n] = Gf2Matrix.from_triplets(
-                self.nondeg_count(n - 1), ncols, rows, cols
+                self.nondeg_count(n - 1), self.nondeg_count(n), rows[keep], cols[keep]
             )
         return self._boundary_cache[n]
 
@@ -457,15 +475,9 @@ class SimplicialSetModel:
 
     @classmethod
     def from_json_dict(cls, d) -> "SimplicialSetModel":
-        if d.get("format") != MODEL_FORMAT:
-            raise ContractViolation("not a simplicial-set-model document")
-        return cls(
-            d["level_cap"],
-            d["level_sizes"],
-            d["faces"],
-            d["degeneracies"],
-            description=d.get("description", ""),
-        )
+        fields = ("level_cap", "level_sizes", "faces", "degeneracies")
+        d = read_document(d, MODEL_FORMAT, *fields)
+        return cls(*(d[f] for f in fields), description=d.get("description", ""))
 
     @classmethod
     def from_json_text(cls, text: str) -> "SimplicialSetModel":

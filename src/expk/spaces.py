@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, LevelSizeError
-from .simplicial import SimplicialSetModel, canonical_json, operators
+from .simplicial import SimplicialSetModel, canonical_json, operators, read_document
 
 DEFAULT_MAX_LEVEL_SIZE = 5_000_000
 
@@ -517,6 +517,8 @@ def _multiset_map(x, source, target, rows, description) -> SimplicialMapModel:
     """Send each source simplex to the target multiset ``rows`` of its key."""
     if source.level_cap != x.level_cap or target.level_cap != x.level_cap:
         raise ContractViolation("all caps must agree")
+    if source.simplex_keys is None or target.simplex_keys is None:
+        raise ContractViolation("a model read back from a file carries no simplex keys")
     maps = [
         _RowCoder(target.simplex_keys[m], x.level_sizes[m]).lookup(
             _canonical(rows(source.simplex_keys[m]))
@@ -791,8 +793,7 @@ class SpaceSpec:
 
     @classmethod
     def from_json_dict(cls, d) -> "SpaceSpec":
-        if d.get("format") != SPACE_SPEC_FORMAT:
-            raise ContractViolation("not a space-spec document")
+        read_document(d, SPACE_SPEC_FORMAT, "kind")
         facets = d.get("facets")
         return cls(
             kind=d["kind"],

@@ -1,5 +1,6 @@
 """Cup products, cup-i products, squares, and coordinates in a basis."""
 
+import hashlib
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -22,7 +23,7 @@ from expk.complexes import projective_plane, torus
 from expk.errors import BasisSpanError, ContractViolation
 from expk.gf2 import Gf2Vector
 from expk.simplicial import CochainClass
-from expk.spaces import exp_subsets, sphere, sym_power
+from expk.spaces import SpaceSpec, build_space, exp_subsets, sphere, sym_power
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +128,32 @@ def test_coboundary_identity_on_random_cochains(model_name, t2, rp2, exp2_s2):
             rhs = rhs ^ cup_i(s, a, b, i - 1).support ^ cup_i(s, b, a, i - 1).support
         assert lhs == rhs, (p, q, i)
         checked += 1
+
+
+CUP_I_DIGEST = "189a693d8a54e897e03971e9874848d86360a85ad147f34d4a26dd0f6aad4e19"
+
+
+def test_chain_level_cup_i_values_are_pinned(t2, rp2):
+    """Every output bit of cup_i on random cochains, across both sphere bases."""
+    models = [
+        t2,
+        rp2,
+        build_space(SpaceSpec("exp", n=2, k=2)),
+        build_space(SpaceSpec("sym", n=2, k=3, base="one-vertex")),
+        build_space(SpaceSpec("exp", n=3, k=3, base="one-vertex")),
+    ]
+    h = hashlib.sha256()
+    for seed, m in enumerate(models):
+        rng = np.random.default_rng(seed)
+        cap = m.level_cap
+        for p in range(cap + 1):
+            for q in range(cap + 1):
+                for i in range(min(p, q) + 1):
+                    if p + q - i > cap or not (m.nondeg_count(p) and m.nondeg_count(q)):
+                        continue
+                    a, b = random_cochain(m, p, rng), random_cochain(m, q, rng)
+                    h.update(bytes(cup_i(m, a, b, i).support.to_bits()))
+    assert h.hexdigest() == CUP_I_DIGEST
 
 
 def test_top_cup_i_of_cochain_with_itself_is_evaluation(t2):

@@ -1,6 +1,7 @@
 """Simplicial-set models: identities, boundaries, Betti tables, bases."""
 
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -11,7 +12,15 @@ from expk.errors import CapError, ContractViolation
 from expk import simplicial
 from expk.gf2 import relations
 from expk.simplicial import BettiTable, SimplicialSetModel
-from expk.spaces import SpaceSpec, build_space, exp_subsets, point, product, sphere
+from expk.spaces import (
+    SpaceSpec,
+    build_space,
+    exp_subsets,
+    one_vertex_sphere,
+    point,
+    product,
+    sphere,
+)
 
 
 def circle():
@@ -129,6 +138,44 @@ def test_every_space_model_validates():
         product(sphere(1, 3), sphere(1, 3)),
     ):
         assert model.validate().ok, model.description
+
+
+RESTRICT_MODELS = {
+    "torus": torus,
+    "rp2": projective_plane,
+    **{f"sphere{n}": lambda n=n: sphere(n) for n in (1, 2, 3)},
+    **{f"one-vertex-sphere{n}": lambda n=n: one_vertex_sphere(n) for n in (1, 2, 3)},
+    **{
+        f"{kind}{k}-s2-{base}": lambda kind=kind, k=k, base=base: build_space(
+            SpaceSpec(kind, n=2, k=k, base=base)
+        )
+        for kind, k in (("exp", 2), ("sym", 3))
+        for base in ("boundary", "one-vertex")
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESTRICT_MODELS))
+def test_restrict_is_the_face_word_of_the_deleted_positions(name):
+    model = RESTRICT_MODELS[name]()
+    for n in range(model.level_cap + 1):
+        ids = np.flatnonzero(model.nondegenerate[n])
+        for size in range(1, n + 2):
+            for kept in itertools.combinations(range(n + 1), size):
+                # the last pair acts first: the highest position goes first
+                word = tuple(("faces", t) for t in range(n + 1) if t not in kept)
+                want = model._nondeg_pos[size - 1][model.apply(n, word)[ids]]
+                got = model.restrict(n, kept)
+                assert got.dtype == np.int32 and np.array_equal(got, want), (n, kept)
+
+
+@pytest.mark.parametrize(
+    "n, kept",
+    [(2, ()), (2, (0, 3)), (2, (-1, 0)), (4, (0,)), (-1, (0,))],
+)
+def test_restrict_rejects_a_vertex_set_outside_the_simplex(n, kept):
+    with pytest.raises(ContractViolation):
+        circle().restrict(n, kept)
 
 
 def test_boundary_of_circle_edges():

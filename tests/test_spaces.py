@@ -32,6 +32,7 @@ from expk.spaces import (
     sym_projection,
 )
 from expk.spaces import _canonical, _combos, _increasing, _RowCoder
+from expk.verify import ModelCache
 
 
 def test_sphere_counts_and_tables():
@@ -279,6 +280,26 @@ def test_sym_projection_rejects_models_of_another_width():
         sym_projection(x, 2, sym=sym_power(x, 3))
     with pytest.raises(ContractViolation):
         diagonal_insertion(x, sym3=sym_power(x, 2))
+
+
+def test_gluing_maps_reject_models_read_back_from_a_cache(tmp_path):
+    specs = [
+        SpaceSpec("product", n=1, cap=3),
+        SpaceSpec("power", n=1, k=3, cap=3),
+        SpaceSpec("sym", n=1, k=3, cap=3),
+    ]
+    for spec in specs:  # built, so keyed, and stored
+        assert ModelCache(tmp_path).model_for(spec).simplex_keys is not None
+    cache = ModelCache(tmp_path)
+    square, cube, sym3 = (cache.model_for(spec) for spec in specs)
+    assert sym3.simplex_keys is None and not cache.warnings
+    x = sphere(1, 3)
+    with pytest.raises(ContractViolation, match="no simplex keys"):
+        diagonal_insertion(x, square=square, sym3=sym3)
+    with pytest.raises(ContractViolation, match="no simplex keys"):
+        sym_projection(x, 3, source=cube, sym=sym3)
+    with pytest.raises(ContractViolation, match="no simplex keys"):
+        sym_projection(x, 3, source=power(x, 3), sym=sym3)
 
 def test_sym2_circle_against_hand_triangulated_moebius_band():
     # independent oracle: the band triangulated by hand, same pipeline

@@ -457,6 +457,7 @@ def test_cli_input_errors_exit_2_with_one_line(tmp_path, capsys):
         ["betti", str(tmp_path / "nope.json")],  # no such file
         ["betti", str(broken_path)],  # not JSON
         ["build", "--kind", "complex", "--facets", "[[0,1]"],  # not JSON
+        ["build", "--kind", "exp", "--n", "2", "--k", "2", "--max-level-size", "9"],
     ):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
@@ -464,6 +465,25 @@ def test_cli_input_errors_exit_2_with_one_line(tmp_path, capsys):
         assert captured.err.startswith("expk: "), argv
         assert captured.err.count("\n") == 1, argv
         assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, text, named",
+    [
+        ("betti", "[]", "JSON object"),
+        ("betti", '{"format": "simplicial-set-model/1"}', "'level_cap'"),
+        ("solve", '{"format": "exact-template/1", "terms": []}', "'arrows'"),
+    ],
+    ids=["not-an-object", "model-without-fields", "template-without-arrows"],
+)
+def test_cli_malformed_documents_exit_2_with_one_line(tmp_path, capsys, command, text, named):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("expk: ") and captured.err.count("\n") == 1
+    assert named in captured.err
 
 
 def test_cli_build_complex_from_facets(tmp_path, capsys):
