@@ -36,13 +36,7 @@ from .exact_sequences import (
     solve_template,
 )
 from .gf2 import Gf2Matrix, Gf2Vector
-from .grassmannian import (
-    GradedQuotient,
-    PolyGF2,
-    alpha2_multiplication_rank,
-    beta_polynomials,
-    graded_dims,
-)
+from .grassmannian import alpha2_multiplication_rank, dual_classes, graded_dims
 from .simplicial import BettiTable, CochainClass, SimplicialSetModel
 from .spaces import (
     SimplicialMapModel,

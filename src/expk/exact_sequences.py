@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import ContractViolation
-from .simplicial import BettiTable, canonical_json, read_document
+from .simplicial import BettiTable, canonical_json, malformed_fields, read_document
 
 TEMPLATE_FORMAT = "exact-template/1"
 
@@ -79,11 +79,13 @@ class ExactTemplate:
     @classmethod
     def from_json_dict(cls, d) -> "ExactTemplate":
         read_document(d, TEMPLATE_FORMAT, "terms", "arrows")
-        terms = tuple(Term(t["name"], t.get("dim")) for t in d["terms"])
-        arrows = tuple(
-            Arrow(a.get("kind", "unconstrained"), a.get("rank")) for a in d["arrows"]
-        )
-        return cls(terms, arrows)
+        with malformed_fields(TEMPLATE_FORMAT):
+            terms = tuple(Term(t["name"], t.get("dim")) for t in d["terms"])
+            arrows = tuple(
+                Arrow(a.get("kind", "unconstrained"), a.get("rank"))
+                for a in d["arrows"]
+            )
+            return cls(terms, arrows)
 
     @classmethod
     def from_json_text(cls, text: str) -> "ExactTemplate":

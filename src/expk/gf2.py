@@ -1,11 +1,17 @@
 """Exact linear algebra over the two-element field.
 
-Matrices and vectors are bit-packed into unsigned 64-bit words.  All
-elimination goes through one routine, the tagged pivot table ``Gf2Span``.
-Its results are deterministic: the kernel basis is ordered by free
-column, ``solve`` returns the solution whose free variables are zero, and
-cohomology representatives are the first cocycles, in kernel order, that
-are independent modulo coboundaries.
+Every GF(2) value is a python int whose bit j is coordinate j: a vector
+is its length and one int, a matrix is a tuple of row ints and a column
+count.  A bit past a vector's length, or past a matrix's column count, is
+a ``ContractViolation``.  numpy meets this form only through
+``_from_bits`` (rows of a 0/1 array to ints; ``_from_bytes`` when the
+rows are packed already) and ``_to_bits`` (ints to rows of a 0/1 array).
+
+All elimination goes through one routine, the tagged pivot table
+``Gf2Span``.  Its results are deterministic: the kernel basis is ordered
+by free column, ``solve`` returns the solution whose free variables are
+zero, and cohomology representatives are the first cocycles, in kernel
+order, that are independent modulo coboundaries.
 """
 
 from __future__ import annotations
@@ -14,94 +20,85 @@ import numpy as np
 
 from .errors import ContractViolation
 
-_WORD = 64
+
+def _from_bits(bits) -> list[int]:
+    """Each row of a 2-D array as an int whose bit j is set where entry j is nonzero."""
+    return _from_bytes(np.packbits(bits, axis=1, bitorder="little"))
 
 
-def _word_count(nbits: int) -> int:
-    return (nbits + _WORD - 1) // _WORD
+def _from_bytes(packed) -> list[int]:
+    """Each row of a 2-D uint8 array of little-endian packed bits as an int."""
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _pack_rows(bits: np.ndarray) -> np.ndarray:
-    """Pack a 2-D 0/1 array into uint64 words, one row per row.
-
-    Rows are little-endian and padded with zeros to a whole number of
-    words; a nonzero entry packs as 1.
-    """
-    nrows, nbits = bits.shape
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    words = np.zeros((nrows, _word_count(nbits) * _WORD // 8), dtype=np.uint8)
-    words[:, : packed.shape[1]] = packed
-    return words.view(np.uint64)
+def _to_bits(ints, nbits: int) -> np.ndarray:
+    """Bits 0..nbits-1 of each int, one uint8 row per int."""
+    width = (nbits + 7) // 8
+    data = b"".join(x.to_bytes(width, "little") for x in ints)
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(ints), width)
+    return np.unpackbits(packed, axis=1, count=nbits, bitorder="little")
 
 
-def _unpack_rows(words: np.ndarray, nbits: int) -> np.ndarray:
-    """The first ``nbits`` bits of each row of packed words, as uint8."""
-    return np.unpackbits(words.view(np.uint8), axis=1, count=nbits, bitorder="little")
-
-
-def _row_ints(words: np.ndarray) -> list[int]:
-    """Each row of packed words as a python int, bit j = column j."""
-    return [int.from_bytes(row.tobytes(), "little") for row in words.astype("<u8")]
+def _check_width(x: int, nbits: int, what: str):
+    if x < 0 or x >> nbits:
+        raise ContractViolation(f"{what} has bits outside 0..{nbits - 1}")
 
 
 class Gf2Vector:
     """Immutable bit vector over the two-element field."""
 
-    __slots__ = ("length", "_words")
+    __slots__ = ("length", "_int")
 
-    def __init__(self, length: int, words: np.ndarray):
+    def __init__(self, length: int, x: int):
         self.length = int(length)
-        words = np.ascontiguousarray(words, dtype=np.uint64)
-        words.setflags(write=False)
-        self._words = words
+        _check_width(x, self.length, "vector")
+        self._int = x
 
     @classmethod
     def zeros(cls, length: int) -> "Gf2Vector":
-        return cls(length, np.zeros(_word_count(length), dtype=np.uint64))
+        return cls(length, 0)
 
     @classmethod
     def from_bits(cls, bits) -> "Gf2Vector":
         bits = np.asarray(bits, dtype=np.uint8).reshape(1, -1) & 1
-        return cls(bits.size, _pack_rows(bits)[0])
+        return cls(bits.shape[1], _from_bits(bits)[0])
 
     @classmethod
     def from_int(cls, length: int, x: int) -> "Gf2Vector":
         """The vector whose bit i is bit i of the python int ``x``."""
-        data = x.to_bytes(_word_count(length) * _WORD // 8, "little")
-        return cls(length, np.frombuffer(data, dtype="<u8"))
+        return cls(length, x)
 
     def to_int(self) -> int:
-        return _row_ints(self._words[None, :])[0]
+        return self._int
 
     def get(self, i: int) -> int:
         if not 0 <= i < self.length:
             raise IndexError(i)
-        w, b = divmod(i, _WORD)
-        return int(self._words[w] >> np.uint64(b)) & 1
+        return self._int >> i & 1
 
     def to_bits(self) -> np.ndarray:
-        return _unpack_rows(self._words[None, :], self.length)[0]
+        return _to_bits((self._int,), self.length)[0]
 
     def nonzero_indices(self) -> list[int]:
         return np.nonzero(self.to_bits())[0].tolist()
 
     def is_zero(self) -> bool:
-        return not self._words.any()
+        return not self._int
 
     def __xor__(self, other: "Gf2Vector") -> "Gf2Vector":
         if self.length != other.length:
             raise ContractViolation("vector length mismatch")
-        return Gf2Vector(self.length, self._words ^ other._words)
+        return Gf2Vector(self.length, self._int ^ other._int)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Gf2Vector)
             and self.length == other.length
-            and bool(np.array_equal(self._words, other._words))
+            and self._int == other._int
         )
 
     def __hash__(self):
-        return hash((self.length, self._words.tobytes()))
+        return hash((self.length, self._int))
 
     def __repr__(self):
         return f"Gf2Vector({self.length}, ones={self.nonzero_indices()})"
@@ -163,18 +160,16 @@ def relations(vectors) -> list[int]:
 
 
 class Gf2Matrix:
-    """Immutable bit matrix; rows are packed little-endian into uint64."""
+    """Immutable bit matrix: a tuple of row ints, bit j = column j."""
 
-    __slots__ = ("row_count", "col_count", "_words", "_rank")
+    __slots__ = ("row_count", "col_count", "_rows", "_rank")
 
-    def __init__(self, row_count: int, col_count: int, words: np.ndarray):
-        self.row_count = int(row_count)
+    def __init__(self, rows, col_count: int):
+        self._rows = tuple(rows)
+        self.row_count = len(self._rows)
         self.col_count = int(col_count)
-        words = np.ascontiguousarray(words, dtype=np.uint64)
-        if words.shape != (self.row_count, _word_count(self.col_count)):
-            raise ContractViolation("packed storage has wrong shape")
-        words.setflags(write=False)
-        self._words = words
+        for x in self._rows:
+            _check_width(x, self.col_count, "matrix row")
         self._rank = None
 
     # -- constructors -----------------------------------------------------
@@ -187,7 +182,7 @@ class Gf2Matrix:
         if any(r.size != col_count for r in rows):
             raise ContractViolation("ragged rows")
         bits = np.array(rows, dtype=np.uint8).reshape(len(rows), col_count)
-        return cls(len(rows), col_count, _pack_rows(bits))
+        return cls(_from_bits(bits), col_count)
 
     @classmethod
     def from_triplets(cls, row_count, col_count, rows, cols) -> "Gf2Matrix":
@@ -203,34 +198,31 @@ class Gf2Matrix:
             or cols.max() >= col_count
         ):
             raise ContractViolation("triplet index out of range")
-        words = np.zeros((row_count, _word_count(col_count)), dtype=np.uint64)
-        if rows.size:
-            shifted = np.uint64(1) << (cols % _WORD).astype(np.uint64)
-            np.bitwise_xor.at(words, (rows, cols // _WORD), shifted)
-        return cls(row_count, col_count, words)
+        packed = np.zeros((row_count, (col_count + 7) // 8), dtype=np.uint8)
+        np.bitwise_xor.at(packed, (rows, cols >> 3), (1 << (cols & 7)).astype(np.uint8))
+        return cls(_from_bytes(packed), col_count)
 
     # -- accessors ---------------------------------------------------------
 
     def row_ints(self) -> list[int]:
         """Each row as a python int, bit j = column j."""
-        return _row_ints(self._words)
+        return list(self._rows)
 
     def to_dense(self) -> np.ndarray:
-        return _unpack_rows(self._words, self.col_count)
+        return _to_bits(self._rows, self.col_count)
 
     def is_zero(self) -> bool:
-        return not self._words.any()
+        return not any(self._rows)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Gf2Matrix)
-            and self.row_count == other.row_count
             and self.col_count == other.col_count
-            and bool(np.array_equal(self._words, other._words))
+            and self._rows == other._rows
         )
 
     def __hash__(self):
-        return hash((self.row_count, self.col_count, self._words.tobytes()))
+        return hash((self.col_count, self._rows))
 
     def __repr__(self):
         return f"Gf2Matrix({self.row_count}x{self.col_count})"
@@ -238,39 +230,36 @@ class Gf2Matrix:
     # -- algebra -----------------------------------------------------------
 
     def transpose(self) -> "Gf2Matrix":
-        bits = _unpack_rows(self._words, self.col_count).T
-        return Gf2Matrix(self.col_count, self.row_count, _pack_rows(bits))
+        return Gf2Matrix(self._column_ints(), self.row_count)
 
     def mul_vec(self, v: Gf2Vector) -> Gf2Vector:
         if v.length != self.col_count:
             raise ContractViolation("dimension mismatch in matrix-vector product")
-        if self.row_count == 0:
-            return Gf2Vector.zeros(0)
-        parities = np.bitwise_count(self._words & v._words[None, :]).sum(axis=1) & 1
-        return Gf2Vector.from_bits(parities.astype(np.uint8))
+        x = v.to_int()
+        return Gf2Vector.from_bits([(row & x).bit_count() & 1 for row in self._rows])
 
     def matmul(self, other: "Gf2Matrix") -> "Gf2Matrix":
         if self.col_count != other.row_count:
             raise ContractViolation("dimension mismatch in matrix product")
-        words = np.zeros((self.row_count, _word_count(other.col_count)), np.uint64)
-        for i, row in enumerate(self._words):
-            words[i] = other.combine_rows(Gf2Vector(self.col_count, row))._words
-        return Gf2Matrix(self.row_count, other.col_count, words)
+        rows = (other.combine_rows(Gf2Vector(self.col_count, r)) for r in self._rows)
+        return Gf2Matrix([v.to_int() for v in rows], other.col_count)
 
     def combine_rows(self, v: Gf2Vector) -> Gf2Vector:
         """The xor of the rows that v selects: the product v.m."""
         if v.length != self.row_count:
             raise ContractViolation("dimension mismatch in vector-matrix product")
-        selected = self._words[np.nonzero(v.to_bits())[0]]
-        return Gf2Vector(self.col_count, np.bitwise_xor.reduce(selected, axis=0))
+        acc = 0
+        for i in v.nonzero_indices():
+            acc ^= self._rows[i]
+        return Gf2Vector(self.col_count, acc)
 
     def rank(self) -> int:
         if self._rank is None:
-            self._rank = len(Gf2Span(self.row_ints()))
+            self._rank = len(Gf2Span(self._rows))
         return self._rank
 
     def _column_ints(self) -> list[int]:
-        return _row_ints(_pack_rows(self.to_dense().T))
+        return _from_bits(self.to_dense().T)
 
     def solve(self, b: Gf2Vector):
         """The solution of m.x = b with free variables zero, or None."""
@@ -281,11 +270,8 @@ class Gf2Matrix:
         found = relations([*self._column_ints(), b.to_int()])
         if not found or not found[-1] >> n:
             return None
-        return Gf2Vector.from_int(n, found[-1] ^ 1 << n)
+        return Gf2Vector(n, found[-1] ^ 1 << n)
 
     def kernel_basis(self) -> list[Gf2Vector]:
         """Deterministic basis of the null space, ordered by free column."""
-        return [
-            Gf2Vector.from_int(self.col_count, x)
-            for x in relations(self._column_ints())
-        ]
+        return [Gf2Vector(self.col_count, x) for x in relations(self._column_ints())]

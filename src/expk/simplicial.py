@@ -61,6 +61,7 @@ Serialization
 from __future__ import annotations
 
 import collections
+import contextlib
 import hashlib
 import itertools
 import json
@@ -89,6 +90,20 @@ def read_document(d, fmt: str, *fields) -> dict:
         if field not in d:
             raise ContractViolation(f"the {fmt} document has no {field!r} field")
     return d
+
+
+@contextlib.contextmanager
+def malformed_fields(fmt: str):
+    """Raise a misshapen field of a ``fmt`` document as a ContractViolation."""
+    try:
+        yield
+    except ContractViolation:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        message = " ".join(str(exc).split())
+        raise ContractViolation(
+            f"malformed {fmt} document: {type(exc).__name__}: {message}"
+        ) from exc
 
 
 @dataclass(frozen=True)
@@ -477,7 +492,8 @@ class SimplicialSetModel:
     def from_json_dict(cls, d) -> "SimplicialSetModel":
         fields = ("level_cap", "level_sizes", "faces", "degeneracies")
         d = read_document(d, MODEL_FORMAT, *fields)
-        return cls(*(d[f] for f in fields), description=d.get("description", ""))
+        with malformed_fields(MODEL_FORMAT):
+            return cls(*(d[f] for f in fields), description=d.get("description", ""))
 
     @classmethod
     def from_json_text(cls, text: str) -> "SimplicialSetModel":

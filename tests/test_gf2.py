@@ -6,7 +6,22 @@ import numpy as np
 import pytest
 
 from expk.errors import ContractViolation
-from expk.gf2 import _WORD, Gf2Matrix, Gf2Vector, _word_count
+from expk.gf2 import Gf2Matrix, Gf2Vector
+
+# The reference elimination below works on its own uint64 words.
+_WORD = 64
+
+
+def _word_count(nbits):
+    return (nbits + _WORD - 1) // _WORD
+
+
+def _words(m):
+    """The rows of m packed little-endian into uint64 words."""
+    packed = np.packbits(m.to_dense(), axis=1, bitorder="little")
+    words = np.zeros((m.row_count, _word_count(m.col_count) * 8), dtype=np.uint8)
+    words[:, : packed.shape[1]] = packed
+    return words.view(np.uint64)
 
 
 def brute_rank(dense):
@@ -68,7 +83,8 @@ def rref_solution(m, b):
     """Reference solve: RREF of [m | b], free variables set to zero."""
     n = m.col_count
     aug = np.zeros((m.row_count, _word_count(n + 1)), dtype=np.uint64)
-    aug[:, : m._words.shape[1]] = m._words
+    words = _words(m)
+    aug[:, : words.shape[1]] = words
     w, sh = divmod(n, _WORD)
     aug[:, w] |= b.to_bits().astype(np.uint64) << np.uint64(sh)
     pivots = _rref(aug, n + 1)
@@ -81,7 +97,7 @@ def rref_solution(m, b):
 
 def loop_kernel_basis(m):
     """Reference kernel basis: one free column at a time, bit by bit."""
-    work = m._words.copy()
+    work = _words(m)
     pivots = _rref(work, m.col_count)
     basis = []
     for f in range(m.col_count):
@@ -239,7 +255,7 @@ def test_packed_operations_across_word_boundaries(rows, cols):
         basis = m.kernel_basis()
         assert basis == loop_kernel_basis(m)
         assert all(m.mul_vec(v).is_zero() for v in basis)
-        assert m.rank() == len(_rref(m._words.copy(), cols))
+        assert m.rank() == len(_rref(_words(m), cols))
         x = Gf2Vector.from_bits(rng.integers(0, 2, size=cols, dtype=np.uint8))
         b = m.mul_vec(x)
         assert m.solve(b) == rref_solution(m, b)
@@ -248,3 +264,24 @@ def test_packed_operations_across_word_boundaries(rows, cols):
 def test_constructors_keep_the_low_bit():
     assert Gf2Vector.from_bits([2, 3, 1]) == Gf2Vector.from_bits([0, 1, 1])
     assert mat([[2, 3], [5, 4]]) == mat([[0, 1], [1, 0]])
+
+
+def test_a_bit_past_the_length_is_rejected():
+    # bit 3 of 8 lies past a length-3 vector; it would hide from to_bits
+    with pytest.raises(ContractViolation):
+        Gf2Vector.from_int(3, 8)
+    with pytest.raises(ContractViolation):
+        Gf2Vector.from_int(3, -1)
+    v = Gf2Vector.from_int(3, 4)
+    assert v.to_bits().tolist() == [0, 0, 1] and v.to_int() == 4
+    assert Gf2Vector.from_int(3, 0) == Gf2Vector.zeros(3)
+
+
+def test_a_row_bit_past_the_column_count_is_rejected():
+    with pytest.raises(ContractViolation):
+        Gf2Matrix([1, 8], 3)
+    with pytest.raises(ContractViolation):
+        Gf2Matrix([1], 0)
+    m = Gf2Matrix([1, 4], 3)
+    assert m.to_dense().tolist() == [[1, 0, 0], [0, 0, 1]]
+    assert m.row_ints() == [1, 4] and m == mat([[1, 0, 0], [0, 0, 1]])

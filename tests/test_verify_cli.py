@@ -449,6 +449,18 @@ def test_cli_input_errors_exit_2_with_one_line(tmp_path, capsys):
     capsys.readouterr()
     broken_path = tmp_path / "broken.json"
     broken_path.write_text("{")
+    # documents with every required field, one of them malformed
+    nameless_path = tmp_path / "nameless.json"
+    nameless_path.write_text(
+        '{"format": "exact-template/1", "terms": [{"name": "0", "dim": 0}, {"dim": 0}],'
+        ' "arrows": [{"kind": "zero"}]}'
+    )
+    misshapen = {}
+    for field, value in (("level_cap", "x"), ("faces", 5)):
+        doc = json.loads((tmp_path / "exp2s2.json").read_text())
+        doc["model"][field] = value
+        misshapen[field] = tmp_path / f"bad-{field}.json"
+        misshapen[field].write_text(json.dumps(doc))
     for argv in (
         ["sq", model_path, "--degree", "3", "--index", "3"],  # H^6 is above the cap
         ["sq", model_path, "--degree", "2", "--index", "-1"],
@@ -458,6 +470,9 @@ def test_cli_input_errors_exit_2_with_one_line(tmp_path, capsys):
         ["betti", str(broken_path)],  # not JSON
         ["build", "--kind", "complex", "--facets", "[[0,1]"],  # not JSON
         ["build", "--kind", "exp", "--n", "2", "--k", "2", "--max-level-size", "9"],
+        ["solve", str(nameless_path)],  # a term without a name
+        ["betti", str(misshapen["level_cap"])],  # "level_cap": "x"
+        ["betti", str(misshapen["faces"])],  # "faces": 5
     ):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
