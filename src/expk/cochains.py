@@ -156,6 +156,8 @@ def square_coordinates(s: SimplicialSetModel, i: int, d: int) -> list:
     One 0/1 list per generator of H^d, in basis order; both bases are the
     model's deterministic ``cohomology_basis``.
     """
+    if i < 0:  # before d + i can name a degree outside the model
+        raise ContractViolation("square index must be nonnegative")
     basis = s.cohomology_basis(d)
     target = s.cohomology_basis(d + i)
     return [

@@ -4,9 +4,11 @@ A template is a finite sequence of terms, each with a known dimension or
 left unknown, joined by arrows that may carry annotations (zero map,
 injective, surjective, isomorphism, or a pinned rank).  Exactness says
 each term's dimension is the sum of the ranks of its incoming and
-outgoing arrows; the solver propagates interval bounds for all dimensions
-and ranks to a fixed point, reporting forced values, residual intervals,
-or an inconsistency certificate naming the violated constraint.
+outgoing arrows.  Each annotation pins one rank, and ranks joined by known
+dimensions move together with one free integer, so the solver gives every
+dimension and rank its exact bounds in closed form: forced values,
+residual intervals, or an inconsistency certificate naming the violated
+constraint.
 
 Ranks, not matrices, are the primitives: the geometric facts that feed a
 template (which restriction maps vanish, which are isomorphisms) are
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import inf
 
 from .errors import ContractViolation
 from .simplicial import BettiTable, canonical_json, malformed_fields, read_document
@@ -128,111 +131,63 @@ class SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# interval propagation
-
-
-def _meet(a, b, what):
-    lo = max(a[0], b[0])
-    his = [h for h in (a[1], b[1]) if h is not None]
-    hi = min(his) if his else None
-    if hi is not None and lo > hi:
-        raise _Contradiction(what)
-    return (lo, hi)
-
-
-def _add(a, b):
-    hi = None if a[1] is None or b[1] is None else a[1] + b[1]
-    return (a[0] + b[0], hi)
-
-
-def _sub(a, b):
-    """Interval of x - y for x in a, y in b, clamped at zero below."""
-    lo = 0 if b[1] is None else max(0, a[0] - b[1])
-    hi = None if a[1] is None else a[1] - b[0]
-    return (lo, hi)
-
-
-class _Contradiction(Exception):
-    def __init__(self, what):
-        self.what = what
+# closed-form solve
 
 
 def solve_template(t: ExactTemplate) -> SolveResult:
-    """Propagate exactness and annotations to a fixed point.
+    """Exact bounds for every dimension and rank, or an inconsistency certificate.
 
-    Every term satisfies dim = rank(in) + rank(out), with virtual zero
-    ranks off both ends.  Returns forced values and interval bounds, or an
-    inconsistency certificate.
+    Let r_i be the rank of the arrow into ``terms[i]``, with virtual arrows
+    into the first term and out of the last, so exactness at term i is
+    dim_i = r_i + r_(i+1); the zero ends force both virtual ranks to 0.
+    A zero or rank arrow pins its own rank, an injective arrow out of term
+    i pins r_i to 0, a surjective arrow into term i pins r_(i+1) to 0, and
+    an isomorphism does both.  Ranks joined by known dimensions
+    form a run in which r_i = c_i + s_i x, s_i = +1 or -1, for one free
+    integer x >= 0, so one interval for x bounds every rank of the run
+    exactly.  An unknown dimension is the sum of two ranks from independent
+    runs.  The certificate is the first constraint, in rank order, that
+    leaves some run no x.
     """
     nt = len(t.terms)
-    dims = [(d.dim, d.dim) if d.dim is not None else (0, None) for d in t.terms]
-    # ranks[j] is the arrow terms[j] -> terms[j+1]; two virtual zero ranks
-    # bracket the sequence so every term sees an incoming and outgoing arrow.
-    ranks = [(0, 0)] + [(0, None) for _ in t.arrows] + [(0, 0)]
+    pins = [[] for _ in range(nt + 1)]
     for j, a in enumerate(t.arrows):
-        if a.kind == "rank":
-            ranks[j + 1] = (a.rank, a.rank)
-        elif a.kind == "zero":
-            ranks[j + 1] = (0, 0)
+        arrow = f"arrow {t.terms[j].name} -> {t.terms[j + 1].name}"
+        if a.kind in ("zero", "rank"):
+            pins[j + 1].append((a.rank or 0, f"rank pin on {arrow}"))
+        if a.kind in ("injective", "isomorphism"):
+            pins[j].append((0, f"injectivity of {arrow}"))
+        if a.kind in ("surjective", "isomorphism"):
+            pins[j + 2].append((0, f"surjectivity of {arrow}"))
 
-    def describe(j):
-        return f"arrow {t.terms[j].name} -> {t.terms[j + 1].name}"
+    ranks = []  # (lo, hi) of r_0 .. r_nt, hi inf when unbounded
+    while len(ranks) <= nt:
+        run = [(len(ranks), 0, 1)]  # (i, c_i, s_i); x is the first rank
+        while run[-1][0] < nt and t.terms[run[-1][0]].dim is not None:
+            i, c, s = run[-1]
+            run.append((i + 1, t.terms[i].dim - c, -s))
+        lo, hi = 0, inf
+        for i, c, s in run:
+            limits = [(s * (v - c), s * (v - c), why) for v, why in pins[i]]
+            if i > run[0][0]:
+                why = f"exactness at term {t.terms[i - 1].name!r}"
+                limits.append((-c, inf, why) if s > 0 else (0, c, why))
+            for new_lo, new_hi, why in limits:
+                lo, hi = max(lo, new_lo), min(hi, new_hi)
+                if lo > hi:
+                    return SolveResult(False, certificate=why)
+        ranks += [(c + lo, c + hi) if s > 0 else (c - hi, c - lo) for _, c, s in run]
 
-    try:
-        changed = True
-        rounds = 0
-        while changed:
-            rounds += 1
-            if rounds > 50 * (nt + 2) + 1000:
-                raise AssertionError("propagation failed to stabilize")
-            changed = False
-            for j, a in enumerate(t.arrows):
-                r = j + 1
-                if a.kind in ("injective", "isomorphism"):
-                    met = _meet(ranks[r], dims[j], f"injectivity of {describe(j)}")
-                    if met != ranks[r] or met != dims[j]:
-                        changed = True
-                    ranks[r] = dims[j] = met
-                if a.kind in ("surjective", "isomorphism"):
-                    met = _meet(
-                        ranks[r], dims[j + 1], f"surjectivity of {describe(j)}"
-                    )
-                    if met != ranks[r] or met != dims[j + 1]:
-                        changed = True
-                    ranks[r] = dims[j + 1] = met
-            for i in range(nt):
-                rin, rout = ranks[i], ranks[i + 1]
-                what = f"exactness at term {t.terms[i].name!r}"
-                met = _meet(dims[i], _add(rin, rout), what)
-                if met != dims[i]:
-                    dims[i] = met
-                    changed = True
-                met = _meet(rout, _sub(dims[i], rin), what)
-                if met != ranks[i + 1]:
-                    ranks[i + 1] = met
-                    changed = True
-                met = _meet(rin, _sub(dims[i], rout), what)
-                if met != ranks[i]:
-                    ranks[i] = met
-                    changed = True
-            for j in range(len(t.arrows)):
-                r = j + 1
-                what = f"rank bound on {describe(j)}"
-                met = _meet(
-                    ranks[r], (0, _min_hi(dims[j][1], dims[j + 1][1])), what
-                )
-                if met != ranks[r]:
-                    ranks[r] = met
-                    changed = True
-    except _Contradiction as c:
-        return SolveResult(False, certificate=c.what)
-
-    return SolveResult(True, tuple(dims), tuple(ranks[1:-1]))
+    dims = [
+        (d.dim, d.dim) if d.dim is not None
+        else (ranks[i][0] + ranks[i + 1][0], ranks[i][1] + ranks[i + 1][1])
+        for i, d in enumerate(t.terms)
+    ]
+    return SolveResult(True, _bounded(dims), _bounded(ranks[1:-1]))
 
 
-def _min_hi(a, b):
-    his = [h for h in (a, b) if h is not None]
-    return min(his) if his else None
+def _bounded(intervals) -> tuple:
+    return tuple((lo, None if hi == inf else hi) for lo, hi in intervals)
 
 
 def extract_degree_dims(template: ExactTemplate, result: SolveResult, prefix: str):

@@ -268,7 +268,10 @@ class SimplicialSetModel:
         self._check_shapes()
         # from_operators passes the flags it marked while building the faces
         if nondegenerate is None:
-            nondegenerate = self._mark_nondegenerate()
+            nondegenerate = [np.ones(self.level_sizes[0], dtype=bool)] + [
+                _degenerate_groups(self.degeneracies[n - 1], self.level_sizes[n])[0]
+                for n in range(1, self.level_cap + 1)
+            ]
         self.nondegenerate = nondegenerate
         for f in self.nondegenerate:
             f.setflags(write=False)
@@ -302,13 +305,6 @@ class SimplicialSetModel:
                 raise ContractViolation(f"{kind}[{n}][{i}] has wrong length")
             if table.size and (table.min() < 0 or table.max() >= sizes[t]):
                 raise ContractViolation(f"{kind}[{n}][{i}] points out of range")
-
-    def _mark_nondegenerate(self):
-        flags = [np.ones(sz, dtype=bool) for sz in self.level_sizes]
-        for n in range(self.level_cap):
-            for s in self.degeneracies[n]:
-                flags[n + 1][s] = False
-        return flags
 
     # -- basic queries -------------------------------------------------------
 

@@ -15,7 +15,6 @@ import json
 import os
 import platform
 import sys
-import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -115,11 +114,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-# entries get the mode a plain open() would give them; mkstemp makes 0600
-_UMASK = os.umask(0)
-os.umask(_UMASK)
-
-
 class ModelCache:
     """Builds models on demand; optionally persists them with hashes."""
 
@@ -160,13 +154,15 @@ class ModelCache:
         ``model-<digest>.json`` entry of the same spec is removed.
         """
         header = {"spec": json.loads(key), "hash": model_hash, **model.header()}
-        fd, tmp = tempfile.mkstemp(dir=self.cache_dir, prefix=".model-", suffix=".tmp")
+        # mode 0o666 under the umask, as a plain open() gives; O_EXCL keeps
+        # a name clash from sharing a file
+        tmp = os.path.join(self.cache_dir, f".model-{os.urandom(8).hex()}.tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(canonical_json(header).encode() + b"\n")
                 for table in model.words():
                     fh.write(table)
-            os.chmod(tmp, 0o666 & ~_UMASK)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

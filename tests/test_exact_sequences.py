@@ -1,12 +1,15 @@
-"""Rank propagation in exact-sequence templates."""
+"""The closed-form solve of exact-sequence templates."""
 
 import hashlib
+import random
 
 import pytest
 
+from expk import verify
 from expk.catalog import expected_betti
 from expk.errors import ContractViolation
 from expk.exact_sequences import (
+    ARROW_KINDS,
     Arrow,
     ExactTemplate,
     Term,
@@ -18,7 +21,7 @@ from expk.exact_sequences import (
     solve_template,
 )
 from expk.grassmannian import alpha2_multiplication_rank, graded_dims
-from expk.simplicial import BettiTable
+from expk.simplicial import BettiTable, canonical_json
 
 
 def seq(*spec):
@@ -240,8 +243,202 @@ def test_template_builders_are_pinned(builder):
     assert got == PINNED_TEMPLATES[builder]
 
 
+# sha256 of the canonical JSON of each builder template's solution, recorded
+# from the interval-propagation solver the closed-form solve replaced
+PINNED_SOLUTIONS = {
+    "gysin": {
+        1: "2e28933d725b1472031c3069f1c13b3ec99a5d073b46dbb8644672b0c0dd2980",
+        2: "16e16d9f151140d62602dfeeebce4918e527af2ba78c05c38c60891d5893e63c",
+        3: "23521d645b5c0c07e3e741a80382ea96475441e64849fb4f357e47669d0170cb",
+        4: "783572d42f170ad9354aa9ded415f0aea09a3e3055279804f4bdf67c435be3c7",
+        5: "708d971a6929bab75c9b44453a3df755ec58bb3a46890402cb67cb9406b4602c",
+        6: "c198bc2ed69fe8665a1f3b3be832485c146e608e549aac4fc68023c6d58e717c",
+    },
+    "exp2-cover": {
+        2: "13fdc03cc79fe1936631630a4540b6c1173c821b15cd2419fc18480f8ec35592",
+        3: "c0afa9b78e8eee2e271886063881695e7d5b85d226bbd8b586428b6542bd8afc",
+        4: "d988bd2636f92e92eeb977fe1f1257ccf09ca77b8192c0c96ca79954a380dfb6",
+        5: "e310c2c1259667191332ccec0bb9ecaeb750fa8d0a9ae95a37012b8461a157a0",
+        6: "4932bd3b53c4ff287521617639b30719622497420e5713638f1721ab7265ed99",
+    },
+    "exp3-cover": {
+        2: "11698972a764108052fea6ec1e47579ce91fe647d28c6952f194700676239430",
+        3: "38607d9beaaaa9193360ed128dede11a2048b1c94d0e25a1b4ba2ddadc411670",
+        4: "bfab99c279b7cb2c91a62d395489c72ea3576715557a33ba129d7ed6515ef76a",
+        5: "3210b2b3b4d5df62afc31eed19c6e13a2e034a6c0a1b5592d7120b2966da9a58",
+        6: "9d0a8a068861b29d613527dc6037fba8bd80557b7eff02ecd686f763a0ce3ffd",
+    },
+    "gluing": {
+        1: "737e3b1da41b195b00a203529bf6015fe6a80e70f4325464fbdd7b9af3c54a10",
+        2: "3225b90fdafb6ae280a1014ce10da05c53512bee79a8ebf98f4739432f1c847c",
+        3: "63449535385026f097a9e7c9d36dd6b0bb450465861547c27073da27be67154e",
+        4: "f7f7ea2cdff27ba53ab44708d34836fd0cb009326afe22b2b3b3d13eaeb81ade",
+        5: "9d26fe2a14110f13a76fcd03b3acba2c7cab396570b5c23aa01ea86d862f9a55",
+        6: "f803c01014a7cd926e464569da47184079470002d8352eba6d3237b2a3567df4",
+    },
+}
+
+# the same digests for every template a lesolve-* row solves, in call order
+PINNED_ROW_SOLUTIONS = {
+    "lesolve-c3-crosscheck": [
+        "7a8d2cba4b0d90d0f032da8581f1c9f03d06cb8700aac6f323a4463e1751bc5c",
+        "f8e670e078b2f1bf7d36ac0503ee1398d57e947958bf5e31a5b51cda5c57858b",
+        "b9304bd949a9d2955806618bc9cc778412c5c9462bd92c36d04acd2c2c4211ce",
+        "35a95ae68b27b0f97e5d8952de85258f52ea7a71c65b0954c2b3283184bde7df",
+        "45a992b2c2e34e07db874d411f0c9b0b775733176a87f8830bd4394b05053da4",
+        "d3bd42119fc4faea46f46702b01d4d6b8fa360b33c9bf59af0dd4bd5796443d3",
+    ],
+    "lesolve-exp2-cover": [
+        "13fdc03cc79fe1936631630a4540b6c1173c821b15cd2419fc18480f8ec35592",
+        "c0afa9b78e8eee2e271886063881695e7d5b85d226bbd8b586428b6542bd8afc",
+        "d988bd2636f92e92eeb977fe1f1257ccf09ca77b8192c0c96ca79954a380dfb6",
+        "e310c2c1259667191332ccec0bb9ecaeb750fa8d0a9ae95a37012b8461a157a0",
+        "4932bd3b53c4ff287521617639b30719622497420e5713638f1721ab7265ed99",
+    ],
+    "lesolve-exp3-cover": [
+        "11698972a764108052fea6ec1e47579ce91fe647d28c6952f194700676239430",
+        "38607d9beaaaa9193360ed128dede11a2048b1c94d0e25a1b4ba2ddadc411670",
+        "bfab99c279b7cb2c91a62d395489c72ea3576715557a33ba129d7ed6515ef76a",
+        "3210b2b3b4d5df62afc31eed19c6e13a2e034a6c0a1b5592d7120b2966da9a58",
+        "9d0a8a068861b29d613527dc6037fba8bd80557b7eff02ecd686f763a0ce3ffd",
+    ],
+    "lesolve-gluing": [
+        "c2c33e265d326a6f027b22e2a6c372a21f6d897cffc979a4186f99449f31983d",
+        "b32762904c04fc1e2b8ea43e2939cb53829eb43692f3db4553cf55e17dc09686",
+    ],
+    "lesolve-gysin-e0": [
+        "2e28933d725b1472031c3069f1c13b3ec99a5d073b46dbb8644672b0c0dd2980",
+        "83ce8fd3bfd075ea4e49737da127b75cd5157c28062074971fed98ce39cc2870",
+        "b1764395f19b1cbe0ac100d9ad3ecfbb86d8a656047acbdad3d120edf4378a62",
+        "ff11dc47b7fddc6e44170f1c396e09ce5d38661974c9263484f4ff8349aaf71d",
+        "a840215baed31a70b7850edf9870bf5719dffd3b11216285c2278df79065272d",
+    ],
+}
+
+
+def _solution_digest(template, result):
+    return hashlib.sha256(canonical_json(result.to_json_dict(template)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+def test_builder_solutions_are_pinned(builder):
+    got = {
+        n: _solution_digest(BUILDERS[builder](n), solve_template(BUILDERS[builder](n)))
+        for n in PINNED_SOLUTIONS[builder]
+    }
+    assert got == PINNED_SOLUTIONS[builder]
+
+
+def test_row_solutions_are_pinned(monkeypatch):
+    got = {}
+
+    def recording(t):
+        result = solve_template(t)
+        got.setdefault(row, []).append(_solution_digest(t, result))
+        return result
+
+    monkeypatch.setattr(verify, "solve_template", recording)
+    for row in sorted(PINNED_ROW_SOLUTIONS):
+        assert verify.run_verify(scope=[row]).passed
+    assert got == PINNED_ROW_SOLUTIONS
+
+
 def test_extract_requires_forced_terms():
     t = seq(("X^0", None), "unconstrained", ("B", None), "unconstrained", ("C", 1))
     res = solve_template(t)
     with pytest.raises(ContractViolation):
         extract_degree_dims(t, res, "X^")
+
+
+def between_zeros(dims, arrows):
+    """The template 0 -> dims[0] -> ... -> dims[-1] -> 0; an arrow may be a kind."""
+    terms = (Term("0", 0),) + tuple(Term(name, d) for name, d in dims) + (Term("0", 0),)
+    return ExactTemplate(terms, tuple(Arrow(a) if isinstance(a, str) else a for a in arrows))
+
+
+def test_injectivity_on_both_sides_of_a_known_term_is_inconsistent():
+    # B = rank(A -> B) + rank(B -> C); injectivity out of B and out of C pins
+    # both to 0, which B = 1 forbids
+    t = between_zeros(
+        (("A", None), ("B", 1), ("C", None), ("D", None)),
+        ("injective", "injective", "injective", "isomorphism", "zero"),
+    )
+    res = solve_template(t)
+    assert not res.consistent
+    assert res.certificate == "injectivity of arrow C -> D"
+
+
+def test_injectivity_further_along_forces_an_unknown_term():
+    # C -> D injective pins rank(B -> C) to 0, so B = rank(A -> B) = A = 1
+    t = between_zeros(
+        (("A", 1), ("B", None), ("C", None), ("D", None)),
+        ("unconstrained",) * 3 + ("injective", "unconstrained"),
+    )
+    res = solve_template(t)
+    assert res.consistent
+    assert res.dim_bounds(t, "B") == (1, 1)
+    assert res.dim_bounds(t, "C") == res.dim_bounds(t, "D") == (0, None)
+
+
+def enumerate_solutions(t, cap):
+    """Every (dims, ranks) of ``t`` with each arrow's rank in 0..cap.
+
+    Reads the annotations as written (an injective arrow's rank is the
+    dimension of its source, and so on), not as the solver's rank pins.
+    """
+    chains = [(0,)]  # ranks into terms[0] .. terms[i]
+    for i, term in enumerate(t.terms):
+        choices = (0,) if i == len(t.terms) - 1 else range(cap + 1)
+        chains = [r + (v,) for r in chains for v in choices if term.dim in (None, r[-1] + v)]
+    out = []
+    for r in chains:
+        dims = [r[i] + r[i + 1] for i in range(len(t.terms))]
+        ok = True
+        for j, a in enumerate(t.arrows):
+            rank = r[j + 1]
+            ok &= a.kind not in ("zero", "rank") or rank == (a.rank or 0)
+            ok &= a.kind not in ("injective", "isomorphism") or rank == dims[j]
+            ok &= a.kind not in ("surjective", "isomorphism") or rank == dims[j + 1]
+        if ok:
+            out.append((dims, r[1:-1]))
+    return out
+
+
+def allowed_certificates(t):
+    """Every constraint of ``t`` a certificate may name."""
+    out = {f"exactness at term {x.name!r}" for x in t.terms}
+    for a, src, dst in zip(t.arrows, t.terms, t.terms[1:]):
+        arrow = f"arrow {src.name} -> {dst.name}"
+        if a.kind in ("zero", "rank"):
+            out.add(f"rank pin on {arrow}")
+        if a.kind in ("injective", "isomorphism"):
+            out.add(f"injectivity of {arrow}")
+        if a.kind in ("surjective", "isomorphism"):
+            out.add(f"surjectivity of {arrow}")
+    return out
+
+
+def test_solver_matches_enumeration_on_random_templates():
+    rng = random.Random(14)
+    cap = 8  # over every bounded value: dims and ranks <= 3 keep those <= 6
+    inconsistent = unbounded = 0
+    for _ in range(2000):
+        names = "ABCD"[: rng.randint(0, 4)]
+        dims = [(x, None if rng.random() < 0.4 else rng.randint(0, 3)) for x in names]
+        kinds = rng.choices(ARROW_KINDS, weights=(4, 1, 1, 1, 1, 1), k=len(names) + 1)
+        arrows = [Arrow(k, rng.randint(0, 3) if k == "rank" else None) for k in kinds]
+        t = between_zeros(dims, arrows)
+        res = solve_template(t)
+        solutions = enumerate_solutions(t, cap)
+        assert res.consistent == bool(solutions), t
+        if not solutions:
+            inconsistent += 1
+            assert res.certificate in allowed_certificates(t), (t, res.certificate)
+            continue
+        columns = list(zip(*(d for d, _ in solutions))) + list(zip(*(r for _, r in solutions)))
+        for values, (lo, hi) in zip(columns, res.dims + res.ranks, strict=True):
+            assert lo == min(values), t
+            assert (hi is None) == (max(values) >= cap), t
+            assert hi is None or hi == max(values), t
+            unbounded += hi is None
+    assert 500 < inconsistent < 1500 and unbounded > 100, (inconsistent, unbounded)

@@ -464,6 +464,7 @@ def test_cli_input_errors_exit_2_with_one_line(tmp_path, capsys):
     for argv in (
         ["sq", model_path, "--degree", "3", "--index", "3"],  # H^6 is above the cap
         ["sq", model_path, "--degree", "2", "--index", "-1"],
+        ["sq", model_path, "--degree", "1", "--index", "-2"],  # H^1 = 0, no square to run
         ["build", "--kind", "exp", "--n", "2"],  # no --k
         ["catalog", "exp2", "0"],
         ["betti", str(tmp_path / "nope.json")],  # no such file
@@ -480,6 +481,8 @@ def test_cli_input_errors_exit_2_with_one_line(tmp_path, capsys):
         assert captured.err.startswith("expk: "), argv
         assert captured.err.count("\n") == 1, argv
         assert "Traceback" not in captured.err
+        if "--index" in argv and int(argv[-1]) < 0:
+            assert "square index must be nonnegative" in captured.err, argv
 
 
 @pytest.mark.parametrize(
@@ -541,21 +544,29 @@ def test_cli_solve_template(tmp_path, capsys):
 
 
 def test_cli_solve_inconsistent_template_exit_code(tmp_path, capsys):
-    template = {
-        "format": "exact-template/1",
-        "terms": [
-            {"name": "0", "dim": 0},
-            {"name": "A", "dim": 2},
-            {"name": "0", "dim": 0},
-        ],
-        "arrows": [{"kind": "unconstrained"}, {"kind": "zero"}],
-    }
-    path = str(tmp_path / "bad.json")
-    with open(path, "w") as fh:
-        json.dump(template, fh)
-    rc = main(["solve", path])
-    assert rc == 1
-    assert "inconsistent" in capsys.readouterr().out
+    def template(dims, kinds):
+        terms = [{"name": "0", "dim": 0}] + [{"name": n, "dim": d} for n, d in dims]
+        return {
+            "format": "exact-template/1",
+            "terms": terms + [{"name": "0", "dim": 0}],
+            "arrows": [{"kind": k} for k in kinds],
+        }
+
+    for doc in (
+        template([("A", 2)], ["unconstrained", "zero"]),
+        # B = 1 yet injectivity out of B and out of C pins both its ranks to 0
+        template(
+            [("A", None), ("B", 1), ("C", None), ("D", None)],
+            ["injective", "injective", "injective", "isomorphism", "zero"],
+        ),
+    ):
+        path = str(tmp_path / "bad.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        rc = main(["solve", path])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert out.startswith("inconsistent: ") and out.count("\n") == 1
 
 
 def test_cli_verify_json_and_exit_codes(tmp_path, capsys):
