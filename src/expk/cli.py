@@ -32,7 +32,7 @@ from . import catalog
 from .cochains import square_coordinates
 from .errors import CapError, ContractViolation, LevelSizeError
 from .exact_sequences import ExactTemplate, solve_template
-from .simplicial import SimplicialSetModel, canonical_json
+from .simplicial import SimplicialSetModel, canonical_json, malformed_fields
 from .spaces import (
     DEFAULT_MAX_LEVEL_SIZE,
     SPACE_KINDS,
@@ -69,7 +69,8 @@ def _add_spec_arguments(p):
 def _spec_from_args(args) -> SpaceSpec:
     facets = None
     if args.facets:
-        facets = tuple(tuple(int(v) for v in f) for f in json.loads(args.facets))
+        with malformed_fields("--facets"):
+            facets = tuple(tuple(int(v) for v in f) for f in json.loads(args.facets))
     return SpaceSpec(
         kind=args.kind,
         n=args.n,

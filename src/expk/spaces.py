@@ -29,12 +29,13 @@ hold by construction for that (j, y):
 
 Symmetric powers, subset spaces and the maps into them share one
 canonical-key path: map key rows entrywise, sort them (a min/max network
-for rows of width 2 or 3; collapsing repeats for subsets), and look the
-rows up in the target level.  A strictly increasing table, such as every
-degeneracy of either sphere model, keeps rows canonical and skips the
-sort.  Lookup reads a row's positional code in a dense table of all
-codes while that table is at most a few entries per key (every width-3
-level), and searches the sorted codes above that bound.
+for rows of width 2 or 3; collapsing repeats for subsets), and rank them.
+A strictly increasing table, such as every degeneracy of either sphere
+model, keeps rows canonical and skips the sort.  Every keyed level lists
+its keys in lexicographic order (subsets by size first), so a row's id is
+its rank (``_rank``), a sum of binomials read from one cached table.
+One-vertex sphere rows rank their step positions, complex rows their
+vertex multisets.
 
 Each constructed model records its canonical per-level labels in
 ``simplex_keys`` (id tuples into the input model's levels); these are
@@ -43,6 +44,7 @@ construction metadata and are not serialized.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -119,27 +121,20 @@ def identity_map(x: SimplicialSetModel) -> SimplicialMapModel:
 # canonical keys
 
 
-def _encode(rows: np.ndarray, base: int) -> np.ndarray:
-    """Positional base-``base`` int64 code of each key row."""
-    codes = np.zeros(rows.shape[0], dtype=np.int64)
-    for j in range(rows.shape[1]):
-        codes *= base
-        codes += rows[:, j]
-    return codes
-
-
 def _combos(n: int, width: int, repeat: bool) -> np.ndarray:
     """The rows of ``itertools.combinations(range(n), width)`` as an array.
 
     With ``repeat`` the rows are those of ``combinations_with_replacement``.
     Built one column at a time: each row is repeated once per value its
-    next entry can take, and that entry is the row's first allowed value
-    plus a running offset inside the row's block, which keeps lex order.
+    next entry can take, leaving room for the entries after it, and that
+    entry is the row's first allowed value plus a running offset inside
+    the row's block, which keeps lex order.
     """
     rows = np.zeros((1, 0), dtype=np.int32)
     first = np.zeros(1, dtype=np.int32)  # each row's smallest next entry
-    for _ in range(width):
-        counts = np.maximum(n - first, 0)
+    for j in range(width):
+        end = n if repeat else n - (width - 1 - j)  # past each row's last value
+        counts = np.maximum(end - first, 0)
         blocks = np.cumsum(counts) - counts  # where each row's block starts
         column = np.repeat(first - blocks, counts) + np.arange(counts.sum())
         rows = np.column_stack([np.repeat(rows, counts, axis=0), column])
@@ -183,65 +178,63 @@ def _canonical(rows: np.ndarray, sentinel: int | None = None) -> np.ndarray:
     return rows
 
 
-# a dense lookup table may spend this many entries per key
-_DENSE_ENTRIES_PER_KEY = 8
+@functools.cache
+def _weights(n: int, width: int, padded: bool) -> np.ndarray:
+    """What each entry of a key row adds to its id; padding (a = n) adds 0.
 
-
-class _RowCoder:
-    """Lookup table from key rows to level ids, in the supplied keys' order.
-
-    A row's positional base-``base`` code (entries lie in [0, base))
-    indexes a dense int32 table holding -1 where no key has that code,
-    while base**width is at most ``_DENSE_ENTRIES_PER_KEY`` entries per
-    key.  Above that the codes are sorted and searched; from 2**62 on,
-    where codes stop fitting int64, rows go through a dict.  Every path
-    rejects a row that is not a key.
+    An entry a with r entries from it to the end of the row, padding not
+    counted, adds ``weights[r, a]`` = −C(n − 1 − a, r), plus C(n, r) in a
+    padded row (the subsets of size r come first) or C(n, width) at
+    r = width in a full one, and −1 at r = 1, read once per row.  Clipped
+    so that sums stay in int64: a valid row reads no entry above its
+    level's count, the others can overflow (in ``sphere(1, 70)``).
     """
+    top = np.iinfo(np.int64).max // (width + 1)
+    weights = np.zeros((width + 1, n + 1), dtype=np.int64)  # only padding reads r = 0
+    for r in range(1, width + 1):
+        before = (math.comb(n, r) if padded or r == width else 0) - (r == 1)
+        row = (before - math.comb(n - 1 - a, r) for a in range(n))
+        weights[r, :n] = [min(max(w, -top), top) for w in row]
+    weights.setflags(write=False)  # shared by every call through the cache
+    return weights
 
-    def __init__(self, keys: np.ndarray, base: int):
-        self.base = max(int(base), 1)
-        self.width = keys.shape[1]
-        span = self.base**self.width
-        # each path keeps one -1 slot past its codes, where misses land
-        ids = np.arange(len(keys) + 1, dtype=np.int32)
-        ids[-1] = -1
-        if span <= _DENSE_ENTRIES_PER_KEY * max(len(keys), 1):
-            self.kind = "dense"
-            self._span = span
-            self._dense = np.full(span + 1, -1, dtype=np.int32)
-            self._dense[_encode(keys, self.base)] = ids[:-1]
-        elif span < 2**62:
-            self.kind = "sorted"
-            codes = np.append(_encode(keys, self.base), np.iinfo(np.int64).max)
-            order = np.argsort(codes, kind="stable")
-            self._sorted, self._ids = codes[order], ids[order]
-        else:
-            self.kind = "dict"
-            self._table = dict(zip(map(tuple, keys.tolist()), ids[:-1].tolist()))
 
-    def lookup(self, rows: np.ndarray) -> np.ndarray:
-        if rows.shape[1] != self.width:
-            # positional codes would read a short row as zero-padded
-            raise ContractViolation(
-                f"lookup of width-{rows.shape[1]} rows among width-{self.width} keys"
-            )
-        if self.kind == "dense":
-            # a negative code reads as a huge unsigned one
-            codes = _encode(rows, self.base).view(np.uint64)
-            ids = self._dense[np.minimum(codes, self._span)]
-        elif self.kind == "sorted":
-            codes = _encode(rows, self.base)
-            pos = np.searchsorted(self._sorted, codes)
-            ids = np.where(self._sorted[pos] == codes, self._ids[pos], -1)
-        else:
-            ids = np.fromiter(
-                (self._table.get(r, -1) for r in map(tuple, rows.tolist())),
-                dtype=np.int32,
-                count=len(rows),
-            )
-        if ids.size and ids.min() < 0:
-            raise ContractViolation("lookup of a key outside the level")
-        return ids
+def _rank(rows: np.ndarray, n: int, padded: bool = False) -> np.ndarray:
+    """The level id of each strictly increasing key row over range(n).
+
+    A full row a_0 < … < a_(w−1) has rank
+    C(n, w) − 1 − Σ_j C(n − 1 − a_j, w − j), its position in
+    ``_combos(n, w, False)``.  Padded rows are the subset keys of
+    ``exp_subsets``: a row of size s holds s entries, then the padding n,
+    and keys run by size, then lexicographically, so its id is
+    Σ_(t=1..s) C(n, t) − 1 − Σ_(j<s) C(n − 1 − a_j, s − j).  Either way
+    the id is a sum of ``_weights`` entries; a padded row's are gathered
+    right to left, counting the entries that are not padding.
+    """
+    width = rows.shape[1]
+    weights = _weights(n, width, padded)
+    total = np.zeros(len(rows), dtype=np.int64)
+    if not padded:  # entry j has r = width − j
+        for j in range(width):
+            total += weights[width - j][rows[:, j]]
+        return total.astype(np.int32)
+    flat, stride = weights.ravel(), np.int32(n + 1)
+    offset = np.zeros(len(rows), dtype=np.int32)  # r·(n + 1) at each entry
+    for j in reversed(range(width)):
+        column = rows[:, j]
+        offset += (column < n) * stride
+        total += flat[offset + column]
+    return total.astype(np.int32)
+
+
+def _multiset_rank(rows: np.ndarray, n: int) -> np.ndarray:
+    """The position of each sorted multiset row in ``_combos(n, w, True)``.
+
+    Adding (0, 1, …, w−1) turns the rows into rows of distinct entries
+    over range(n + w − 1), in the same order.
+    """
+    width = rows.shape[1]
+    return _rank(rows + np.arange(width, dtype=rows.dtype), n + width - 1)
 
 
 def _increasing(table: np.ndarray) -> bool:
@@ -259,7 +252,7 @@ def _key_quotient(x, level_keys, padded: bool, description: str):
     increasing.
     """
     sizes = x.level_sizes
-    coders = [_RowCoder(keys, sizes[m] + padded) for m, keys in enumerate(level_keys)]
+    rank = functools.partial(_rank, padded=True) if padded else _multiset_rank
 
     def image(op, m, i, t, ids):
         table = getattr(x, op)[m][i]
@@ -268,7 +261,7 @@ def _key_quotient(x, level_keys, padded: bool, description: str):
         rows = table[level_keys[m][ids]]
         if not _increasing(table):
             rows = _canonical(rows, sizes[t] if padded else None)
-        return coders[t].lookup(rows)
+        return rank(rows, sizes[t])
 
     return SimplicialSetModel.from_operators(
         x.level_cap, [len(keys) for keys in level_keys], image, description, level_keys
@@ -302,30 +295,27 @@ def from_complex(facets, cap: int, description: str = "") -> SimplicialSetModel:
                 f"facet {f} is not a strictly increasing vertex tuple"
             )
     vertices = np.array(sorted({v for f in facets for v in f}), dtype=np.int32)
-    face_set = set()
-    for f in facets:
-        pos = np.searchsorted(vertices, f).tolist()
-        for s in range(1, len(pos) + 1):
-            face_set.update(frozenset(c) for c in itertools.combinations(pos, s))
+    in_facet = [np.isin(vertices, f) for f in facets]
 
-    # keys hold vertex positions; simplex_keys translate them to vertices
-    level_keys = [
-        np.array(
-            [
-                t
-                for t in itertools.combinations_with_replacement(
-                    range(vertices.size), m + 1
-                )
-                if frozenset(t) in face_set
-            ],
-            dtype=np.int32,
-        )
-        for m in range(cap + 1)
-    ]
-    coders = [_RowCoder(keys, vertices.size) for keys in level_keys]
+    # keys hold vertex positions; simplex_keys translate them to vertices.
+    # level_ids[m] maps the multiset rank of a row to its id, -1 off the complex
+    level_keys, level_ids = [], []
+    for m in range(cap + 1):
+        rows = _combos(vertices.size, m + 1, repeat=True)
+        on = np.zeros(len(rows), dtype=bool)
+        for facet in in_facet:
+            on |= facet[rows].all(axis=1)
+        table = np.full(len(rows), -1, dtype=np.int32)
+        table[on] = np.arange(on.sum())
+        level_keys.append(rows[on])
+        level_ids.append(table)
 
     def image(op, m, i, t, ids):
-        return coders[t].lookup(_vertex_rows(level_keys[m][ids], op, i))
+        rows = _vertex_rows(level_keys[m][ids], op, i)
+        found = level_ids[t][_multiset_rank(rows, vertices.size)]
+        if found.size and found.min() < 0:
+            raise ContractViolation("a vertex row off the complex")
+        return found
 
     return SimplicialSetModel.from_operators(
         cap,
@@ -379,14 +369,15 @@ def one_vertex_sphere(n: int, cap: int | None = None) -> SimplicialSetModel:
         # a row's label at position p counts the steps at or before p
         keys[1:] = (steps[:, :, None] <= np.arange(m + 1)).sum(axis=1)
         level_keys.append(keys)
-    coders = [_RowCoder(keys, n + 1) for keys in level_keys]
 
     def image(op, m, i, t, ids):
         rows = _vertex_rows(level_keys[m][ids], op, i)
-        onto = (rows[:, 0] == 0) & (rows[:, -1] == n)
-        onto &= (np.diff(rows, axis=1) <= 1).all(axis=1)
-        rows[~onto] = 0
-        return coders[t].lookup(rows)
+        steps = np.diff(rows, axis=1)
+        onto = (rows[:, 0] == 0) & (rows[:, -1] == n) & (steps <= 1).all(axis=1)
+        found = np.zeros(len(rows), dtype=np.int32)
+        # an onto row's steps are n positions among t
+        found[onto] = 1 + _rank(np.nonzero(steps[onto])[1].reshape(-1, n), t)
+        return found
 
     return SimplicialSetModel.from_operators(
         cap,
@@ -519,12 +510,15 @@ def _multiset_map(x, source, target, rows, description) -> SimplicialMapModel:
         raise ContractViolation("all caps must agree")
     if source.simplex_keys is None or target.simplex_keys is None:
         raise ContractViolation("a model read back from a file carries no simplex keys")
-    maps = [
-        _RowCoder(target.simplex_keys[m], x.level_sizes[m]).lookup(
-            _canonical(rows(source.simplex_keys[m]))
-        )
-        for m in range(x.level_cap + 1)
-    ]
+    maps = []
+    for m, n in enumerate(x.level_sizes):
+        image = _canonical(rows(source.simplex_keys[m]))
+        keys = target.simplex_keys[m]
+        ids = _multiset_rank(np.clip(image, 0, n), n)  # clipped into the weights
+        inside = np.all((ids >= 0) & (ids < len(keys)))
+        if not (inside and np.array_equal(keys[ids], image)):
+            raise ContractViolation(f"level {m} images are not keys of the target")
+        maps.append(ids)
     return SimplicialMapModel(source, target, maps, description=description)
 
 
@@ -650,10 +644,10 @@ def pushout(f: SimplicialMapModel, g: SimplicialMapModel):
 
 
 def _support_codes(keys: np.ndarray, level_size: int, width: int) -> np.ndarray:
-    """Encode the support set of each key row (sorted, dedup, padded)."""
+    """The id of each key row's support among subsets of at most ``width`` ids."""
     rows = np.full((keys.shape[0], width), level_size, dtype=np.int32)
     rows[:, : keys.shape[1]] = keys
-    return _encode(_canonical(rows, level_size), level_size + 1)
+    return _rank(_canonical(rows, level_size), level_size, padded=True)
 
 
 def compare_pushout_with_subsets(x, max_level_size: int = DEFAULT_MAX_LEVEL_SIZE):

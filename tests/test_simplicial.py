@@ -20,6 +20,7 @@ from expk.spaces import (
     point,
     product,
     sphere,
+    sym_power,
 )
 
 
@@ -308,6 +309,13 @@ PINNED_CONTENT_HASHES = {
     "exp2-s2": "281d1c0d96c9dbc883c129942fe35211f154a3e1e86ae39a5a96d65cf25d6209",
     "exp3-s2": "87f8afda82022ca5144368c87c80231e1277e3671d2281ee33f168eabe5cc828",
     "sym3-s2": "d4ee31273a859947935d42055ce6f8f17a8f88c54ca64dbce63c62ad55129a6d",
+    # long levels and wide keys: level ids of rows of up to 65 entries
+    "ov-s1-cap64": "c8b68ffcce9c759f61e615b207d765ad5357d28799b556cb51471a2fd2b81750",
+    "s1-cap40": "ef328cbfb69656172b8835fbcce9e71fb6a6db6167b8c987eefca6f22a4f51ac",
+    # six-element keys over the one-vertex circle
+    "exp6-ov-s1": "de16ee85d4cc055e5f055f30d1bd3d3eb4ecf646eecc817d616517412a5629dd",
+    "sym6-ov-s1": "28d3b5885c7b77a2475441b79d4412240cc1987f4e0536e269b56dee19cc5cbb",
+    "exp3-ov-s3": "c832980e7439cd70cfe18be60d38542668e447a68812679d6bc8652060ab14f9",
 }
 
 
@@ -317,6 +325,11 @@ def test_content_hash_is_pinned():
         "exp2-s2": build_space(SpaceSpec("exp", n=2, k=2)),
         "exp3-s2": build_space(SpaceSpec("exp", n=2, k=3)),
         "sym3-s2": build_space(SpaceSpec("sym", n=2, k=3)),
+        "ov-s1-cap64": one_vertex_sphere(1, 64),
+        "s1-cap40": sphere(1, 40),
+        "exp6-ov-s1": exp_subsets(one_vertex_sphere(1, 12), 6),
+        "sym6-ov-s1": sym_power(one_vertex_sphere(1, 10), 6),
+        "exp3-ov-s3": build_space(SpaceSpec("exp", n=3, k=3, base="one-vertex")),
     }
     assert {name: m.content_hash() for name, m in models.items()} == PINNED_CONTENT_HASHES
 

@@ -31,7 +31,15 @@ from expk.spaces import (
     sym_power,
     sym_projection,
 )
-from expk.spaces import _canonical, _combos, _increasing, _RowCoder
+from expk import spaces
+from expk.spaces import (
+    _canonical,
+    _combos,
+    _increasing,
+    _multiset_map,
+    _multiset_rank,
+    _rank,
+)
 from expk.verify import ModelCache
 
 
@@ -116,24 +124,50 @@ def test_combos_match_itertools(repeat):
             assert [tuple(r) for r in got.tolist()] == want
 
 
-@pytest.mark.parametrize(
-    "kind, keys, base, outside",
-    [
-        ("dense", _combos(4, 2, True), 4, [[1, 0], [0, -2], [4, 1]]),
-        ("sorted", _combos(6, 3, False), 6, [[2, 1, 0], [0, 0, 0], [-1, 0, 1]]),
-        ("dict", np.array([[1, 2], [3, 2**40 - 1]]), 2**40, [[1, 1], [2, 1]]),
-    ],
-)
-def test_row_coder_rejects_keys_outside_the_level_on_every_path(kind, keys, base, outside):
-    coder = _RowCoder(keys[::-1], base)
-    assert coder.kind == kind
-    assert np.array_equal(coder.lookup(keys), np.arange(len(keys))[::-1])
-    for row in outside:
-        rows = np.vstack([keys[:1], np.array([row], dtype=keys.dtype)])
-        with pytest.raises(ContractViolation, match="outside the level"):
-            coder.lookup(rows)
-    with pytest.raises(ContractViolation, match="rows among"):
-        coder.lookup(keys[:, 1:])
+@pytest.mark.parametrize("repeat", [False, True])
+def test_ranks_invert_combos(repeat):
+    rank = _multiset_rank if repeat else _rank
+    for n in range(8):
+        for width in range(1, 5):
+            rows = _combos(n, width, repeat)
+            assert np.array_equal(rank(rows, n), np.arange(len(rows)))
+    # sphere(1, 70)'s vertex rows, 71 of 3 vertices, rank as 71 of 73; the
+    # weights that no such row reads overflow int64
+    n = 3 if repeat else 73
+    rows = _combos(n, 71, repeat)
+    assert len(rows) == 2628 and np.array_equal(rank(rows, n), np.arange(2628))
+
+
+def test_subset_ids_invert_the_key_order_of_exp_subsets():
+    x = one_vertex_sphere(1, 6)  # levels of 1 to 7 ids
+    for k in (1, 3, 5):
+        keys = exp_subsets(x, k).simplex_keys
+        for m, size in enumerate(x.level_sizes):
+            ids = _rank(keys[m], size, padded=True)
+            assert np.array_equal(ids, np.arange(len(keys[m])))
+
+
+def test_from_complex_rejects_a_row_off_the_complex(monkeypatch):
+    # every face and degeneracy row becomes (1, 2), which spans no face
+    monkeypatch.setattr(
+        spaces, "_vertex_rows", lambda keys, op, i: np.tile([1, 2], (len(keys), 1))
+    )
+    with pytest.raises(ContractViolation, match="off the complex"):
+        from_complex([(0, 1), (2, 3)], 1)
+
+
+def test_multiset_map_rejects_rows_that_are_not_target_keys():
+    x = sphere(1, 3)
+    square, sym2 = product(x, x), sym_power(x, 2)
+    assert _multiset_map(x, square, sym2, lambda pairs: pairs, "quotient").commutes()
+    for rows in (
+        lambda pairs: pairs[:, :1],  # too narrow
+        lambda pairs: pairs[:, [0, 0, 1]],  # too wide
+        lambda pairs: pairs + 1,  # an id past the level
+        lambda pairs: pairs - 1,  # a negative id
+    ):
+        with pytest.raises(ContractViolation, match="not keys of the target"):
+            _multiset_map(x, square, sym2, rows, "bad")
 
 
 def _relabelled(x, seed):
@@ -280,6 +314,19 @@ def test_sym_projection_rejects_models_of_another_width():
         sym_projection(x, 2, sym=sym_power(x, 3))
     with pytest.raises(ContractViolation):
         diagonal_insertion(x, sym3=sym_power(x, 2))
+
+
+def test_gluing_maps_reject_prebuilt_models_of_another_space():
+    x, y = sphere(1, 3), sphere(2, 3)
+    with pytest.raises(ContractViolation, match="not keys of"):
+        diagonal_insertion(x, sym3=sym_power(y, 3))
+    with pytest.raises(ContractViolation, match="not keys of"):
+        sym_projection(x, 2, sym=sym_power(y, 2))
+    # a smaller target, and a source with ids past x's levels
+    with pytest.raises(ContractViolation, match="not keys of"):
+        sym_projection(y, 2, sym=sym_power(x, 2))
+    with pytest.raises(ContractViolation, match="not keys of"):
+        diagonal_insertion(x, square=product(y, y))
 
 
 def test_gluing_maps_reject_models_read_back_from_a_cache(tmp_path):

@@ -470,6 +470,8 @@ def test_cli_input_errors_exit_2_with_one_line(tmp_path, capsys):
         ["betti", str(tmp_path / "nope.json")],  # no such file
         ["betti", str(broken_path)],  # not JSON
         ["build", "--kind", "complex", "--facets", "[[0,1]"],  # not JSON
+        ["build", "--kind", "complex", "--facets", "5"],  # not a list
+        ["build", "--kind", "complex", "--facets", '[[0,1],["a"]]'],  # not a vertex
         ["build", "--kind", "exp", "--n", "2", "--k", "2", "--max-level-size", "9"],
         ["solve", str(nameless_path)],  # a term without a name
         ["betti", str(misshapen["level_cap"])],  # "level_cap": "x"
