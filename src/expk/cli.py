@@ -15,7 +15,9 @@ A rejected input gets one line ``expk: <message>`` on stderr: an argument
 the subcommand cannot take, a file that cannot be read or written, input
 that is not JSON or lacks a field of its document, a model file whose
 ``hash`` does not match its model, or a build over the simplex budget.
-An unknown check id is reported with the list of check ids.
+An unknown check id is rejected, with the list of check ids, before any
+check runs; an exception raised inside a check is not an input error and
+propagates as itself.
 The cache directory may also be set through the EXPK_CACHE_DIR
 environment variable; flags win over the environment.
 """
@@ -187,19 +189,20 @@ def cmd_verify(args) -> int:
             file=sys.stderr,
         )
 
-    try:
-        report = run_verify(
-            scope=scope,
-            max_level_size=args.max_level_size,
-            cache_dir=cache_dir,
-            jobs=args.jobs,
-            seed=args.seed,
-            progress=progress,
-        )
-    except KeyError as exc:
-        print(str(exc), file=sys.stderr)
+    # checked before run_verify, so an error raised inside a check is not caught here
+    unknown = sorted(set(args.checks) - set(CHECKS))
+    if unknown:
+        print(f"expk: unknown checks: {unknown}", file=sys.stderr)
         print("available checks:", ", ".join(sorted(CHECKS)), file=sys.stderr)
         return 2
+    report = run_verify(
+        scope=scope,
+        max_level_size=args.max_level_size,
+        cache_dir=cache_dir,
+        jobs=args.jobs,
+        seed=args.seed,
+        progress=progress,
+    )
     text = (
         report.to_json_text() if args.format == "json" else report.human_table()
     )

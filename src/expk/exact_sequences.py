@@ -18,6 +18,7 @@ recorded as annotations supplied by the caller, never derived here.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from math import inf
 
@@ -29,14 +30,22 @@ TEMPLATE_FORMAT = "exact-template/1"
 ARROW_KINDS = ("unconstrained", "zero", "injective", "surjective", "isomorphism", "rank")
 
 
+def _check_count(x, what: str):
+    """``x`` is a nonnegative integer; numpy integers count, bools do not."""
+    if not isinstance(x, numbers.Integral) or isinstance(x, bool):
+        raise ContractViolation(f"{what} must be an integer, not {x!r}")
+    if x < 0:
+        raise ContractViolation(f"{what} must be nonnegative")
+
+
 @dataclass(frozen=True)
 class Term:
     name: str
     dim: int | None = None  # None marks an unknown
 
     def __post_init__(self):
-        if self.dim is not None and self.dim < 0:
-            raise ContractViolation(f"term {self.name!r} has negative dimension")
+        if self.dim is not None:
+            _check_count(self.dim, f"the dimension of term {self.name!r}")
 
 
 @dataclass(frozen=True)
@@ -49,8 +58,8 @@ class Arrow:
             raise ContractViolation(f"unknown arrow annotation {self.kind!r}")
         if (self.kind == "rank") != (self.rank is not None):
             raise ContractViolation("rank annotations carry exactly one rank")
-        if self.rank is not None and self.rank < 0:
-            raise ContractViolation("arrow rank must be nonnegative")
+        if self.rank is not None:
+            _check_count(self.rank, "an arrow's rank")
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,8 @@ hold by construction for that (j, y):
   labelling each class by its smallest element.
 
 Symmetric powers, subset spaces and the maps into them share one
-canonical-key path: map key rows entrywise, sort them (a min/max network
-for rows of width 2 or 3; collapsing repeats for subsets), and rank them.
+canonical-key path: map key rows entrywise, sort them (collapsing repeats
+for subsets), and rank them.
 A strictly increasing table, such as every degeneracy of either sphere
 model, keeps rows canonical and skips the sort.  Every keyed level lists
 its keys in lexicographic order (subsets by size first), so a row's id is
@@ -142,28 +142,6 @@ def _combos(n: int, width: int, repeat: bool) -> np.ndarray:
     return rows.astype(np.int32, copy=False)
 
 
-# compare-exchange column pairs that sort rows of width 2 or 3
-_SORTING_NETWORKS = {2: ((0, 1),), 3: ((0, 1), (1, 2), (0, 1))}
-
-
-def _sort_rows(rows: np.ndarray) -> np.ndarray:
-    """A copy of ``rows`` with each row sorted ascending.
-
-    Rows of width 2 or 3 go through a min/max sorting network, a few
-    whole-column passes; on rows that narrow, ``np.sort(axis=1)`` spends
-    its time in per-row overhead.
-    """
-    network = _SORTING_NETWORKS.get(rows.shape[1])
-    if network is None:
-        return np.sort(rows, axis=1)
-    rows = rows.copy()
-    for a, b in network:
-        low = np.minimum(rows[:, a], rows[:, b])
-        np.maximum(rows[:, a], rows[:, b], out=rows[:, b])
-        rows[:, a] = low
-    return rows
-
-
 def _canonical(rows: np.ndarray, sentinel: int | None = None) -> np.ndarray:
     """Sort each key row; with a sentinel, repeated entries collapse to it.
 
@@ -171,10 +149,10 @@ def _canonical(rows: np.ndarray, sentinel: int | None = None) -> np.ndarray:
     sentinel (the level size), so a collapsed repeat becomes padding and
     sorts to the end.
     """
-    rows = _sort_rows(rows)
+    rows = np.sort(rows, axis=1)
     if sentinel is not None:
         rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = sentinel
-        rows = _sort_rows(rows)
+        rows.sort(axis=1)
     return rows
 
 
@@ -277,12 +255,19 @@ def _check_level_size(what: str, level: int, size: int, bound: int):
 # complexes and spheres
 
 
-def from_complex(facets, cap: int, description: str = "") -> SimplicialSetModel:
+def from_complex(
+    facets,
+    cap: int,
+    description: str = "",
+    max_level_size: int = DEFAULT_MAX_LEVEL_SIZE,
+) -> SimplicialSetModel:
     """Model of an abstract simplicial complex given by ordered facets.
 
     Level m holds all weakly monotone (m+1)-tuples of vertices whose
     support is a face of the complex; faces delete a position and
-    degeneracies repeat one.
+    degeneracies repeat one.  The budget bounds the C(V+m, m+1) monotone
+    rows over all V vertices that level m is filtered from, and is
+    checked before they are enumerated.
     """
     if cap < 1:
         raise ContractViolation("cap must be at least 1")
@@ -301,6 +286,8 @@ def from_complex(facets, cap: int, description: str = "") -> SimplicialSetModel:
     # level_ids[m] maps the multiset rank of a row to its id, -1 off the complex
     level_keys, level_ids = [], []
     for m in range(cap + 1):
+        candidates = math.comb(vertices.size + m, m + 1)
+        _check_level_size("complex vertex rows", m, candidates, max_level_size)
         rows = _combos(vertices.size, m + 1, repeat=True)
         on = np.zeros(len(rows), dtype=bool)
         for facet in in_facet:
@@ -344,14 +331,18 @@ def _sphere_cap(n: int, cap: int | None) -> int:
     return cap
 
 
-def sphere(n: int, cap: int | None = None) -> SimplicialSetModel:
+def sphere(
+    n: int, cap: int | None = None, max_level_size: int = DEFAULT_MAX_LEVEL_SIZE
+) -> SimplicialSetModel:
     """Boundary of the standard (n+1)-simplex on n+2 ordered vertices."""
     cap = _sphere_cap(n, cap)
     facets = list(itertools.combinations(range(n + 2), n + 1))
-    return from_complex(facets, cap, description=f"sphere({n})")
+    return from_complex(facets, cap, f"sphere({n})", max_level_size=max_level_size)
 
 
-def one_vertex_sphere(n: int, cap: int | None = None) -> SimplicialSetModel:
+def one_vertex_sphere(
+    n: int, cap: int | None = None, max_level_size: int = DEFAULT_MAX_LEVEL_SIZE
+) -> SimplicialSetModel:
     """The n-simplex with its boundary collapsed to a point, Δⁿ/∂Δⁿ.
 
     Level m holds the basepoint (id 0, keyed by the constant row of zeros)
@@ -364,6 +355,7 @@ def one_vertex_sphere(n: int, cap: int | None = None) -> SimplicialSetModel:
     cap = _sphere_cap(n, cap)
     level_keys = []
     for m in range(cap + 1):
+        _check_level_size("one-vertex sphere", m, math.comb(m, n) + 1, max_level_size)
         steps = _combos(m, n, repeat=False) + 1
         keys = np.zeros((len(steps) + 1, m + 1), dtype=np.int32)
         # a row's label at position p counts the steps at or before p
@@ -809,8 +801,8 @@ def build_space(spec: SpaceSpec) -> SimplicialSetModel:
     cap = spec.default_cap()
     bound = spec.max_level_size
     if spec.kind == "complex":
-        return from_complex(spec.facets, cap)
-    base = SPHERE_BASES[spec.base](spec.n, cap)
+        return from_complex(spec.facets, cap, max_level_size=bound)
+    base = SPHERE_BASES[spec.base](spec.n, cap, max_level_size=bound)
     if spec.kind == "sphere":
         return base
     if spec.kind == "product":

@@ -38,6 +38,11 @@ def test_single_check_scope():
     assert res.source == "catalog:exp3-table"
 
 
+def test_a_repeated_check_id_runs_once():
+    report = run_verify(scope=["props-gf2", "props-gf2"])
+    assert [r.check_id for r in report.results] == ["props-gf2"]
+
+
 def test_empty_scope_is_success():
     report = run_verify(scope=[])
     assert report.passed and report.results == []
@@ -473,6 +478,10 @@ def test_cli_input_errors_exit_2_with_one_line(tmp_path, capsys):
         ["build", "--kind", "complex", "--facets", "5"],  # not a list
         ["build", "--kind", "complex", "--facets", '[[0,1],["a"]]'],  # not a vertex
         ["build", "--kind", "exp", "--n", "2", "--k", "2", "--max-level-size", "9"],
+        # a complex and a sphere spec over the level budget
+        ["build", "--kind", "complex", "--facets", "[[0,1,2,3,4,5]]", "--cap", "6",
+         "--max-level-size", "10"],
+        ["build", "--kind", "sphere", "--n", "2", "--cap", "9", "--max-level-size", "10"],
         ["solve", str(nameless_path)],  # a term without a name
         ["betti", str(misshapen["level_cap"])],  # "level_cap": "x"
         ["betti", str(misshapen["faces"])],  # "faces": 5
@@ -487,14 +496,32 @@ def test_cli_input_errors_exit_2_with_one_line(tmp_path, capsys):
             assert "square index must be nonnegative" in captured.err, argv
 
 
+# the template 0 -> A -> 0, given the term A and the arrow A -> 0
+TEMPLATE_WITH = (
+    '{"format": "exact-template/1", "terms": [{"name": "0", "dim": 0}, %s,'
+    ' {"name": "0", "dim": 0}], "arrows": [{}, %s]}'
+)
+
+
 @pytest.mark.parametrize(
     "command, text, named",
     [
         ("betti", "[]", "JSON object"),
         ("betti", '{"format": "simplicial-set-model/1"}', "'level_cap'"),
         ("solve", '{"format": "exact-template/1", "terms": []}', "'arrows'"),
+        ("solve", TEMPLATE_WITH % ('{"name": "A", "dim": 1.5}', "{}"), "not 1.5"),
+        ("solve", TEMPLATE_WITH % ('{"name": "A", "dim": true}', "{}"), "not True"),
+        ("solve", TEMPLATE_WITH % ('{"name": "A"}', '{"kind": "rank", "rank": true}'),
+         "not True"),
     ],
-    ids=["not-an-object", "model-without-fields", "template-without-arrows"],
+    ids=[
+        "not-an-object",
+        "model-without-fields",
+        "template-without-arrows",
+        "fractional-dim",
+        "boolean-dim",
+        "boolean-rank",
+    ],
 )
 def test_cli_malformed_documents_exit_2_with_one_line(tmp_path, capsys, command, text, named):
     path = tmp_path / "doc.json"
@@ -588,6 +615,25 @@ def test_cli_verify_json_and_exit_codes(tmp_path, capsys):
     assert doc["passed"] is True
     rc = main(["verify", "definitely-not-a-check"])
     assert rc == 2
+
+
+def test_cli_rejects_unknown_ids_before_any_check_runs(capsys, monkeypatch):
+    ran = []
+    monkeypatch.setitem(CHECKS, "records", ("records its run", ran.append))
+    assert main(["verify", "records", "definitely-not-a-check"]) == 2
+    assert ran == []
+    err = capsys.readouterr().err
+    assert err.startswith("expk: unknown checks: ['definitely-not-a-check']")
+    assert "available checks:" in err
+
+
+def test_cli_an_error_inside_a_check_surfaces_as_itself(monkeypatch):
+    def broken(ctx):
+        raise KeyError("missing")
+
+    monkeypatch.setitem(CHECKS, "broken", ("raises inside its own code", broken))
+    with pytest.raises(KeyError, match="missing"):
+        main(["verify", "broken"])
 
 
 def test_cli_verify_env_cache_dir(tmp_path, capsys, monkeypatch):
