@@ -122,6 +122,10 @@ class Gf2Span:
     def __len__(self) -> int:
         return len(self._rows)
 
+    def pivots(self) -> list[int]:
+        """The leading bit of each row, ascending."""
+        return sorted(self._rows)
+
     def copy(self) -> "Gf2Span":
         out = Gf2Span()
         out._rows = dict(self._rows)

@@ -26,6 +26,13 @@ Conventions
   relations among the rows of ``boundary_{n+1}``, the coboundaries are
   spanned by the rows of ``boundary_n``, and the basis of H^n is the
   first cocycles that are independent modulo coboundaries.
+* Each degree keeps one span of its coboundaries, eliminated with
+  clearing (Chen & Kerber, *Persistent homology computation with a
+  twist*; Bauer, Kerber & Reininghaus, *Clear and compress*): a row of
+  ``boundary_n`` whose index leads a degree-(n-1) coboundary is a sum of
+  earlier rows, since δδ = 0, and is skipped.  Betti numbers are the
+  lengths of these spans; bases and ``express_in_basis`` reduce against
+  copies of them.
 
 The top stored level must be free of nondegenerate simplices before a
 Betti table is trusted; otherwise ``CapError`` is raised.
@@ -41,7 +48,9 @@ d_i s_j = s_{j-1} d_i (i < j), id (i = j, j+1), s_j d_{i-1} (i > j+1).
 So on a built model these face-degeneracy identities hold by
 construction for that one (j, y) per simplex; ``validate`` still checks
 them for every other pair, and the face-face and degeneracy-degeneracy
-identities, against what the rule gave.
+identities, against what the rule gave.  The faces are filled one j
+at a time, on intp ids (numpy's index type), so no scatter converts its
+index array; the gathers chain ``take``.
 
 Serialization
 -------------
@@ -227,16 +236,16 @@ def _degenerate_groups(degeneracies, size: int):
     """Nondegenerate flags of a level, and each degenerate simplex once as s_j y.
 
     ``degeneracies`` are the tables into the level, s_0 first.  Group j
-    pairs the simplices whose smallest degeneracy index is j (int32 ids)
-    with the y they come from; the scan also marks them degenerate.
+    holds the intp ids y whose s_j y is hit by no s_i with i < j; their
+    images are the simplices whose smallest degeneracy index is j, which
+    the scan marks degenerate.
     """
     degenerate = np.zeros(size, dtype=bool)
     groups = []
     for s in degeneracies:
-        new = ~degenerate[s]
-        xs = s[new]
-        degenerate[xs] = True
-        groups.append((xs, np.flatnonzero(new).astype(np.int32)))
+        ys = np.flatnonzero(~degenerate.take(s))
+        degenerate[s.take(ys)] = True
+        groups.append(ys)
     return ~degenerate, groups
 
 
@@ -416,18 +425,12 @@ class SimplicialSetModel:
         return top
 
     def betti_table(self) -> BettiTable:
+        """dim H^k = nondeg_count(k) − rank ∂_k − rank ∂_(k+1), from the spans."""
         top = self._require_closed_top()
         if top < 0:
             return BettiTable(())
-        dims = []
-        for k in range(top + 1):
-            if k == 0:
-                nullity = self.nondeg_count(0)
-            else:
-                bk = self.boundary_matrix(k)
-                nullity = bk.col_count - bk.rank()
-            rank_above = self.boundary_matrix(k + 1).rank() if k < top else 0
-            dims.append(nullity - rank_above)
+        ranks = [len(self._coboundaries(k)) for k in range(top + 1)] + [0]
+        dims = (self.nondeg_count(k) - ranks[k] - ranks[k + 1] for k in range(top + 1))
         return BettiTable(tuple(dims))
 
     def cohomology_basis(self, n: int) -> list[CochainClass]:
@@ -455,10 +458,26 @@ class SimplicialSetModel:
 
     def coboundary_span(self, n: int) -> Gf2Span:
         """Span of the degree-n coboundaries, as a copy: threads share the cache."""
+        return self._coboundaries(n).copy()
+
+    def _coboundaries(self, n: int) -> Gf2Span:
+        """The cached span of the rows of ∂_n, eliminated with clearing.
+
+        Row p of ∂_n is δ of the dual of (n−1)-simplex p.  When p leads a
+        row c of the degree-(n−1) span, c = δb, so δc = δδb = 0 and row p
+        is the sum of the rows of ∂_n at the other bits of c, all below p:
+        it would reduce to zero.  Skipping those rows leaves the pivot
+        table the one that eliminating every row in order builds.
+        """
         if n not in self._span_cache:
-            rows = self.boundary_matrix(n).row_ints() if n >= 1 else []
-            self._span_cache[n] = Gf2Span(rows)
-        return self._span_cache[n].copy()
+            span = Gf2Span()
+            if n >= 1:
+                cleared = set(self._coboundaries(n - 1).pivots())
+                for p, row in enumerate(self.boundary_matrix(n).row_ints()):
+                    if p not in cleared:
+                        span.add(row)
+            self._span_cache[n] = span
+        return self._span_cache[n]
 
     def apply_coboundary(self, degree: int, support: Gf2Vector) -> Gf2Vector:
         """Coboundary of a cochain: the xor of the rows of ``boundary_{degree+1}``."""
@@ -517,7 +536,7 @@ class SimplicialSetModel:
         """The model whose operator tables come from one image rule.
 
         ``table(kind, n, i, t, ids)`` gives the level-t images of the
-        level-n ``ids`` (an id array, or ``slice(None)`` for the whole
+        level-n ``ids`` (an intp id array, or ``slice(None)`` for the whole
         level) under operator i of ``kind`` ("faces" or "degeneracies").
         The rule is asked for every degeneracy on whole levels first, then
         level by level for the faces of the nondegenerate simplices only.
@@ -540,19 +559,20 @@ class SimplicialSetModel:
         nondegenerate = [np.ones(sizes[0], dtype=bool)]
         for n in range(1, cap + 1):
             flags, groups = _degenerate_groups(degeneracies[n - 1], sizes[n])
-            ids = np.flatnonzero(flags).astype(np.int32)
-            level = []
-            for i in range(n + 1):
-                out = np.empty(sizes[n], dtype=np.int32)
+            ids = np.flatnonzero(flags)
+            d, s = faces[n - 1], degeneracies[n - 2]  # y's faces; s_i into its level
+            level = [np.empty(sizes[n], dtype=np.int32) for _ in range(n + 1)]
+            for i, out in enumerate(level):
                 out[ids] = table("faces", n, i, n - 1, ids)
-                for j, (xs, ys) in enumerate(groups):
+            for j, ys in enumerate(groups):
+                xs = degeneracies[n - 1][j].take(ys).astype(np.intp)
+                for i, out in enumerate(level):
                     if i < j:
-                        out[xs] = degeneracies[n - 2][j - 1][faces[n - 1][i][ys]]
+                        out[xs] = s[j - 1].take(d[i].take(ys))
                     elif i <= j + 1:
                         out[xs] = ys
                     else:
-                        out[xs] = degeneracies[n - 2][j][faces[n - 1][i - 1][ys]]
-                level.append(out)
+                        out[xs] = s[j].take(d[i - 1].take(ys))
             faces.append(level)
             nondegenerate.append(flags)
         return cls(

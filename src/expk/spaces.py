@@ -29,11 +29,13 @@ hold by construction for that (j, y):
 
 Symmetric powers, subset spaces and the maps into them share one
 canonical-key path: map key rows entrywise, sort them (collapsing repeats
-for subsets), and rank them.
+for subsets), and rank them.  Every keyed level lists its keys in
+lexicographic order (subsets by size first), so a row's id is its rank
+(``_rank``), a sum of binomials read from one cached table.
 A strictly increasing table, such as every degeneracy of either sphere
-model, keeps rows canonical and skips the sort.  Every keyed level lists
-its keys in lexicographic order (subsets by size first), so a row's id is
-its rank (``_rank``), a sum of binomials read from one cached table.
+model, keeps rows canonical, so its images are never built: the cached
+binomials are composed with the table once, and the key rows are ranked
+through the result.
 One-vertex sphere rows rank their step positions, complex rows their
 vertex multisets.
 
@@ -125,21 +127,35 @@ def _combos(n: int, width: int, repeat: bool) -> np.ndarray:
     """The rows of ``itertools.combinations(range(n), width)`` as an array.
 
     With ``repeat`` the rows are those of ``combinations_with_replacement``.
-    Built one column at a time: each row is repeated once per value its
-    next entry can take, leaving room for the entries after it, and that
-    entry is the row's first allowed value plus a running offset inside
-    the row's block, which keeps lex order.
+    Built one column at a time: each row of the columns so far gets one
+    child per value its next entry can take, leaving room for the entries
+    after it, and that entry is the row's first allowed value plus a
+    running offset inside the row's block of children, which keeps lex
+    order.  The array is then filled from the last column back: each
+    entry is repeated once per full row it begins, the sum over its
+    children.
     """
-    rows = np.zeros((1, 0), dtype=np.int32)
-    first = np.zeros(1, dtype=np.int32)  # each row's smallest next entry
+    columns, counts = [], []
+    first = np.zeros(1, dtype=np.intp)  # each row's smallest next entry
     for j in range(width):
         end = n if repeat else n - (width - 1 - j)  # past each row's last value
-        counts = np.maximum(end - first, 0)
-        blocks = np.cumsum(counts) - counts  # where each row's block starts
-        column = np.repeat(first - blocks, counts) + np.arange(counts.sum())
-        rows = np.column_stack([np.repeat(rows, counts, axis=0), column])
+        count = np.maximum(end - first, 0)
+        blocks = np.cumsum(count) - count  # where each row's children start
+        column = np.repeat(first - blocks, count) + np.arange(count.sum())
+        columns.append(column)
+        counts.append(count)
         first = column + (not repeat)
-    return rows.astype(np.int32, copy=False)
+    rows = np.empty((len(first), width), dtype=np.int32)
+    begun = None  # how many full rows each entry of column j begins: one in the last
+    for j in reversed(range(width)):
+        rows[:, j] = columns[j] if begun is None else np.repeat(columns[j], begun)
+        # a row begins the full rows its children begin; past the first
+        # column no row is childless, so no block of reduceat is empty
+        if begun is None:
+            begun = counts[j]
+        elif j:
+            begun = np.add.reduceat(begun, np.cumsum(counts[j]) - counts[j])
+    return rows
 
 
 def _canonical(rows: np.ndarray, sentinel: int | None = None) -> np.ndarray:
@@ -177,7 +193,9 @@ def _weights(n: int, width: int, padded: bool) -> np.ndarray:
     return weights
 
 
-def _rank(rows: np.ndarray, n: int, padded: bool = False) -> np.ndarray:
+def _rank(
+    rows: np.ndarray, n: int, padded: bool = False, through: np.ndarray | None = None
+) -> np.ndarray:
     """The level id of each strictly increasing key row over range(n).
 
     A full row a_0 < … < a_(w−1) has rank
@@ -188,31 +206,50 @@ def _rank(rows: np.ndarray, n: int, padded: bool = False) -> np.ndarray:
     Σ_(t=1..s) C(n, t) − 1 − Σ_(j<s) C(n − 1 − a_j, s − j).  Either way
     the id is a sum of ``_weights`` entries; a padded row's are gathered
     right to left, counting the entries that are not padding.
+
+    ``through`` ranks the image rows ``through[rows]`` without building
+    them: the weights are composed with the table once and each key
+    column gathers from the result.  It must keep rows canonical, which a
+    strictly increasing table does.  A padded row takes one table whose
+    last entry, the padding of ``rows``, maps to n; a full row takes one
+    table per column.
     """
     width = rows.shape[1]
     weights = _weights(n, width, padded)
     total = np.zeros(len(rows), dtype=np.int64)
     if not padded:  # entry j has r = width − j
         for j in range(width):
-            total += weights[width - j][rows[:, j]]
+            column = weights[width - j]
+            if through is not None:
+                column = column.take(through[j])
+            total += column.take(rows[:, j])
         return total.astype(np.int32)
-    flat, stride = weights.ravel(), np.int32(n + 1)
-    offset = np.zeros(len(rows), dtype=np.int32)  # r·(n + 1) at each entry
+    if through is not None:
+        weights = weights[:, through]
+    pad = weights.shape[1] - 1  # the padding entry of the rows
+    flat, stride = weights.ravel(), pad + 1
+    offset = np.zeros(len(rows), dtype=np.intp)  # r·(pad + 1) at each entry
     for j in reversed(range(width)):
         column = rows[:, j]
-        offset += (column < n) * stride
-        total += flat[offset + column]
+        offset += (column < pad) * stride
+        total += flat.take(offset + column)
     return total.astype(np.int32)
 
 
-def _multiset_rank(rows: np.ndarray, n: int) -> np.ndarray:
+def _multiset_rank(
+    rows: np.ndarray, n: int, through: np.ndarray | None = None
+) -> np.ndarray:
     """The position of each sorted multiset row in ``_combos(n, w, True)``.
 
     Adding (0, 1, …, w−1) turns the rows into rows of distinct entries
-    over range(n + w − 1), in the same order.
+    over range(n + w − 1), in the same order; ``through`` (one table)
+    gets the same shift, one copy per column.
     """
     width = rows.shape[1]
-    return _rank(rows + np.arange(width, dtype=rows.dtype), n + width - 1)
+    shift = np.arange(width)
+    if through is None:
+        return _rank(rows + shift, n + width - 1)
+    return _rank(rows, n + width - 1, through=through + shift[:, None])
 
 
 def _increasing(table: np.ndarray) -> bool:
@@ -225,9 +262,10 @@ def _key_quotient(x, level_keys, padded: bool, description: str):
     In padded (subset) keys the level size marks an empty slot and
     repeated ids collapse to it; otherwise keys are sorted multisets.  A
     strictly increasing table keeps key rows sorted and their distinct
-    entries distinct (the padding slot tops a padded table), so its images
-    skip ``_canonical``; every degeneracy table of both sphere models is
-    increasing.
+    entries distinct (the padding slot tops a padded table), so its key
+    rows are ranked through it (``_rank``'s ``through``): no image row is
+    built or sorted.  Every degeneracy table of both sphere models is
+    increasing; any other table maps the keys and canonicalises them.
     """
     sizes = x.level_sizes
     rank = functools.partial(_rank, padded=True) if padded else _multiset_rank
@@ -236,9 +274,10 @@ def _key_quotient(x, level_keys, padded: bool, description: str):
         table = getattr(x, op)[m][i]
         if padded:
             table = np.append(table, np.int32(sizes[t]))  # empty slots stay empty
-        rows = table[level_keys[m][ids]]
-        if not _increasing(table):
-            rows = _canonical(rows, sizes[t] if padded else None)
+        keys = level_keys[m][ids]
+        if _increasing(table):
+            return rank(keys, sizes[t], through=table)
+        rows = _canonical(table.take(keys), sizes[t] if padded else None)
         return rank(rows, sizes[t])
 
     return SimplicialSetModel.from_operators(

@@ -10,9 +10,10 @@ import pytest
 from expk.complexes import projective_plane, torus
 from expk.errors import CapError, ContractViolation
 from expk import simplicial
-from expk.gf2 import relations
+from expk.gf2 import Gf2Span, relations
 from expk.simplicial import BettiTable, SimplicialSetModel
 from expk.spaces import (
+    DEFAULT_MAX_LEVEL_SIZE,
     SpaceSpec,
     build_space,
     exp_subsets,
@@ -22,6 +23,7 @@ from expk.spaces import (
     sphere,
     sym_power,
 )
+from expk.verify import CheckContext, ModelCache, _suite_models
 
 
 def circle():
@@ -282,6 +284,35 @@ def test_cohomology_basis_is_cached_per_degree(monkeypatch):
     assert len(shapes) == 2
     with pytest.raises(CapError):  # the cap check still runs on every call
         sphere(2, 2).cohomology_basis(0)
+
+
+def _cleared_span_models():
+    ctx = CheckContext(ModelCache(), DEFAULT_MAX_LEVEL_SIZE, 0)
+    return _suite_models(ctx) + [build_space(SpaceSpec("exp", n=2, k=3))]
+
+
+def test_cleared_coboundary_spans_are_the_uncleared_ones():
+    for model in _cleared_span_models():
+        spans = [model.coboundary_span(n) for n in range(model.level_cap + 1)]
+        assert len(spans[0]) == 0
+        for n in range(1, model.level_cap + 1):
+            rows = model.boundary_matrix(n).row_ints()
+            assert len(spans[n]) == model.boundary_matrix(n).rank()
+            assert spans[n].pivots() == Gf2Span(rows).pivots(), (model.description, n)
+        # a caller's copy is its own: filling it moves neither the table nor a basis
+        for n, span in enumerate(spans):
+            for bit in range(model.nondeg_count(n)):
+                span.add(1 << bit)
+        top = model.top_nondegenerate_level()
+        ranks = [0] + [model.boundary_matrix(n).rank() for n in range(1, top + 1)] + [0]
+        dims = [model.nondeg_count(n) - ranks[n] - ranks[n + 1] for n in range(top + 1)]
+        assert model.betti_table().dims == tuple(dims), model.description
+        for n in range(top + 1):
+            coboundaries = Gf2Span(model.boundary_matrix(n).row_ints() if n else [])
+            cocycles = relations(model.boundary_matrix(n + 1).row_ints())
+            want = [z for z in cocycles if coboundaries.add(z) is None]
+            got = [c.support.to_int() for c in model.cohomology_basis(n)]
+            assert got == want, (model.description, n)
 
 
 def test_h0_of_connected_model_is_constant_class():

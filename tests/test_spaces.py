@@ -116,8 +116,8 @@ def test_canonical_rows_match_numpy_sort(width):
 @pytest.mark.parametrize("repeat", [False, True])
 def test_combos_match_itertools(repeat):
     enumerate_ = itertools.combinations_with_replacement if repeat else itertools.combinations
-    for n in range(8):
-        for width in range(1, 5):
+    for n in range(10):  # n = 0 and widths past n included
+        for width in range(9):
             want = list(enumerate_(range(n), width))
             got = _combos(n, width, repeat)
             assert got.dtype == np.int32 and got.shape == (len(want), width)
@@ -136,6 +136,26 @@ def test_ranks_invert_combos(repeat):
     n = 3 if repeat else 73
     rows = _combos(n, 71, repeat)
     assert len(rows) == 2628 and np.array_equal(rank(rows, n), np.arange(2628))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_ranking_through_an_increasing_table_ranks_its_image_rows(k):
+    # levels of 1 to 7 ids: the first ones hold fewer ids than k
+    keys = exp_subsets(one_vertex_sphere(1, 6), k).simplex_keys
+    rng = np.random.default_rng(k)
+    for size, subsets in zip(range(1, 8), keys):
+        target = size + int(rng.integers(0, 6))
+        table = np.sort(rng.choice(target, size, replace=False)).astype(np.int32)
+        assert _increasing(table)
+        multisets = _combos(size, k, repeat=True)
+        want = _multiset_rank(_canonical(table[multisets]), target)
+        assert np.array_equal(_multiset_rank(multisets, target, through=table), want)
+        # subset keys, padded with the level size: rows shorter than k
+        padded = np.append(table, np.int32(target))
+        rows = subsets[rng.permutation(len(subsets))]  # any rows, in any order
+        want = _rank(_canonical(padded[rows], target), target, padded=True)
+        got = _rank(rows, target, padded=True, through=padded)
+        assert np.array_equal(got, want)
 
 
 def test_subset_ids_invert_the_key_order_of_exp_subsets():
