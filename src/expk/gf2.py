@@ -10,8 +10,9 @@ rows are packed already) and ``_to_bits`` (ints to rows of a 0/1 array).
 All elimination goes through one routine, the tagged pivot table
 ``Gf2Span``.  Its results are deterministic: the kernel basis is ordered
 by free column, ``solve`` returns the solution whose free variables are
-zero, and cohomology representatives are the first cocycles, in kernel
-order, that are independent modulo coboundaries.
+zero, and cohomology representatives are the relations among the
+boundary rows that clearing keeps, which are the first cocycles, in
+kernel order, that are independent modulo coboundaries.
 """
 
 from __future__ import annotations
@@ -125,6 +126,10 @@ class Gf2Span:
     def pivots(self) -> list[int]:
         """The leading bit of each row, ascending."""
         return sorted(self._rows)
+
+    def drop_tags(self):
+        """Zero every row's tag, keeping the span."""
+        self._rows = {p: (x, 0) for p, (x, _) in self._rows.items()}
 
     def copy(self) -> "Gf2Span":
         out = Gf2Span()

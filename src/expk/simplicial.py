@@ -23,16 +23,16 @@ Conventions
   ``level_cap``.  ``restrict(n, kept)`` gives each nondegenerate n-simplex's
   face spanned by the vertex positions ``kept``; -1 marks a degenerate face.
 * Cochains are read off boundary rows: the degree-n cocycles are the
-  relations among the rows of ``boundary_{n+1}``, the coboundaries are
-  spanned by the rows of ``boundary_n``, and the basis of H^n is the
-  first cocycles that are independent modulo coboundaries.
-* Each degree keeps one span of its coboundaries, eliminated with
-  clearing (Chen & Kerber, *Persistent homology computation with a
-  twist*; Bauer, Kerber & Reininghaus, *Clear and compress*): a row of
+  relations among the rows of ``boundary_{n+1}`` and the coboundaries
+  are spanned by the rows of ``boundary_n``.
+* Each boundary is eliminated once, with clearing (Chen & Kerber,
+  *Persistent homology computation with a twist*): a row of
   ``boundary_n`` whose index leads a degree-(n-1) coboundary is a sum of
-  earlier rows, since δδ = 0, and is skipped.  Betti numbers are the
-  lengths of these spans; bases and ``express_in_basis`` reduce against
-  copies of them.
+  earlier rows, since δδ = 0, and is skipped.  The pass gives the span of
+  the degree-n coboundaries and, as the relations among the kept rows,
+  the basis of H^(n-1) (de Silva, Morozov & Vejdemo-Johansson, *Dualities
+  in persistent (co)homology*): the first cocycles, in kernel order, that
+  are independent modulo coboundaries.
 
 The top stored level must be free of nondegenerate simplices before a
 Betti table is trusted; otherwise ``CapError`` is raised.
@@ -79,7 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapError, ContractViolation
-from .gf2 import Gf2Matrix, Gf2Span, Gf2Vector, relations
+from .gf2 import Gf2Matrix, Gf2Span, Gf2Vector
 
 MODEL_FORMAT = "simplicial-set-model/1"
 HASH_SCHEME = "simplicial-set-model-hash/2"
@@ -292,8 +292,7 @@ class SimplicialSetModel:
             pos.setflags(write=False)
             self._nondeg_pos.append(pos)
         self._boundary_cache = {}
-        self._span_cache = {}
-        self._basis_cache = {}
+        self._elimination_cache = {}
 
     # -- construction helpers ---------------------------------------------
 
@@ -425,13 +424,10 @@ class SimplicialSetModel:
         return top
 
     def betti_table(self) -> BettiTable:
-        """dim H^k = nondeg_count(k) − rank ∂_k − rank ∂_(k+1), from the spans."""
+        """dim H^k: the size of the basis of H^k, the relations of ∂_(k+1)."""
         top = self._require_closed_top()
-        if top < 0:
-            return BettiTable(())
-        ranks = [len(self._coboundaries(k)) for k in range(top + 1)] + [0]
-        dims = (self.nondeg_count(k) - ranks[k] - ranks[k + 1] for k in range(top + 1))
-        return BettiTable(tuple(dims))
+        bases = (self._elimination(k + 1)[1] for k in range(top + 1))
+        return BettiTable(tuple(len(basis) for basis in bases))
 
     def cohomology_basis(self, n: int) -> list[CochainClass]:
         """Deterministic cocycle representatives of a basis of H^n.
@@ -441,43 +437,37 @@ class SimplicialSetModel:
         self._require_closed_top()
         if not 0 <= n <= self.level_cap:
             raise ContractViolation(f"degree {n} outside 0..cap")
-        if n not in self._basis_cache:
-            self._basis_cache[n] = self._cohomology_basis(n)
-        return list(self._basis_cache[n])
-
-    def _cohomology_basis(self, n: int) -> list[CochainClass]:
-        length = self.nondeg_count(n)
-        if length == 0:
+        if n == self.level_cap:  # a closed top holds no n-simplices
             return []
-        coboundaries = self.coboundary_span(n)
-        return [
-            CochainClass(n, Gf2Vector.from_int(length, z), True)
-            for z in relations(self.boundary_matrix(n + 1).row_ints())
-            if coboundaries.add(z) is None
-        ]
+        return list(self._elimination(n + 1)[1])
 
     def coboundary_span(self, n: int) -> Gf2Span:
         """Span of the degree-n coboundaries, as a copy: threads share the cache."""
-        return self._coboundaries(n).copy()
+        return self._elimination(n)[0].copy()
 
-    def _coboundaries(self, n: int) -> Gf2Span:
-        """The cached span of the rows of ∂_n, eliminated with clearing.
+    def _elimination(self, n: int) -> tuple[Gf2Span, list[CochainClass]]:
+        """The cached cleared pass over ∂_n: (δC^(n−1), basis of H^(n−1)).
 
-        Row p of ∂_n is δ of the dual of (n−1)-simplex p.  When p leads a
-        row c of the degree-(n−1) span, c = δb, so δc = δδb = 0 and row p
-        is the sum of the rows of ∂_n at the other bits of c, all below p:
-        it would reduce to zero.  Skipping those rows leaves the pivot
-        table the one that eliminating every row in order builds.
+        Row p of ∂_n is δ of the dual of (n−1)-simplex p; it enters tagged
+        1 << p.  When p leads a row c = δb of the degree-(n−1) span,
+        δc = δδb = 0, so row p is the sum of the rows at the other bits of
+        c, all below p, and is skipped.  The kept rows build the pivot table
+        that eliminating every row builds; its tags are dropped.  Their
+        relations have no bit at a pivot of the degree-(n−1) span, so they
+        are independent modulo coboundaries, and there are
+        nondeg_count(n−1) − rank ∂_(n−1) − rank ∂_n of them: a basis.
         """
-        if n not in self._span_cache:
-            span = Gf2Span()
+        if n not in self._elimination_cache:
+            span, basis = Gf2Span(), []
             if n >= 1:
-                cleared = set(self._coboundaries(n - 1).pivots())
+                cleared = set(self._elimination(n - 1)[0].pivots())
+                length = self.nondeg_count(n - 1)
                 for p, row in enumerate(self.boundary_matrix(n).row_ints()):
-                    if p not in cleared:
-                        span.add(row)
-            self._span_cache[n] = span
-        return self._span_cache[n]
+                    if p not in cleared and (z := span.add(row, 1 << p)) is not None:
+                        basis.append(CochainClass(n - 1, Gf2Vector(length, z), True))
+                span.drop_tags()
+            self._elimination_cache[n] = span, basis
+        return self._elimination_cache[n]
 
     def apply_coboundary(self, degree: int, support: Gf2Vector) -> Gf2Vector:
         """Coboundary of a cochain: the xor of the rows of ``boundary_{degree+1}``."""

@@ -304,9 +304,10 @@ def from_complex(
 
     Level m holds all weakly monotone (m+1)-tuples of vertices whose
     support is a face of the complex; faces delete a position and
-    degeneracies repeat one.  The budget bounds the C(V+m, m+1) monotone
-    rows over all V vertices that level m is filtered from, and is
-    checked before they are enumerated.
+    degeneracies repeat one: the union of each facet's (m+1)-multisets,
+    where a row's id is its place among the sorted multiset ranks.  The
+    budget bounds each facet's C(|f|+m, m+1) multisets before they are
+    enumerated, and the merged level after.
     """
     if cap < 1:
         raise ContractViolation("cap must be at least 1")
@@ -319,27 +320,28 @@ def from_complex(
                 f"facet {f} is not a strictly increasing vertex tuple"
             )
     vertices = np.array(sorted({v for f in facets for v in f}), dtype=np.int32)
-    in_facet = [np.isin(vertices, f) for f in facets]
+    positions = [np.searchsorted(vertices, f) for f in facets]
+    sizes = {len(f) for f in facets}
+    if math.comb(vertices.size + cap, cap + 1) > np.iinfo(np.int32).max:
+        raise ContractViolation(f"vertex multiset ranks of level {cap} overflow int32")
 
     # keys hold vertex positions; simplex_keys translate them to vertices.
-    # level_ids[m] maps the multiset rank of a row to its id, -1 off the complex
-    level_keys, level_ids = [], []
+    # level_codes[m] holds the sorted multiset ranks of level m's rows
+    level_keys, level_codes = [], []
     for m in range(cap + 1):
-        candidates = math.comb(vertices.size + m, m + 1)
-        _check_level_size("complex vertex rows", m, candidates, max_level_size)
-        rows = _combos(vertices.size, m + 1, repeat=True)
-        on = np.zeros(len(rows), dtype=bool)
-        for facet in in_facet:
-            on |= facet[rows].all(axis=1)
-        table = np.full(len(rows), -1, dtype=np.int32)
-        table[on] = np.arange(on.sum())
-        level_keys.append(rows[on])
-        level_ids.append(table)
+        count = math.comb(max(sizes) + m, m + 1)  # a facet's multisets, at most
+        _check_level_size("complex facet rows", m, count, max_level_size)
+        multisets = {size: _combos(size, m + 1, repeat=True) for size in sizes}
+        rows = np.concatenate([f[multisets[f.size]] for f in positions])
+        codes, first = np.unique(_multiset_rank(rows, vertices.size), return_index=True)
+        _check_level_size("complex", m, codes.size, max_level_size)
+        level_keys.append(rows[first])
+        level_codes.append(codes)
 
     def image(op, m, i, t, ids):
-        rows = _vertex_rows(level_keys[m][ids], op, i)
-        found = level_ids[t][_multiset_rank(rows, vertices.size)]
-        if found.size and found.min() < 0:
+        codes = _multiset_rank(_vertex_rows(level_keys[m][ids], op, i), vertices.size)
+        found = level_codes[t].searchsorted(codes)
+        if (level_codes[t].take(found, mode="clip") != codes).any():
             raise ContractViolation("a vertex row off the complex")
         return found
 

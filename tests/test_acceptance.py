@@ -9,8 +9,11 @@ output of a failing run); the budgets are wall-clock ceilings, not
 targets.
 """
 
+import hashlib
+
 import pytest
 
+from expk.simplicial import canonical_json
 from expk.verify import run_verify
 
 # number -> (label, budget in seconds, {row id: its literal table, or None})
@@ -55,9 +58,21 @@ CRITERIA = {
 }
 
 
+# sha256 of the default report's canonical JSON without its toolchain and
+# the rows' wall times: every row's status, detail, tables and spec, the
+# model hashes and the warnings.  A change that moves any of them must
+# update this on purpose.
+PINNED_REPORT_SHA256 = "f9efeba0b2992526ef1badbc3c4f38950750fc7138a6b5db9fbfc95c43cf0a8a"
+
+
 @pytest.fixture(scope="module")
-def rows():
-    return {r.check_id: r for r in run_verify().results}
+def report():
+    return run_verify()
+
+
+@pytest.fixture(scope="module")
+def rows(report):
+    return {r.check_id: r for r in report.results}
 
 
 def accept(rows, number):
@@ -114,3 +129,12 @@ def test_acceptance_9_property_suites(rows):
 def test_full_default_suite_computes_sphere3_table(rows):
     assert [i for i, r in rows.items() if r.status != "pass"] == []
     assert rows["betti-exp3-sphere3"].computed == [1, 0, 0, 0, 0, 2, 2, 1, 1, 1]
+
+
+def test_default_report_is_pinned(report):
+    d = report.to_json_dict()
+    del d["toolchain"]
+    for check in d["checks"]:
+        del check["wall_time_s"]
+    text = canonical_json(d)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_REPORT_SHA256

@@ -9,8 +9,7 @@ import pytest
 
 from expk.complexes import projective_plane, torus
 from expk.errors import CapError, ContractViolation
-from expk import simplicial
-from expk.gf2 import Gf2Span, relations
+from expk.gf2 import Gf2Matrix, Gf2Span, relations
 from expk.simplicial import BettiTable, SimplicialSetModel
 from expk.spaces import (
     DEFAULT_MAX_LEVEL_SIZE,
@@ -265,25 +264,31 @@ def test_cohomology_bases_are_pinned():
 
 
 def test_cohomology_basis_is_cached_per_degree(monkeypatch):
-    shapes = []
-
-    def counting_relations(rows):
-        shapes.append(len(rows))
-        return relations(rows)
-
-    monkeypatch.setattr(simplicial, "relations", counting_relations)
+    read = []  # every matrix whose rows an elimination read, in order
+    row_ints = Gf2Matrix.row_ints
+    monkeypatch.setattr(Gf2Matrix, "row_ints", lambda m: read.append(m) or row_ints(m))
     model = torus()
+    degrees = range(1, model.level_cap + 1)
+    boundaries = {id(model.boundary_matrix(n)): n for n in degrees}
+
+    def passes():
+        return [boundaries[id(m)] for m in read]
+
     first = model.cohomology_basis(1)
     supports = [c.support for c in first]
-    assert len(shapes) == 1
+    assert passes() == [1, 2]  # the pass over ∂_2 clears against the one over ∂_1
     first.clear()  # each call hands out its own list
     again = model.cohomology_basis(1)
-    assert len(shapes) == 1
     assert [c.support for c in again] == supports and len(supports) == 2
-    model.cohomology_basis(2)
-    assert len(shapes) == 2
-    with pytest.raises(CapError):  # the cap check still runs on every call
-        sphere(2, 2).cohomology_basis(0)
+    model.betti_table()
+    for n in range(model.level_cap + 1):
+        model.cohomology_basis(n)
+        model.coboundary_span(n)
+    assert passes() == list(degrees)  # each degree once
+    capped = sphere(2, 2)
+    for _ in range(2):  # the cap check still runs on every call
+        with pytest.raises(CapError):
+            capped.cohomology_basis(0)
 
 
 def _cleared_span_models():
@@ -313,6 +318,17 @@ def test_cleared_coboundary_spans_are_the_uncleared_ones():
             want = [z for z in cocycles if coboundaries.add(z) is None]
             got = [c.support.to_int() for c in model.cohomology_basis(n)]
             assert got == want, (model.description, n)
+
+
+def test_bases_count_betti_and_spans_carry_no_tags():
+    for model in _cleared_span_models():
+        table = model.betti_table()
+        for n in range(model.level_cap + 1):
+            where = (model.description, n)
+            assert len(model.cohomology_basis(n)) == table.dim(n), where
+            span = model.coboundary_span(n)
+            for row in model.boundary_matrix(n).row_ints() if n else []:
+                assert span.reduce(row) == (0, 0), where
 
 
 def test_h0_of_connected_model_is_constant_class():

@@ -176,6 +176,21 @@ def test_from_complex_rejects_a_row_off_the_complex(monkeypatch):
         from_complex([(0, 1), (2, 3)], 1)
 
 
+def test_from_complex_budget_follows_the_level_sizes():
+    path = [(v, v + 1) for v in range(29)]  # 30 vertices, 29 edges
+    assert from_complex(path, 3, max_level_size=1000).level_sizes == [30, 59, 88, 117]
+    with pytest.raises(LevelSizeError) as refused:
+        from_complex(path, 3, max_level_size=100)
+    assert (refused.value.level, refused.value.size) == (3, 117)
+    # each facet's multisets are counted before they are enumerated
+    with pytest.raises(LevelSizeError) as refused:
+        from_complex([tuple(range(6))], 6, max_level_size=10)
+    assert (refused.value.level, refused.value.size) == (1, 21)
+    # ranks over all vertices must fit int32, whatever the budget
+    with pytest.raises(ContractViolation, match="overflow int32"):
+        from_complex([(v, v + 1) for v in range(2000)], 3)
+
+
 def test_multiset_map_rejects_rows_that_are_not_target_keys():
     x = sphere(1, 3)
     square, sym2 = product(x, x), sym_power(x, 2)

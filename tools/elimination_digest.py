@@ -4,7 +4,7 @@ For each model below it records, in a fixed order:
 
 * for every boundary matrix: the rank, the kernel basis, and the solution
   of one seeded consistent system (right-hand side = matrix times a
-  seeded random vector);
+  seeded random vector), all read off ``relations`` among its columns;
 * the cohomology basis in every degree;
 * the coordinates of Sq^0 of each basis class in that basis.
 
@@ -24,7 +24,7 @@ import numpy as np
 
 from expk.cochains import square_coordinates
 from expk.complexes import projective_plane, torus
-from expk.gf2 import Gf2Vector
+from expk.gf2 import Gf2Vector, relations
 from expk.spaces import SpaceSpec, build_space, sphere
 
 MODELS = {
@@ -40,18 +40,38 @@ MODELS = {
 }
 
 
+def boundary_columns(model, n: int) -> list[int]:
+    """Each column of the boundary ∂_n as an int: the xor of its faces' bits."""
+    kept_sets = [tuple(t for t in range(n + 1) if t != i) for i in range(n + 1)]
+    faces = np.stack([model.restrict(n, kept) for kept in kept_sets], axis=1)
+    columns = []
+    for column in faces.tolist():
+        x = 0
+        for row in column:
+            if row >= 0:
+                x ^= 1 << row
+        columns.append(x)
+    return columns
+
+
 def model_outputs(model, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     boundaries = []
     for n in range(1, model.level_cap + 1):
-        m = model.boundary_matrix(n)
-        x = Gf2Vector.from_bits(rng.integers(0, 2, size=m.col_count, dtype=np.uint8))
-        solution = m.solve(m.mul_vec(x))
+        columns = boundary_columns(model, n)
+        width = len(columns)
+        kernel = relations(columns)
+        x = rng.integers(0, 2, size=width, dtype=np.uint8)
+        b = 0  # m.x: the xor of the columns x selects
+        for j in np.flatnonzero(x).tolist():
+            b ^= columns[j]
+        # the solution with free variables zero is b's relation, less b
+        solution = relations([*columns, b])[-1] ^ 1 << width
         boundaries.append(
             {
-                "rank": m.rank(),
-                "kernel": [v.nonzero_indices() for v in m.kernel_basis()],
-                "solve": solution.nonzero_indices(),
+                "rank": width - len(kernel),
+                "kernel": [Gf2Vector(width, z).nonzero_indices() for z in kernel],
+                "solve": Gf2Vector(width, solution).nonzero_indices(),
             }
         )
     bases, squares = [], []
