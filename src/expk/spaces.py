@@ -217,22 +217,11 @@ def _rank(
     width = rows.shape[1]
     weights = _weights(n, width, padded)
     total = np.zeros(len(rows), dtype=np.int64)
-    if not padded:  # entry j has r = width − j
-        for j in range(width):
-            column = weights[width - j]
-            if through is not None:
-                column = column.take(through[j])
-            total += column.take(rows[:, j])
-        return total.astype(np.int32)
-    if through is not None:
-        weights = weights[:, through]
-    pad = weights.shape[1] - 1  # the padding entry of the rows
-    flat, stride = weights.ravel(), pad + 1
-    offset = np.zeros(len(rows), dtype=np.intp)  # r·(pad + 1) at each entry
-    for j in reversed(range(width)):
-        column = rows[:, j]
-        offset += (column < pad) * stride
-        total += flat.take(offset + column)
+    for j in range(width):  # entry j has r = width − j
+        column = weights[width - j]
+        if through is not None:
+            column = column.take(through[j])
+        total += column.take(rows[:, j])
     return total.astype(np.int32)
 
 
@@ -272,13 +261,14 @@ def _key_quotient(x, level_keys, padded: bool, description: str):
 
     def image(op, m, i, t, ids):
         table = getattr(x, op)[m][i]
-        if padded:
-            table = np.append(table, np.int32(sizes[t]))  # empty slots stay empty
         keys = level_keys[m][ids]
-        if _increasing(table):
-            return rank(keys, sizes[t], through=table)
-        rows = _canonical(table.take(keys), sizes[t] if padded else None)
-        return rank(rows, sizes[t])
+        increasing = _increasing(table)
+        if padded:
+            table = np.append(table, np.int32(-1))  # empty slots stay empty
+        if increasing:  # one table per key column
+            columns = np.broadcast_to(table, (keys.shape[1], table.size))
+            return rank(keys, sizes[t], through=columns)
+        return rank(_canonical(table.take(keys), -1 if padded else None), sizes[t])
 
     return SimplicialSetModel.from_operators(
         x.level_cap, [len(keys) for keys in level_keys], image, description, level_keys
@@ -523,11 +513,11 @@ def exp_subsets(
         _check_level_size("subset space", m, _subset_level_count(lm, k), max_level_size)
     level_keys = []
     for lm in x.level_sizes:
-        keys = np.full((_subset_level_count(lm, k), k), lm, dtype=np.int32)
+        keys = np.full((_subset_level_count(lm, k), k), -1, dtype=np.int32)
         row = 0
         for s in range(1, min(k, lm) + 1):
             combos = _combos(lm, s, repeat=False)
-            keys[row : row + len(combos), :s] = combos
+            keys[row : row + len(combos), k - s :] = combos
             row += len(combos)
         level_keys.append(keys)
     return _key_quotient(x, level_keys, True, f"exp_{k}({x.description})")
@@ -678,9 +668,9 @@ def pushout(f: SimplicialMapModel, g: SimplicialMapModel):
 
 def _support_codes(keys: np.ndarray, level_size: int, width: int) -> np.ndarray:
     """The id of each key row's support among subsets of at most ``width`` ids."""
-    rows = np.full((keys.shape[0], width), level_size, dtype=np.int32)
-    rows[:, : keys.shape[1]] = keys
-    return _rank(_canonical(rows, level_size), level_size, padded=True)
+    rows = np.full((keys.shape[0], width), -1, dtype=np.int32)
+    rows[:, width - keys.shape[1] :] = keys
+    return _rank(_canonical(rows, -1), level_size, padded=True)
 
 
 def compare_pushout_with_subsets(x, max_level_size: int = DEFAULT_MAX_LEVEL_SIZE):
