@@ -31,7 +31,10 @@ Symmetric powers, subset spaces and the maps into them share one
 canonical-key path: map key rows entrywise, sort them (collapsing repeats
 for subsets), and rank them.  Every keyed level lists its keys in
 lexicographic order (subsets by size first), so a row's id is its rank
-(``_rank``), a sum of binomials read from one cached table.
+(``_rank``), a sum of binomials read from one cached table, one gather
+per key column.  A subset key holds its padding, −1, in front of its
+entries, so each entry's binomial depends only on its column, as in a
+full row, and the padding reads a zero.
 A strictly increasing table, such as every degeneracy of either sphere
 model, keeps rows canonical, so its images are never built: the cached
 binomials are composed with the table once, and the key rows are ranked
@@ -162,8 +165,8 @@ def _canonical(rows: np.ndarray, sentinel: int | None = None) -> np.ndarray:
     """Sort each key row; with a sentinel, repeated entries collapse to it.
 
     Sorted rows are multiset keys.  Subset keys are padded with the
-    sentinel (the level size), so a collapsed repeat becomes padding and
-    sorts to the end.
+    sentinel, −1, so a collapsed repeat becomes padding and sorts to the
+    front.
     """
     rows = np.sort(rows, axis=1)
     if sentinel is not None:
@@ -174,17 +177,18 @@ def _canonical(rows: np.ndarray, sentinel: int | None = None) -> np.ndarray:
 
 @functools.cache
 def _weights(n: int, width: int, padded: bool) -> np.ndarray:
-    """What each entry of a key row adds to its id; padding (a = n) adds 0.
+    """What each entry of a key row adds to its id; padding (a = n or −1) adds 0.
 
-    An entry a with r entries from it to the end of the row, padding not
-    counted, adds ``weights[r, a]`` = −C(n − 1 − a, r), plus C(n, r) in a
-    padded row (the subsets of size r come first) or C(n, width) at
-    r = width in a full one, and −1 at r = 1, read once per row.  Clipped
+    An entry a with r entries from it to the end of the row adds
+    ``weights[r, a]`` = −C(n − 1 − a, r), plus C(n, r) in a padded row
+    (the subsets of size r come first) or C(n, width) at r = width in a
+    full one, and −1 at r = 1, read once per row.  Row r = 0 is read by
+    nothing; it lets column j of a row read ``weights[width − j]``.  Clipped
     so that sums stay in int64: a valid row reads no entry above its
     level's count, the others can overflow (in ``sphere(1, 70)``).
     """
     top = np.iinfo(np.int64).max // (width + 1)
-    weights = np.zeros((width + 1, n + 1), dtype=np.int64)  # only padding reads r = 0
+    weights = np.zeros((width + 1, n + 1), dtype=np.int64)
     for r in range(1, width + 1):
         before = (math.comb(n, r) if padded or r == width else 0) - (r == 1)
         row = (before - math.comb(n - 1 - a, r) for a in range(n))
@@ -201,18 +205,19 @@ def _rank(
     A full row a_0 < … < a_(w−1) has rank
     C(n, w) − 1 − Σ_j C(n − 1 − a_j, w − j), its position in
     ``_combos(n, w, False)``.  Padded rows are the subset keys of
-    ``exp_subsets``: a row of size s holds s entries, then the padding n,
-    and keys run by size, then lexicographically, so its id is
+    ``exp_subsets``: a row of size s holds w − s paddings −1, then its s
+    entries, and keys run by size, then lexicographically, so its id is
     Σ_(t=1..s) C(n, t) − 1 − Σ_(j<s) C(n − 1 − a_j, s − j).  Either way
-    the id is a sum of ``_weights`` entries; a padded row's are gathered
-    right to left, counting the entries that are not padding.
+    entry j of a row has w − j entries from it to the end, and the id is
+    the sum of ``weights[w − j]`` over the columns j; −1 reads the zero
+    padding column.
 
-    ``through`` ranks the image rows ``through[rows]`` without building
-    them: the weights are composed with the table once and each key
-    column gathers from the result.  It must keep rows canonical, which a
-    strictly increasing table does.  A padded row takes one table whose
-    last entry, the padding of ``rows``, maps to n; a full row takes one
-    table per column.
+    ``through`` ranks the image rows ``through[j][rows[:, j]]`` without
+    building them: it holds one table per column, each column of weights
+    is composed with its table once, and the key column gathers from the
+    result.  The tables must keep rows canonical, which a strictly
+    increasing table does; for padded rows each ends in −1, the image of
+    the padding.
     """
     width = rows.shape[1]
     weights = _weights(n, width, padded)
@@ -231,8 +236,8 @@ def _multiset_rank(
     """The position of each sorted multiset row in ``_combos(n, w, True)``.
 
     Adding (0, 1, …, w−1) turns the rows into rows of distinct entries
-    over range(n + w − 1), in the same order; ``through`` (one table)
-    gets the same shift, one copy per column.
+    over range(n + w − 1), in the same order; ``through``, one table per
+    column, gets the same shift.
     """
     width = rows.shape[1]
     shift = np.arange(width)
@@ -248,13 +253,14 @@ def _increasing(table: np.ndarray) -> bool:
 def _key_quotient(x, level_keys, padded: bool, description: str):
     """Model on canonical key rows of x's level ids; operators act entrywise.
 
-    In padded (subset) keys the level size marks an empty slot and
-    repeated ids collapse to it; otherwise keys are sorted multisets.  A
-    strictly increasing table keeps key rows sorted and their distinct
-    entries distinct (the padding slot tops a padded table), so its key
-    rows are ranked through it (``_rank``'s ``through``): no image row is
-    built or sorted.  Every degeneracy table of both sphere models is
-    increasing; any other table maps the keys and canonicalises them.
+    In padded (subset) keys −1 marks an empty slot and repeated ids
+    collapse to it; otherwise keys are sorted multisets.  A strictly
+    increasing table keeps key rows sorted and their distinct entries
+    distinct (a padded table is tested before −1, the image of an empty
+    slot, is appended), so its key rows are ranked through it, one copy
+    per key column (``_rank``'s ``through``): no image row is built or
+    sorted.  Every degeneracy table of both sphere models is increasing;
+    any other table maps the keys and canonicalises them.
     """
     sizes = x.level_sizes
     rank = functools.partial(_rank, padded=True) if padded else _multiset_rank
@@ -505,7 +511,7 @@ def exp_subsets(
 
     Level m consists of the nonempty subsets of the level-m ids of x with
     at most k elements; faces and degeneracies act elementwise, collapsing
-    duplicates.  Keys are sorted id tuples padded with the level size.
+    duplicates.  Keys are sorted id tuples, padded in front with −1.
     """
     if k < 1:
         raise ContractViolation("cardinality bound must be at least 1")
@@ -667,7 +673,10 @@ def pushout(f: SimplicialMapModel, g: SimplicialMapModel):
 
 
 def _support_codes(keys: np.ndarray, level_size: int, width: int) -> np.ndarray:
-    """The id of each key row's support among subsets of at most ``width`` ids."""
+    """The id of each key row's support among subsets of at most ``width`` ids.
+
+    Each row is right-aligned in a row of −1 padding, then canonicalised.
+    """
     rows = np.full((keys.shape[0], width), -1, dtype=np.int32)
     rows[:, width - keys.shape[1] :] = keys
     return _rank(_canonical(rows, -1), level_size, padded=True)
