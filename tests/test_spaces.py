@@ -111,6 +111,13 @@ def test_canonical_rows_match_numpy_sort(width):
     want[:, 1:][want[:, 1:] == want[:, :-1]] = 6
     assert np.array_equal(_canonical(rows, 6), np.sort(want, axis=1))
     assert np.array_equal(rows, before)  # the input rows are left alone
+    # subset keys: −1 pads in front, and each repeat collapses into the padding
+    keys = rng.integers(-1, 6, size=(500, width)).astype(np.int32)
+    want = []
+    for row in keys.tolist():
+        entries = sorted(set(row) - {-1})
+        want.append([-1] * (width - len(entries)) + entries)
+    assert _canonical(keys, -1).tolist() == want
 
 
 @pytest.mark.parametrize("repeat", [False, True])
@@ -149,13 +156,24 @@ def test_ranking_through_an_increasing_table_ranks_its_image_rows(k):
         assert _increasing(table)
         multisets = _combos(size, k, repeat=True)
         want = _multiset_rank(_canonical(table[multisets]), target)
-        assert np.array_equal(_multiset_rank(multisets, target, through=table), want)
-        # subset keys, padded with the level size: rows shorter than k
-        padded = np.append(table, np.int32(target))
-        rows = subsets[rng.permutation(len(subsets))]  # any rows, in any order
-        want = _rank(_canonical(padded[rows], target), target, padded=True)
-        got = _rank(rows, target, padded=True, through=padded)
+        columns = np.broadcast_to(table, (k, size))  # one table per key column
+        got = _multiset_rank(multisets, target, through=columns)
         assert np.array_equal(got, want)
+        # subset keys, padded in front with −1: rows shorter than k
+        padded = np.append(table, np.int32(-1))  # the padding stays padding
+        rows = subsets[rng.permutation(len(subsets))]  # any rows, in any order
+        assert (rows[:, 0] == -1).any() == (k > 1)
+        columns = np.broadcast_to(padded, (k, size + 1))
+        got = _rank(rows, target, padded=True, through=columns)
+        want = _rank(_canonical(padded[rows], -1), target, padded=True)
+        assert np.array_equal(got, want)
+        # the image subsets' positions by size, then lexicographically
+        order = itertools.chain.from_iterable(
+            itertools.combinations(range(target), s) for s in range(1, k + 1)
+        )
+        position = {c: i for i, c in enumerate(order)}
+        images = [tuple(int(table[a]) for a in row if a >= 0) for row in rows.tolist()]
+        assert got.tolist() == [position[c] for c in images]
 
 
 def test_subset_ids_invert_the_key_order_of_exp_subsets():
@@ -163,6 +181,13 @@ def test_subset_ids_invert_the_key_order_of_exp_subsets():
     for k in (1, 3, 5):
         keys = exp_subsets(x, k).simplex_keys
         for m, size in enumerate(x.level_sizes):
+            # −1s, then an increasing subset; by size, then lexicographically
+            want = [
+                [-1] * (k - s) + list(c)
+                for s in range(1, k + 1)
+                for c in itertools.combinations(range(size), s)
+            ]
+            assert keys[m].tolist() == want
             ids = _rank(keys[m], size, padded=True)
             assert np.array_equal(ids, np.arange(len(keys[m])))
 
@@ -585,12 +610,14 @@ def test_pushout_of_discrete_models_matches_union_find(seed):
 
 # sha256 of each model's content hash and simplex keys, and of each map's
 # level maps, as the constructors built them before multisets were
-# enumerated directly and pushout classes labelled in numpy.
+# enumerated directly and pushout classes labelled in numpy.  The four exp
+# entries hash those keys with the padding moved to the front as −1:
+# np.sort(np.where(key == level_size, -1, key), axis=1).
 PINNED_SPACE_DIGESTS = {
-    "exp2-s3": "dce6810fc5e72f67228d9674f7d7106d6b5d7bb29ed910b988b11c9be3c65bc4",
-    "exp3-s2": "23bc7f17129ac1271e8e4bfe5f06d19acfc4a8dad657579263b09cfacf6a0c3c",
-    "exp2-s2-one-vertex": "aaa2c0ebc721f106d05dd8c3625ebe328f5f42425b0f91777e48bc62fc0394f5",
-    "exp3-s2-one-vertex": "563261fd1faf6f1fb30bc58fb6be43e4ab5d3f993b3af54a39248460b68e5092",
+    "exp2-s3": "1c2980684fb64b160839b4fd57aa1d4d2423b42b09fc475ffa712c2ef434925e",
+    "exp3-s2": "3656ae3ae66b36cca4c25b9e71350b5d9de4eb73086847dd0825af0019ee2d99",
+    "exp2-s2-one-vertex": "6ddf6dc2a21bd6d079ac4d40db8c1028a4f6c889bee5dfb1324075bf5af0a583",
+    "exp3-s2-one-vertex": "ff5da0380b8ddf909f50f47ac9b7eb1573b1f896347f01541f2af0898444712a",
     "glued-s1": "a47c582962390e6c320ac6d2c99a40c58bd2035db8068812f201e627de335ed3",
     "glued-s2": "d4e3513edc98bb06714d1fc75afcfddb08b1e8f47ae74488b11640780fe9ee65",
     "insertion-s1": "95f60b466645fa2565fc04efac6236125e3600581302b8d5db5adb37ae92648a",
