@@ -200,7 +200,7 @@ def _weights(n: int, width: int, padded: bool) -> np.ndarray:
 def _rank(
     rows: np.ndarray, n: int, padded: bool = False, through: np.ndarray | None = None
 ) -> np.ndarray:
-    """The level id of each strictly increasing key row over range(n).
+    """The level id of each strictly increasing key row over range(n), as int64.
 
     A full row a_0 < … < a_(w−1) has rank
     C(n, w) − 1 − Σ_j C(n − 1 − a_j, w − j), its position in
@@ -227,7 +227,7 @@ def _rank(
         if through is not None:
             column = column.take(through[j])
         total += column.take(rows[:, j])
-    return total.astype(np.int32)
+    return total
 
 
 def _multiset_rank(
@@ -273,8 +273,10 @@ def _key_quotient(x, level_keys, padded: bool, description: str):
             table = np.append(table, np.int32(-1))  # empty slots stay empty
         if increasing:  # one table per key column
             columns = np.broadcast_to(table, (keys.shape[1], table.size))
-            return rank(keys, sizes[t], through=columns)
-        return rank(_canonical(table.take(keys), -1 if padded else None), sizes[t])
+            ids = rank(keys, sizes[t], through=columns)
+        else:
+            ids = rank(_canonical(table.take(keys), -1 if padded else None), sizes[t])
+        return ids.astype(np.int32)
 
     return SimplicialSetModel.from_operators(
         x.level_cap, [len(keys) for keys in level_keys], image, description, level_keys
@@ -318,8 +320,10 @@ def from_complex(
     vertices = np.array(sorted({v for f in facets for v in f}), dtype=np.int32)
     positions = [np.searchsorted(vertices, f) for f in facets]
     sizes = {len(f) for f in facets}
-    if math.comb(vertices.size + cap, cap + 1) > np.iinfo(np.int32).max:
-        raise ContractViolation(f"vertex multiset ranks of level {cap} overflow int32")
+    # a valid row reads no weight above its level's count: keep the count
+    # under the clip of _weights, so that its rank is exact in int64
+    if math.comb(vertices.size + cap, cap + 1) > np.iinfo(np.int64).max // (cap + 2):
+        raise ContractViolation(f"vertex multiset ranks of level {cap} overflow int64")
 
     # keys hold vertex positions; simplex_keys translate them to vertices.
     # level_codes[m] holds the sorted multiset ranks of level m's rows

@@ -211,9 +211,14 @@ def test_from_complex_budget_follows_the_level_sizes():
     with pytest.raises(LevelSizeError) as refused:
         from_complex([tuple(range(6))], 6, max_level_size=10)
     assert (refused.value.level, refused.value.size) == (1, 21)
-    # ranks over all vertices must fit int32, whatever the budget
-    with pytest.raises(ContractViolation, match="overflow int32"):
-        from_complex([(v, v + 1) for v in range(2000)], 3)
+    # ranks over all vertices are int64: a 2,001-vertex path builds at cap 3,
+    # and at cap 7 its ranks would overflow, whatever the budget
+    long_path = [(v, v + 1) for v in range(2000)]
+    model = from_complex(long_path, 3)
+    assert model.level_sizes == [2001, 4001, 6001, 8001]
+    assert model.betti_table().dims == (1, 0)
+    with pytest.raises(ContractViolation, match="overflow int64"):
+        from_complex(long_path, 7, max_level_size=10**9)
 
 
 def test_multiset_map_rejects_rows_that_are_not_target_keys():
