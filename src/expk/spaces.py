@@ -32,9 +32,7 @@ canonical-key path: map key rows entrywise, sort them (collapsing repeats
 for subsets), and rank them.  Every keyed level lists its keys in
 lexicographic order (subsets by size first), so a row's id is its rank
 (``_rank``), a sum of binomials read from one cached table, one gather
-per key column.  A subset key holds its padding, −1, in front of its
-entries, so each entry's binomial depends only on its column, as in a
-full row, and the padding reads a zero.
+per key column; a subset key's padding, −1, comes first and adds 0.
 A strictly increasing table, such as every degeneracy of either sphere
 model, keeps rows canonical, so its images are never built: the cached
 binomials are composed with the table once, and the key rows are ranked
@@ -256,9 +254,8 @@ def _key_quotient(x, level_keys, padded: bool, description: str):
     In padded (subset) keys −1 marks an empty slot and repeated ids
     collapse to it; otherwise keys are sorted multisets.  A strictly
     increasing table keeps key rows sorted and their distinct entries
-    distinct (a padded table is tested before −1, the image of an empty
-    slot, is appended), so its key rows are ranked through it, one copy
-    per key column (``_rank``'s ``through``): no image row is built or
+    distinct, so its key rows are ranked through it, with −1 appended to
+    a padded one (``_rank``'s ``through``): no image row is built or
     sorted.  Every degeneracy table of both sphere models is increasing;
     any other table maps the keys and canonicalises them.
     """
@@ -272,11 +269,10 @@ def _key_quotient(x, level_keys, padded: bool, description: str):
         if padded:
             table = np.append(table, np.int32(-1))  # empty slots stay empty
         if increasing:  # one table per key column
-            columns = np.broadcast_to(table, (keys.shape[1], table.size))
-            ids = rank(keys, sizes[t], through=columns)
-        else:
-            ids = rank(_canonical(table.take(keys), -1 if padded else None), sizes[t])
-        return ids.astype(np.int32)
+            through = np.broadcast_to(table, (keys.shape[1], table.size))
+            return rank(keys, sizes[t], through=through).astype(np.int32)
+        rows = _canonical(table.take(keys), -1 if padded else None)
+        return rank(rows, sizes[t]).astype(np.int32)
 
     return SimplicialSetModel.from_operators(
         x.level_cap, [len(keys) for keys in level_keys], image, description, level_keys
@@ -320,8 +316,7 @@ def from_complex(
     vertices = np.array(sorted({v for f in facets for v in f}), dtype=np.int32)
     positions = [np.searchsorted(vertices, f) for f in facets]
     sizes = {len(f) for f in facets}
-    # a valid row reads no weight above its level's count: keep the count
-    # under the clip of _weights, so that its rank is exact in int64
+    # the clip of _weights: no valid row reads a weight above its level's count
     if math.comb(vertices.size + cap, cap + 1) > np.iinfo(np.int64).max // (cap + 2):
         raise ContractViolation(f"vertex multiset ranks of level {cap} overflow int64")
 
@@ -677,10 +672,7 @@ def pushout(f: SimplicialMapModel, g: SimplicialMapModel):
 
 
 def _support_codes(keys: np.ndarray, level_size: int, width: int) -> np.ndarray:
-    """The id of each key row's support among subsets of at most ``width`` ids.
-
-    Each row is right-aligned in a row of −1 padding, then canonicalised.
-    """
+    """The id of each key row's support among subsets of at most ``width`` ids."""
     rows = np.full((keys.shape[0], width), -1, dtype=np.int32)
     rows[:, width - keys.shape[1] :] = keys
     return _rank(_canonical(rows, -1), level_size, padded=True)
