@@ -22,6 +22,12 @@ A model is read only through ``nondeg_count``, ``restrict`` and
 ``level_cap`` (and its boundary methods, built on them): a cut's even and
 odd vertex sets go to ``restrict``, where -1 marks a degenerate face, and
 each cochain's values get one trailing 0 for -1 to read.
+
+A cochain does not record whether it is closed; ``_closed`` asks the
+model: du = 0 below the level cap, and at the cap an empty level.  ``cup``,
+``steenrod_square`` and ``express_in_basis`` check their inputs with it,
+and ``cup`` and ``steenrod_square`` assert it of their output; nothing
+else computes a coboundary to ask.
 """
 
 from __future__ import annotations
@@ -63,6 +69,13 @@ def _support(s: SimplicialSetModel, c: CochainClass) -> Gf2Vector:
     return c.support
 
 
+def _closed(s: SimplicialSetModel, c: CochainClass) -> bool:
+    support = _support(s, c)
+    if c.degree < s.level_cap:
+        return s.is_cocycle(c.degree, support)
+    return support.length == 0
+
+
 def cup_i(
     s: SimplicialSetModel, a: CochainClass, b: CochainClass, i: int
 ) -> CochainClass:
@@ -73,54 +86,42 @@ def cup_i(
     n = p + q - i
     if n > s.level_cap:
         raise ContractViolation(f"product degree {n} exceeds the level cap")
-    m = s.nondeg_count(n)
-    if m == 0:
-        return CochainClass(n, Gf2Vector.zeros(0), True)
     # each cochain's values, then a 0 that the -1 of a degenerate face reads
     av, bv = (np.append(_support(s, c).to_bits(), np.uint8(0)) for c in (a, b))
-    out = np.zeros(m, dtype=np.uint8)
+    out = np.zeros(s.nondeg_count(n), dtype=np.uint8)
     for even, odd in _interval_cuts(n, i, p):
         out ^= av[s.restrict(n, even)] & bv[s.restrict(n, odd)]
-    support = Gf2Vector.from_bits(out)
-    cocycle = n < s.level_cap and s.is_cocycle(n, support)
-    return CochainClass(n, support, cocycle)
+    return CochainClass(n, Gf2Vector.from_bits(out))
 
 
 def cup(s: SimplicialSetModel, a: CochainClass, b: CochainClass) -> CochainClass:
     """Front-face/back-face product of cocycles; the class is well defined."""
-    if not (a.is_cocycle and b.is_cocycle):
+    if not (_closed(s, a) and _closed(s, b)):
         raise ContractViolation("cup is defined on cocycle representatives")
     out = cup_i(s, a, b, 0)
-    if not out.is_cocycle:
+    if not _closed(s, out):
         raise AssertionError("cup of cocycles failed to be a cocycle")
     return out
 
 
 def coboundary(s: SimplicialSetModel, c: CochainClass) -> CochainClass:
-    support = s.apply_coboundary(c.degree, c.support)
-    degree = c.degree + 1
-    cocycle = (
-        s.nondeg_count(degree) == 0
-        or degree < s.level_cap
-        and s.is_cocycle(degree, support)
-    )
-    return CochainClass(degree, support, cocycle)
+    return CochainClass(c.degree + 1, s.apply_coboundary(c.degree, c.support))
 
 
 def steenrod_square(s: SimplicialSetModel, i: int, a: CochainClass) -> CochainClass:
     """Sq^i on a cocycle: the class of a cup_{p-i} a, zero above the degree."""
     if i < 0:
         raise ContractViolation("square index must be nonnegative")
-    if not a.is_cocycle:
+    if not _closed(s, a):
         raise ContractViolation("squares are defined on cocycle representatives")
     p = a.degree
     if i > p:
         degree = p + i
         if degree > s.level_cap:
             raise ContractViolation(f"degree {degree} exceeds the level cap")
-        return CochainClass(degree, Gf2Vector.zeros(s.nondeg_count(degree)), True)
+        return CochainClass(degree, Gf2Vector.zeros(s.nondeg_count(degree)))
     out = cup_i(s, a, a, p - i)
-    if not out.is_cocycle:
+    if not _closed(s, out):
         raise AssertionError("square of a cocycle failed to be a cocycle")
     return out
 
@@ -131,7 +132,7 @@ def steenrod_square(s: SimplicialSetModel, i: int, a: CochainClass) -> CochainCl
 
 def express_in_basis(s: SimplicialSetModel, c: CochainClass, basis) -> Gf2Vector:
     """Coordinates of [c] in a basis independent modulo coboundaries."""
-    if not c.is_cocycle:
+    if not _closed(s, c):
         raise ContractViolation("only cocycles have well-defined coordinates")
     for b in basis:
         if b.degree != c.degree:
@@ -174,7 +175,7 @@ def is_coboundary(s: SimplicialSetModel, c: CochainClass) -> bool:
 def cohomologous(s: SimplicialSetModel, c1: CochainClass, c2: CochainClass) -> bool:
     if c1.degree != c2.degree:
         return False
-    diff = CochainClass(c1.degree, c1.support ^ c2.support, True)
+    diff = CochainClass(c1.degree, c1.support ^ c2.support)
     return is_coboundary(s, diff)
 
 
@@ -183,14 +184,12 @@ def unit_class(s: SimplicialSetModel) -> CochainClass:
     ones = Gf2Vector.from_bits(np.ones(s.nondeg_count(0), dtype=np.uint8))
     if not s.is_cocycle(0, ones):
         raise AssertionError("constant 0-cochain is not closed")
-    return CochainClass(0, ones, True)
+    return CochainClass(0, ones)
 
 
 def random_cochain(s: SimplicialSetModel, degree: int, rng) -> CochainClass:
     bits = rng.integers(0, 2, size=s.nondeg_count(degree), dtype=np.uint8)
-    support = Gf2Vector.from_bits(bits)
-    cocycle = degree < s.level_cap and s.is_cocycle(degree, support)
-    return CochainClass(degree, support, cocycle)
+    return CochainClass(degree, Gf2Vector.from_bits(bits))
 
 
 # ---------------------------------------------------------------------------

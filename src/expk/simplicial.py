@@ -154,11 +154,13 @@ class BettiTable:
 
 @dataclass(frozen=True)
 class CochainClass:
-    """A degree-tagged cochain supported on nondegenerate simplices."""
+    """A degree-tagged cochain supported on nondegenerate simplices.
+
+    It does not record whether it is closed; ``cochains`` asks the model.
+    """
 
     degree: int
     support: Gf2Vector
-    is_cocycle: bool
 
 
 @dataclass(frozen=True)
@@ -464,7 +466,7 @@ class SimplicialSetModel:
                 length = self.nondeg_count(n - 1)
                 for p, row in enumerate(self.boundary_matrix(n).row_ints()):
                     if p not in cleared and (z := span.add(row, 1 << p)) is not None:
-                        basis.append(CochainClass(n - 1, Gf2Vector(length, z), True))
+                        basis.append(CochainClass(n - 1, Gf2Vector(length, z)))
                 span.drop_tags()
             self._elimination_cache[n] = span, basis
         return self._elimination_cache[n]

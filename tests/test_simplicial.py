@@ -236,7 +236,6 @@ def test_cohomology_basis_counts_and_cocycles():
             basis = model.cohomology_basis(n)
             assert len(basis) == table.dim(n)
             for c in basis:
-                assert c.is_cocycle
                 assert model.is_cocycle(n, c.support)
 
 
