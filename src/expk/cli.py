@@ -25,7 +25,6 @@ environment variable; flags win over the environment.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -113,9 +112,7 @@ def _load_model(path) -> SimplicialSetModel:
         raise ContractViolation(f"{path}: expected a JSON object, not {doc!r:.20}")
     model = SimplicialSetModel.from_json_dict(doc.get("model", doc))
     if "hash" in doc and doc["hash"] != model.content_hash():
-        # files written before hash scheme 2 carry the SHA-256 of the model's text
-        if doc["hash"] != hashlib.sha256(model.to_json_text().encode()).hexdigest():
-            raise ContractViolation(f"{path}: the model does not match its hash")
+        raise ContractViolation(f"{path}: the model does not match its hash")
     return model
 
 

@@ -150,8 +150,7 @@ class ModelCache:
         """Write an entry atomically: a crash leaves the old file or none.
 
         An entry is one canonical-JSON header line (``spec``, ``hash`` and the
-        model's ``header()``), then the model's word stream.  A legacy
-        ``model-<digest>.json`` entry of the same spec is removed.
+        model's ``header()``), then the model's word stream.
         """
         header = {"spec": json.loads(key), "hash": model_hash, **model.header()}
         # mode 0o666 under the umask, as a plain open() gives; O_EXCL keeps
@@ -167,10 +166,6 @@ class ModelCache:
         except BaseException:
             os.unlink(tmp)
             raise
-        try:  # the JSON entry of the same spec, from before the word-stream layout
-            os.unlink(path.removesuffix(".bin") + ".json")
-        except FileNotFoundError:
-            pass
 
     def _load(self, path, key):
         """The cached model and its verified content hash, or None."""

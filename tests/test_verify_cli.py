@@ -313,17 +313,6 @@ def test_model_hashes_keep_every_model():
     assert run_verify(scope=scope, jobs=2).model_hashes == serial.model_hashes
 
 
-def test_store_removes_the_legacy_json_entry(tmp_path):
-    cache_dir = tmp_path / "cache"
-    cache_dir.mkdir()
-    key = SpaceSpec("exp", n=1, k=2).to_json_text()
-    digest = hashlib.sha256(key.encode()).hexdigest()[:24]
-    (cache_dir / f"model-{digest}.json").write_text("{}")
-    report = run_verify(scope=["betti-exp2-circle"], cache_dir=str(cache_dir))
-    assert report.passed and not report.warnings
-    assert os.listdir(cache_dir) == [f"model-{digest}.bin"]
-
-
 # one row of each kind: _betti, _comparison, _sequence, _squares, plus cup-torus
 ROW_KINDS_SCOPE = [
     "betti-exp2-circle",
@@ -431,12 +420,12 @@ def test_cli_rejects_a_model_file_that_does_not_match_its_hash(tmp_path, capsys)
     assert main(["build", "--kind", "sphere", "--n", "1", "--out", str(model_path)]) == 0
     doc = json.loads(model_path.read_text())
     model = SimplicialSetModel.from_json_dict(doc["model"])
-    # a file from before hash scheme 2 carries the SHA-256 of the model's text
+    # hash scheme 1, the SHA-256 of the model's text, is no longer accepted
     doc["hash"] = hashlib.sha256(model.to_json_text().encode()).hexdigest()
     model_path.write_text(canonical_json(doc))
-    assert main(["betti", str(model_path)]) == 0
-    capsys.readouterr()
+    assert main(["betti", str(model_path)]) == 2
 
+    doc["hash"] = model.content_hash()
     face = doc["model"]["faces"][1][0]
     face[0] = (face[0] + 1) % doc["model"]["level_sizes"][0]  # tampered, still valid
     model_path.write_text(canonical_json(doc))
@@ -444,7 +433,7 @@ def test_cli_rejects_a_model_file_that_does_not_match_its_hash(tmp_path, capsys)
     assert main(["sq", str(model_path), "--degree", "1", "--index", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count("does not match its hash") == 2
+    assert captured.err.count("does not match its hash") == 3
 
 
 def test_cli_input_errors_exit_2_with_one_line(tmp_path, capsys):
