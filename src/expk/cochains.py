@@ -148,7 +148,7 @@ def express_in_basis(s: SimplicialSetModel, c: CochainClass, basis) -> Gf2Vector
         raise BasisSpanError(
             f"basis does not span the class in degree {c.degree}"
         )
-    return Gf2Vector.from_int(len(basis), coords)
+    return Gf2Vector(len(basis), coords)
 
 
 def square_coordinates(s: SimplicialSetModel, i: int, d: int) -> list:

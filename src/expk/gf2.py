@@ -64,11 +64,6 @@ class Gf2Vector:
         bits = np.asarray(bits, dtype=np.uint8).reshape(1, -1) & 1
         return cls(bits.shape[1], _from_bits(bits)[0])
 
-    @classmethod
-    def from_int(cls, length: int, x: int) -> "Gf2Vector":
-        """The vector whose bit i is bit i of the python int ``x``."""
-        return cls(length, x)
-
     def to_int(self) -> int:
         return self._int
 

@@ -269,12 +269,12 @@ def test_constructors_keep_the_low_bit():
 def test_a_bit_past_the_length_is_rejected():
     # bit 3 of 8 lies past a length-3 vector; it would hide from to_bits
     with pytest.raises(ContractViolation):
-        Gf2Vector.from_int(3, 8)
+        Gf2Vector(3, 8)
     with pytest.raises(ContractViolation):
-        Gf2Vector.from_int(3, -1)
-    v = Gf2Vector.from_int(3, 4)
+        Gf2Vector(3, -1)
+    v = Gf2Vector(3, 4)
     assert v.to_bits().tolist() == [0, 0, 1] and v.to_int() == 4
-    assert Gf2Vector.from_int(3, 0) == Gf2Vector.zeros(3)
+    assert Gf2Vector(3, 0) == Gf2Vector.zeros(3)
 
 
 def test_a_row_bit_past_the_column_count_is_rejected():
