@@ -26,8 +26,9 @@ each cochain's values get one trailing 0 for -1 to read.
 A cochain does not record whether it is closed; ``_closed`` asks the
 model: du = 0 below the level cap, and at the cap an empty level.  ``cup``,
 ``steenrod_square`` and ``express_in_basis`` check their inputs with it,
-and ``cup`` and ``steenrod_square`` assert it of their output; nothing
-else computes a coboundary to ask.
+and ``cup`` and ``steenrod_square`` assert it of their output;
+``square_coordinates`` and ``ring_table`` express those outputs without
+asking again, and nothing else computes a coboundary to ask.
 """
 
 from __future__ import annotations
@@ -134,6 +135,11 @@ def express_in_basis(s: SimplicialSetModel, c: CochainClass, basis) -> Gf2Vector
     """Coordinates of [c] in a basis independent modulo coboundaries."""
     if not _closed(s, c):
         raise ContractViolation("only cocycles have well-defined coordinates")
+    return _coordinates(s, c, basis)
+
+
+def _coordinates(s: SimplicialSetModel, c: CochainClass, basis) -> Gf2Vector:
+    """``express_in_basis`` for a c whose closure its caller has checked."""
     for b in basis:
         if b.degree != c.degree:
             raise ContractViolation("basis degree mismatch")
@@ -161,8 +167,9 @@ def square_coordinates(s: SimplicialSetModel, i: int, d: int) -> list:
         raise ContractViolation("square index must be nonnegative")
     basis = s.cohomology_basis(d)
     target = s.cohomology_basis(d + i)
+    # steenrod_square checks each class and its square once
     return [
-        express_in_basis(s, steenrod_square(s, i, c), target).to_bits().tolist()
+        _coordinates(s, steenrod_square(s, i, c), target).to_bits().tolist()
         for c in basis
     ]
 
@@ -241,7 +248,7 @@ def ring_table(s: SimplicialSetModel) -> RingTable:
             continue
         for ia, a in enumerate(bases[da]):
             for ib, b in enumerate(bases[db]):
-                coords = express_in_basis(s, cup(s, a, b), bases[dc])
+                coords = _coordinates(s, cup(s, a, b), bases[dc])  # cup checked it
                 entries[(da, ia, db, ib)] = tuple(coords.to_bits().tolist())
     for (da, ia, db, ib), coords in entries.items():
         if entries[(db, ib, da, ia)] != coords:

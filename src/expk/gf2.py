@@ -5,7 +5,9 @@ is its length and one int, a matrix is a tuple of row ints and a column
 count.  A bit past a vector's length, or past a matrix's column count, is
 a ``ContractViolation``.  numpy meets this form only through
 ``_from_bits`` (rows of a 0/1 array to ints; ``_from_bytes`` when the
-rows are packed already) and ``_to_bits`` (ints to rows of a 0/1 array).
+rows are packed already), ``pack_rows`` (the entries of a sparse 0/1
+matrix to row ints), ``_to_bits`` (ints to rows of a 0/1 array) and
+their one-vector forms ``Gf2Vector.from_bits`` and ``to_bits``.
 
 All elimination goes through one routine, the tagged pivot table
 ``Gf2Span``.  Its results are deterministic: the kernel basis is ordered
@@ -29,7 +31,23 @@ def _from_bits(bits) -> list[int]:
 
 def _from_bytes(packed) -> list[int]:
     """Each row of a 2-D uint8 array of little-endian packed bits as an int."""
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    count, width = packed.shape
+    if not width:
+        return [0] * count
+    # one bytes object per row, made in C; numpy drops its trailing zero
+    # bytes, which are the high ones here
+    rows = np.ascontiguousarray(packed).view(f"S{width}").ravel().tolist()
+    return [int.from_bytes(row, "little") for row in rows]
+
+
+def pack_rows(row_count: int, col_count: int, rows, cols) -> list[int]:
+    """The row ints of the matrix with a 1 at each (rows, cols) entry.
+
+    A repeated entry cancels mod 2.  The indices must be in range.
+    """
+    packed = np.zeros((row_count, (col_count + 7) // 8), dtype=np.uint8)
+    np.bitwise_xor.at(packed, (rows, cols >> 3), (1 << (cols & 7)).astype(np.uint8))
+    return _from_bytes(packed)
 
 
 def _to_bits(ints, nbits: int) -> np.ndarray:
@@ -61,8 +79,9 @@ class Gf2Vector:
 
     @classmethod
     def from_bits(cls, bits) -> "Gf2Vector":
-        bits = np.asarray(bits, dtype=np.uint8).reshape(1, -1) & 1
-        return cls(bits.shape[1], _from_bits(bits)[0])
+        bits = np.asarray(bits, dtype=np.uint8).ravel() & 1
+        packed = np.packbits(bits, bitorder="little")
+        return cls(bits.size, int.from_bytes(packed.tobytes(), "little"))
 
     def to_int(self) -> int:
         return self._int
@@ -73,7 +92,9 @@ class Gf2Vector:
         return self._int >> i & 1
 
     def to_bits(self) -> np.ndarray:
-        return _to_bits((self._int,), self.length)[0]
+        data = self._int.to_bytes((self.length + 7) // 8, "little")
+        packed = np.frombuffer(data, dtype=np.uint8)
+        return np.unpackbits(packed, count=self.length, bitorder="little")
 
     def nonzero_indices(self) -> list[int]:
         return np.nonzero(self.to_bits())[0].tolist()
@@ -144,10 +165,16 @@ class Gf2Span:
 
     def add(self, x: int, tag: int = 0) -> int | None:
         """Insert x; None when it enlarges the span, else the relation's tag."""
-        x, tag = self.reduce(x, tag)
-        if x:
-            self._rows[x.bit_length() - 1] = (x, tag)
-            return None
+        # reduce's loop, inlined: one call per row is most of an elimination
+        rows = self._rows
+        while x:
+            lead = x.bit_length() - 1
+            row = rows.get(lead)
+            if row is None:
+                rows[lead] = (x, tag)
+                return None
+            x ^= row[0]
+            tag ^= row[1]
         return tag
 
 
@@ -202,9 +229,7 @@ class Gf2Matrix:
             or cols.max() >= col_count
         ):
             raise ContractViolation("triplet index out of range")
-        packed = np.zeros((row_count, (col_count + 7) // 8), dtype=np.uint8)
-        np.bitwise_xor.at(packed, (rows, cols >> 3), (1 << (cols & 7)).astype(np.uint8))
-        return cls(_from_bytes(packed), col_count)
+        return cls(pack_rows(row_count, col_count, rows, cols), col_count)
 
     # -- accessors ---------------------------------------------------------
 

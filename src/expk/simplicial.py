@@ -22,17 +22,23 @@ Conventions
   reads a model only through ``nondeg_count``, ``restrict`` and
   ``level_cap``.  ``restrict(n, kept)`` gives each nondegenerate n-simplex's
   face spanned by the vertex positions ``kept``; -1 marks a degenerate face.
-* Cochains are read off boundary rows: the degree-n cocycles are the
-  relations among the rows of ``boundary_{n+1}`` and the coboundaries
-  are spanned by the rows of ``boundary_n``.
+  Its arrays are memoized per model and read-only, so threads share them.
+* The chain layer reads faces only from one memoized face stack per
+  degree: row i of the degree-n stack is ``restrict(n, all but i)``, with
+  -1 read as one slot past the last (n-1)-simplex.  A coboundary gathers
+  the cochain's values, with a trailing 0 in that slot, through the stack
+  and xors over the faces; no matrix is built.  The degree-n cocycles are
+  the relations among the rows of ``boundary_{n+1}`` and the coboundaries
+  are spanned by the rows of ``boundary_n``; the elimination packs from
+  the stack only the rows it keeps.
 * Each boundary is eliminated once, with clearing (Chen & Kerber,
   *Persistent homology computation with a twist*): a row of
   ``boundary_n`` whose index leads a degree-(n-1) coboundary is a sum of
-  earlier rows, since δδ = 0, and is skipped.  The pass gives the span of
-  the degree-n coboundaries and, as the relations among the kept rows,
-  the basis of H^(n-1) (de Silva, Morozov & Vejdemo-Johansson, *Dualities
-  in persistent (co)homology*): the first cocycles, in kernel order, that
-  are independent modulo coboundaries.
+  earlier rows, since δδ = 0, and is never packed.  The pass gives the
+  span of the degree-n coboundaries and, as the relations among the kept
+  rows, the basis of H^(n-1) (de Silva, Morozov & Vejdemo-Johansson,
+  *Dualities in persistent (co)homology*): the first cocycles, in kernel
+  order, that are independent modulo coboundaries.
 
 The top stored level must be free of nondegenerate simplices before a
 Betti table is trusted; otherwise ``CapError`` is raised.
@@ -79,7 +85,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapError, ContractViolation
-from .gf2 import Gf2Matrix, Gf2Span, Gf2Vector
+from .gf2 import Gf2Matrix, Gf2Span, Gf2Vector, pack_rows
 
 MODEL_FORMAT = "simplicial-set-model/1"
 HASH_SCHEME = "simplicial-set-model-hash/2"
@@ -293,7 +299,9 @@ class SimplicialSetModel:
             pos[self._nondegenerate_ids[n]] = np.arange(self._nondegenerate_ids[n].size)
             pos.setflags(write=False)
             self._nondeg_pos.append(pos)
-        self._boundary_cache = {}
+        # memos shared by every caller and thread; their arrays are read-only
+        self._restrict_cache = {}
+        self._face_stacks = {}
         self._elimination_cache = {}
 
     # -- construction helpers ---------------------------------------------
@@ -335,16 +343,22 @@ class SimplicialSetModel:
         ``kept`` is a nonempty tuple of positions in 0..n, read as a set.
         One int32 entry per nondegenerate n-simplex: the face's
         nondegenerate position, or -1 where the face is degenerate.
+        Memoized per (n, kept); the array is read-only.
         """
-        if not (0 <= n <= self.level_cap and kept and 0 <= min(kept) <= max(kept) <= n):
-            raise ContractViolation(f"{kept} is not a nonempty subset of 0..{n}")
-        ids, level = self._nondegenerate_ids[n], n
-        # delete from the highest position down, so lower positions keep their index
-        for t in range(n, -1, -1):
-            if t not in kept:
-                ids = self.faces[level][t][ids]
-                level -= 1
-        return self._nondeg_pos[level][ids]
+        key = n, kept
+        if key not in self._restrict_cache:
+            if not (kept and 0 <= min(kept) <= max(kept) <= n <= self.level_cap):
+                raise ContractViolation(f"{kept} is not a nonempty subset of 0..{n}")
+            ids, level = self._nondegenerate_ids[n], n
+            # delete from the highest position down, so lower positions keep their index
+            for t in range(n, -1, -1):
+                if t not in kept:
+                    ids = self.faces[level][t][ids]
+                    level -= 1
+            face = self._nondeg_pos[level][ids]
+            face.setflags(write=False)
+            self._restrict_cache[key] = face
+        return self._restrict_cache[key]
 
     def apply(self, level: int, word) -> np.ndarray:
         """The images of every level-``level`` id under a word.
@@ -398,23 +412,50 @@ class SimplicialSetModel:
 
     # -- normalized chains -----------------------------------------------------
 
+    def _face_stack(self, n: int) -> np.ndarray:
+        """The faces of the nondegenerate n-simplices, one row per deleted vertex.
+
+        An (n+1) x nondeg_count(n) intp array: row i is
+        ``restrict(n, all but i)`` with -1 read as nondeg_count(n-1), one
+        slot past the last face.  Memoized per degree; read-only.
+        """
+        if not 1 <= n <= self.level_cap:
+            raise ContractViolation(f"boundary degree {n} outside 1..cap")
+        if n not in self._face_stacks:
+            kept_sets = [tuple(t for t in range(n + 1) if t != i) for i in range(n + 1)]
+            faces = np.stack([self.restrict(n, kept) for kept in kept_sets])
+            faces = faces.astype(np.intp)
+            faces[faces < 0] = self.nondeg_count(n - 1)
+            faces.setflags(write=False)
+            self._face_stacks[n] = faces
+        return self._face_stacks[n]
+
+    def _boundary_rows(self, n: int, skip=()) -> tuple[list[int], list[int]]:
+        """The rows of ∂_n whose index is not in ``skip``: (indices, row ints).
+
+        Row p is the dual of (n-1)-simplex p, bit j set when p is a face of
+        n-simplex j an odd number of times; only the rows returned are packed.
+        """
+        faces = self._face_stack(n)
+        length = self.nondeg_count(n - 1)
+        keep = np.ones(length + 1, dtype=bool)
+        keep[[*skip, length]] = False  # the slot of a degenerate face
+        slot = np.cumsum(keep) - 1  # a kept row's place among the kept rows
+        hit = keep[faces]
+        cols = np.broadcast_to(np.arange(faces.shape[1]), faces.shape)[hit]
+        kept = np.flatnonzero(keep)
+        rows = pack_rows(kept.size, faces.shape[1], slot[faces[hit]], cols)
+        return kept.tolist(), rows
+
     def boundary_matrix(self, n: int) -> Gf2Matrix:
         """Normalized boundary: nondegenerate n-simplices to level n-1.
 
         Column of a simplex is the mod-2 sum of its faces with degenerate
-        faces dropped; coinciding face pairs cancel.
+        faces dropped; coinciding face pairs cancel.  Built from the face
+        stack on each call, for callers that want the whole matrix: Betti
+        tables, bases and coboundaries never build it.
         """
-        if not 1 <= n <= self.level_cap:
-            raise ContractViolation(f"boundary degree {n} outside 1..cap")
-        if n not in self._boundary_cache:
-            kept_sets = [tuple(t for t in range(n + 1) if t != i) for i in range(n + 1)]
-            rows = np.concatenate([self.restrict(n, kept) for kept in kept_sets])
-            cols = np.tile(np.arange(self.nondeg_count(n)), n + 1)
-            keep = rows >= 0
-            self._boundary_cache[n] = Gf2Matrix.from_triplets(
-                self.nondeg_count(n - 1), self.nondeg_count(n), rows[keep], cols[keep]
-            )
-        return self._boundary_cache[n]
+        return Gf2Matrix(self._boundary_rows(n)[1], self.nondeg_count(n))
 
     def _require_closed_top(self):
         top = self.top_nondegenerate_level()
@@ -462,20 +503,25 @@ class SimplicialSetModel:
         if n not in self._elimination_cache:
             span, basis = Gf2Span(), []
             if n >= 1:
-                cleared = set(self._elimination(n - 1)[0].pivots())
+                cleared = self._elimination(n - 1)[0].pivots()
                 length = self.nondeg_count(n - 1)
-                for p, row in enumerate(self.boundary_matrix(n).row_ints()):
-                    if p not in cleared and (z := span.add(row, 1 << p)) is not None:
+                for p, row in zip(*self._boundary_rows(n, cleared)):
+                    if (z := span.add(row, 1 << p)) is not None:
                         basis.append(CochainClass(n - 1, Gf2Vector(length, z)))
                 span.drop_tags()
             self._elimination_cache[n] = span, basis
         return self._elimination_cache[n]
 
     def apply_coboundary(self, degree: int, support: Gf2Vector) -> Gf2Vector:
-        """Coboundary of a cochain: the xor of the rows of ``boundary_{degree+1}``."""
+        """Coboundary of a cochain: on each simplex, the xor of its faces' values."""
         if degree >= self.level_cap:
             raise CapError(f"coboundary at degree {degree} needs level {degree + 1}")
-        return self.boundary_matrix(degree + 1).combine_rows(support)
+        faces = self._face_stack(degree + 1)
+        if support.length != self.nondeg_count(degree):
+            raise ContractViolation("cochain length does not fit its degree")
+        # the values, read one bit longer: the slot of a degenerate face reads 0
+        values = Gf2Vector(support.length + 1, support.to_int()).to_bits()
+        return Gf2Vector.from_bits(np.bitwise_xor.reduce(values[faces], axis=0))
 
     def is_cocycle(self, degree: int, support: Gf2Vector) -> bool:
         return self.apply_coboundary(degree, support).is_zero()

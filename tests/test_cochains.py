@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from expk import cochains
 from expk.cochains import (
     coboundary,
     cohomologous,
@@ -16,12 +17,13 @@ from expk.cochains import (
     is_coboundary,
     random_cochain,
     ring_table,
+    square_coordinates,
     steenrod_square,
     unit_class,
 )
 from expk.complexes import projective_plane, torus
 from expk.errors import BasisSpanError, ContractViolation
-from expk.gf2 import Gf2Vector
+from expk.gf2 import Gf2Matrix, Gf2Vector
 from expk.simplicial import CochainClass
 from expk.spaces import SpaceSpec, build_space, exp_subsets, sphere, sym_power
 
@@ -114,6 +116,49 @@ def test_cup_i_and_random_cochains_compute_no_coboundary(t2, monkeypatch):
     assert calls == []
     coboundary(t2, a)
     assert calls == [1]
+
+
+def test_square_coordinates_check_each_square_once(monkeypatch):
+    model = build_space(SpaceSpec("exp", n=3, k=2))
+    calls = []
+    apply = type(model).apply_coboundary
+
+    def counted(m, degree, support):
+        calls.append(degree)
+        return apply(m, degree, support)
+
+    monkeypatch.setattr(type(model), "apply_coboundary", counted)
+    assert square_coordinates(model, 2, 3) == [[1]]
+    assert square_coordinates(model, 3, 3) == [[1]]
+    assert calls == [3, 5, 3, 6]  # each input and each square, once
+    # a square that is not closed still fails its self-check
+    rng = np.random.default_rng(0)
+    monkeypatch.setattr(
+        cochains, "cup_i", lambda s, a, b, i: random_cochain(s, 2 * a.degree - i, rng)
+    )
+    with pytest.raises(AssertionError):
+        square_coordinates(model, 2, 3)
+
+
+def test_squares_build_no_boundary_matrix(monkeypatch):
+    models = [
+        build_space(SpaceSpec(kind, n=n, k=k))
+        for kind, n, k in (("exp", 2, 2), ("exp", 3, 2), ("sym", 2, 3))
+    ]
+    built = []
+    init, triplets = Gf2Matrix.__init__, Gf2Matrix.from_triplets.__func__
+    monkeypatch.setattr(
+        Gf2Matrix, "__init__", lambda m, *a: built.append("init") or init(m, *a)
+    )
+    monkeypatch.setattr(
+        Gf2Matrix,
+        "from_triplets",
+        classmethod(lambda cls, *a: built.append("triplets") or triplets(cls, *a)),
+    )
+    for model, (i, d) in zip(models, ((2, 2), (2, 3), (2, 2))):
+        assert square_coordinates(model, i, d) == [[1]]
+    assert square_coordinates(models[1], 3, 3) == [[1]]
+    assert built == []
 
 
 def test_cup_i_index_range(t2):

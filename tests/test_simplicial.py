@@ -3,13 +3,15 @@
 import hashlib
 import itertools
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from expk.complexes import projective_plane, torus
 from expk.errors import CapError, ContractViolation
-from expk.gf2 import Gf2Matrix, Gf2Span, relations
+from expk.gf2 import Gf2Span, Gf2Vector, relations
 from expk.simplicial import BettiTable, SimplicialSetModel
 from expk.spaces import (
     DEFAULT_MAX_LEVEL_SIZE,
@@ -263,19 +265,19 @@ def test_cohomology_bases_are_pinned():
 
 
 def test_cohomology_basis_is_cached_per_degree(monkeypatch):
-    read = []  # every matrix whose rows an elimination read, in order
-    row_ints = Gf2Matrix.row_ints
-    monkeypatch.setattr(Gf2Matrix, "row_ints", lambda m: read.append(m) or row_ints(m))
+    passes = []  # the degree of every boundary whose rows an elimination packed
+    pack = SimplicialSetModel._boundary_rows
+
+    def counted(model, n, skip=()):
+        passes.append(n)
+        return pack(model, n, skip)
+
+    monkeypatch.setattr(SimplicialSetModel, "_boundary_rows", counted)
     model = torus()
     degrees = range(1, model.level_cap + 1)
-    boundaries = {id(model.boundary_matrix(n)): n for n in degrees}
-
-    def passes():
-        return [boundaries[id(m)] for m in read]
-
     first = model.cohomology_basis(1)
     supports = [c.support for c in first]
-    assert passes() == [1, 2]  # the pass over ∂_2 clears against the one over ∂_1
+    assert passes == [1, 2]  # the pass over ∂_2 clears against the one over ∂_1
     first.clear()  # each call hands out its own list
     again = model.cohomology_basis(1)
     assert [c.support for c in again] == supports and len(supports) == 2
@@ -283,7 +285,7 @@ def test_cohomology_basis_is_cached_per_degree(monkeypatch):
     for n in range(model.level_cap + 1):
         model.cohomology_basis(n)
         model.coboundary_span(n)
-    assert passes() == list(degrees)  # each degree once
+    assert passes == list(degrees)  # each degree once
     capped = sphere(2, 2)
     for _ in range(2):  # the cap check still runs on every call
         with pytest.raises(CapError):
@@ -317,6 +319,65 @@ def test_cleared_coboundary_spans_are_the_uncleared_ones():
             want = [z for z in cocycles if coboundaries.add(z) is None]
             got = [c.support.to_int() for c in model.cohomology_basis(n)]
             assert got == want, (model.description, n)
+
+
+def test_coboundary_is_the_xor_of_the_boundary_rows_it_selects():
+    rng = np.random.default_rng(21)
+    for model in _cleared_span_models():
+        cap = model.level_cap
+        for d in range(cap):
+            rows = model.boundary_matrix(d + 1)
+            for _ in range(4):
+                bits = rng.integers(0, 2, size=model.nondeg_count(d), dtype=np.uint8)
+                v = Gf2Vector.from_bits(bits)
+                assert model.apply_coboundary(d, v) == rows.combine_rows(v), (
+                    model.description,
+                    d,
+                )
+        with pytest.raises(ContractViolation):
+            model.apply_coboundary(0, Gf2Vector.zeros(model.nondeg_count(0) + 1))
+        for d in (cap, cap + 1):
+            with pytest.raises(CapError):
+                model.apply_coboundary(d, Gf2Vector.zeros(model.nondeg_count(d)))
+
+
+def test_memos_are_read_only_and_shared_by_threads():
+    spec = SpaceSpec("exp", n=2, k=3)
+    serial = build_space(spec)
+    degrees = range(serial.level_cap + 1)
+    rng = np.random.default_rng(3)
+    sizes = [serial.nondeg_count(d) for d in range(serial.level_cap)]
+    probes = [Gf2Vector.from_bits(rng.integers(0, 2, size, np.uint8)) for size in sizes]
+    want = (
+        [[c.support for c in serial.cohomology_basis(d)] for d in degrees],
+        [serial.apply_coboundary(d, v) for d, v in enumerate(probes)],
+    )
+    model = build_space(spec)
+
+    def work(reverse):
+        bases, cobs = {}, {}
+        for d in sorted(degrees, reverse=reverse):
+            bases[d] = [c.support for c in model.cohomology_basis(d)]
+            if d < len(probes):
+                cobs[d] = model.apply_coboundary(d, probes[d])
+        return [bases[d] for d in degrees], [cobs[d] for d in range(len(probes))]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(work, k % 2 == 1) for k in range(4)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r == want for r in results)
+    assert model.restrict(2, (0, 2)) is model.restrict(2, (0, 2))
+    memos = [*model._restrict_cache.values(), *model._face_stacks.values()]
+    assert memos and not any(a.flags.writeable for a in memos)
+    with pytest.raises(ValueError):
+        model.restrict(2, (0, 2))[0] = 0
+    with pytest.raises(ValueError):
+        model._face_stack(2)[0, 0] = 0
 
 
 def test_bases_count_betti_and_spans_carry_no_tags():
