@@ -18,17 +18,18 @@ chain-level identity
 holds mod 2 (checked by the test suite on random cochains).  Steenrod
 squares are the diagonal values: Sq^i[u] = [u cup_{p-i} u].
 
-A model is read only through ``nondeg_count``, ``restrict`` and
-``level_cap`` (and its boundary methods, built on them): a cut's even and
-odd vertex sets go to ``restrict``, where -1 marks a degenerate face, and
-each cochain's values get one trailing 0 for -1 to read.
+A model is a ``simplicial.ChainModel``, read only through ``nondeg_count``,
+``restrict`` and ``level_cap`` (and the base's methods, built on them): a
+cut's even and odd vertex sets go to ``restrict``, where -1 marks a
+degenerate face, and each cochain's values get one trailing 0 for -1 to read.
 
 A cochain does not record whether it is closed; ``_closed`` asks the
 model: du = 0 below the level cap, and at the cap an empty level.  ``cup``,
 ``steenrod_square`` and ``express_in_basis`` check their inputs with it,
 and ``cup`` and ``steenrod_square`` assert it of their output;
-``square_coordinates`` and ``ring_table`` express those outputs without
-asking again, and nothing else computes a coboundary to ask.
+``square_coordinates`` expresses those outputs without asking again.
+``ring_table`` asserts it once of each basis class and of each product,
+and nothing else computes a coboundary to ask.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 
 from .errors import BasisSpanError, ContractViolation
 from .gf2 import Gf2Vector
-from .simplicial import CochainClass, SimplicialSetModel
+from .simplicial import ChainModel, CochainClass
 
 RING_TABLE_FORMAT = "ring-table/1"
 
@@ -64,22 +65,27 @@ def _interval_cuts(n: int, i: int, p: int):
     return tuple(out)
 
 
-def _support(s: SimplicialSetModel, c: CochainClass) -> Gf2Vector:
+def _support(s: ChainModel, c: CochainClass) -> Gf2Vector:
     if c.support.length != s.nondeg_count(c.degree):
         raise ContractViolation(f"cochain length does not fit degree {c.degree}")
     return c.support
 
 
-def _closed(s: SimplicialSetModel, c: CochainClass) -> bool:
+def _closed(s: ChainModel, c: CochainClass) -> bool:
     support = _support(s, c)
     if c.degree < s.level_cap:
         return s.is_cocycle(c.degree, support)
     return support.length == 0
 
 
-def cup_i(
-    s: SimplicialSetModel, a: CochainClass, b: CochainClass, i: int
-) -> CochainClass:
+def _checked(s: ChainModel, c: CochainClass, what: str) -> CochainClass:
+    """``c``, asserted closed: ``what`` is built from cocycles, so it must be."""
+    if not _closed(s, c):
+        raise AssertionError(f"{what} failed to be a cocycle")
+    return c
+
+
+def cup_i(s: ChainModel, a: CochainClass, b: CochainClass, i: int) -> CochainClass:
     """Chain-level cup-i product; defined for arbitrary cochains."""
     p, q = a.degree, b.degree
     if not 0 <= i <= min(p, q):
@@ -95,21 +101,18 @@ def cup_i(
     return CochainClass(n, Gf2Vector.from_bits(out))
 
 
-def cup(s: SimplicialSetModel, a: CochainClass, b: CochainClass) -> CochainClass:
+def cup(s: ChainModel, a: CochainClass, b: CochainClass) -> CochainClass:
     """Front-face/back-face product of cocycles; the class is well defined."""
     if not (_closed(s, a) and _closed(s, b)):
         raise ContractViolation("cup is defined on cocycle representatives")
-    out = cup_i(s, a, b, 0)
-    if not _closed(s, out):
-        raise AssertionError("cup of cocycles failed to be a cocycle")
-    return out
+    return _checked(s, cup_i(s, a, b, 0), "cup of cocycles")
 
 
-def coboundary(s: SimplicialSetModel, c: CochainClass) -> CochainClass:
+def coboundary(s: ChainModel, c: CochainClass) -> CochainClass:
     return CochainClass(c.degree + 1, s.apply_coboundary(c.degree, c.support))
 
 
-def steenrod_square(s: SimplicialSetModel, i: int, a: CochainClass) -> CochainClass:
+def steenrod_square(s: ChainModel, i: int, a: CochainClass) -> CochainClass:
     """Sq^i on a cocycle: the class of a cup_{p-i} a, zero above the degree."""
     if i < 0:
         raise ContractViolation("square index must be nonnegative")
@@ -121,24 +124,21 @@ def steenrod_square(s: SimplicialSetModel, i: int, a: CochainClass) -> CochainCl
         if degree > s.level_cap:
             raise ContractViolation(f"degree {degree} exceeds the level cap")
         return CochainClass(degree, Gf2Vector.zeros(s.nondeg_count(degree)))
-    out = cup_i(s, a, a, p - i)
-    if not _closed(s, out):
-        raise AssertionError("square of a cocycle failed to be a cocycle")
-    return out
+    return _checked(s, cup_i(s, a, a, p - i), "square of a cocycle")
 
 
 # ---------------------------------------------------------------------------
 # expressing classes in a basis
 
 
-def express_in_basis(s: SimplicialSetModel, c: CochainClass, basis) -> Gf2Vector:
+def express_in_basis(s: ChainModel, c: CochainClass, basis) -> Gf2Vector:
     """Coordinates of [c] in a basis independent modulo coboundaries."""
     if not _closed(s, c):
         raise ContractViolation("only cocycles have well-defined coordinates")
     return _coordinates(s, c, basis)
 
 
-def _coordinates(s: SimplicialSetModel, c: CochainClass, basis) -> Gf2Vector:
+def _coordinates(s: ChainModel, c: CochainClass, basis) -> Gf2Vector:
     """``express_in_basis`` for a c whose closure its caller has checked."""
     for b in basis:
         if b.degree != c.degree:
@@ -157,7 +157,7 @@ def _coordinates(s: SimplicialSetModel, c: CochainClass, basis) -> Gf2Vector:
     return Gf2Vector(len(basis), coords)
 
 
-def square_coordinates(s: SimplicialSetModel, i: int, d: int) -> list:
+def square_coordinates(s: ChainModel, i: int, d: int) -> list:
     """Sq^i of each basis class of H^d, as coordinates in the basis of H^(d+i).
 
     One 0/1 list per generator of H^d, in basis order; both bases are the
@@ -174,19 +174,19 @@ def square_coordinates(s: SimplicialSetModel, i: int, d: int) -> list:
     ]
 
 
-def is_coboundary(s: SimplicialSetModel, c: CochainClass) -> bool:
+def is_coboundary(s: ChainModel, c: CochainClass) -> bool:
     rest, _ = s.coboundary_span(c.degree).reduce(_support(s, c).to_int())
     return not rest
 
 
-def cohomologous(s: SimplicialSetModel, c1: CochainClass, c2: CochainClass) -> bool:
+def cohomologous(s: ChainModel, c1: CochainClass, c2: CochainClass) -> bool:
     if c1.degree != c2.degree:
         return False
     diff = CochainClass(c1.degree, c1.support ^ c2.support)
     return is_coboundary(s, diff)
 
 
-def unit_class(s: SimplicialSetModel) -> CochainClass:
+def unit_class(s: ChainModel) -> CochainClass:
     """The all-ones 0-cochain; the multiplicative unit on cohomology."""
     ones = Gf2Vector.from_bits(np.ones(s.nondeg_count(0), dtype=np.uint8))
     if not s.is_cocycle(0, ones):
@@ -194,7 +194,7 @@ def unit_class(s: SimplicialSetModel) -> CochainClass:
     return CochainClass(0, ones)
 
 
-def random_cochain(s: SimplicialSetModel, degree: int, rng) -> CochainClass:
+def random_cochain(s: ChainModel, degree: int, rng) -> CochainClass:
     bits = rng.integers(0, 2, size=s.nondeg_count(degree), dtype=np.uint8)
     return CochainClass(degree, Gf2Vector.from_bits(bits))
 
@@ -228,7 +228,7 @@ class RingTable:
         }
 
 
-def ring_table(s: SimplicialSetModel) -> RingTable:
+def ring_table(s: ChainModel) -> RingTable:
     """Cup products of all basis classes within the computable range.
 
     Graded commutativity (mod 2 equality of both orders) is verified
@@ -236,6 +236,8 @@ def ring_table(s: SimplicialSetModel) -> RingTable:
     """
     max_degree = s.top_nondegenerate_level()
     bases = {d: s.cohomology_basis(d) for d in range(max_degree + 1)}
+    for c in itertools.chain(*bases.values()):
+        _checked(s, c, "a cohomology basis class")
     labels = tuple(
         (d, tuple(f"h{d}[{i}]" for i in range(len(bases[d]))))
         for d in range(max_degree + 1)
@@ -248,7 +250,8 @@ def ring_table(s: SimplicialSetModel) -> RingTable:
             continue
         for ia, a in enumerate(bases[da]):
             for ib, b in enumerate(bases[db]):
-                coords = _coordinates(s, cup(s, a, b), bases[dc])  # cup checked it
+                ab = _checked(s, cup_i(s, a, b, 0), "cup of cocycles")
+                coords = _coordinates(s, ab, bases[dc])
                 entries[(da, ia, db, ib)] = tuple(coords.to_bits().tolist())
     for (da, ia, db, ib), coords in entries.items():
         if entries[(db, ib, da, ia)] != coords:

@@ -18,19 +18,21 @@ Conventions
 * Mod-2 Betti numbers are ``nullity(boundary_n) - rank(boundary_{n+1})``;
   with field coefficients these are simultaneously the homology and
   cohomology dimensions.
-* The cohomology layer (the boundary here, cup-i and Sq in ``cochains``)
+* The cohomology layer (``ChainModel`` here, cup-i and Sq in ``cochains``)
   reads a model only through ``nondeg_count``, ``restrict`` and
-  ``level_cap``.  ``restrict(n, kept)`` gives each nondegenerate n-simplex's
-  face spanned by the vertex positions ``kept``; -1 marks a degenerate face.
-  Its arrays are memoized per model and read-only, so threads share them.
+  ``level_cap``, the three members a model kind implements; the stored
+  ``SimplicialSetModel`` is one.  ``restrict(n, kept)`` gives each
+  nondegenerate n-simplex's face spanned by the vertex positions ``kept``;
+  -1 marks a degenerate face.  Its arrays are memoized and read-only.
 * The chain layer reads faces only from one memoized face stack per
-  degree: row i of the degree-n stack is ``restrict(n, all but i)``, with
-  -1 read as one slot past the last (n-1)-simplex.  A coboundary gathers
-  the cochain's values, with a trailing 0 in that slot, through the stack
-  and xors over the faces; no matrix is built.  The degree-n cocycles are
-  the relations among the rows of ``boundary_{n+1}`` and the coboundaries
-  are spanned by the rows of ``boundary_n``; the elimination packs from
-  the stack only the rows it keeps.
+  degree: row i of the degree-n stack is ``restrict(n, all but i)``.  An
+  array it indexes by the stack is one longer than the level below, so -1
+  reads the trailing slot: a 0 value, or a row never kept.  A coboundary
+  gathers the cochain's values through the stack and xors over the faces;
+  no matrix is built.  The degree-n cocycles are the relations among the
+  rows of ``boundary_{n+1}`` and the coboundaries are spanned by the rows
+  of ``boundary_n``; the elimination packs from the stack only the rows
+  it keeps.
 * Each boundary is eliminated once, with clearing (Chen & Kerber,
   *Persistent homology computation with a twist*): a row of
   ``boundary_n`` whose index leads a degree-(n-1) coboundary is a sum of
@@ -257,79 +259,17 @@ def _degenerate_groups(degeneracies, size: int):
     return ~degenerate, groups
 
 
-class SimplicialSetModel:
-    """Levelwise simplicial set on dense integer ids; immutable once built."""
+class ChainModel:
+    """The normalized mod-2 cochain layer of a model.
 
-    def __init__(
-        self,
-        level_cap: int,
-        level_sizes,
-        faces,
-        degeneracies,
-        description: str = "",
-        simplex_keys=None,
-        nondegenerate=None,
-    ):
-        self.level_cap = int(level_cap)
-        self.level_sizes = [int(s) for s in level_sizes]
-        if len(self.level_sizes) != self.level_cap + 1:
-            raise ContractViolation("level_sizes must cover 0..cap")
-        self.faces = [[_as_id_array(f) for f in faces[n]] for n in range(len(faces))]
-        self.degeneracies = [
-            [_as_id_array(s) for s in degeneracies[n]]
-            for n in range(len(degeneracies))
-        ]
-        self.description = description
-        # Construction metadata (canonical labels per level); not serialized.
-        self.simplex_keys = simplex_keys
-        self._check_shapes()
-        # from_operators passes the flags it marked while building the faces
-        if nondegenerate is None:
-            nondegenerate = [np.ones(self.level_sizes[0], dtype=bool)] + [
-                _degenerate_groups(self.degeneracies[n - 1], self.level_sizes[n])[0]
-                for n in range(1, self.level_cap + 1)
-            ]
-        self.nondegenerate = nondegenerate
-        for f in self.nondegenerate:
-            f.setflags(write=False)
-        self._nondegenerate_ids = [np.nonzero(nd)[0] for nd in self.nondegenerate]
-        self._nondeg_pos = []
-        for n, nd in enumerate(self.nondegenerate):
-            pos = np.full(self.level_sizes[n], -1, dtype=np.int32)
-            pos[self._nondegenerate_ids[n]] = np.arange(self._nondegenerate_ids[n].size)
-            pos.setflags(write=False)
-            self._nondeg_pos.append(pos)
-        # memos shared by every caller and thread; their arrays are read-only
-        self._restrict_cache = {}
+    Every method reads the model only through ``level_cap``,
+    ``nondeg_count(n)`` and ``restrict(n, kept)``, which a subclass gives;
+    the face stacks and eliminations are memoized, and threads share them.
+    """
+
+    def __init__(self):
         self._face_stacks = {}
         self._elimination_cache = {}
-
-    # -- construction helpers ---------------------------------------------
-
-    def _check_shapes(self):
-        cap, sizes = self.level_cap, self.level_sizes
-        ops = operators(cap)
-        counts = collections.Counter((kind, n) for kind, n, _, _ in ops)
-        for kind in ("faces", "degeneracies"):
-            tables = getattr(self, kind)
-            if len(tables) != cap + 1:
-                raise ContractViolation("face/degeneracy tables must cover 0..cap")
-            for n, level in enumerate(tables):
-                if len(level) != counts[kind, n]:
-                    raise ContractViolation(f"level {n} needs {counts[kind, n]} {kind}")
-        for kind, n, i, t in ops:
-            table = getattr(self, kind)[n][i]
-            if table.shape != (sizes[n],):
-                raise ContractViolation(f"{kind}[{n}][{i}] has wrong length")
-            if table.size and (table.min() < 0 or table.max() >= sizes[t]):
-                raise ContractViolation(f"{kind}[{n}][{i}] points out of range")
-
-    # -- basic queries -------------------------------------------------------
-
-    def nondeg_count(self, n: int) -> int:
-        if 0 <= n <= self.level_cap:
-            return int(self._nondegenerate_ids[n].size)
-        return 0
 
     def top_nondegenerate_level(self) -> int:
         for n in range(self.level_cap, -1, -1):
@@ -337,87 +277,13 @@ class SimplicialSetModel:
                 return n
         return -1
 
-    def restrict(self, n: int, kept) -> np.ndarray:
-        """Where the face spanned by ``kept`` of each nondegenerate n-simplex lies.
-
-        ``kept`` is a nonempty tuple of positions in 0..n, read as a set.
-        One int32 entry per nondegenerate n-simplex: the face's
-        nondegenerate position, or -1 where the face is degenerate.
-        Memoized per (n, kept); the array is read-only.
-        """
-        key = n, kept
-        if key not in self._restrict_cache:
-            if not (kept and 0 <= min(kept) <= max(kept) <= n <= self.level_cap):
-                raise ContractViolation(f"{kept} is not a nonempty subset of 0..{n}")
-            ids, level = self._nondegenerate_ids[n], n
-            # delete from the highest position down, so lower positions keep their index
-            for t in range(n, -1, -1):
-                if t not in kept:
-                    ids = self.faces[level][t][ids]
-                    level -= 1
-            face = self._nondeg_pos[level][ids]
-            face.setflags(write=False)
-            self._restrict_cache[key] = face
-        return self._restrict_cache[key]
-
-    def apply(self, level: int, word) -> np.ndarray:
-        """The images of every level-``level`` id under a word.
-
-        A word is a tuple of (kind, index) pairs, read as a composite of
-        operators: the last pair acts first, so d_i s_j is
-        (("faces", i), ("degeneracies", j)).
-        """
-        out = None
-        for kind, i in reversed(word):
-            table = getattr(self, kind)[level][i]
-            out = table if out is None else table[out]
-            level += -1 if kind == "faces" else 1
-        if out is None:
-            return np.arange(self.level_sizes[level], dtype=np.int32)
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, SimplicialSetModel):
-            return NotImplemented
-        return (
-            self.level_cap == other.level_cap
-            and self.level_sizes == other.level_sizes
-            and all(map(np.array_equal, self.words(), other.words()))
-        )
-
-    def __hash__(self):
-        return hash((self.level_cap, tuple(self.level_sizes)))
-
-    def __repr__(self):
-        return (
-            f"SimplicialSetModel({self.description or 'unnamed'}, cap="
-            f"{self.level_cap}, sizes={self.level_sizes})"
-        )
-
-    # -- simplicial identity validation -------------------------------------
-
-    def validate(self) -> ValidationReport:
-        """Check every simplicial identity whose both sides are stored.
-
-        Returns a passing report or the first violation in the scan order
-        of ``_identities`` (family, level, indices), with a witness simplex.
-        No separate injectivity scan: d_j s_j = id already fails on any
-        non-injective s_j.
-        """
-        for family, n, i, j, lhs, rhs in _identities(self.level_cap):
-            bad = np.flatnonzero(self.apply(n, lhs) != self.apply(n, rhs))
-            if bad.size:
-                return ValidationReport(False, Violation(family, n, i, j, int(bad[0])))
-        return ValidationReport(True)
-
-    # -- normalized chains -----------------------------------------------------
-
     def _face_stack(self, n: int) -> np.ndarray:
         """The faces of the nondegenerate n-simplices, one row per deleted vertex.
 
         An (n+1) x nondeg_count(n) intp array: row i is
-        ``restrict(n, all but i)`` with -1 read as nondeg_count(n-1), one
-        slot past the last face.  Memoized per degree; read-only.
+        ``restrict(n, all but i)``, whose -1 (a degenerate face) indexes the
+        trailing slot of an array one longer than the level below.
+        Memoized per degree; read-only.
         """
         if not 1 <= n <= self.level_cap:
             raise ContractViolation(f"boundary degree {n} outside 1..cap")
@@ -425,7 +291,6 @@ class SimplicialSetModel:
             kept_sets = [tuple(t for t in range(n + 1) if t != i) for i in range(n + 1)]
             faces = np.stack([self.restrict(n, kept) for kept in kept_sets])
             faces = faces.astype(np.intp)
-            faces[faces < 0] = self.nondeg_count(n - 1)
             faces.setflags(write=False)
             self._face_stacks[n] = faces
         return self._face_stacks[n]
@@ -439,7 +304,7 @@ class SimplicialSetModel:
         faces = self._face_stack(n)
         length = self.nondeg_count(n - 1)
         keep = np.ones(length + 1, dtype=bool)
-        keep[[*skip, length]] = False  # the slot of a degenerate face
+        keep[[*skip, length]] = False  # -1, a degenerate face, reads keep[length]
         slot = np.cumsum(keep) - 1  # a kept row's place among the kept rows
         hit = keep[faces]
         cols = np.broadcast_to(np.arange(faces.shape[1]), faces.shape)[hit]
@@ -519,12 +384,164 @@ class SimplicialSetModel:
         faces = self._face_stack(degree + 1)
         if support.length != self.nondeg_count(degree):
             raise ContractViolation("cochain length does not fit its degree")
-        # the values, read one bit longer: the slot of a degenerate face reads 0
+        # the values, one bit longer: -1, a degenerate face, reads the trailing 0
         values = Gf2Vector(support.length + 1, support.to_int()).to_bits()
         return Gf2Vector.from_bits(np.bitwise_xor.reduce(values[faces], axis=0))
 
     def is_cocycle(self, degree: int, support: Gf2Vector) -> bool:
         return self.apply_coboundary(degree, support).is_zero()
+
+
+class SimplicialSetModel(ChainModel):
+    """Levelwise simplicial set on dense integer ids; immutable once built."""
+
+    def __init__(
+        self,
+        level_cap: int,
+        level_sizes,
+        faces,
+        degeneracies,
+        description: str = "",
+        simplex_keys=None,
+        nondegenerate=None,
+    ):
+        self.level_cap = int(level_cap)
+        self.level_sizes = [int(s) for s in level_sizes]
+        if len(self.level_sizes) != self.level_cap + 1:
+            raise ContractViolation("level_sizes must cover 0..cap")
+        self.faces = [[_as_id_array(f) for f in faces[n]] for n in range(len(faces))]
+        self.degeneracies = [
+            [_as_id_array(s) for s in degeneracies[n]]
+            for n in range(len(degeneracies))
+        ]
+        self.description = description
+        # Construction metadata (canonical labels per level); not serialized.
+        self.simplex_keys = simplex_keys
+        self._check_shapes()
+        # from_operators passes the flags it marked while building the faces
+        if nondegenerate is None:
+            nondegenerate = [np.ones(self.level_sizes[0], dtype=bool)] + [
+                _degenerate_groups(self.degeneracies[n - 1], self.level_sizes[n])[0]
+                for n in range(1, self.level_cap + 1)
+            ]
+        self.nondegenerate = nondegenerate
+        for f in self.nondegenerate:
+            f.setflags(write=False)
+        self._nondegenerate_ids = [np.nonzero(nd)[0] for nd in self.nondegenerate]
+        self._nondeg_pos = []
+        for n, nd in enumerate(self.nondegenerate):
+            pos = np.full(self.level_sizes[n], -1, dtype=np.int32)
+            pos[self._nondegenerate_ids[n]] = np.arange(self._nondegenerate_ids[n].size)
+            pos.setflags(write=False)
+            self._nondeg_pos.append(pos)
+        # memos shared by every caller and thread; their arrays are read-only
+        self._restrict_cache = {}
+        super().__init__()
+
+    # perfbench/tracer.py wraps these through SimplicialSetModel.__dict__
+    boundary_matrix = ChainModel.boundary_matrix
+    betti_table = ChainModel.betti_table
+    cohomology_basis = ChainModel.cohomology_basis
+
+    # -- construction helpers ---------------------------------------------
+
+    def _check_shapes(self):
+        cap, sizes = self.level_cap, self.level_sizes
+        ops = operators(cap)
+        counts = collections.Counter((kind, n) for kind, n, _, _ in ops)
+        for kind in ("faces", "degeneracies"):
+            tables = getattr(self, kind)
+            if len(tables) != cap + 1:
+                raise ContractViolation("face/degeneracy tables must cover 0..cap")
+            for n, level in enumerate(tables):
+                if len(level) != counts[kind, n]:
+                    raise ContractViolation(f"level {n} needs {counts[kind, n]} {kind}")
+        for kind, n, i, t in ops:
+            table = getattr(self, kind)[n][i]
+            if table.shape != (sizes[n],):
+                raise ContractViolation(f"{kind}[{n}][{i}] has wrong length")
+            if table.size and (table.min() < 0 or table.max() >= sizes[t]):
+                raise ContractViolation(f"{kind}[{n}][{i}] points out of range")
+
+    # -- basic queries -------------------------------------------------------
+
+    def nondeg_count(self, n: int) -> int:
+        if 0 <= n <= self.level_cap:
+            return int(self._nondegenerate_ids[n].size)
+        return 0
+
+    def restrict(self, n: int, kept) -> np.ndarray:
+        """Where the face spanned by ``kept`` of each nondegenerate n-simplex lies.
+
+        ``kept`` is a nonempty tuple of positions in 0..n, read as a set.
+        One int32 entry per nondegenerate n-simplex: the face's
+        nondegenerate position, or -1 where the face is degenerate.
+        Memoized per (n, kept); the array is read-only.
+        """
+        key = n, kept
+        if key not in self._restrict_cache:
+            if not (kept and 0 <= min(kept) <= max(kept) <= n <= self.level_cap):
+                raise ContractViolation(f"{kept} is not a nonempty subset of 0..{n}")
+            ids, level = self._nondegenerate_ids[n], n
+            # delete from the highest position down, so lower positions keep their index
+            for t in range(n, -1, -1):
+                if t not in kept:
+                    ids = self.faces[level][t][ids]
+                    level -= 1
+            face = self._nondeg_pos[level][ids]
+            face.setflags(write=False)
+            self._restrict_cache[key] = face
+        return self._restrict_cache[key]
+
+    def apply(self, level: int, word) -> np.ndarray:
+        """The images of every level-``level`` id under a word.
+
+        A word is a tuple of (kind, index) pairs, read as a composite of
+        operators: the last pair acts first, so d_i s_j is
+        (("faces", i), ("degeneracies", j)).
+        """
+        out = None
+        for kind, i in reversed(word):
+            table = getattr(self, kind)[level][i]
+            out = table if out is None else table[out]
+            level += -1 if kind == "faces" else 1
+        if out is None:
+            return np.arange(self.level_sizes[level], dtype=np.int32)
+        return out
+
+    def __eq__(self, other):
+        if not isinstance(other, SimplicialSetModel):
+            return NotImplemented
+        return (
+            self.level_cap == other.level_cap
+            and self.level_sizes == other.level_sizes
+            and all(map(np.array_equal, self.words(), other.words()))
+        )
+
+    def __hash__(self):
+        return hash((self.level_cap, tuple(self.level_sizes)))
+
+    def __repr__(self):
+        return (
+            f"SimplicialSetModel({self.description or 'unnamed'}, cap="
+            f"{self.level_cap}, sizes={self.level_sizes})"
+        )
+
+    # -- simplicial identity validation -------------------------------------
+
+    def validate(self) -> ValidationReport:
+        """Check every simplicial identity whose both sides are stored.
+
+        Returns a passing report or the first violation in the scan order
+        of ``_identities`` (family, level, indices), with a witness simplex.
+        No separate injectivity scan: d_j s_j = id already fails on any
+        non-injective s_j.
+        """
+        for family, n, i, j, lhs, rhs in _identities(self.level_cap):
+            bad = np.flatnonzero(self.apply(n, lhs) != self.apply(n, rhs))
+            if bad.size:
+                return ValidationReport(False, Violation(family, n, i, j, int(bad[0])))
+        return ValidationReport(True)
 
     # -- serialization -----------------------------------------------------------
 

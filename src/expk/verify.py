@@ -496,8 +496,8 @@ def check_props_simplicial(ctx):
         top = model.top_nondegenerate_level()
         for n in range(2, top + 1):
             # boundary squared is zero: every row of d_(n-1) is an (n-1)-cocycle
-            d = model.boundary_matrix(n - 1)
-            rows = (Gf2Vector(d.col_count, row) for row in d.row_ints())
+            length = model.nondeg_count(n - 1)
+            rows = (Gf2Vector(length, row) for row in model._boundary_rows(n - 1)[1])
             if not all(model.is_cocycle(n - 1, row) for row in rows):
                 return _verdict(
                     False, f"{model.description}: boundary squared nonzero at {n}"

@@ -24,7 +24,7 @@ from expk.cochains import (
 from expk.complexes import projective_plane, torus
 from expk.errors import BasisSpanError, ContractViolation
 from expk.gf2 import Gf2Matrix, Gf2Vector
-from expk.simplicial import CochainClass
+from expk.simplicial import ChainModel, CochainClass
 from expk.spaces import SpaceSpec, build_space, exp_subsets, sphere, sym_power
 
 
@@ -138,6 +138,31 @@ def test_square_coordinates_check_each_square_once(monkeypatch):
     )
     with pytest.raises(AssertionError):
         square_coordinates(model, 2, 3)
+
+
+def test_ring_table_checks_each_basis_class_once(monkeypatch):
+    model = torus()
+    calls = []
+    apply = type(model).apply_coboundary
+
+    def counted(m, degree, support):
+        calls.append(degree)
+        return apply(m, degree, support)
+
+    monkeypatch.setattr(type(model), "apply_coboundary", counted)
+    ring_table(model)
+    assert len(calls) == 15  # 4 basis classes, then 11 products
+    # a basis class that is not closed fails the table's self-check
+    rng = np.random.default_rng(0)
+    v = random_cochain(model, 1, rng)
+    while model.is_cocycle(1, v.support):
+        v = random_cochain(model, 1, rng)
+    basis = type(model).cohomology_basis
+    monkeypatch.setattr(
+        type(model), "cohomology_basis", lambda m, d: [v] if d == 1 else basis(m, d)
+    )
+    with pytest.raises(AssertionError):
+        ring_table(model)
 
 
 def test_squares_build_no_boundary_matrix(monkeypatch):
@@ -405,3 +430,39 @@ def test_ring_table_structure(t2):
     assert len(degrees[1]) == 2 and len(degrees[2]) == 1
     products = dict(table.products)
     assert products[(1, 0, 1, 1)] == products[(1, 1, 1, 0)]
+
+
+class ThreeMembers(ChainModel):
+    """A chain model that reads another only through the base's three members."""
+
+    def __init__(self, model):
+        super().__init__()
+        self._model = model
+        self.level_cap = model.level_cap
+
+    def nondeg_count(self, n):
+        return self._model.nondeg_count(n)
+
+    def restrict(self, n, kept):
+        return self._model.restrict(n, kept)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        torus,
+        projective_plane,
+        lambda: build_space(SpaceSpec("exp", n=2, k=2)),
+        lambda: build_space(SpaceSpec("sym", n=2, k=3)),
+    ],
+    ids=["torus", "rp2", "exp2_s2", "sym3_s2"],
+)
+def test_the_chain_layer_needs_only_three_members(build):
+    model = build()
+    wrapped = ThreeMembers(model)
+    assert wrapped.betti_table() == model.betti_table()
+    for d in range(model.level_cap + 1):
+        assert wrapped.cohomology_basis(d) == model.cohomology_basis(d)
+    assert ring_table(wrapped) == ring_table(model)
+    for d in range(model.top_nondegenerate_level() + 1):
+        assert square_coordinates(wrapped, 0, d) == square_coordinates(model, 0, d)

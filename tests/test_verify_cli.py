@@ -15,6 +15,7 @@ import pytest
 import expk
 from expk import complexes, verify
 from expk.cli import main
+from expk.gf2 import Gf2Matrix
 from expk.simplicial import SimplicialSetModel, canonical_json
 from expk.verify import CHECKS, ModelCache, run_verify
 from expk.spaces import SpaceSpec
@@ -41,6 +42,21 @@ def test_single_check_scope():
 def test_a_repeated_check_id_runs_once():
     report = run_verify(scope=["props-gf2", "props-gf2"])
     assert [r.check_id for r in report.results] == ["props-gf2"]
+
+
+def test_props_simplicial_builds_no_boundary_matrix(monkeypatch):
+    built = []
+    init, triplets = Gf2Matrix.__init__, Gf2Matrix.from_triplets.__func__
+    monkeypatch.setattr(
+        Gf2Matrix, "__init__", lambda m, *a: built.append("init") or init(m, *a)
+    )
+    monkeypatch.setattr(
+        Gf2Matrix,
+        "from_triplets",
+        classmethod(lambda cls, *a: built.append("triplets") or triplets(cls, *a)),
+    )
+    assert run_verify(scope=["props-simplicial"]).passed
+    assert built == []
 
 
 def test_empty_scope_is_success():
