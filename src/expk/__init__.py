@@ -47,9 +47,7 @@ from .spaces import (
     diagonal_insertion,
     exp_subsets,
     from_complex,
-    identity_map,
     one_vertex_sphere,
-    point,
     power,
     product,
     pushout,

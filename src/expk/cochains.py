@@ -20,8 +20,8 @@ squares are the diagonal values: Sq^i[u] = [u cup_{p-i} u].
 
 A model is a ``simplicial.ChainModel``, read only through ``nondeg_count``,
 ``restrict`` and ``level_cap`` (and the base's methods, built on them): a
-cut's even and odd vertex sets go to ``restrict``, where -1 marks a
-degenerate face, and each cochain's values get one trailing 0 for -1 to read.
+cut's even and odd vertex sets go to ``restrict``, and -1, a degenerate
+face, reads the trailing 0 that ``simplicial._padded_values`` appends.
 
 A cochain does not record whether it is closed; ``_closed`` asks the
 model: du = 0 below the level cap, and at the cap an empty level.  ``cup``,
@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import BasisSpanError, ContractViolation
 from .gf2 import Gf2Vector
-from .simplicial import ChainModel, CochainClass
+from .simplicial import ChainModel, CochainClass, _padded_values
 
 RING_TABLE_FORMAT = "ring-table/1"
 
@@ -93,8 +93,7 @@ def cup_i(s: ChainModel, a: CochainClass, b: CochainClass, i: int) -> CochainCla
     n = p + q - i
     if n > s.level_cap:
         raise ContractViolation(f"product degree {n} exceeds the level cap")
-    # each cochain's values, then a 0 that the -1 of a degenerate face reads
-    av, bv = (np.append(_support(s, c).to_bits(), np.uint8(0)) for c in (a, b))
+    av, bv = (_padded_values(_support(s, c)) for c in (a, b))
     out = np.zeros(s.nondeg_count(n), dtype=np.uint8)
     for even, odd in _interval_cuts(n, i, p):
         out ^= av[s.restrict(n, even)] & bv[s.restrict(n, odd)]

@@ -17,7 +17,6 @@ recorded as annotations supplied by the caller, never derived here.
 
 from __future__ import annotations
 
-import json
 import numbers
 from dataclasses import dataclass
 from math import inf
@@ -98,10 +97,6 @@ class ExactTemplate:
                 for a in d["arrows"]
             )
             return cls(terms, arrows)
-
-    @classmethod
-    def from_json_text(cls, text: str) -> "ExactTemplate":
-        return cls.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

@@ -86,11 +86,6 @@ class Gf2Vector:
     def to_int(self) -> int:
         return self._int
 
-    def get(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise IndexError(i)
-        return self._int >> i & 1
-
     def to_bits(self) -> np.ndarray:
         data = self._int.to_bytes((self.length + 7) // 8, "little")
         packed = np.frombuffer(data, dtype=np.uint8)

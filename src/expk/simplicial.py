@@ -27,12 +27,13 @@ Conventions
 * The chain layer reads faces only from one memoized face stack per
   degree: row i of the degree-n stack is ``restrict(n, all but i)``.  An
   array it indexes by the stack is one longer than the level below, so -1
-  reads the trailing slot: a 0 value, or a row never kept.  A coboundary
-  gathers the cochain's values through the stack and xors over the faces;
-  no matrix is built.  The degree-n cocycles are the relations among the
-  rows of ``boundary_{n+1}`` and the coboundaries are spanned by the rows
-  of ``boundary_n``; the elimination packs from the stack only the rows
-  it keeps.
+  reads the trailing slot: a row never kept, or the 0 of ``_padded_values``.
+  A coboundary gathers the cochain's values through the stack and xors
+  over the faces; only the stored model's ``boundary_matrix`` builds a
+  matrix.  The degree-n cocycles are the relations among the rows of
+  ``boundary_{n+1}`` and the coboundaries are spanned by the rows of
+  ``boundary_n``; the elimination packs from the stack only the rows it
+  keeps.
 * Each boundary is eliminated once, with clearing (Chen & Kerber,
   *Persistent homology computation with a twist*): a row of
   ``boundary_n`` whose index leads a degree-(n-1) coboundary is a sum of
@@ -151,11 +152,6 @@ class BettiTable:
     def to_json_dict(self) -> dict:
         return {"format": BETTI_FORMAT, "dims": list(self.dims)}
 
-    @classmethod
-    def from_json_dict(cls, d) -> "BettiTable":
-        d = read_document(d, BETTI_FORMAT, "dims")
-        return cls(tuple(int(x) for x in d["dims"]))
-
     def __str__(self):
         return "(" + ", ".join(str(d) for d in self.dims) + ")"
 
@@ -184,15 +180,6 @@ class Violation:
             f"identity '{self.identity}' fails at level {self.level}, "
             f"indices (i={self.i}, j={self.j}), simplex {self.simplex}"
         )
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violation: Violation | None = None
-
-    def __str__(self):
-        return "pass" if self.ok else f"fail: {self.violation}"
 
 
 def _as_id_array(a):
@@ -259,6 +246,11 @@ def _degenerate_groups(degeneracies, size: int):
     return ~degenerate, groups
 
 
+def _padded_values(support: Gf2Vector) -> np.ndarray:
+    """A cochain's values, one per simplex, then the 0 that a -1 face reads."""
+    return Gf2Vector(support.length + 1, support.to_int()).to_bits()
+
+
 class ChainModel:
     """The normalized mod-2 cochain layer of a model.
 
@@ -311,16 +303,6 @@ class ChainModel:
         kept = np.flatnonzero(keep)
         rows = pack_rows(kept.size, faces.shape[1], slot[faces[hit]], cols)
         return kept.tolist(), rows
-
-    def boundary_matrix(self, n: int) -> Gf2Matrix:
-        """Normalized boundary: nondegenerate n-simplices to level n-1.
-
-        Column of a simplex is the mod-2 sum of its faces with degenerate
-        faces dropped; coinciding face pairs cancel.  Built from the face
-        stack on each call, for callers that want the whole matrix: Betti
-        tables, bases and coboundaries never build it.
-        """
-        return Gf2Matrix(self._boundary_rows(n)[1], self.nondeg_count(n))
 
     def _require_closed_top(self):
         top = self.top_nondegenerate_level()
@@ -384,8 +366,7 @@ class ChainModel:
         faces = self._face_stack(degree + 1)
         if support.length != self.nondeg_count(degree):
             raise ContractViolation("cochain length does not fit its degree")
-        # the values, one bit longer: -1, a degenerate face, reads the trailing 0
-        values = Gf2Vector(support.length + 1, support.to_int()).to_bits()
+        values = _padded_values(support)
         return Gf2Vector.from_bits(np.bitwise_xor.reduce(values[faces], axis=0))
 
     def is_cocycle(self, degree: int, support: Gf2Vector) -> bool:
@@ -439,7 +420,6 @@ class SimplicialSetModel(ChainModel):
         super().__init__()
 
     # perfbench/tracer.py wraps these through SimplicialSetModel.__dict__
-    boundary_matrix = ChainModel.boundary_matrix
     betti_table = ChainModel.betti_table
     cohomology_basis = ChainModel.cohomology_basis
 
@@ -493,6 +473,16 @@ class SimplicialSetModel(ChainModel):
             self._restrict_cache[key] = face
         return self._restrict_cache[key]
 
+    def boundary_matrix(self, n: int) -> Gf2Matrix:
+        """Normalized boundary: nondegenerate n-simplices to level n-1.
+
+        Column of a simplex is the mod-2 sum of its faces with degenerate
+        faces dropped; coinciding face pairs cancel.  Built from the face
+        stack on each call, for callers that want the whole matrix: Betti
+        tables, bases and coboundaries never build it.
+        """
+        return Gf2Matrix(self._boundary_rows(n)[1], self.nondeg_count(n))
+
     def apply(self, level: int, word) -> np.ndarray:
         """The images of every level-``level`` id under a word.
 
@@ -529,19 +519,19 @@ class SimplicialSetModel(ChainModel):
 
     # -- simplicial identity validation -------------------------------------
 
-    def validate(self) -> ValidationReport:
+    def validate(self) -> Violation | None:
         """Check every simplicial identity whose both sides are stored.
 
-        Returns a passing report or the first violation in the scan order
-        of ``_identities`` (family, level, indices), with a witness simplex.
-        No separate injectivity scan: d_j s_j = id already fails on any
-        non-injective s_j.
+        Returns ``None`` when all hold, else the first violation in the scan
+        order of ``_identities`` (family, level, indices), with a witness
+        simplex.  No separate injectivity scan: d_j s_j = id already fails
+        on any non-injective s_j.
         """
         for family, n, i, j, lhs, rhs in _identities(self.level_cap):
             bad = np.flatnonzero(self.apply(n, lhs) != self.apply(n, rhs))
             if bad.size:
-                return ValidationReport(False, Violation(family, n, i, j, int(bad[0])))
-        return ValidationReport(True)
+                return Violation(family, n, i, j, int(bad[0]))
+        return None
 
     # -- serialization -----------------------------------------------------------
 
@@ -564,10 +554,6 @@ class SimplicialSetModel(ChainModel):
         d = read_document(d, MODEL_FORMAT, *fields)
         with malformed_fields(MODEL_FORMAT):
             return cls(*(d[f] for f in fields), description=d.get("description", ""))
-
-    @classmethod
-    def from_json_text(cls, text: str) -> "SimplicialSetModel":
-        return cls.from_json_dict(json.loads(text))
 
     def header(self) -> dict:
         """Everything but the operator tables; ``from_words`` reads it back."""

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -109,15 +108,6 @@ class SimplicialMapModel:
 
     def __repr__(self):
         return f"SimplicialMapModel({self.description or 'unnamed'})"
-
-
-def identity_map(x: SimplicialSetModel) -> SimplicialMapModel:
-    return SimplicialMapModel(
-        x,
-        x,
-        [np.arange(s, dtype=np.int32) for s in x.level_sizes],
-        description=f"id[{x.description}]",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +404,6 @@ def one_vertex_sphere(
         f"one_vertex_sphere({n})",
         level_keys,
     )
-
-
-def point(cap: int) -> SimplicialSetModel:
-    return from_complex([(0,)], cap, description="point")
 
 
 # ---------------------------------------------------------------------------
@@ -757,7 +743,8 @@ class SpaceSpec:
     built on: ``"boundary"`` (∂Δⁿ⁺¹, the default) or ``"one-vertex"``
     (Δⁿ/∂Δⁿ).  The JSON form carries ``base`` only for ``"one-vertex"``,
     so a boundary spec's text, and every hash keyed by it, is the one it
-    had before the field existed.
+    had before the field existed.  A field its kind does not read is
+    refused, so one space has one spec text.
     """
 
     kind: str
@@ -778,10 +765,17 @@ class SpaceSpec:
                 raise ContractViolation("complex spec needs facets")
             if self.base != "boundary":
                 raise ContractViolation("a complex spec has no sphere base")
+            if self.n is not None:
+                raise ContractViolation("complex spec takes no sphere dimension n")
+        elif self.facets is not None:
+            raise ContractViolation(f"{self.kind} spec takes no facets")
         elif self.n is None or self.n < 1:
             raise ContractViolation("spec needs a sphere dimension n >= 1")
-        if self.kind in ("power", "sym", "exp") and (self.k is None or self.k < 1):
-            raise ContractViolation(f"{self.kind} spec needs k >= 1")
+        if self.kind in ("power", "sym", "exp"):
+            if self.k is None or self.k < 1:
+                raise ContractViolation(f"{self.kind} spec needs k >= 1")
+        elif self.k is not None:
+            raise ContractViolation(f"{self.kind} spec takes no k")
         if self.cap is not None and self.cap < 1:
             raise ContractViolation("cap must be at least 1")
 
@@ -797,13 +791,11 @@ class SpaceSpec:
         return self.k * self.n + 1
 
     def to_json_dict(self) -> dict:
-        d = {"format": SPACE_SPEC_FORMAT, "kind": self.kind}
-        if self.kind == "complex":
+        # the fields the kind reads, which are the ones set: the others are refused
+        d = {"format": SPACE_SPEC_FORMAT, "kind": self.kind, "n": self.n, "k": self.k}
+        d = {key: value for key, value in d.items() if value is not None}
+        if self.facets:
             d["facets"] = [list(f) for f in self.facets]
-        else:
-            d["n"] = self.n
-        if self.kind in ("power", "sym", "exp"):
-            d["k"] = self.k
         d["cap"] = self.default_cap()
         d["max_level_size"] = self.max_level_size
         if self.base != "boundary":  # boundary specs keep their pre-base text
@@ -822,14 +814,10 @@ class SpaceSpec:
             n=d.get("n"),
             k=d.get("k"),
             cap=d.get("cap"),
-            facets=tuple(tuple(f) for f in facets) if facets else None,
+            facets=tuple(tuple(f) for f in facets) if facets is not None else None,
             max_level_size=d.get("max_level_size", DEFAULT_MAX_LEVEL_SIZE),
             base=d.get("base", "boundary"),
         )
-
-    @classmethod
-    def from_json_text(cls, text: str) -> "SpaceSpec":
-        return cls.from_json_dict(json.loads(text))
 
 
 def build_space(spec: SpaceSpec) -> SimplicialSetModel:
@@ -843,10 +831,5 @@ def build_space(spec: SpaceSpec) -> SimplicialSetModel:
         return base
     if spec.kind == "product":
         return product(base, base, max_level_size=bound)
-    if spec.kind == "power":
-        return power(base, spec.k, max_level_size=bound)
-    if spec.kind == "sym":
-        return sym_power(base, spec.k, max_level_size=bound)
-    if spec.kind == "exp":
-        return exp_subsets(base, spec.k, max_level_size=bound)
-    raise ContractViolation(f"unknown space kind {spec.kind!r}")
+    build = {"power": power, "sym": sym_power, "exp": exp_subsets}[spec.kind]
+    return build(base, spec.k, max_level_size=bound)

@@ -490,9 +490,8 @@ def check_props_gf2(ctx):
 
 def check_props_simplicial(ctx):
     for model in _suite_models(ctx):
-        rep = model.validate()
-        if not rep.ok:
-            return _verdict(False, f"{model.description}: {rep}")
+        if (bad := model.validate()) is not None:
+            return _verdict(False, f"{model.description}: fail: {bad}")
         top = model.top_nondegenerate_level()
         for n in range(2, top + 1):
             # boundary squared is zero: every row of d_(n-1) is an (n-1)-cocycle

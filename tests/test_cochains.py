@@ -60,7 +60,7 @@ def test_torus_cup_structure(t2):
     # cross-check: the degree-1 pairing matrix has full rank (duality)
     pairing = np.array(
         [
-            [express_in_basis(t2, cup(t2, x, y), h2).get(0) for y in (a, b)]
+            [express_in_basis(t2, cup(t2, x, y), h2).to_int() for y in (a, b)]
             for x in (a, b)
         ]
     )

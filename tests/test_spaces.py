@@ -21,9 +21,7 @@ from expk.spaces import (
     diagonal_insertion,
     exp_subsets,
     from_complex,
-    identity_map,
     one_vertex_sphere,
-    point,
     power,
     product,
     pushout,
@@ -68,7 +66,7 @@ def test_sphere_preconditions():
 def test_one_vertex_sphere_levels_and_table(n):
     for cap in (n + 1, n + 3):
         x = one_vertex_sphere(n, cap)
-        assert x.validate().ok
+        assert x.validate() is None
         assert x.level_sizes == [math.comb(m, n) + 1 for m in range(cap + 1)]
         assert x.betti_table().dims == (1,) + (0,) * (n - 1) + (1,)
         # one vertex, one nondegenerate n-simplex
@@ -88,6 +86,25 @@ def test_one_vertex_sphere_preconditions():
 def test_one_vertex_exp3_nondegenerate_totals(n, total):
     model = build_space(SpaceSpec("exp", n=n, k=3, base="one-vertex"))
     assert sum(model.nondeg_count(m) for m in range(model.level_cap + 1)) == total
+
+
+ORACLE_CASES = [(1, 2), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("n, k", ORACLE_CASES)
+def test_exp_tables_meet_the_closed_form_oracles(n, k):
+    table = build_space(SpaceSpec("exp", n=n, k=k, base="one-vertex")).betti_table()
+    # Gal: χ(exp_k X) = Σ_{j=1..k} C(χ(X), j), with χ(Sⁿ) = 1 + (-1)ⁿ
+    chi = 1 + (-1) ** n
+    gal = sum(math.comb(chi, j) for j in range(1, k + 1))
+    assert table.euler_characteristic() == gal
+    # Tuffley: exp_k(Sⁿ) is (n+k-3)-connected
+    assert table.dim(0) == 1
+    assert all(table.dim(j) == 0 for j in range(1, n + k - 2))
+    # Tuffley: exp_k(S¹) is S^k for odd k and S^(k-1) for even k
+    if n == 1:
+        top = k if k % 2 else k - 1
+        assert table.matches([1] + [0] * (top - 1) + [1])
 
 
 @pytest.mark.parametrize(
@@ -252,13 +269,13 @@ def _relabelled(x, seed):
 @pytest.mark.parametrize("x", [sphere(1, 4), one_vertex_sphere(2, 7)], ids=["bd-s1", "ov-s2"])
 def test_quotients_of_relabelled_spheres_keep_their_tables(x):
     shuffled = _relabelled(x, 7)
-    assert shuffled.validate().ok
+    assert shuffled.validate() is None
     # sphere degeneracies skip canonicalisation; shuffled ones cannot
     assert all(_increasing(t) for level in x.degeneracies for t in level)
     assert not all(_increasing(t) for level in shuffled.degeneracies for t in level)
     for build in (exp_subsets, sym_power):
         want, got = build(x, 3), build(shuffled, 3)
-        assert got.validate().ok
+        assert got.validate() is None
         assert got.level_sizes == want.level_sizes
         assert got.betti_table().dims == want.betti_table().dims
 
@@ -341,7 +358,7 @@ def test_product_kunneth_tables():
 
 def test_product_with_point_is_identity():
     s = sphere(2)
-    assert product(s, point(s.level_cap)) == s
+    assert product(s, from_complex([(0,)], s.level_cap)) == s
 
 
 def test_product_cap_mismatch():
@@ -435,7 +452,7 @@ def test_exp4_circle_is_classical_odd_sphere():
     # subsets of size <= 2m of the circle deformation retract onto the
     # (2m-1)-sphere, so the k = 4 table matches the k = 3 one
     m = exp_subsets(sphere(1, 5), 4)
-    assert m.validate().ok
+    assert m.validate() is None
     assert m.betti_table().matches((1, 0, 0, 1))
 
 
@@ -476,9 +493,13 @@ def test_a_map_with_one_wrong_entry_does_not_commute():
         assert not broken.commutes(), m
 
 
+def _identity(x):
+    return SimplicialMapModel(x, x, [np.arange(s) for s in x.level_sizes])
+
+
 def test_pushout_identity_maps():
     x = sphere(1, 3)
-    glued, ia, ib = pushout(identity_map(x), identity_map(x))
+    glued, ia, ib = pushout(_identity(x), _identity(x))
     assert glued == x
     assert ia.commutes() and ib.commutes()
 
@@ -486,7 +507,7 @@ def test_pushout_identity_maps():
 def test_pushout_source_mismatch():
     x, y = sphere(1, 3), sphere(2, 3)
     with pytest.raises(ContractViolation):
-        pushout(identity_map(x), identity_map(y))
+        pushout(_identity(x), _identity(y))
 
 
 def test_pushout_square_commutes_and_maps_commute():
@@ -496,7 +517,7 @@ def test_pushout_square_commutes_and_maps_commute():
     proj2 = sym_projection(x, 2)
     alpha = diagonal_insertion(x, square=square, sym3=sym3)
     glued, ia, ib = pushout(alpha, proj2)
-    assert glued.validate().ok
+    assert glued.validate() is None
     assert ia.commutes() and ib.commutes()
     for m in range(x.level_cap + 1):
         assert np.array_equal(
@@ -677,7 +698,7 @@ def test_models_and_maps_are_pinned():
 def test_space_spec_round_trip_and_build():
     spec = SpaceSpec("exp", n=1, k=3)
     text = spec.to_json_text()
-    again = SpaceSpec.from_json_text(text)
+    again = SpaceSpec.from_json_dict(json.loads(text))
     assert again.to_json_text() == text
     model = build_space(again)
     assert model.betti_table().dims == (1, 0, 0, 1)
@@ -689,7 +710,7 @@ def test_space_spec_base_round_trips_and_defaults_to_boundary():
     spec = SpaceSpec("exp", n=3, k=3, base="one-vertex")
     text = spec.to_json_text()
     assert json.loads(text)["base"] == "one-vertex"
-    again = SpaceSpec.from_json_text(text)
+    again = SpaceSpec.from_json_dict(json.loads(text))
     assert again.base == "one-vertex" and again.to_json_text() == text
     default = SpaceSpec("exp", n=2, k=3)
     # the text every boundary spec had before the base field existed
@@ -697,7 +718,8 @@ def test_space_spec_base_round_trips_and_defaults_to_boundary():
         '{"cap":7,"format":"space-spec/1","k":3,"kind":"exp",'
         '"max_level_size":5000000,"n":2}'
     )
-    assert SpaceSpec.from_json_text(default.to_json_text()).base == "boundary"
+    again = SpaceSpec.from_json_dict(json.loads(default.to_json_text()))
+    assert again.base == "boundary"
     assert SpaceSpec("exp", n=2, k=3, base="boundary") == default
 
 
@@ -712,6 +734,20 @@ def test_space_spec_validation():
         SpaceSpec("sym", n=2)
     with pytest.raises(ContractViolation):
         SpaceSpec("complex")
+    # a field the kind does not read is refused, not dropped
+    with pytest.raises(ContractViolation, match="facets"):
+        SpaceSpec("exp", n=1, k=2, facets=((0, 1, 2),))
+    with pytest.raises(ContractViolation, match="sphere dimension"):
+        SpaceSpec("complex", n=1, facets=((0, 1),))
+    with pytest.raises(ContractViolation, match="no k"):
+        SpaceSpec("sphere", n=2, k=5)
+    with pytest.raises(ContractViolation, match="no k"):
+        SpaceSpec("product", n=1, k=2)
+    with pytest.raises(ContractViolation, match="no k"):
+        SpaceSpec("complex", k=2, facets=((0, 1),))
+    exp_doc = {"format": "space-spec/1", "kind": "exp", "n": 1, "k": 2}
+    with pytest.raises(ContractViolation, match="facets"):
+        SpaceSpec.from_json_dict({**exp_doc, "facets": []})
 
 
 def test_maps_reject_bad_shapes():

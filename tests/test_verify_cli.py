@@ -490,6 +490,8 @@ def test_cli_input_errors_exit_2_with_one_line(tmp_path, capsys):
         ["solve", str(nameless_path)],  # a term without a name
         ["betti", str(misshapen["level_cap"])],  # "level_cap": "x"
         ["betti", str(misshapen["faces"])],  # "faces": 5
+        # facets an exp spec does not read
+        ["build", "--kind", "exp", "--n", "1", "--k", "2", "--facets", "[[0,1,2]]"],
     ):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
@@ -499,6 +501,8 @@ def test_cli_input_errors_exit_2_with_one_line(tmp_path, capsys):
         assert "Traceback" not in captured.err
         if "--index" in argv and int(argv[-1]) < 0:
             assert "square index must be nonnegative" in captured.err, argv
+        if argv[:3] == ["build", "--kind", "exp"] and "--facets" in argv:
+            assert "facets" in captured.err, argv
 
 
 # the template 0 -> A -> 0, given the term A and the arrow A -> 0
