@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, LevelSizeError
-from .simplicial import SimplicialSetModel, canonical_json, operators, read_document
+from .simplicial import SimplicialSetModel, canonical_json, operators
 
 DEFAULT_MAX_LEVEL_SIZE = 5_000_000
 
@@ -778,6 +778,8 @@ class SpaceSpec:
             raise ContractViolation(f"{self.kind} spec takes no k")
         if self.cap is not None and self.cap < 1:
             raise ContractViolation("cap must be at least 1")
+        if self.max_level_size < 1:
+            raise ContractViolation("max_level_size must be at least 1")
 
     def default_cap(self) -> int:
         if self.cap is not None:
@@ -804,20 +806,6 @@ class SpaceSpec:
 
     def to_json_text(self) -> str:
         return canonical_json(self.to_json_dict())
-
-    @classmethod
-    def from_json_dict(cls, d) -> "SpaceSpec":
-        read_document(d, SPACE_SPEC_FORMAT, "kind")
-        facets = d.get("facets")
-        return cls(
-            kind=d["kind"],
-            n=d.get("n"),
-            k=d.get("k"),
-            cap=d.get("cap"),
-            facets=tuple(tuple(f) for f in facets) if facets is not None else None,
-            max_level_size=d.get("max_level_size", DEFAULT_MAX_LEVEL_SIZE),
-            base=d.get("base", "boundary"),
-        )
 
 
 def build_space(spec: SpaceSpec) -> SimplicialSetModel:

@@ -9,6 +9,7 @@ involved.  A check that would blow the per-level simplex budget reports
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import itertools
 import json
@@ -33,7 +34,7 @@ from .cochains import (
     square_coordinates,
     unit_class,
 )
-from .errors import LevelSizeError
+from .errors import ContractViolation, LevelSizeError
 from .exact_sequences import (
     exp2_cover_template,
     exp3_cover_template,
@@ -200,6 +201,25 @@ class CheckContext:
     def space(self, kind, n=None, k=None, cap=None, base="boundary"):
         return self.cache.model_for(self.spec(kind, n, k, cap, base))
 
+    def reads(self, fn) -> set:
+        """The spec texts of the models the row ``fn`` declares it reads."""
+        return {self.spec(*args).to_json_text() for args in getattr(fn, "reads", ())}
+
+
+def _reads(*specs):
+    """Declare the models a row reads, as ``CheckContext.spec`` arguments.
+
+    ``run_verify`` holds each declared model in memory until the last row
+    in scope that declares it ends; a model a row reads without declaring
+    it is dropped when that row ends.
+    """
+
+    def declare(fn):
+        fn.reads = specs
+        return fn
+
+    return declare
+
 
 def _verdict(ok, detail="", **fields) -> dict:
     """A check's outcome as ``CheckResult`` fields: status, detail and the rest."""
@@ -223,6 +243,7 @@ def _betti(kind, n, k, expected=None, source="", detail="", base="boundary"):
     sphere model the space is built on.
     """
 
+    @_reads((kind, n, k, None, base))
     def run(ctx):
         spec = ctx.spec(kind, n=n, k=k, base=base)
         computed = ctx.cache.model_for(spec).betti_table()
@@ -245,13 +266,17 @@ def _betti(kind, n, k, expected=None, source="", detail="", base="boundary"):
 def _squares(space, *squares):
     """Each listed Sq^i on H^d sends the one generator to the one generator.
 
-    ``space(ctx)`` gives the model and ``squares`` are (i, d) pairs.  The row
-    passes when every square has coordinates ``[[1]]`` in H^(d+i).
+    ``space`` is the ``CheckContext.spec`` arguments of a model the run's
+    cache holds, or a function of no arguments that builds a model outside
+    it; ``squares`` are (i, d) pairs.  The row passes when every square has
+    coordinates ``[[1]]`` in H^(d+i).
     """
     labels = [f"Sq{i} H{d}->H{d + i}" for i, d in squares]
+    cached = isinstance(space, tuple)
 
+    @_reads(*[space] if cached else [])
     def run(ctx):
-        model = space(ctx)
+        model = ctx.space(*space) if cached else space()
         computed = {
             label: square_coordinates(model, i, d)
             for label, (i, d) in zip(labels, squares)
@@ -326,6 +351,10 @@ def _circle_bundle_over_grassmannian(ctx, n):
     return gysin_template(grassmannian.graded_dims(n), 1, ranks)
 
 
+# (kind, n, k) of the cached models _gluing_square reads for n = 1, 2
+GLUING_SPACES = (("exp", 1, 2), ("sym", 1, 3), ("exp", 2, 2), ("sym", 2, 3))
+
+
 def _gluing_square(ctx, n):
     s = sphere(n, 2 * n + 1)
     return exp3_gluing_template(
@@ -340,6 +369,7 @@ def _gluing_square(ctx, n):
 # bespoke checks
 
 
+@_reads(("exp", 2, 3), ("sym", 2, 3), ("exp", 2, 2), ("sphere", 2, None, 7))
 def check_euler_exp3_sphere2(ctx):
     chi = {}
     for name, kind, k in (
@@ -372,6 +402,7 @@ AGREEING_SPACES = (
 )
 
 
+@_reads(*[(*space, None, base) for space in AGREEING_SPACES for base in SPHERE_BASES])
 def check_models_agree(ctx):
     """Each space's table on the one-vertex sphere is its table on ∂Δⁿ⁺¹."""
     computed, expected = {}, {}
@@ -393,6 +424,16 @@ def check_models_agree(ctx):
     )
 
 
+# (kind, n, k, cap) of the cached models in _suite_models
+SUITE_SPACES = (
+    ("exp", 1, 2, 3),
+    ("exp", 1, 3, 4),
+    ("exp", 2, 2),
+    ("sym", 1, 2, 3),
+    ("sym", 2, 2),
+)
+
+
 def _suite_models(ctx):
     return [
         sphere(1, 3),
@@ -400,14 +441,11 @@ def _suite_models(ctx):
         complexes.torus(),
         complexes.projective_plane(),
         complexes.moebius_band(),
-        ctx.space("exp", n=1, k=2, cap=3),
-        ctx.space("exp", n=1, k=3, cap=4),
-        ctx.space("exp", n=2, k=2),
-        ctx.space("sym", n=1, k=2, cap=3),
-        ctx.space("sym", n=2, k=2),
+        *[ctx.space(*space) for space in SUITE_SPACES],
     ]
 
 
+@_reads(*SUITE_SPACES)
 def check_sq0_identity(ctx):
     bad = []
     for model in _suite_models(ctx):
@@ -488,6 +526,7 @@ def check_props_gf2(ctx):
     )
 
 
+@_reads(*SUITE_SPACES, ("exp", 1, 2, 4))
 def check_props_simplicial(ctx):
     for model in _suite_models(ctx):
         if (bad := model.validate()) is not None:
@@ -530,6 +569,7 @@ def check_props_kunneth(ctx):
     return _verdict(True, "kunneth over the two-element field")
 
 
+@_reads(("exp", 2, 2), ("sym", 1, 2, 3))
 def check_props_cup_identity(ctx):
     rng = np.random.default_rng(ctx.seed)
     models = [
@@ -593,14 +633,14 @@ CHECKS = {
     "sym2-bijection-sphere2": ("double power vs two-point subsets, 2-sphere",
         _comparison("compare_sym2_with_subsets", 2, 2)),
     "sq-exp2-sphere2": ("square of the middle generator, 2-sphere",
-        _squares(lambda ctx: ctx.space("exp", n=2, k=2), (2, 2))),
+        _squares(("exp", 2, 2), (2, 2))),
     "sq-exp2-sphere3": ("squares of the middle generator, 3-sphere",
-        _squares(lambda ctx: ctx.space("exp", n=3, k=2), (2, 3), (3, 3))),
+        _squares(("exp", 3, 2), (2, 3), (3, 3))),
     "sq-sym3-sphere2": ("square on the triple symmetric power",
-        _squares(lambda ctx: ctx.space("sym", n=2, k=3), (2, 2))),
+        _squares(("sym", 2, 3), (2, 2))),
     "sq0-identity": ("degree-0 squares are the identity", check_sq0_identity),
     "sq1-projective-plane": ("degree-1 square on the projective plane",
-        _squares(lambda ctx: complexes.projective_plane(), (1, 1))),
+        _squares(complexes.projective_plane, (1, 1))),
     "cup-torus": ("cup products on the torus", check_cup_torus),
     "grassmannian-dims": ("graded dimensions of the Grassmannian ring", check_grassmannian_dims),
     "grassmannian-alpha2": ("multiplication by the degree-2 class", check_grassmannian_alpha2),
@@ -623,11 +663,12 @@ CHECKS = {
         "documentation-only distinct-triples table",
         source="catalog:distinct-triples",
     )),
-    "lesolve-gluing": ("gluing-square sequence with computed inputs", _sequence(
-        (1, 2), _gluing_square, "X^", "exp3",
-        "gluing-square sequence with computed inputs reproduces the "
-        "three-point tables for n=1,2",
-    )),
+    "lesolve-gluing": ("gluing-square sequence with computed inputs",
+        _reads(*GLUING_SPACES)(_sequence(
+            (1, 2), _gluing_square, "X^", "exp3",
+            "gluing-square sequence with computed inputs reproduces the "
+            "three-point tables for n=1,2",
+        ))),
     "props-gf2": ("rank/kernel against enumeration", check_props_gf2),
     "props-simplicial": ("identities, boundaries, euler, cap stability", check_props_simplicial),
     "props-kunneth": ("product tables against the coefficient pairing", check_props_kunneth),
@@ -643,13 +684,27 @@ def run_verify(
     seed: int = 0,
     progress=None,
 ) -> VerificationReport:
-    """Run the selected checks (all by default) and assemble the report."""
+    """Run the selected checks (all by default) and assemble the report.
+
+    A model stays in memory from its first reader to the last row in scope
+    that declares it (see ``_reads``), so the run holds only the models
+    some unfinished row still reads.
+    """
     selected = sorted(CHECKS if scope is None else set(scope))
     unknown = [s for s in selected if s not in CHECKS]
     if unknown:
         raise KeyError(f"unknown checks: {unknown}")
+    if jobs < 1:
+        raise ContractViolation(f"jobs must be at least 1, not {jobs}")
+    if max_level_size < 1:
+        raise ContractViolation(
+            f"max_level_size must be at least 1, not {max_level_size}"
+        )
     cache = ModelCache(cache_dir=cache_dir)
     ctx = CheckContext(cache=cache, max_level_size=max_level_size, seed=seed)
+    reads = {c: ctx.reads(CHECKS[c][1]) for c in selected}
+    readers = collections.Counter(key for keys in reads.values() for key in keys)
+    countdown = threading.Lock()
 
     def run_one(check_id):
         description, fn = CHECKS[check_id]
@@ -658,6 +713,13 @@ def run_verify(
             out = fn(ctx)
         except LevelSizeError as exc:
             out = {"status": "skipped", "detail": f"over budget: {exc}"}
+        finally:
+            with countdown:
+                readers.subtract(reads[check_id])
+                # list() copies the keys in one step while other threads store
+                for key in list(cache.memory):
+                    if not readers[key]:
+                        cache.memory.pop(key, None)
         elapsed = time.perf_counter() - start
         result = CheckResult(check_id, description, wall_time_s=elapsed, **out)
         if progress is not None:

