@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .simplicial import SimplicialSetModel
-from .spaces import from_complex
+from .spaces import DEFAULT_MAX_LEVEL_SIZE, from_complex
 
 # Minimal 6-vertex triangulation of the real projective plane: all 15
 # pairs appear as edges, 10 triangles, Euler characteristic 1.
@@ -45,13 +45,21 @@ def torus_facets():
     return tuple(out)
 
 
-def projective_plane(cap: int = 4) -> SimplicialSetModel:
-    return from_complex(PROJECTIVE_PLANE_FACETS, cap, "projective plane")
+def projective_plane(
+    cap: int = 4, max_level_size: int = DEFAULT_MAX_LEVEL_SIZE
+) -> SimplicialSetModel:
+    return from_complex(
+        PROJECTIVE_PLANE_FACETS, cap, "projective plane", max_level_size
+    )
 
 
-def moebius_band(cap: int = 3) -> SimplicialSetModel:
-    return from_complex(MOEBIUS_BAND_FACETS, cap, "moebius band")
+def moebius_band(
+    cap: int = 3, max_level_size: int = DEFAULT_MAX_LEVEL_SIZE
+) -> SimplicialSetModel:
+    return from_complex(MOEBIUS_BAND_FACETS, cap, "moebius band", max_level_size)
 
 
-def torus(cap: int = 3) -> SimplicialSetModel:
-    return from_complex(torus_facets(), cap, "9-vertex torus")
+def torus(
+    cap: int = 3, max_level_size: int = DEFAULT_MAX_LEVEL_SIZE
+) -> SimplicialSetModel:
+    return from_complex(torus_facets(), cap, "9-vertex torus", max_level_size)

@@ -61,6 +61,12 @@ identities, against what the rule gave.  The faces are filled one j
 at a time, on intp ids (numpy's index type), so no scatter converts its
 index array; the gathers chain ``take``.
 
+A model is its tables: besides them and its memos it keeps only the
+nondegenerate ids and positions, ``_nondegenerate_ids`` and
+``_nondeg_pos``.  It stores no simplex keys; the key rows a constructor
+of ``expk.spaces`` ranks are a function of its input's level sizes there,
+so a model read back from its words behaves as the one built.
+
 Serialization
 -------------
 * ``operators(cap)`` is the one operator order: every ``faces[n][i]``,
@@ -383,7 +389,6 @@ class SimplicialSetModel(ChainModel):
         faces,
         degeneracies,
         description: str = "",
-        simplex_keys=None,
         nondegenerate=None,
     ):
         self.level_cap = int(level_cap)
@@ -396,23 +401,19 @@ class SimplicialSetModel(ChainModel):
             for n in range(len(degeneracies))
         ]
         self.description = description
-        # Construction metadata (canonical labels per level); not serialized.
-        self.simplex_keys = simplex_keys
         self._check_shapes()
-        # from_operators passes the flags it marked while building the faces
+        # from_operators passes the flags it marked while building the faces;
+        # only the ids and positions they give are kept
         if nondegenerate is None:
             nondegenerate = [np.ones(self.level_sizes[0], dtype=bool)] + [
                 _degenerate_groups(self.degeneracies[n - 1], self.level_sizes[n])[0]
                 for n in range(1, self.level_cap + 1)
             ]
-        self.nondegenerate = nondegenerate
-        for f in self.nondegenerate:
-            f.setflags(write=False)
-        self._nondegenerate_ids = [np.nonzero(nd)[0] for nd in self.nondegenerate]
+        self._nondegenerate_ids = [np.flatnonzero(nd) for nd in nondegenerate]
         self._nondeg_pos = []
-        for n, nd in enumerate(self.nondegenerate):
-            pos = np.full(self.level_sizes[n], -1, dtype=np.int32)
-            pos[self._nondegenerate_ids[n]] = np.arange(self._nondegenerate_ids[n].size)
+        for size, ids in zip(self.level_sizes, self._nondegenerate_ids):
+            pos = np.full(size, -1, dtype=np.int32)
+            pos[ids] = np.arange(ids.size)
             pos.setflags(write=False)
             self._nondeg_pos.append(pos)
         # memos shared by every caller and thread; their arrays are read-only
@@ -572,7 +573,7 @@ class SimplicialSetModel(ChainModel):
 
     @classmethod
     def from_operators(
-        cls, cap, level_sizes, table, description="", simplex_keys=None
+        cls, cap, level_sizes, table, description=""
     ) -> "SimplicialSetModel":
         """The model whose operator tables come from one image rule.
 
@@ -616,9 +617,7 @@ class SimplicialSetModel(ChainModel):
                         out[xs] = s[j].take(d[i - 1].take(ys))
             faces.append(level)
             nondegenerate.append(flags)
-        return cls(
-            cap, sizes, faces, degeneracies, description, simplex_keys, nondegenerate
-        )
+        return cls(cap, sizes, faces, degeneracies, description, nondegenerate)
 
     @classmethod
     def from_words(cls, header: dict, words) -> "SimplicialSetModel":

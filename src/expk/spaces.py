@@ -40,9 +40,10 @@ through the result.
 One-vertex sphere rows rank their step positions, complex rows their
 vertex multisets.
 
-Each constructed model records its canonical per-level labels in
-``simplex_keys`` (id tuples into the input model's levels); these are
-construction metadata and are not serialized.
+A model stores no keys: its constructor and every reader call one layout
+function of the input's level sizes, ``_digits`` for products,
+``_combos(l, k, True)`` for symmetric powers and ``_subset_keys(l, k)``
+for subset spaces, so a model read back from a file acts as a built one.
 """
 
 from __future__ import annotations
@@ -234,15 +235,22 @@ def _multiset_rank(
     return _rank(rows, n + width - 1, through=through + shift[:, None])
 
 
+def _digits(radices) -> np.ndarray:
+    """The key rows of ``multi_product``: each id's mixed-radix digits, last fastest."""
+    ids = np.arange(math.prod(radices))
+    return np.stack(np.unravel_index(ids, radices), axis=1)
+
+
 def _increasing(table: np.ndarray) -> bool:
     return bool((table[1:] > table[:-1]).all())
 
 
-def _key_quotient(x, level_keys, padded: bool, description: str):
-    """Model on canonical key rows of x's level ids; operators act entrywise.
+def _key_quotient(x, k: int, padded: bool, description: str):
+    """Model on width-k canonical key rows of x's level ids; operators act entrywise.
 
-    In padded (subset) keys −1 marks an empty slot and repeated ids
-    collapse to it; otherwise keys are sorted multisets.  A strictly
+    Padded keys are ``_subset_keys``: −1 marks an empty slot and repeated
+    ids collapse to it.  Otherwise keys are the sorted multisets of
+    ``_combos``.  They live only while the model is built.  A strictly
     increasing table keeps key rows sorted and their distinct entries
     distinct, so its key rows are ranked through it, with −1 appended to
     a padded one (``_rank``'s ``through``): no image row is built or
@@ -250,6 +258,7 @@ def _key_quotient(x, level_keys, padded: bool, description: str):
     any other table maps the keys and canonicalises them.
     """
     sizes = x.level_sizes
+    level_keys = [_subset_keys(s, k) if padded else _combos(s, k, True) for s in sizes]
     rank = functools.partial(_rank, padded=True) if padded else _multiset_rank
 
     def image(op, m, i, t, ids):
@@ -265,7 +274,7 @@ def _key_quotient(x, level_keys, padded: bool, description: str):
         return rank(rows, sizes[t]).astype(np.int32)
 
     return SimplicialSetModel.from_operators(
-        x.level_cap, [len(keys) for keys in level_keys], image, description, level_keys
+        x.level_cap, [len(keys) for keys in level_keys], image, description
     )
 
 
@@ -310,8 +319,8 @@ def from_complex(
     if math.comb(vertices.size + cap, cap + 1) > np.iinfo(np.int64).max // (cap + 2):
         raise ContractViolation(f"vertex multiset ranks of level {cap} overflow int64")
 
-    # keys hold vertex positions; simplex_keys translate them to vertices.
-    # level_codes[m] holds the sorted multiset ranks of level m's rows
+    # keys hold vertex positions, not vertices; level_codes[m] holds the
+    # sorted multiset ranks of level m's rows
     level_keys, level_codes = [], []
     for m in range(cap + 1):
         count = math.comb(max(sizes) + m, m + 1)  # a facet's multisets, at most
@@ -331,11 +340,7 @@ def from_complex(
         return found
 
     return SimplicialSetModel.from_operators(
-        cap,
-        [len(keys) for keys in level_keys],
-        image,
-        description or "complex",
-        [vertices[keys] for keys in level_keys],
+        cap, [len(keys) for keys in level_keys], image, description or "complex"
     )
 
 
@@ -398,11 +403,7 @@ def one_vertex_sphere(
         return found
 
     return SimplicialSetModel.from_operators(
-        cap,
-        [len(keys) for keys in level_keys],
-        image,
-        f"one_vertex_sphere({n})",
-        level_keys,
+        cap, [len(keys) for keys in level_keys], image, f"one_vertex_sphere({n})"
     )
 
 
@@ -419,33 +420,23 @@ def multi_product(
     cap = factors[0].level_cap
     if any(f.level_cap != cap for f in factors):
         raise ContractViolation("factors must share a level cap")
-    nf = len(factors)
     sizes = [[f.level_sizes[m] for f in factors] for m in range(cap + 1)]
     level_sizes = [math.prod(s) for s in sizes]
     for m, ls in enumerate(level_sizes):
         _check_level_size("product", m, ls, max_level_size)
 
-    coords = []
-    for m in range(cap + 1):
-        cs = np.empty((level_sizes[m], nf), dtype=np.int32)
-        rest = np.arange(level_sizes[m], dtype=np.int64)
-        for j in range(nf - 1, -1, -1):
-            rest, cs[:, j] = np.divmod(rest, sizes[m][j])
-        coords.append(cs)
+    coords = [_digits(s) for s in sizes]
 
     def image(op, m, i, t, ids):
-        cs = coords[m][ids]
-        out = np.zeros(len(cs), dtype=np.int64)
-        for j, f in enumerate(factors):
-            out = out * sizes[t][j] + getattr(f, op)[m][i][cs[:, j]]
-        return out.astype(np.int32)
+        digits = coords[m][ids].T
+        images = [getattr(f, op)[m][i][d] for f, d in zip(factors, digits)]
+        return np.ravel_multi_index(images, sizes[t]).astype(np.int32)
 
     return SimplicialSetModel.from_operators(
         cap,
         level_sizes,
         image,
         description or "(" + " x ".join(f.description for f in factors) + ")",
-        coords,
     )
 
 
@@ -481,12 +472,19 @@ def sym_power(
         raise ContractViolation("multiset size must be at least 1")
     for m, lm in enumerate(x.level_sizes):
         _check_level_size("sym-power", m, math.comb(lm + k - 1, k), max_level_size)
-    level_keys = [_combos(lm, k, repeat=True) for lm in x.level_sizes]
-    return _key_quotient(x, level_keys, False, f"sym_{k}({x.description})")
+    return _key_quotient(x, k, False, f"sym_{k}({x.description})")
 
 
 def _subset_level_count(level_size: int, k: int) -> int:
     return sum(math.comb(level_size, s) for s in range(1, k + 1))
+
+
+def _subset_keys(level_size: int, k: int) -> np.ndarray:
+    """The key rows of ``exp_subsets``: subsets of at most k ids, in ``_rank`` order."""
+    rows = [_combos(level_size, s, repeat=False) for s in range(1, k + 1)]
+    return np.concatenate(
+        [np.pad(r, ((0, 0), (k - r.shape[1], 0)), constant_values=-1) for r in rows]
+    )
 
 
 def exp_subsets(
@@ -502,37 +500,31 @@ def exp_subsets(
         raise ContractViolation("cardinality bound must be at least 1")
     for m, lm in enumerate(x.level_sizes):
         _check_level_size("subset space", m, _subset_level_count(lm, k), max_level_size)
-    level_keys = []
-    for lm in x.level_sizes:
-        keys = np.full((_subset_level_count(lm, k), k), -1, dtype=np.int32)
-        row = 0
-        for s in range(1, min(k, lm) + 1):
-            combos = _combos(lm, s, repeat=False)
-            keys[row : row + len(combos), k - s :] = combos
-            row += len(combos)
-        level_keys.append(keys)
-    return _key_quotient(x, level_keys, True, f"exp_{k}({x.description})")
+    return _key_quotient(x, k, True, f"exp_{k}({x.description})")
 
 
 # ---------------------------------------------------------------------------
 # the squaring map and the gluing square
 
 
-def _multiset_map(x, source, target, rows, description) -> SimplicialMapModel:
-    """Send each source simplex to the target multiset ``rows`` of its key."""
+def _multiset_map(x, source, target, k, rows, description) -> SimplicialMapModel:
+    """Send each simplex of the power x^k to the multiset ``rows`` of its key.
+
+    Both layouts come from x's level sizes, so a model whose level sizes
+    are not the ones x implies is refused.
+    """
     if source.level_cap != x.level_cap or target.level_cap != x.level_cap:
         raise ContractViolation("all caps must agree")
-    if source.simplex_keys is None or target.simplex_keys is None:
-        raise ContractViolation("a model read back from a file carries no simplex keys")
     maps = []
     for m, n in enumerate(x.level_sizes):
-        image = _canonical(rows(source.simplex_keys[m]))
-        keys = target.simplex_keys[m]
-        ids = _multiset_rank(np.clip(image, 0, n), n)  # clipped into the weights
-        inside = np.all((ids >= 0) & (ids < len(keys)))
-        if not (inside and np.array_equal(keys[ids], image)):
+        if source.level_sizes[m] != n**k:
+            raise ContractViolation(f"level {m} source ids are not keys of x^{k}")
+        image = _canonical(rows(_digits([n] * k)))
+        width = image.shape[1]
+        fits = target.level_sizes[m] == math.comb(n + width - 1, width)
+        if not (fits and ((image >= 0) & (image < n)).all()):
             raise ContractViolation(f"level {m} images are not keys of the target")
-        maps.append(ids)
+        maps.append(_multiset_rank(image, n))
     return SimplicialMapModel(source, target, maps, description=description)
 
 
@@ -555,6 +547,7 @@ def diagonal_insertion(
         x,
         square,
         sym3,
+        2,
         lambda pairs: pairs[:, [0, 0, 1]],
         f"(u,v) -> {{u,u,v}} on {x.description}",
     )
@@ -577,7 +570,7 @@ def sym_projection(
     if sym is None:
         sym = sym_power(x, k)
     return _multiset_map(
-        x, source, sym, lambda tuples: tuples, f"quotient {x.description}^{k} -> sym"
+        x, source, sym, k, lambda tuples: tuples, f"quotient {x.description}^{k} -> sym"
     )
 
 
@@ -670,8 +663,8 @@ def compare_pushout_with_subsets(x, max_level_size: int = DEFAULT_MAX_LEVEL_SIZE
     Glues the triple symmetric power and the double symmetric power along
     the square of x (doubled-coordinate insertion on one leg, quotient
     projection on the other) and checks that taking supports is a
-    bijection from the glued classes onto the level sets of the space of
-    at most three points.  Returns (ok, detail).
+    bijection from the glued classes onto the levels of the space of at
+    most three points, commuting with every operator.  Returns (ok, detail).
     """
     square = product(x, x, max_level_size=max_level_size)
     sym3 = sym_power(x, 3, max_level_size=max_level_size)
@@ -680,48 +673,43 @@ def compare_pushout_with_subsets(x, max_level_size: int = DEFAULT_MAX_LEVEL_SIZE
     proj2 = sym_projection(x, 2, source=square, sym=sym2)
     glued, into_sym3, into_sym2 = pushout(alpha, proj2)
     subsets = exp_subsets(x, 3, max_level_size=max_level_size)
-    for m in range(x.level_cap + 1):
+    supports = []
+    for m, lm in enumerate(x.level_sizes):
         if not np.array_equal(
             into_sym3.level_maps[m][alpha.level_maps[m]],
             into_sym2.level_maps[m][proj2.level_maps[m]],
         ):
             return False, f"gluing square fails to commute at level {m}"
-        nclasses = glued.level_sizes[m]
-        if nclasses != subsets.level_sizes[m]:
-            return False, f"class count differs from subset count at level {m}"
-        lm = x.level_sizes[m]
-        # support must be constant on classes, and class -> support must
-        # enumerate the subset level exactly
-        class_support = np.full(nclasses, -1, dtype=np.int64)
+        # support must be constant on classes
+        class_support = np.full(glued.level_sizes[m], -1, dtype=np.int64)
         batches = [
-            (_support_codes(sym3.simplex_keys[m], lm, 3), into_sym3.level_maps[m]),
-            (_support_codes(sym2.simplex_keys[m], lm, 3), into_sym2.level_maps[m]),
+            (_support_codes(_combos(lm, 3, True), lm, 3), into_sym3.level_maps[m]),
+            (_support_codes(_combos(lm, 2, True), lm, 3), into_sym2.level_maps[m]),
         ]
         for codes, cls in batches:
             class_support[cls] = codes
         for codes, cls in batches:
             if not np.array_equal(class_support[cls], codes):
                 return False, f"support is not constant on classes at level {m}"
-        if (class_support < 0).any():
-            return False, f"an empty glued class appeared at level {m}"
-        expect = _support_codes(subsets.simplex_keys[m], lm, 3)
-        if not np.array_equal(np.sort(class_support), np.sort(expect)):
+        ids = np.arange(subsets.level_sizes[m])  # each the code of its support
+        if not np.array_equal(np.sort(class_support), ids):
             return False, f"glued classes and subset level differ at level {m}"
+        supports.append(class_support)
+    if not SimplicialMapModel(glued, subsets, supports).commutes():
+        return False, "the support map does not commute with the operators"
     return True, "supports give a levelwise bijection"
 
 
 def compare_sym2_with_subsets(x, max_level_size: int = DEFAULT_MAX_LEVEL_SIZE):
-    """Supports identify double-multiset levels with two-point subset levels."""
+    """Supports biject double multisets onto two-point subsets, commuting."""
     sym2 = sym_power(x, 2, max_level_size=max_level_size)
     subsets = exp_subsets(x, 2, max_level_size=max_level_size)
-    for m in range(x.level_cap + 1):
-        lm = x.level_sizes[m]
-        codes_sym = _support_codes(sym2.simplex_keys[m], lm, 2)
-        codes_sub = _support_codes(subsets.simplex_keys[m], lm, 2)
-        if np.unique(codes_sym).size != codes_sym.size:
-            return False, f"support map fails to be injective at level {m}"
-        if not np.array_equal(np.sort(codes_sym), np.sort(codes_sub)):
-            return False, f"support map fails to be onto at level {m}"
+    supports = [_support_codes(_combos(lm, 2, True), lm, 2) for lm in x.level_sizes]
+    for m, codes in enumerate(supports):
+        if not np.array_equal(np.sort(codes), np.arange(subsets.level_sizes[m])):
+            return False, f"support map fails to be a bijection at level {m}"
+    if not SimplicialMapModel(sym2, subsets, supports).commutes():
+        return False, "the support map does not commute with the operators"
     return True, "supports give a levelwise bijection"
 
 

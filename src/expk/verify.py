@@ -201,6 +201,10 @@ class CheckContext:
     def space(self, kind, n=None, k=None, cap=None, base="boundary"):
         return self.cache.model_for(self.spec(kind, n, k, cap, base))
 
+    def build(self, constructor, *args):
+        """A model built outside the cache, under the run's budget."""
+        return constructor(*args, max_level_size=self.max_level_size)
+
     def reads(self, fn) -> set:
         """The spec texts of the models the row ``fn`` declares it reads."""
         return {self.spec(*args).to_json_text() for args in getattr(fn, "reads", ())}
@@ -267,16 +271,16 @@ def _squares(space, *squares):
     """Each listed Sq^i on H^d sends the one generator to the one generator.
 
     ``space`` is the ``CheckContext.spec`` arguments of a model the run's
-    cache holds, or a function of no arguments that builds a model outside
-    it; ``squares`` are (i, d) pairs.  The row passes when every square has
-    coordinates ``[[1]]`` in H^(d+i).
+    cache holds, or a constructor that ``CheckContext.build`` calls with no
+    arguments; ``squares`` are (i, d) pairs.  The row passes when every
+    square has coordinates ``[[1]]`` in H^(d+i).
     """
     labels = [f"Sq{i} H{d}->H{d + i}" for i, d in squares]
     cached = isinstance(space, tuple)
 
     @_reads(*[space] if cached else [])
     def run(ctx):
-        model = ctx.space(*space) if cached else space()
+        model = ctx.space(*space) if cached else ctx.build(space)
         computed = {
             label: square_coordinates(model, i, d)
             for label, (i, d) in zip(labels, squares)
@@ -321,7 +325,7 @@ def _comparison(compare, cap_per_n, n, base="boundary"):
     """
 
     def run(ctx):
-        x = SPHERE_BASES[base](n, cap_per_n * n + 1)
+        x = ctx.build(SPHERE_BASES[base], n, cap_per_n * n + 1)
         return _verdict(*getattr(spaces, compare)(x, max_level_size=ctx.max_level_size))
 
     return run
@@ -356,12 +360,12 @@ GLUING_SPACES = (("exp", 1, 2), ("sym", 1, 3), ("exp", 2, 2), ("sym", 2, 3))
 
 
 def _gluing_square(ctx, n):
-    s = sphere(n, 2 * n + 1)
+    s = ctx.build(sphere, n, 2 * n + 1)
     return exp3_gluing_template(
         n,
         ctx.space("exp", n=n, k=2).betti_table(),
         ctx.space("sym", n=n, k=3).betti_table(),
-        product(s, s, max_level_size=ctx.max_level_size).betti_table(),
+        ctx.build(product, s, s).betti_table(),
     )
 
 
@@ -379,7 +383,7 @@ def check_euler_exp3_sphere2(ctx):
     ):
         chi[name] = ctx.space(kind, n=2, k=k).betti_table().euler_characteristic()
     s2 = ctx.space("sphere", n=2, cap=7)
-    square = product(s2, s2, max_level_size=ctx.max_level_size)
+    square = ctx.build(product, s2, s2)
     chi["square"] = square.betti_table().euler_characteristic()
     lhs = chi["exp3"]
     rhs = chi["sym3"] + chi["exp2"] - chi["square"]
@@ -436,11 +440,11 @@ SUITE_SPACES = (
 
 def _suite_models(ctx):
     return [
-        sphere(1, 3),
-        sphere(2, 4),
-        complexes.torus(),
-        complexes.projective_plane(),
-        complexes.moebius_band(),
+        ctx.build(sphere, 1, 3),
+        ctx.build(sphere, 2, 4),
+        ctx.build(complexes.torus),
+        ctx.build(complexes.projective_plane),
+        ctx.build(complexes.moebius_band),
         *[ctx.space(*space) for space in SUITE_SPACES],
     ]
 
@@ -457,7 +461,7 @@ def check_sq0_identity(ctx):
 
 
 def check_cup_torus(ctx):
-    t2 = complexes.torus()
+    t2 = ctx.build(complexes.torus)
     a = t2.cohomology_basis(1)[0]
     unit_ok = cohomologous(t2, cup(t2, unit_class(t2), a), a)
     table = ring_table(t2)
@@ -557,8 +561,8 @@ def check_props_kunneth(ctx):
     pairs = [(1, 1), (1, 2), (2, 2)]
     for na, nb in pairs:
         cap = na + nb + 1
-        a, b = sphere(na, cap), sphere(nb, cap)
-        pt = product(a, b, max_level_size=ctx.max_level_size).betti_table()
+        a, b = ctx.build(sphere, na, cap), ctx.build(sphere, nb, cap)
+        pt = ctx.build(product, a, b).betti_table()
         ta, tb = a.betti_table(), b.betti_table()
         for k in range(pt.max_degree + 1):
             want = sum(ta.dim(i) * tb.dim(k - i) for i in range(k + 1))
@@ -573,11 +577,11 @@ def check_props_kunneth(ctx):
 def check_props_cup_identity(ctx):
     rng = np.random.default_rng(ctx.seed)
     models = [
-        complexes.torus(),
-        complexes.projective_plane(),
+        ctx.build(complexes.torus),
+        ctx.build(complexes.projective_plane),
         ctx.space("exp", n=2, k=2),
         ctx.space("sym", n=1, k=2, cap=3),
-        sphere(2, 4),
+        ctx.build(sphere, 2, 4),
     ]
     for model in models:
         top = model.top_nondegenerate_level()

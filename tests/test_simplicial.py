@@ -163,7 +163,7 @@ RESTRICT_MODELS = {
 def test_restrict_is_the_face_word_of_the_deleted_positions(name):
     model = RESTRICT_MODELS[name]()
     for n in range(model.level_cap + 1):
-        ids = np.flatnonzero(model.nondegenerate[n])
+        ids = np.flatnonzero(model._nondeg_pos[n] >= 0)
         for size in range(1, n + 2):
             for kept in itertools.combinations(range(n + 1), size):
                 # the last pair acts first: the highest position goes first

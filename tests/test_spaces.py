@@ -29,14 +29,17 @@ from expk.spaces import (
     sym_power,
     sym_projection,
 )
-from expk import spaces
+from expk import spaces, verify
 from expk.spaces import (
+    SPHERE_BASES,
     _canonical,
     _combos,
+    _digits,
     _increasing,
     _multiset_map,
     _multiset_rank,
     _rank,
+    _subset_keys,
 )
 from expk.verify import ModelCache
 
@@ -165,9 +168,9 @@ def test_ranks_invert_combos(repeat):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_ranking_through_an_increasing_table_ranks_its_image_rows(k):
     # levels of 1 to 7 ids: the first ones hold fewer ids than k
-    keys = exp_subsets(one_vertex_sphere(1, 6), k).simplex_keys
     rng = np.random.default_rng(k)
-    for size, subsets in zip(range(1, 8), keys):
+    for size in range(1, 8):
+        subsets = _subset_keys(size, k)
         target = size + int(rng.integers(0, 6))
         table = np.sort(rng.choice(target, size, replace=False)).astype(np.int32)
         assert _increasing(table)
@@ -196,17 +199,18 @@ def test_ranking_through_an_increasing_table_ranks_its_image_rows(k):
 def test_subset_ids_invert_the_key_order_of_exp_subsets():
     x = one_vertex_sphere(1, 6)  # levels of 1 to 7 ids
     for k in (1, 3, 5):
-        keys = exp_subsets(x, k).simplex_keys
+        level_sizes = exp_subsets(x, k).level_sizes
         for m, size in enumerate(x.level_sizes):
+            keys = _subset_keys(size, k)
             # −1s, then an increasing subset; by size, then lexicographically
             want = [
                 [-1] * (k - s) + list(c)
                 for s in range(1, k + 1)
                 for c in itertools.combinations(range(size), s)
             ]
-            assert keys[m].tolist() == want
-            ids = _rank(keys[m], size, padded=True)
-            assert np.array_equal(ids, np.arange(len(keys[m])))
+            assert keys.tolist() == want and level_sizes[m] == len(want)
+            ids = _rank(keys, size, padded=True)
+            assert np.array_equal(ids, np.arange(len(keys)))
 
 
 def test_from_complex_rejects_a_row_off_the_complex(monkeypatch):
@@ -241,7 +245,8 @@ def test_from_complex_budget_follows_the_level_sizes():
 def test_multiset_map_rejects_rows_that_are_not_target_keys():
     x = sphere(1, 3)
     square, sym2 = product(x, x), sym_power(x, 2)
-    assert _multiset_map(x, square, sym2, lambda pairs: pairs, "quotient").commutes()
+    quotient = _multiset_map(x, square, sym2, 2, lambda pairs: pairs, "quotient")
+    assert quotient.commutes()
     for rows in (
         lambda pairs: pairs[:, :1],  # too narrow
         lambda pairs: pairs[:, [0, 0, 1]],  # too wide
@@ -249,7 +254,7 @@ def test_multiset_map_rejects_rows_that_are_not_target_keys():
         lambda pairs: pairs - 1,  # a negative id
     ):
         with pytest.raises(ContractViolation, match="not keys of the target"):
-            _multiset_map(x, square, sym2, rows, "bad")
+            _multiset_map(x, square, sym2, 2, rows, "bad")
 
 
 def _relabelled(x, seed):
@@ -280,9 +285,7 @@ def test_quotients_of_relabelled_spheres_keep_their_tables(x):
         assert got.betti_table().dims == want.betti_table().dims
 
 
-def _every_simplex_from_operators(
-    cls, cap, level_sizes, table, description="", simplex_keys=None
-):
+def _every_simplex_from_operators(cls, cap, level_sizes, table, description=""):
     """``from_operators`` asking the rule for every table on whole levels.
 
     The construction before faces of degenerate simplices came from the
@@ -293,7 +296,7 @@ def _every_simplex_from_operators(
     tables = {"faces": faces, "degeneracies": degeneracies}
     for kind, n, i, t in operators(cap):
         tables[kind][n].append(table(kind, n, i, t, slice(None)))
-    return cls(cap, level_sizes, faces, degeneracies, description, simplex_keys)
+    return cls(cap, level_sizes, faces, degeneracies, description)
 
 
 def _gluing_square(x):
@@ -343,7 +346,7 @@ def test_faces_from_the_identities_equal_the_rule_on_every_simplex(monkeypatch, 
         assert got == want
         if isinstance(got, SimplicialSetModel):
             assert got.content_hash() == want.content_hash()
-            for a, b in zip(got.nondegenerate, want.nondegenerate):
+            for a, b in zip(got._nondeg_pos, want._nondeg_pos):
                 assert np.array_equal(a, b)
 
 
@@ -411,24 +414,36 @@ def test_gluing_maps_reject_prebuilt_models_of_another_space():
         diagonal_insertion(x, square=product(y, y))
 
 
-def test_gluing_maps_reject_models_read_back_from_a_cache(tmp_path):
+def test_gluing_maps_on_models_read_back_from_a_cache_equal_fresh_ones(
+    tmp_path, monkeypatch
+):
     specs = [
         SpaceSpec("product", n=1, cap=3),
         SpaceSpec("power", n=1, k=3, cap=3),
         SpaceSpec("sym", n=1, k=3, cap=3),
     ]
-    for spec in specs:  # built, so keyed, and stored
-        assert ModelCache(tmp_path).model_for(spec).simplex_keys is not None
+    fresh = [ModelCache(tmp_path).model_for(spec) for spec in specs]  # and stored
+    monkeypatch.setattr(
+        verify, "build_space", lambda spec: pytest.fail(f"{spec} was built")
+    )
     cache = ModelCache(tmp_path)
-    square, cube, sym3 = (cache.model_for(spec) for spec in specs)
-    assert sym3.simplex_keys is None and not cache.warnings
+    loaded = [cache.model_for(spec) for spec in specs]
+    assert loaded == fresh and not cache.warnings
+    (square, cube, sym3), (fresh_square, fresh_cube, fresh_sym3) = loaded, fresh
     x = sphere(1, 3)
-    with pytest.raises(ContractViolation, match="no simplex keys"):
-        diagonal_insertion(x, square=square, sym3=sym3)
-    with pytest.raises(ContractViolation, match="no simplex keys"):
-        sym_projection(x, 3, source=cube, sym=sym3)
-    with pytest.raises(ContractViolation, match="no simplex keys"):
-        sym_projection(x, 3, source=power(x, 3), sym=sym3)
+    maps = [
+        diagonal_insertion(x, square=square, sym3=sym3),
+        sym_projection(x, 3, source=cube, sym=sym3),
+        sym_projection(x, 3, source=power(x, 3), sym=sym3),
+    ]
+    want = [
+        diagonal_insertion(x, square=fresh_square, sym3=fresh_sym3),
+        sym_projection(x, 3, source=fresh_cube, sym=fresh_sym3),
+        sym_projection(x, 3),
+    ]
+    for got, expected in zip(maps, want):
+        assert got == expected and got.commutes()
+
 
 def test_sym2_circle_against_hand_triangulated_moebius_band():
     # independent oracle: the band triangulated by hand, same pipeline
@@ -476,8 +491,9 @@ def test_diagonal_insertion_on_vertices():
     sym3 = sym_power(x, 3)
     alpha = diagonal_insertion(x, square=square, sym3=sym3)
     assert alpha.commutes()
-    keys = sym3.simplex_keys[0]
-    for pid, (u, v) in enumerate(square.simplex_keys[0].tolist()):
+    size = x.level_sizes[0]
+    keys = _combos(size, 3, repeat=True)
+    for pid, (u, v) in enumerate(_digits([size, size]).tolist()):
         assert sorted([u, u, v]) == keys[alpha.level_maps[0][pid]].tolist()
 
 
@@ -538,6 +554,25 @@ def test_sym2_supports_match_exp2_levelwise(n):
     assert ok, detail
 
 
+@pytest.mark.parametrize(
+    "compare", [compare_pushout_with_subsets, compare_sym2_with_subsets]
+)
+def test_support_comparisons_read_the_subset_space_operators(monkeypatch, compare):
+    build = spaces.exp_subsets
+
+    def reversed_edges(x, k, **kwargs):
+        model = build(x, k, **kwargs)
+        faces = [list(level) for level in model.faces]
+        faces[1].reverse()  # each edge's two ends swap
+        return SimplicialSetModel(
+            model.level_cap, model.level_sizes, faces, model.degeneracies
+        )
+
+    monkeypatch.setattr(spaces, "exp_subsets", reversed_edges)
+    ok, detail = compare(sphere(1, 4))
+    assert not ok and "does not commute" in detail
+
+
 def test_from_complex_projective_plane():
     assert projective_plane().betti_table().dims == (1, 1, 1)
 
@@ -545,9 +580,8 @@ def test_from_complex_projective_plane():
 def test_from_complex_solid_triangle_contractible():
     solid = from_complex([(0, 1, 2)], 3)
     assert solid.betti_table().dims == (1, 0, 0)
-    relabelled = from_complex([(-3, 0, 5)], 3)  # keys keep the given labels
+    relabelled = from_complex([(-3, 0, 5)], 3)  # only the vertex order counts
     assert relabelled == solid
-    assert relabelled.simplex_keys[0].tolist() == [[-3], [0], [5]]
 
 
 def test_from_complex_boundary_tetrahedron_matches_sphere():
@@ -634,11 +668,13 @@ def test_pushout_of_discrete_models_matches_union_find(seed):
     assert into_b.level_maps[0].tolist() == expect[la:]
 
 
-# sha256 of each model's content hash and simplex keys, and of each map's
+# sha256 of each model's content hash and key rows, and of each map's
 # level maps, as the constructors built them before multisets were
 # enumerated directly and pushout classes labelled in numpy.  The four exp
 # entries hash those keys with the padding moved to the front as −1:
-# np.sort(np.where(key == level_size, -1, key), axis=1).
+# np.sort(np.where(key == level_size, -1, key), axis=1).  The key rows come
+# from the layout functions of the base's level sizes, so these digests pin
+# every layout.
 PINNED_SPACE_DIGESTS = {
     "exp2-s3": "1c2980684fb64b160839b4fd57aa1d4d2423b42b09fc475ffa712c2ef434925e",
     "exp3-s2": "3656ae3ae66b36cca4c25b9e71350b5d9de4eb73086847dd0825af0019ee2d99",
@@ -657,15 +693,15 @@ PINNED_SPACE_DIGESTS = {
 }
 
 
-def _digest(model_or_map):
-    """sha256 over a model's content hash and keys, or a map's level maps."""
+def _digest(model_or_map, keys):
+    """sha256 over a model's content hash and key rows, or a map's level maps."""
     h = hashlib.sha256()
     if isinstance(model_or_map, SimplicialMapModel):
         arrays = model_or_map.level_maps
     else:
         text = model_or_map.to_json_text()  # what content_hash hashed before scheme 2
         h.update(hashlib.sha256(text.encode()).hexdigest().encode())
-        arrays = model_or_map.simplex_keys or []
+        arrays = keys
     for a in arrays:
         a = np.ascontiguousarray(a, dtype=np.int32)
         h.update(repr(a.shape).encode() + a.tobytes())
@@ -673,25 +709,37 @@ def _digest(model_or_map):
 
 
 def _pinned_objects():
+    """(model, its key rows) or (map, ()) by name."""
     out = {}
-    for kind, n, k in (("sym", 2, 2), ("sym", 1, 3), ("sym", 2, 3), ("exp", 3, 2), ("exp", 2, 3)):
-        out[f"{kind}{k}-s{n}"] = build_space(SpaceSpec(kind, n=n, k=k))
-    for kind, n, k in (("exp", 2, 2), ("exp", 2, 3), ("sym", 2, 3)):
-        spec = SpaceSpec(kind, n=n, k=k, base="one-vertex")
-        out[f"{kind}{k}-s{n}-one-vertex"] = build_space(spec)
+    layouts = {"sym": lambda size, k: _combos(size, k, True), "exp": _subset_keys}
+    for kind, n, k, base in (
+        ("sym", 2, 2, "boundary"),
+        ("sym", 1, 3, "boundary"),
+        ("sym", 2, 3, "boundary"),
+        ("exp", 3, 2, "boundary"),
+        ("exp", 2, 3, "boundary"),
+        ("exp", 2, 2, "one-vertex"),
+        ("exp", 2, 3, "one-vertex"),
+        ("sym", 2, 3, "one-vertex"),
+    ):
+        spec = SpaceSpec(kind, n=n, k=k, base=base)
+        x = SPHERE_BASES[base](n, spec.default_cap())
+        keys = [layouts[kind](size, k) for size in x.level_sizes]
+        suffix = "-one-vertex" if base == "one-vertex" else ""
+        out[f"{kind}{k}-s{n}{suffix}"] = build_space(spec), keys
     for n in (1, 2):
         x = sphere(n, 3 * n + 1)
         square = product(x, x)
         alpha = diagonal_insertion(x, square=square, sym3=sym_power(x, 3))
         proj2 = sym_projection(x, 2, source=square, sym=sym_power(x, 2))
-        out[f"insertion-s{n}"] = alpha
-        out[f"projection-s{n}"] = proj2
-        out[f"glued-s{n}"] = pushout(alpha, proj2)[0]
+        out[f"insertion-s{n}"] = alpha, ()
+        out[f"projection-s{n}"] = proj2, ()
+        out[f"glued-s{n}"] = pushout(alpha, proj2)[0], ()  # a pushout has no keys
     return out
 
 
 def test_models_and_maps_are_pinned():
-    got = {name: _digest(obj) for name, obj in _pinned_objects().items()}
+    got = {name: _digest(*obj) for name, obj in _pinned_objects().items()}
     assert got == PINNED_SPACE_DIGESTS
 
 

@@ -102,6 +102,28 @@ def test_models_built_outside_the_cache_obey_the_budget():
     assert "over budget" in res.detail
 
 
+def test_the_torus_and_projective_plane_rows_obey_the_budget():
+    # the torus holds 144 simplices at level 3, the projective plane 126 at level 4
+    scope = ["cup-torus", "sq1-projective-plane"]
+    report = run_verify(scope=scope, max_level_size=100)
+    assert [r.status for r in report.results] == ["skipped", "skipped"]
+    assert all("over budget" in r.detail for r in report.results)
+
+
+@pytest.mark.parametrize("bound", [100, 1000])
+def test_no_model_a_run_builds_exceeds_its_budget(monkeypatch, bound):
+    largest = []  # each build's largest level
+    build = SimplicialSetModel.from_operators.__func__
+
+    def recording(cls, cap, level_sizes, *args, **kwargs):
+        largest.append(max(level_sizes))
+        return build(cls, cap, level_sizes, *args, **kwargs)
+
+    monkeypatch.setattr(SimplicialSetModel, "from_operators", classmethod(recording))
+    assert run_verify(max_level_size=bound).passed
+    assert largest and max(largest) <= bound
+
+
 def test_report_is_self_contained_and_ordered():
     report = run_verify(scope=["betti-exp2-circle", "betti-exp2-sphere2"])
     ids = [r.check_id for r in report.results]
