@@ -28,7 +28,7 @@ for n in (2, 3, 4):
 
 print()
 for n in (2, 3, 4, 5, 6):
-    overlap = expected_betti("E0", n).dims
+    overlap = BettiTable(expected_betti("E0", n).dims)
     template = exp2_cover_template(n, overlap)
     table = extract_degree_dims(template, solve_template(template), "X^")
     print(f"two-point subsets of S^{n} via the covering sequence:", table)

@@ -106,22 +106,6 @@ class SolveResult:
     ranks: tuple = ()
     certificate: str | None = None
 
-    def dim_bounds(self, template: ExactTemplate, name: str):
-        for t, b in zip(template.terms, self.dims):
-            if t.name == name:
-                return b
-        raise KeyError(name)
-
-    def forced_dims(self, template: ExactTemplate) -> dict:
-        out = {}
-        for t, (lo, hi) in zip(template.terms, self.dims):
-            if lo == hi:
-                out[t.name] = lo
-        return out
-
-    def all_forced(self) -> bool:
-        return self.consistent and all(lo == hi for lo, hi in self.dims)
-
     def to_json_dict(self, template: ExactTemplate) -> dict:
         return {
             "consistent": self.consistent,
@@ -213,12 +197,6 @@ def extract_degree_dims(template: ExactTemplate, result: SolveResult, prefix: st
 # template builders
 
 
-def _dim_of(table, k: int) -> int:
-    if hasattr(table, "dim"):
-        return table.dim(k) if k >= 0 else 0
-    return table[k] if 0 <= k < len(table) else 0
-
-
 def _ladder(blocks) -> ExactTemplate:
     """The template 0 -> a -> b -(given)-> c -> a' -> ... -> c'' -> 0.
 
@@ -248,13 +226,11 @@ def gysin_template(
     d = fiber_dim
     if d < 1:
         raise ContractViolation("fiber dimension must be at least 1")
-    top = base.max_degree if hasattr(base, "max_degree") else len(base) - 1
+    top = base.max_degree
 
     def cup_rank(j: int) -> int:
         r = euler_cup_ranks.get(j, 0)
-        lo_dim = _dim_of(base, j)
-        hi_dim = _dim_of(base, j + d + 1)
-        if r > min(lo_dim, hi_dim):
+        if r > min(base.dim(j), base.dim(j + d + 1)):
             raise ContractViolation(
                 f"euler cup rank {r} at degree {j} exceeds the base dimensions"
             )
@@ -266,15 +242,15 @@ def gysin_template(
     return _ladder(
         (
             Term(f"E^{k}", 0 if k < 0 else None),
-            Term(f"B^{k - d}", _dim_of(base, k - d)),
+            Term(f"B^{k - d}", base.dim(k - d)),
             Arrow("rank", cup_rank(k - d)),
-            Term(f"B^{k + 1}", _dim_of(base, k + 1)),
+            Term(f"B^{k + 1}", base.dim(k + 1)),
         )
         for k in range(-1, top + d + 2)
     )
 
 
-def exp2_cover_template(n: int, overlap_dims) -> ExactTemplate:
+def exp2_cover_template(n: int, overlap: BettiTable) -> ExactTemplate:
     """Covering of the two-point subset space by its distance pieces.
 
     The space of at most two points in the n-sphere is covered by a piece
@@ -294,13 +270,15 @@ def exp2_cover_template(n: int, overlap_dims) -> ExactTemplate:
             Term(f"X^{k}", None),
             Term(f"U^{k}", (1 if k <= n else 0) + (1 if k in (0, n) else 0)),
             Arrow("rank", 1 if k <= n else 0),
-            Term(f"I^{k}", _dim_of(overlap_dims, k)),
+            Term(f"I^{k}", overlap.dim(k)),
         )
         for k in range(0, 2 * n + 2)
     )
 
 
-def exp3_cover_template(n: int, c3_dims, exp2_dims, total_dims) -> ExactTemplate:
+def exp3_cover_template(
+    n: int, c3: BettiTable, exp2: BettiTable, total: BettiTable
+) -> ExactTemplate:
     """Covering of the three-point subset space by its two natural pieces.
 
     One piece carries the cohomology of the space of three distinct
@@ -326,16 +304,16 @@ def exp3_cover_template(n: int, c3_dims, exp2_dims, total_dims) -> ExactTemplate
     return _ladder(
         (
             Term(f"X^{k}", None),
-            Term(f"U^{k}", _dim_of(c3_dims, k) + _dim_of(exp2_dims, k)),
+            Term(f"U^{k}", c3.dim(k) + exp2.dim(k)),
             Arrow("rank", rank(k)),
-            Term(f"I^{k}", _dim_of(total_dims, k)),
+            Term(f"I^{k}", total.dim(k)),
         )
         for k in range(0, 3 * n + 2)
     )
 
 
 def exp3_gluing_template(
-    n: int, exp2_dims, sym3_dims, product_dims
+    n: int, exp2: BettiTable, sym3: BettiTable, product: BettiTable
 ) -> ExactTemplate:
     """Sequence of the gluing square for the three-point subset space.
 
@@ -358,9 +336,9 @@ def exp3_gluing_template(
     return _ladder(
         (
             Term(f"X^{k}", 0 if k in (n, n + 1) else None),
-            Term(f"U^{k}", _dim_of(exp2_dims, k) + _dim_of(sym3_dims, k)),
+            Term(f"U^{k}", exp2.dim(k) + sym3.dim(k)),
             restriction(k),
-            Term(f"P^{k}", _dim_of(product_dims, k)),
+            Term(f"P^{k}", product.dim(k)),
         )
         for k in range(0, 3 * n + 2)
     )

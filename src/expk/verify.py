@@ -1,10 +1,11 @@
 """Batch verification: every quantitative claim as a named, budgeted check.
 
-``run_verify`` executes a selection of checks, each of which builds (or
-loads from cache) the models it needs, compares computed values against
-the catalog, and reports pass / fail / skipped together with the numbers
-involved.  A check that would blow the per-level simplex budget reports
-``skipped`` with the offending level rather than failing the run.
+``run_verify`` executes a selection of checks, each of which gets the
+cached models it declares (and builds any fixed ones it needs), compares
+computed values against the catalog, and reports pass / fail / skipped
+together with the numbers involved.  A check that would blow the
+per-level simplex budget reports ``skipped`` with the offending level
+rather than failing the run.
 """
 
 from __future__ import annotations
@@ -188,7 +189,6 @@ class ModelCache:
 
 @dataclass
 class CheckContext:
-    cache: ModelCache
     max_level_size: int
     seed: int
 
@@ -198,24 +198,18 @@ class CheckContext:
             kind, n=n, k=k, cap=cap, max_level_size=self.max_level_size, base=base
         )
 
-    def space(self, kind, n=None, k=None, cap=None, base="boundary"):
-        return self.cache.model_for(self.spec(kind, n, k, cap, base))
-
     def build(self, constructor, *args):
         """A model built outside the cache, under the run's budget."""
         return constructor(*args, max_level_size=self.max_level_size)
-
-    def reads(self, fn) -> set:
-        """The spec texts of the models the row ``fn`` declares it reads."""
-        return {self.spec(*args).to_json_text() for args in getattr(fn, "reads", ())}
 
 
 def _reads(*specs):
     """Declare the models a row reads, as ``CheckContext.spec`` arguments.
 
-    ``run_verify`` holds each declared model in memory until the last row
-    in scope that declares it ends; a model a row reads without declaring
-    it is dropped when that row ends.
+    ``run_verify`` gets each declared model from the run's cache and calls
+    the row as ``fn(ctx, *models)``, in declaration order; this is the only
+    way a row reads a cached model.  Each model stays in memory until the
+    last row in scope that declares it ends.
     """
 
     def declare(fn):
@@ -247,10 +241,11 @@ def _betti(kind, n, k, expected=None, source="", detail="", base="boundary"):
     sphere model the space is built on.
     """
 
-    @_reads((kind, n, k, None, base))
-    def run(ctx):
-        spec = ctx.spec(kind, n=n, k=k, base=base)
-        computed = ctx.cache.model_for(spec).betti_table()
+    space = (kind, n, k, None, base)
+
+    @_reads(space)
+    def run(ctx, model):
+        computed = model.betti_table()
         want, tag = expected, source
         if want is None:
             table = catalog.expected_betti(f"{kind}{k}", n)
@@ -261,26 +256,22 @@ def _betti(kind, n, k, expected=None, source="", detail="", base="boundary"):
             computed=list(computed.dims),
             expected=list(want),
             source=tag,
-            spec=spec.to_json_dict(),
+            spec=ctx.spec(*space).to_json_dict(),
         )
 
     return run
 
 
-def _squares(space, *squares):
+def _squares(*squares):
     """Each listed Sq^i on H^d sends the one generator to the one generator.
 
-    ``space`` is the ``CheckContext.spec`` arguments of a model the run's
-    cache holds, or a constructor that ``CheckContext.build`` calls with no
-    arguments; ``squares`` are (i, d) pairs.  The row passes when every
-    square has coordinates ``[[1]]`` in H^(d+i).
+    ``squares`` are (i, d) pairs; the row is called with the model it
+    checks.  It passes when every square has coordinates ``[[1]]`` in
+    H^(d+i).
     """
     labels = [f"Sq{i} H{d}->H{d + i}" for i, d in squares]
-    cached = isinstance(space, tuple)
 
-    @_reads(*[space] if cached else [])
-    def run(ctx):
-        model = ctx.space(*space) if cached else ctx.build(space)
+    def run(ctx, model):
         computed = {
             label: square_coordinates(model, i, d)
             for label, (i, d) in zip(labels, squares)
@@ -297,16 +288,17 @@ def _squares(space, *squares):
 
 
 def _sequence(ns, template, prefix, expected_kind, detail, source=""):
-    """For each n in ``ns`` the solved ``template(ctx, n)`` forces the catalog.
+    """For each n in ``ns`` the solved ``template(ctx, n, *models)`` forces the catalog.
 
-    The forced dimensions of the terms named ``f"{prefix}{k}"`` must equal
-    the catalog table of ``expected_kind`` at n.
+    ``models`` are the ones the row declares it reads.  The forced
+    dimensions of the terms named ``f"{prefix}{k}"`` must equal the catalog
+    table of ``expected_kind`` at n.
     """
 
-    def run(ctx):
+    def run(ctx, *models):
         bad = []
         for n in ns:
-            t = template(ctx, n)
+            t = template(ctx, n, *models)
             got = extract_degree_dims(t, solve_template(t), prefix)
             if not got.matches(catalog.expected_betti(expected_kind, n).dims):
                 bad.append((n, got.dims))
@@ -331,7 +323,7 @@ def _comparison(compare, cap_per_n, n, base="boundary"):
     return run
 
 
-# templates of the ``_sequence`` rows, as (ctx, n) -> ExactTemplate
+# templates of the ``_sequence`` rows, as (ctx, n, *models) -> ExactTemplate
 
 
 def _sphere_bundle_over_projective_space(ctx, n):
@@ -339,12 +331,13 @@ def _sphere_bundle_over_projective_space(ctx, n):
 
 
 def _exp2_cover(ctx, n):
-    return exp2_cover_template(n, catalog.expected_betti("E0", n).dims)
+    return exp2_cover_template(n, BettiTable(catalog.expected_betti("E0", n).dims))
 
 
 def _exp3_cover(ctx, n):
-    dims = [catalog.expected_betti(kind, n).dims for kind in ("C3", "exp2", "E")]
-    return exp3_cover_template(n, *dims)
+    kinds = ("C3", "exp2", "E")
+    tables = [BettiTable(catalog.expected_betti(kind, n).dims) for kind in kinds]
+    return exp3_cover_template(n, *tables)
 
 
 def _circle_bundle_over_grassmannian(ctx, n):
@@ -359,12 +352,14 @@ def _circle_bundle_over_grassmannian(ctx, n):
 GLUING_SPACES = (("exp", 1, 2), ("sym", 1, 3), ("exp", 2, 2), ("sym", 2, 3))
 
 
-def _gluing_square(ctx, n):
+def _gluing_square(ctx, n, *models):
+    """The gluing template at n, from the pair of ``GLUING_SPACES`` models for n."""
+    by_space = dict(zip(GLUING_SPACES, models))
     s = ctx.build(sphere, n, 2 * n + 1)
     return exp3_gluing_template(
         n,
-        ctx.space("exp", n=n, k=2).betti_table(),
-        ctx.space("sym", n=n, k=3).betti_table(),
+        by_space["exp", n, 2].betti_table(),
+        by_space["sym", n, 3].betti_table(),
         ctx.build(product, s, s).betti_table(),
     )
 
@@ -374,15 +369,11 @@ def _gluing_square(ctx, n):
 
 
 @_reads(("exp", 2, 3), ("sym", 2, 3), ("exp", 2, 2), ("sphere", 2, None, 7))
-def check_euler_exp3_sphere2(ctx):
-    chi = {}
-    for name, kind, k in (
-        ("exp3", "exp", 3),
-        ("sym3", "sym", 3),
-        ("exp2", "exp", 2),
-    ):
-        chi[name] = ctx.space(kind, n=2, k=k).betti_table().euler_characteristic()
-    s2 = ctx.space("sphere", n=2, cap=7)
+def check_euler_exp3_sphere2(ctx, exp3, sym3, exp2, s2):
+    chi = {
+        name: model.betti_table().euler_characteristic()
+        for name, model in (("exp3", exp3), ("sym3", sym3), ("exp2", exp2))
+    }
     square = ctx.build(product, s2, s2)
     chi["square"] = square.betti_table().euler_characteristic()
     lhs = chi["exp3"]
@@ -406,15 +397,16 @@ AGREEING_SPACES = (
 )
 
 
-@_reads(*[(*space, None, base) for space in AGREEING_SPACES for base in SPHERE_BASES])
-def check_models_agree(ctx):
+@_reads(*[(*space, None, base) for space in AGREEING_SPACES
+          for base in ("one-vertex", "boundary")])
+def check_models_agree(ctx, *models):
     """Each space's table on the one-vertex sphere is its table on ∂Δⁿ⁺¹."""
     computed, expected = {}, {}
-    for kind, n, k in AGREEING_SPACES:
+    pairs = zip(models[::2], models[1::2])
+    for (kind, n, k), (one_vertex, boundary) in zip(AGREEING_SPACES, pairs):
         label = f"{kind}{k}(S{n})"
-        one_vertex = ctx.space(kind, n=n, k=k, base="one-vertex").betti_table()
-        computed[label] = list(one_vertex.dims)
-        expected[label] = list(ctx.space(kind, n=n, k=k).betti_table().dims)
+        computed[label] = list(one_vertex.betti_table().dims)
+        expected[label] = list(boundary.betti_table().dims)
     bad = [
         label
         for label, dims in computed.items()
@@ -428,7 +420,7 @@ def check_models_agree(ctx):
     )
 
 
-# (kind, n, k, cap) of the cached models in _suite_models
+# (kind, n, k, cap) of the cached models of the sq0 and simplicial suites
 SUITE_SPACES = (
     ("exp", 1, 2, 3),
     ("exp", 1, 3, 4),
@@ -438,21 +430,22 @@ SUITE_SPACES = (
 )
 
 
-def _suite_models(ctx):
+def _suite_models(ctx, *cached):
+    """The suites' fixed models, then ``cached``, the ``SUITE_SPACES`` models."""
     return [
         ctx.build(sphere, 1, 3),
         ctx.build(sphere, 2, 4),
         ctx.build(complexes.torus),
         ctx.build(complexes.projective_plane),
         ctx.build(complexes.moebius_band),
-        *[ctx.space(*space) for space in SUITE_SPACES],
+        *cached,
     ]
 
 
 @_reads(*SUITE_SPACES)
-def check_sq0_identity(ctx):
+def check_sq0_identity(ctx, *cached):
     bad = []
-    for model in _suite_models(ctx):
+    for model in _suite_models(ctx, *cached):
         for d in range(model.top_nondegenerate_level() + 1):
             coords = square_coordinates(model, 0, d)
             if coords != np.eye(len(coords), dtype=int).tolist():
@@ -530,9 +523,9 @@ def check_props_gf2(ctx):
     )
 
 
-@_reads(*SUITE_SPACES, ("exp", 1, 2, 4))
-def check_props_simplicial(ctx):
-    for model in _suite_models(ctx):
+@_reads(("exp", 1, 2, 3), ("exp", 1, 2, 4), *SUITE_SPACES)
+def check_props_simplicial(ctx, cap3, cap4, *cached):
+    for model in _suite_models(ctx, *cached):
         if (bad := model.validate()) is not None:
             return _verdict(False, f"{model.description}: fail: {bad}")
         top = model.top_nondegenerate_level()
@@ -550,9 +543,7 @@ def check_props_simplicial(ctx):
         if cells != model.betti_table().euler_characteristic():
             return _verdict(False, f"{model.description}: euler characteristic mismatch")
     # cap stability on a representative pair
-    a = ctx.space("exp", n=1, k=2, cap=3).betti_table()
-    b = ctx.space("exp", n=1, k=2, cap=4).betti_table()
-    if not a.matches(b):
+    if not cap3.betti_table().matches(cap4.betti_table()):
         return _verdict(False, "betti table changed with the cap")
     return _verdict(True, "identities, boundary-squared, euler counts, cap stability")
 
@@ -574,13 +565,13 @@ def check_props_kunneth(ctx):
 
 
 @_reads(("exp", 2, 2), ("sym", 1, 2, 3))
-def check_props_cup_identity(ctx):
+def check_props_cup_identity(ctx, exp2, sym2):
     rng = np.random.default_rng(ctx.seed)
     models = [
         ctx.build(complexes.torus),
         ctx.build(complexes.projective_plane),
-        ctx.space("exp", n=2, k=2),
-        ctx.space("sym", n=1, k=2, cap=3),
+        exp2,
+        sym2,
         ctx.build(sphere, 2, 4),
     ]
     for model in models:
@@ -614,6 +605,10 @@ def check_props_cup_identity(ctx):
     return _verdict(True, "coboundary identity on 100 seeded pairs per model")
 
 
+def check_sq1_projective_plane(ctx):
+    return _squares((1, 1))(ctx, ctx.build(complexes.projective_plane))
+
+
 CHECKS = {
     "betti-exp2-circle": ("two-point subsets of the circle", _betti("exp", 1, 2)),
     "betti-exp2-sphere2": ("two-point subsets of the 2-sphere", _betti("exp", 2, 2)),
@@ -637,14 +632,14 @@ CHECKS = {
     "sym2-bijection-sphere2": ("double power vs two-point subsets, 2-sphere",
         _comparison("compare_sym2_with_subsets", 2, 2)),
     "sq-exp2-sphere2": ("square of the middle generator, 2-sphere",
-        _squares(("exp", 2, 2), (2, 2))),
+        _reads(("exp", 2, 2))(_squares((2, 2)))),
     "sq-exp2-sphere3": ("squares of the middle generator, 3-sphere",
-        _squares(("exp", 3, 2), (2, 3), (3, 3))),
+        _reads(("exp", 3, 2))(_squares((2, 3), (3, 3)))),
     "sq-sym3-sphere2": ("square on the triple symmetric power",
-        _squares(("sym", 2, 3), (2, 2))),
+        _reads(("sym", 2, 3))(_squares((2, 2)))),
     "sq0-identity": ("degree-0 squares are the identity", check_sq0_identity),
     "sq1-projective-plane": ("degree-1 square on the projective plane",
-        _squares(complexes.projective_plane, (1, 1))),
+        check_sq1_projective_plane),
     "cup-torus": ("cup products on the torus", check_cup_torus),
     "grassmannian-dims": ("graded dimensions of the Grassmannian ring", check_grassmannian_dims),
     "grassmannian-alpha2": ("multiplication by the degree-2 class", check_grassmannian_alpha2),
@@ -690,9 +685,9 @@ def run_verify(
 ) -> VerificationReport:
     """Run the selected checks (all by default) and assemble the report.
 
-    A model stays in memory from its first reader to the last row in scope
-    that declares it (see ``_reads``), so the run holds only the models
-    some unfinished row still reads.
+    Each row gets the models it declares (see ``_reads``).  A model stays
+    in memory from its first reader to the last row in scope that declares
+    it, so the run holds only the models some unfinished row still reads.
     """
     selected = sorted(CHECKS if scope is None else set(scope))
     unknown = [s for s in selected if s not in CHECKS]
@@ -705,8 +700,12 @@ def run_verify(
             f"max_level_size must be at least 1, not {max_level_size}"
         )
     cache = ModelCache(cache_dir=cache_dir)
-    ctx = CheckContext(cache=cache, max_level_size=max_level_size, seed=seed)
-    reads = {c: ctx.reads(CHECKS[c][1]) for c in selected}
+    ctx = CheckContext(max_level_size=max_level_size, seed=seed)
+    specs = {
+        c: [ctx.spec(*args) for args in getattr(CHECKS[c][1], "reads", ())]
+        for c in selected
+    }
+    reads = {c: {spec.to_json_text() for spec in specs[c]} for c in selected}
     readers = collections.Counter(key for keys in reads.values() for key in keys)
     countdown = threading.Lock()
 
@@ -714,14 +713,13 @@ def run_verify(
         description, fn = CHECKS[check_id]
         start = time.perf_counter()
         try:
-            out = fn(ctx)
+            out = fn(ctx, *[cache.model_for(spec) for spec in specs[check_id]])
         except LevelSizeError as exc:
             out = {"status": "skipped", "detail": f"over budget: {exc}"}
         finally:
             with countdown:
-                readers.subtract(reads[check_id])
-                # list() copies the keys in one step while other threads store
-                for key in list(cache.memory):
+                for key in reads[check_id]:
+                    readers[key] -= 1
                     if not readers[key]:
                         cache.memory.pop(key, None)
         elapsed = time.perf_counter() - start

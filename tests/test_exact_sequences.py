@@ -47,7 +47,7 @@ def test_two_term_isomorphism_forced():
     t = seq(("A", None), "unconstrained", ("B", 1))
     res = solve_template(t)
     assert res.consistent
-    assert res.forced_dims(t)["A"] == 1
+    assert res.dims[1] == (1, 1)
 
 
 def test_alternating_sum_contradiction_certified():
@@ -60,29 +60,25 @@ def test_alternating_sum_contradiction_certified():
 def test_annotations_force_values():
     t = seq(("A", None), "isomorphism", ("B", 2), "zero", ("C", None), "surjective", ("D", 3))
     res = solve_template(t)
-    dims = res.forced_dims(t)
-    assert dims["A"] == 2 and dims["C"] == 3 and dims["D"] == 3
+    assert res.dims[1:5] == ((2, 2), (2, 2), (3, 3), (3, 3))
 
 
 def test_under_constrained_leaves_intervals():
     t = seq(("A", None), "unconstrained", ("B", None), "unconstrained", ("C", 1))
     res = solve_template(t)
     assert res.consistent
-    assert not res.all_forced()
-    lo, hi = res.dim_bounds(t, "A")
-    assert lo == 0 and hi is None
+    assert res.dims[1] == (0, None)
 
 
 def test_solution_substitution_is_consistent():
-    t = exp2_cover_template(3, expected_betti("E0", 3).dims)
+    t = exp2_cover_template(3, BettiTable(expected_betti("E0", 3).dims))
     res = solve_template(t)
     assert res.consistent
-    dims = res.forced_dims(t)
     terms = tuple(
-        Term(x.name, dims.get(x.name, x.dim)) for x in t.terms
+        Term(x.name, lo if lo == hi else x.dim) for x, (lo, hi) in zip(t.terms, res.dims)
     )
     again = solve_template(ExactTemplate(terms, t.arrows))
-    assert again.consistent and again.all_forced()
+    assert again.consistent and all(lo == hi for lo, hi in again.dims)
 
 
 def test_monotone_refinement():
@@ -97,10 +93,10 @@ def test_monotone_refinement():
 
 def test_alternating_sum_zero_when_fully_solved():
     for n in (2, 4):
-        t = exp2_cover_template(n, expected_betti("E0", n).dims)
+        t = exp2_cover_template(n, BettiTable(expected_betti("E0", n).dims))
         res = solve_template(t)
         dims = [lo for lo, hi in res.dims]
-        assert res.all_forced()
+        assert res.consistent and all(lo == hi for lo, hi in res.dims)
         assert sum((-1) ** i * d for i, d in enumerate(dims)) == 0
 
 
@@ -144,7 +140,7 @@ def test_gysin_rank_bound_validated():
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_exp2_cover_reproduces_table(n):
-    t = exp2_cover_template(n, expected_betti("E0", n).dims)
+    t = exp2_cover_template(n, BettiTable(expected_betti("E0", n).dims))
     got = extract_degree_dims(t, solve_template(t), "X^")
     assert got.matches(expected_betti("exp2", n).dims)
 
@@ -153,9 +149,9 @@ def test_exp2_cover_reproduces_table(n):
 def test_exp3_cover_reproduces_table(n):
     t = exp3_cover_template(
         n,
-        expected_betti("C3", n).dims,
-        expected_betti("exp2", n).dims,
-        expected_betti("E", n).dims,
+        BettiTable(expected_betti("C3", n).dims),
+        BettiTable(expected_betti("exp2", n).dims),
+        BettiTable(expected_betti("E", n).dims),
     )
     got = extract_degree_dims(t, solve_template(t), "X^")
     assert got.matches(expected_betti("exp3", n).dims)
@@ -171,10 +167,15 @@ def test_circle_bundle_over_grassmannian_matches_triples_table(n):
 
 
 def test_gluing_template_with_observed_tables():
-    t = exp3_gluing_template(2, (1, 0, 1, 0, 1), (1, 0, 1, 0, 1, 0, 1), (1, 0, 2, 0, 1))
+    t = exp3_gluing_template(
+        2,
+        BettiTable((1, 0, 1, 0, 1)),
+        BettiTable((1, 0, 1, 0, 1, 0, 1)),
+        BettiTable((1, 0, 2, 0, 1)),
+    )
     got = extract_degree_dims(t, solve_template(t), "X^")
     assert got.matches(expected_betti("exp3", 2).dims)
-    t = exp3_gluing_template(1, (1, 1), (1, 1), (1, 2, 1))
+    t = exp3_gluing_template(1, BettiTable((1, 1)), BettiTable((1, 1)), BettiTable((1, 2, 1)))
     got = extract_degree_dims(t, solve_template(t), "X^")
     assert got.matches(expected_betti("exp3", 1).dims)
 
@@ -217,20 +218,20 @@ PINNED_TEMPLATES = {
 BUILDERS = {
     # Euler class of degree n + 1 on a base with one class in each degree 0..2n
     "gysin": lambda n: gysin_template(BettiTable((1,) * (2 * n + 1)), n, {0: 1}),
-    "exp2-cover": lambda n: exp2_cover_template(n, expected_betti("E0", n).dims),
+    "exp2-cover": lambda n: exp2_cover_template(n, BettiTable(expected_betti("E0", n).dims)),
     "exp3-cover": lambda n: exp3_cover_template(
         n,
-        expected_betti("C3", n).dims,
-        expected_betti("exp2", n).dims,
-        expected_betti("E", n).dims,
+        BettiTable(expected_betti("C3", n).dims),
+        BettiTable(expected_betti("exp2", n).dims),
+        BettiTable(expected_betti("E", n).dims),
     ),
     # fixed inputs: the catalog's exp2 table, one class in each even degree
     # 0..2n, and the table of the product of two n-spheres
     "gluing": lambda n: exp3_gluing_template(
         n,
-        expected_betti("exp2", n).dims,
-        (1, 0) * n + (1,),
-        (1,) + (0,) * (n - 1) + (2,) + (0,) * (n - 1) + (1,),
+        BettiTable(expected_betti("exp2", n).dims),
+        BettiTable((1, 0) * n + (1,)),
+        BettiTable((1,) + (0,) * (n - 1) + (2,) + (0,) * (n - 1) + (1,)),
     ),
 }
 
@@ -377,8 +378,7 @@ def test_injectivity_further_along_forces_an_unknown_term():
     )
     res = solve_template(t)
     assert res.consistent
-    assert res.dim_bounds(t, "B") == (1, 1)
-    assert res.dim_bounds(t, "C") == res.dim_bounds(t, "D") == (0, None)
+    assert res.dims[2:5] == ((1, 1), (0, None), (0, None))
 
 
 def enumerate_solutions(t, cap):

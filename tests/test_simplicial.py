@@ -24,7 +24,7 @@ from expk.spaces import (
     sphere,
     sym_power,
 )
-from expk.verify import CheckContext, ModelCache, _suite_models
+from expk.verify import SUITE_SPACES, CheckContext, _suite_models
 
 
 def circle():
@@ -293,8 +293,9 @@ def test_cohomology_basis_is_cached_per_degree(monkeypatch):
 
 
 def _cleared_span_models():
-    ctx = CheckContext(ModelCache(), DEFAULT_MAX_LEVEL_SIZE, 0)
-    return _suite_models(ctx) + [build_space(SpaceSpec("exp", n=2, k=3))]
+    ctx = CheckContext(DEFAULT_MAX_LEVEL_SIZE, 0)
+    cached = [build_space(ctx.spec(*space)) for space in SUITE_SPACES]
+    return _suite_models(ctx, *cached) + [build_space(SpaceSpec("exp", n=2, k=3))]
 
 
 def test_cleared_coboundary_spans_are_the_uncleared_ones():

@@ -332,6 +332,38 @@ def test_jobs_parallel_matches_serial():
     assert entries_without_time(serial) == entries_without_time(parallel)
 
 
+def _recording_caches(monkeypatch):
+    """Patch ``verify.ModelCache`` to list each cache ``run_verify`` makes."""
+    caches = []
+
+    class RecordingCache(ModelCache):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            caches.append(self)
+
+    monkeypatch.setattr(verify, "ModelCache", RecordingCache)
+    return caches
+
+
+def test_a_row_receives_the_models_it_declares_in_order(monkeypatch):
+    # declared out of the order of their spec texts, to show the row gets its own
+    declared = (("sphere", 1, None, 3), ("exp", 1, 2, 3))
+    received = []
+
+    @verify._reads(*declared)
+    def run(ctx, *models):
+        received.extend(models)
+        return verify._verdict(True)
+
+    monkeypatch.setitem(CHECKS, "two-models", ("receives its two models", run))
+    report = run_verify(scope=["two-models"])
+    assert report.passed
+    ctx = verify.CheckContext(DEFAULT_MAX_LEVEL_SIZE, 0)
+    want = [verify.build_space(ctx.spec(*space)).content_hash() for space in declared]
+    assert [model.content_hash() for model in received] == want
+    assert sorted(report.model_hashes.values()) == sorted(want)
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_rows_read_what_they_declare_and_each_model_is_built_once(monkeypatch, jobs):
     local, requested, built, caches = threading.local(), {}, [], set()
@@ -353,8 +385,11 @@ def test_rows_read_what_they_declare_and_each_model_is_built_once(monkeypatch, j
     monkeypatch.setattr(verify, "build_space", counting_build)
     report = run_verify(jobs=jobs, progress=progress)
     assert report.passed
-    ctx = verify.CheckContext(ModelCache(), DEFAULT_MAX_LEVEL_SIZE, 0)
-    assert requested == {c: ctx.reads(fn) for c, (_, fn) in CHECKS.items()}
+    ctx = verify.CheckContext(DEFAULT_MAX_LEVEL_SIZE, 0)
+    assert requested == {
+        c: {ctx.spec(*space).to_json_text() for space in getattr(fn, "reads", ())}
+        for c, (_, fn) in CHECKS.items()
+    }
     assert sorted(built) == sorted(set(built)) == sorted(report.model_hashes)
     (cache,) = caches
     assert cache.memory == {}
@@ -364,48 +399,45 @@ def test_a_model_is_held_until_its_last_declared_reader(monkeypatch):
     circle = ("sphere", 1, None, 3)
     key = SpaceSpec("sphere", n=1, cap=3).to_json_text()
     held, built = {}, []
+    caches = _recording_caches(monkeypatch)
     build_space = verify.build_space
     monkeypatch.setattr(
         verify, "build_space", lambda spec: built.append(spec) or build_space(spec)
     )
 
-    def row(check_id, reads):
-        def run(ctx):
-            held[check_id] = set(ctx.cache.memory)
-            if reads:
-                ctx.space(*circle)
+    def row(check_id):
+        def run(ctx, *models):
+            (cache,) = caches
+            held[check_id] = set(cache.memory)
             return verify._verdict(True)
 
         return run
 
     rows = {
-        "held-1": verify._reads(circle)(row("held-1", True)),
-        "held-2": verify._reads(circle)(row("held-2", True)),
-        "held-3": row("held-3", True),  # reads the circle without declaring it
-        "held-4": row("held-4", False),
+        "held-1": verify._reads(circle)(row("held-1")),
+        "held-2": verify._reads(circle)(row("held-2")),
+        "held-3": row("held-3"),
     }
     for check_id, fn in rows.items():
         monkeypatch.setitem(CHECKS, check_id, ("records what memory holds", fn))
     assert run_verify(scope=list(rows)).passed
-    assert held == {"held-1": set(), "held-2": {key}, "held-3": set(), "held-4": set()}
-    # the undeclared read after the last declared one builds the circle again
-    assert len(built) == 2
+    assert held == {"held-1": {key}, "held-2": {key}, "held-3": set()}
+    assert len(built) == 1
 
 
 def test_the_countdown_under_many_threads_builds_once_and_ends_empty(monkeypatch):
     circle = ("sphere", 1, None, 3)
-    built, caches = [], set()
+    built = []
+    caches = _recording_caches(monkeypatch)
     build_space = verify.build_space
     monkeypatch.setattr(
         verify, "build_space", lambda spec: built.append(spec) or build_space(spec)
     )
 
     @verify._reads(circle)
-    def run(ctx):
-        caches.add(ctx.cache)
-        ctx.space(*circle)
+    def run(ctx, model):
         time.sleep(0.001)  # let the other rows end and count down meanwhile
-        return verify._verdict(ctx.space(*circle) is not None)
+        return verify._verdict(model is not None)
 
     scope = [f"reads-circle-{i}" for i in range(16)]
     for check_id in scope:
@@ -483,7 +515,9 @@ def test_one_row_of_each_kind_is_pinned():
 
 def test_a_squares_row_that_misses_the_generator_fails(monkeypatch):
     # on the torus Sq1 = 0 from H1 (two generators) to H2: coordinates [[0], [0]]
-    row = verify._squares(complexes.torus, (1, 1))
+    def row(ctx):
+        return verify._squares((1, 1))(ctx, ctx.build(complexes.torus))
+
     monkeypatch.setitem(CHECKS, "sq1-torus", ("degree-1 square on the torus", row))
     report = run_verify(scope=["sq1-torus"])
     (res,) = report.results
