@@ -23,7 +23,7 @@ from expk import (
 x = sphere(1, cap=4)
 square = product(x, x)
 sym3 = sym_power(x, 3)
-proj2 = sym_projection(x, 2, source=square)
+proj2 = sym_projection(x, 2, source=square, sym=sym_power(x, 2))
 alpha = diagonal_insertion(x, square=square, sym3=sym3)
 
 print("doubling map commutes with faces and degeneracies:", alpha.commutes())

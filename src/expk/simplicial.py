@@ -148,11 +148,10 @@ class BettiTable:
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * d for k, d in enumerate(self.dims))
 
-    def matches(self, other) -> bool:
-        """Equality as functions degree -> dimension (trailing zeros ignored)."""
-        other_dims = other.dims if hasattr(other, "dims") else tuple(other)
-        top = max(len(self.dims), len(other_dims))
-        probe = BettiTable(tuple(other_dims))
+    def matches(self, dims) -> bool:
+        """Equality with ``dims`` degree by degree (trailing zeros ignored)."""
+        probe = BettiTable(tuple(dims))
+        top = max(len(self.dims), len(probe.dims))
         return all(self.dim(k) == probe.dim(k) for k in range(top))
 
     def to_json_dict(self) -> dict:

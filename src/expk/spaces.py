@@ -529,20 +529,13 @@ def _multiset_map(x, source, target, k, rows, description) -> SimplicialMapModel
 
 
 def diagonal_insertion(
-    x,
-    square: SimplicialSetModel | None = None,
-    sym3: SimplicialSetModel | None = None,
+    x, square: SimplicialSetModel, sym3: SimplicialSetModel
 ) -> SimplicialMapModel:
     """The map sending a pair (u, v) to the multiset {u, u, v}.
 
-    Levelwise insertion of the doubled first coordinate into the 3-fold
-    symmetric power.  Prebuilt product / symmetric-power models may be
-    supplied to avoid reconstruction; they must match structurally.
+    Levelwise insertion of the doubled first coordinate from the square
+    of x into its 3-fold symmetric power.
     """
-    if square is None:
-        square = product(x, x)
-    if sym3 is None:
-        sym3 = sym_power(x, 3)
     return _multiset_map(
         x,
         square,
@@ -554,21 +547,12 @@ def diagonal_insertion(
 
 
 def sym_projection(
-    x,
-    k: int,
-    source: SimplicialSetModel | None = None,
-    sym: SimplicialSetModel | None = None,
+    x, k: int, source: SimplicialSetModel, sym: SimplicialSetModel
 ) -> SimplicialMapModel:
-    """The quotient map from the k-fold power onto ``sym_power(x, k)``.
+    """The quotient map from the k-fold power ``source`` onto ``sym``.
 
-    A k-tuple goes to the multiset of its coordinates.  A prebuilt power
-    (``source``) / symmetric-power model may be supplied, as for
-    ``diagonal_insertion``.
+    A k-tuple goes to the multiset of its coordinates.
     """
-    if source is None:
-        source = power(x, k)
-    if sym is None:
-        sym = sym_power(x, k)
     return _multiset_map(
         x, source, sym, k, lambda tuples: tuples, f"quotient {x.description}^{k} -> sym"
     )
@@ -657,6 +641,16 @@ def _support_codes(keys: np.ndarray, level_size: int, width: int) -> np.ndarray:
     return _rank(_canonical(rows, -1), level_size, padded=True)
 
 
+def _supports_biject(source, subsets, supports):
+    """Whether ``supports`` is a levelwise bijection onto ``subsets``, commuting."""
+    for m, codes in enumerate(supports):
+        if not np.array_equal(np.sort(codes), np.arange(subsets.level_sizes[m])):
+            return False, f"support map fails to be a bijection at level {m}"
+    if not SimplicialMapModel(source, subsets, supports).commutes():
+        return False, "the support map does not commute with the operators"
+    return True, "supports give a levelwise bijection"
+
+
 def compare_pushout_with_subsets(x, max_level_size: int = DEFAULT_MAX_LEVEL_SIZE):
     """Levelwise comparison of the gluing square with the subset space.
 
@@ -669,8 +663,8 @@ def compare_pushout_with_subsets(x, max_level_size: int = DEFAULT_MAX_LEVEL_SIZE
     square = product(x, x, max_level_size=max_level_size)
     sym3 = sym_power(x, 3, max_level_size=max_level_size)
     sym2 = sym_power(x, 2, max_level_size=max_level_size)
-    alpha = diagonal_insertion(x, square=square, sym3=sym3)
-    proj2 = sym_projection(x, 2, source=square, sym=sym2)
+    alpha = diagonal_insertion(x, square, sym3)
+    proj2 = sym_projection(x, 2, square, sym2)
     glued, into_sym3, into_sym2 = pushout(alpha, proj2)
     subsets = exp_subsets(x, 3, max_level_size=max_level_size)
     supports = []
@@ -691,13 +685,8 @@ def compare_pushout_with_subsets(x, max_level_size: int = DEFAULT_MAX_LEVEL_SIZE
         for codes, cls in batches:
             if not np.array_equal(class_support[cls], codes):
                 return False, f"support is not constant on classes at level {m}"
-        ids = np.arange(subsets.level_sizes[m])  # each the code of its support
-        if not np.array_equal(np.sort(class_support), ids):
-            return False, f"glued classes and subset level differ at level {m}"
         supports.append(class_support)
-    if not SimplicialMapModel(glued, subsets, supports).commutes():
-        return False, "the support map does not commute with the operators"
-    return True, "supports give a levelwise bijection"
+    return _supports_biject(glued, subsets, supports)
 
 
 def compare_sym2_with_subsets(x, max_level_size: int = DEFAULT_MAX_LEVEL_SIZE):
@@ -705,12 +694,7 @@ def compare_sym2_with_subsets(x, max_level_size: int = DEFAULT_MAX_LEVEL_SIZE):
     sym2 = sym_power(x, 2, max_level_size=max_level_size)
     subsets = exp_subsets(x, 2, max_level_size=max_level_size)
     supports = [_support_codes(_combos(lm, 2, True), lm, 2) for lm in x.level_sizes]
-    for m, codes in enumerate(supports):
-        if not np.array_equal(np.sort(codes), np.arange(subsets.level_sizes[m])):
-            return False, f"support map fails to be a bijection at level {m}"
-    if not SimplicialMapModel(sym2, subsets, supports).commutes():
-        return False, "the support map does not commute with the operators"
-    return True, "supports give a levelwise bijection"
+    return _supports_biject(sym2, subsets, supports)
 
 
 # ---------------------------------------------------------------------------
