@@ -200,9 +200,12 @@ def cmd_verify(args) -> int:
         seed=args.seed,
         progress=progress,
     )
-    text = (
-        report.to_json_text() if args.format == "json" else report.human_table()
-    )
+    if args.format == "json":
+        text = report.to_json_text()
+    else:  # the human table has no room for the report's warnings
+        text = report.human_table()
+        for warning in report.warnings:
+            print(f"expk: warning: {warning}", file=sys.stderr)
     _write_out(text, args.out)
     return 0 if report.passed else 1
 

@@ -121,13 +121,15 @@ class Gf2Span:
 
     Vectors and tags are python ints, bit i = coordinate i.  A row's tag
     is the xor of the tags of the inputs combined into it, so a vector
-    that reduces to zero yields the relation among the inputs.
+    that reduces to zero yields the relation among the inputs.  Tags live
+    in a table of their own, so ``drop_tags`` replaces it in one call.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "_tags")
 
     def __init__(self, vectors=()):
         self._rows = {}
+        self._tags = {}
         for x in vectors:
             self.add(x)
 
@@ -140,36 +142,39 @@ class Gf2Span:
 
     def drop_tags(self):
         """Zero every row's tag, keeping the span."""
-        self._rows = {p: (x, 0) for p, (x, _) in self._rows.items()}
+        self._tags = dict.fromkeys(self._rows, 0)
 
     def copy(self) -> "Gf2Span":
         out = Gf2Span()
         out._rows = dict(self._rows)
+        out._tags = dict(self._tags)
         return out
 
     def reduce(self, x: int, tag: int = 0) -> tuple[int, int]:
         """Clear the leading bits of x that the table holds; (rest, tag)."""
-        rows = self._rows
+        rows, tags = self._rows, self._tags
         while x:
-            row = rows.get(x.bit_length() - 1)
+            lead = x.bit_length() - 1
+            row = rows.get(lead)
             if row is None:
                 break
-            x ^= row[0]
-            tag ^= row[1]
+            x ^= row
+            tag ^= tags[lead]
         return x, tag
 
     def add(self, x: int, tag: int = 0) -> int | None:
         """Insert x; None when it enlarges the span, else the relation's tag."""
         # reduce's loop, inlined: one call per row is most of an elimination
-        rows = self._rows
+        rows, tags = self._rows, self._tags
         while x:
             lead = x.bit_length() - 1
             row = rows.get(lead)
             if row is None:
-                rows[lead] = (x, tag)
+                rows[lead] = x
+                tags[lead] = tag
                 return None
-            x ^= row[0]
-            tag ^= row[1]
+            x ^= row
+            tag ^= tags[lead]
         return tag
 
 

@@ -57,15 +57,27 @@ d_i s_j = s_{j-1} d_i (i < j), id (i = j, j+1), s_j d_{i-1} (i > j+1).
 So on a built model these face-degeneracy identities hold by
 construction for that one (j, y) per simplex; ``validate`` still checks
 them for every other pair, and the face-face and degeneracy-degeneracy
-identities, against what the rule gave.  The faces are filled one j
+identities, against what the rule gave.  The faces are derived one j
 at a time, on intp ids (numpy's index type), so no scatter converts its
 index array; the gathers chain ``take``.
 
+Below the top level the build stores every face table.  The top level
+keeps only the faces of its nondegenerate simplices and each simplex's
+smallest degeneracy index, and derives a whole face table, by the same
+identities, each time a reader asks for one (``_DerivedFaces``).  The
+chain layer never asks: ``restrict`` starts at a nondegenerate simplex
+and reads the faces of degenerate ones only below its starting level.
+The word stream, and so the content hash, is the same as if the top
+level were stored.
+
 A model is its tables: besides them and its memos it keeps only the
-nondegenerate ids and positions, ``_nondegenerate_ids`` and
-``_nondeg_pos``.  It stores no simplex keys; the key rows a constructor
-of ``expk.spaces`` ranks are a function of its input's level sizes there,
-so a model read back from its words behaves as the one built.
+nondegenerate ids, ``_nondegenerate_ids``; ``restrict`` spreads them
+into a position table of the level it reads for one call.  It stores no
+simplex keys; the key rows a constructor of ``expk.spaces`` ranks are a
+function of its input's level sizes there, so a model read back from its
+words behaves as the one built.  A model given its tables, by
+``from_words``, ``from_json_dict`` or the constructor, keeps all of them
+verbatim.
 
 Serialization
 -------------
@@ -85,6 +97,7 @@ Serialization
 from __future__ import annotations
 
 import collections
+import collections.abc
 import contextlib
 import hashlib
 import itertools
@@ -234,21 +247,69 @@ def _identities(cap: int):
                 yield f"face-degeneracy-{family}", n, i, j, ((d, i), (s, j)), rhs
 
 
-def _degenerate_groups(degeneracies, size: int):
-    """Nondegenerate flags of a level, and each degenerate simplex once as s_j y.
+def _first_degeneracy(degeneracies, size: int) -> np.ndarray:
+    """The smallest j whose s_j hits each simplex of a level; -1 where none does.
 
-    ``degeneracies`` are the tables into the level, s_0 first.  Group j
-    holds the intp ids y whose s_j y is hit by no s_i with i < j; their
-    images are the simplices whose smallest degeneracy index is j, which
-    the scan marks degenerate.
+    ``degeneracies`` are the tables into the level, s_0 first.  A simplex
+    is degenerate exactly when its entry is at least 0.
     """
-    degenerate = np.zeros(size, dtype=bool)
-    groups = []
-    for s in degeneracies:
-        ys = np.flatnonzero(~degenerate.take(s))
-        degenerate[s.take(ys)] = True
-        groups.append(ys)
-    return ~degenerate, groups
+    first = np.full(size, -1, dtype=np.min_scalar_type(-len(degeneracies) - 1))
+    for j, s in enumerate(degeneracies):
+        first[s[first.take(s) < 0]] = j
+    return first
+
+
+class _DerivedFaces(collections.abc.Sequence):
+    """The face tables d_0..d_n of a level of ``from_operators``, derived when read.
+
+    The level keeps only the faces of its nondegenerate simplices
+    (``nondegenerate[i]``, in id order) and ``_first_degeneracy``.  Each
+    degenerate simplex x is written once as s_j y, with j its first
+    degeneracy, and its faces are read off the tables of the level below:
+
+        d_i s_j y = s_{j-1} d_i y (i < j), y (i = j, j+1),
+                    s_j d_{i-1} y (i > j+1).
+
+    Indexing derives one whole, read-only table; iterating finds the ys of
+    each j once and derives the tables one at a time.
+    """
+
+    def __init__(self, model, n: int, first):
+        # the model's tables, not the model: a level holds no model alive
+        self.nondegenerate = model.faces[n]
+        self._ids, self._first = model._nondegenerate_ids[n], first
+        self._into, self._below = model.degeneracies[n - 1], model.faces[n - 1]
+        self._under = model.degeneracies[n - 2] if n > 1 else []
+
+    def __len__(self):
+        return len(self.nondegenerate)
+
+    def __getitem__(self, i):
+        return next(self._derive([range(len(self))[i]]))
+
+    def __iter__(self):
+        return self._derive(range(len(self)))
+
+    def _derive(self, indices):
+        d, s = self._below, self._under
+        # the ys of each j, and their images x = s_j y, on intp ids (numpy's
+        # index type) so that no scatter converts its index array
+        groups = []
+        for j, into in enumerate(self._into):
+            ys = np.flatnonzero(self._first.take(into) == j)
+            groups.append((ys, into.take(ys).astype(np.intp)))
+        for i in indices:
+            out = np.empty(self._first.size, dtype=np.int32)
+            out[self._ids] = self.nondegenerate[i]
+            for j, (ys, xs) in enumerate(groups):
+                if i < j:
+                    out[xs] = s[j - 1].take(d[i].take(ys))
+                elif i <= j + 1:
+                    out[xs] = ys
+                else:
+                    out[xs] = s[j].take(d[i - 1].take(ys))
+            out.setflags(write=False)
+            yield out
 
 
 def _padded_values(support: Gf2Vector) -> np.ndarray:
@@ -388,7 +449,7 @@ class SimplicialSetModel(ChainModel):
         faces,
         degeneracies,
         description: str = "",
-        nondegenerate=None,
+        first_degeneracy=None,
     ):
         self.level_cap = int(level_cap)
         self.level_sizes = [int(s) for s in level_sizes]
@@ -400,21 +461,22 @@ class SimplicialSetModel(ChainModel):
             for n in range(len(degeneracies))
         ]
         self.description = description
-        self._check_shapes()
-        # from_operators passes the flags it marked while building the faces;
-        # only the ids and positions they give are kept
-        if nondegenerate is None:
-            nondegenerate = [np.ones(self.level_sizes[0], dtype=bool)] + [
-                _degenerate_groups(self.degeneracies[n - 1], self.level_sizes[n])[0]
-                for n in range(1, self.level_cap + 1)
+        # from_operators passes each level's _first_degeneracy and the faces
+        # of the nondegenerate simplices only; the other faces are derived,
+        # below the top here and on the top level when a reader asks
+        derive = first_degeneracy is not None
+        if not derive:
+            self._check_shapes(self.level_sizes)
+            first_degeneracy = [
+                _first_degeneracy(into, size)
+                for into, size in zip([[]] + self.degeneracies, self.level_sizes)
             ]
-        self._nondegenerate_ids = [np.flatnonzero(nd) for nd in nondegenerate]
-        self._nondeg_pos = []
-        for size, ids in zip(self.level_sizes, self._nondegenerate_ids):
-            pos = np.full(size, -1, dtype=np.int32)
-            pos[ids] = np.arange(ids.size)
-            pos.setflags(write=False)
-            self._nondeg_pos.append(pos)
+        self._nondegenerate_ids = [np.flatnonzero(f < 0) for f in first_degeneracy]
+        if derive:
+            self._check_shapes([ids.size for ids in self._nondegenerate_ids])
+            for n in range(1, self.level_cap + 1):
+                level = _DerivedFaces(self, n, first_degeneracy[n])
+                self.faces[n] = level if n == self.level_cap else list(level)
         # memos shared by every caller and thread; their arrays are read-only
         self._restrict_cache = {}
         super().__init__()
@@ -425,7 +487,12 @@ class SimplicialSetModel(ChainModel):
 
     # -- construction helpers ---------------------------------------------
 
-    def _check_shapes(self):
+    def _check_shapes(self, face_lengths):
+        """Check each table's count, length and range.
+
+        A face table of level n has ``face_lengths[n]`` entries: the level
+        size, or its nondegenerate count where the other faces are derived.
+        """
         cap, sizes = self.level_cap, self.level_sizes
         ops = operators(cap)
         counts = collections.Counter((kind, n) for kind, n, _, _ in ops)
@@ -438,7 +505,7 @@ class SimplicialSetModel(ChainModel):
                     raise ContractViolation(f"level {n} needs {counts[kind, n]} {kind}")
         for kind, n, i, t in ops:
             table = getattr(self, kind)[n][i]
-            if table.shape != (sizes[n],):
+            if table.shape != ((face_lengths if kind == "faces" else sizes)[n],):
                 raise ContractViolation(f"{kind}[{n}][{i}] has wrong length")
             if table.size and (table.min() < 0 or table.max() >= sizes[t]):
                 raise ContractViolation(f"{kind}[{n}][{i}] points out of range")
@@ -466,9 +533,21 @@ class SimplicialSetModel(ChainModel):
             # delete from the highest position down, so lower positions keep their index
             for t in range(n, -1, -1):
                 if t not in kept:
-                    ids = self.faces[level][t][ids]
+                    faces = self.faces[level]
+                    if isinstance(faces, _DerivedFaces):
+                        # a built top level, so level == n and ids are all of
+                        # its nondegenerate simplices: their faces are kept
+                        ids = faces.nondegenerate[t]
+                    else:
+                        ids = faces[t][ids]
                     level -= 1
-            face = self._nondeg_pos[level][ids]
+            # each simplex's nondegenerate position, built for this call only:
+            # the model keeps no per-simplex table (a binary search over the
+            # ids made the squares pass's restrict calls three times slower)
+            nondegenerate = self._nondegenerate_ids[level]
+            position = np.full(self.level_sizes[level], -1, dtype=np.int32)
+            position[nondegenerate] = np.arange(nondegenerate.size, dtype=np.int32)
+            face = position[ids]
             face.setflags(write=False)
             self._restrict_cache[key] = face
         return self._restrict_cache[key]
@@ -490,9 +569,14 @@ class SimplicialSetModel(ChainModel):
         operators: the last pair acts first, so d_i s_j is
         (("faces", i), ("degeneracies", j)).
         """
+        return self._compose(level, word, self.faces)
+
+    def _compose(self, level: int, word, faces) -> np.ndarray:
+        """``apply`` on the face tables ``faces``, which may be whole copies."""
+        tables = {"faces": faces, "degeneracies": self.degeneracies}
         out = None
         for kind, i in reversed(word):
-            table = getattr(self, kind)[level][i]
+            table = tables[kind][level][i]
             out = table if out is None else table[out]
             level += -1 if kind == "faces" else 1
         if out is None:
@@ -505,7 +589,7 @@ class SimplicialSetModel(ChainModel):
         return (
             self.level_cap == other.level_cap
             and self.level_sizes == other.level_sizes
-            and all(map(np.array_equal, self.words(), other.words()))
+            and all(map(np.array_equal, self._word_stream(), other._word_stream()))
         )
 
     def __hash__(self):
@@ -527,8 +611,10 @@ class SimplicialSetModel(ChainModel):
         simplex.  No separate injectivity scan: d_j s_j = id already fails
         on any non-injective s_j.
         """
+        faces = [list(level) for level in self.faces]  # each derived table once
         for family, n, i, j, lhs, rhs in _identities(self.level_cap):
-            bad = np.flatnonzero(self.apply(n, lhs) != self.apply(n, rhs))
+            sides = self._compose(n, lhs, faces), self._compose(n, rhs, faces)
+            bad = np.flatnonzero(sides[0] != sides[1])
             if bad.size:
                 return Violation(family, n, i, j, int(bad[0]))
         return None
@@ -563,60 +649,51 @@ class SimplicialSetModel(ChainModel):
             "level_sizes": list(self.level_sizes),
         }
 
+    def _word_stream(self):
+        """Every operator table, whole, in ``operators`` order, one at a time."""
+        for level in (*self.faces, *self.degeneracies):
+            for table in level:
+                yield np.asarray(table, dtype="<i4")
+
     def words(self) -> list:
         """The word stream: every operator table, in ``operators`` order."""
-        return [
-            np.asarray(getattr(self, kind)[n][i], dtype="<i4")
-            for kind, n, i, _ in operators(self.level_cap)
-        ]
+        return list(self._word_stream())
 
     @classmethod
     def from_operators(
-        cls, cap, level_sizes, table, description=""
+        cls, cap, level_sizes, rule, description=""
     ) -> "SimplicialSetModel":
         """The model whose operator tables come from one image rule.
 
-        ``table(kind, n, i, t, ids)`` gives the level-t images of the
+        ``rule(kind, n, i, t, ids)`` gives the level-t images of the
         level-n ``ids`` (an intp id array, or ``slice(None)`` for the whole
         level) under operator i of ``kind`` ("faces" or "degeneracies").
         The rule is asked for every degeneracy on whole levels first, then
         level by level for the faces of the nondegenerate simplices only.
         Every other face is that of a degenerate x = s_j y, with j the
         smallest index whose degeneracy hits x, and the simplicial
-        identities read it off the tables already built:
-
-            d_i s_j y = s_{j-1} d_i y (i < j), y (i = j, j+1),
-                        s_j d_{i-1} y (i > j+1).
+        identities read it off the tables of the level below
+        (``_DerivedFaces``): on every level below the top when the model is
+        built, and on the top level each time a reader asks for a table.
 
         So a rule that is a simplicial set gives the tables it would give on
-        every simplex.  ``from_words`` reads tables verbatim instead.
+        every simplex, and the word stream is the same either way.
+        ``from_words`` reads tables verbatim instead.
         """
         sizes = [int(s) for s in level_sizes]
         degeneracies = [
-            [table("degeneracies", n, i, n + 1, slice(None)) for i in range(n + 1)]
+            [rule("degeneracies", n, i, n + 1, slice(None)) for i in range(n + 1)]
             for n in range(cap)
         ] + [[]]
+        first = [
+            _first_degeneracy(into, size)
+            for into, size in zip([[]] + degeneracies, sizes)
+        ]
         faces = [[]]
-        nondegenerate = [np.ones(sizes[0], dtype=bool)]
         for n in range(1, cap + 1):
-            flags, groups = _degenerate_groups(degeneracies[n - 1], sizes[n])
-            ids = np.flatnonzero(flags)
-            d, s = faces[n - 1], degeneracies[n - 2]  # y's faces; s_i into its level
-            level = [np.empty(sizes[n], dtype=np.int32) for _ in range(n + 1)]
-            for i, out in enumerate(level):
-                out[ids] = table("faces", n, i, n - 1, ids)
-            for j, ys in enumerate(groups):
-                xs = degeneracies[n - 1][j].take(ys).astype(np.intp)
-                for i, out in enumerate(level):
-                    if i < j:
-                        out[xs] = s[j - 1].take(d[i].take(ys))
-                    elif i <= j + 1:
-                        out[xs] = ys
-                    else:
-                        out[xs] = s[j].take(d[i - 1].take(ys))
-            faces.append(level)
-            nondegenerate.append(flags)
-        return cls(cap, sizes, faces, degeneracies, description, nondegenerate)
+            ids = np.flatnonzero(first[n] < 0)
+            faces.append([rule("faces", n, i, n - 1, ids) for i in range(n + 1)])
+        return cls(cap, sizes, faces, degeneracies, description, first)
 
     @classmethod
     def from_words(cls, header: dict, words) -> "SimplicialSetModel":
@@ -640,9 +717,14 @@ class SimplicialSetModel(ChainModel):
             cap, sizes, tables["faces"], tables["degeneracies"], header["description"]
         )
 
-    def content_hash(self) -> str:
+    def content_hash(self, words=None) -> str:
+        """The model's hash; ``words``, when given, is its ``words()``.
+
+        A caller that writes the words too passes them, so a built model's
+        top level is derived once.
+        """
         head = canonical_json({"scheme": HASH_SCHEME, **self.header()}) + "\n"
         h = hashlib.sha256(head.encode())
-        for table in self.words():
+        for table in self._word_stream() if words is None else words:
             h.update(table)
         return h.hexdigest()

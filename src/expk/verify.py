@@ -141,19 +141,23 @@ class ModelCache:
                     model, model_hash = self._load(path, key) or (None, None)
             if model is None:
                 model = build_space(spec)
-                model_hash = model.content_hash()
-                if path is not None:
-                    self._store(path, key, model, model_hash)
+                if path is None:
+                    model_hash = model.content_hash()
+                else:
+                    model_hash = self._store(path, key, model)
             self.memory[key] = model
             self.hashes[key] = model_hash
             return model
 
-    def _store(self, path, key, model, model_hash):
-        """Write an entry atomically: a crash leaves the old file or none.
+    def _store(self, path, key, model) -> str:
+        """Write an entry atomically and return the model's content hash.
 
-        An entry is one canonical-JSON header line (``spec``, ``hash`` and the
-        model's ``header()``), then the model's word stream.
+        A crash leaves the old file or none.  An entry is one canonical-JSON
+        header line (``spec``, ``hash`` and the model's ``header()``), then
+        the model's word stream, which the hash reads too.
         """
+        words = model.words()
+        model_hash = model.content_hash(words)
         header = {"spec": json.loads(key), "hash": model_hash, **model.header()}
         # mode 0o666 under the umask, as a plain open() gives; O_EXCL keeps
         # a name clash from sharing a file
@@ -162,12 +166,13 @@ class ModelCache:
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(canonical_json(header).encode() + b"\n")
-                for table in model.words():
+                for table in words:
                     fh.write(table)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
             raise
+        return model_hash
 
     def _load(self, path, key):
         """The cached model and its verified content hash, or None."""

@@ -162,13 +162,19 @@ RESTRICT_MODELS = {
 @pytest.mark.parametrize("name", sorted(RESTRICT_MODELS))
 def test_restrict_is_the_face_word_of_the_deleted_positions(name):
     model = RESTRICT_MODELS[name]()
+    # each simplex's nondegenerate position, -1 for a degenerate one
+    positions = []
+    for size, ids in zip(model.level_sizes, model._nondegenerate_ids):
+        pos = np.full(size, -1, dtype=np.int32)
+        pos[ids] = np.arange(ids.size)
+        positions.append(pos)
     for n in range(model.level_cap + 1):
-        ids = np.flatnonzero(model._nondeg_pos[n] >= 0)
+        ids = model._nondegenerate_ids[n]
         for size in range(1, n + 2):
             for kept in itertools.combinations(range(n + 1), size):
                 # the last pair acts first: the highest position goes first
                 word = tuple(("faces", t) for t in range(n + 1) if t not in kept)
-                want = model._nondeg_pos[size - 1][model.apply(n, word)[ids]]
+                want = positions[size - 1][model.apply(n, word)[ids]]
                 got = model.restrict(n, kept)
                 assert got.dtype == np.int32 and np.array_equal(got, want), (n, kept)
 
@@ -462,6 +468,62 @@ def test_content_hash_is_pinned():
     renamed = SimplicialSetModel.from_words({**t.header(), "description": "other"}, words)
     hashes = {t.content_hash(), flipped.content_hash(), renamed.content_hash()}
     assert len(hashes) == 3
+
+
+# built models whose top level holds no nondegenerate simplex, and one
+# whose top level does
+READ_BACK_MODELS = {
+    "exp3-circle": lambda: exp_subsets(sphere(1, 4), 3),
+    "sym3-one-vertex-circle": lambda: sym_power(one_vertex_sphere(1, 4), 3),
+    "circle-x-circle": lambda: product(sphere(1, 3), sphere(1, 3)),
+    "sphere2-cap2": lambda: sphere(2, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READ_BACK_MODELS))
+def test_a_built_model_and_its_words_read_back_agree(name):
+    built = READ_BACK_MODELS[name]()
+    cap = built.level_cap
+    assert (built.nondeg_count(cap) > 0) == (name == "sphere2-cap2")
+    read = SimplicialSetModel.from_words(built.header(), np.concatenate(built.words()))
+    assert all(map(np.array_equal, built.words(), read.words()))
+    assert built.content_hash() == read.content_hash()
+    assert built.validate() is None and read.validate() is None
+    for n in range(cap + 1):
+        for size in range(1, n + 2):
+            for kept in itertools.combinations(range(n + 1), size):
+                assert np.array_equal(built.restrict(n, kept), read.restrict(n, kept))
+    # the top level's tables, one at a time and all together
+    for i, table in enumerate(built.faces[cap]):
+        assert np.array_equal(table, read.faces[cap][i])
+        assert np.array_equal(built.faces[cap][i], table)
+
+
+def _array_bytes(obj, seen) -> int:
+    """The bytes of every numpy array reachable from obj, each counted once."""
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, dict):
+        return sum(_array_bytes(v, seen) for v in obj.values())
+    if isinstance(obj, (list, tuple)):
+        return sum(_array_bytes(v, seen) for v in obj)
+    return _array_bytes(vars(obj), seen) if hasattr(obj, "__dict__") else 0
+
+
+def test_a_built_model_holds_no_top_level_face_table():
+    model = build_space(SpaceSpec("exp", n=2, k=3))
+    model.content_hash()
+    model.betti_table()
+    held = _array_bytes(model, set())
+    cap = model.level_cap
+    words = sum(table.nbytes for table in model.words())
+    top = sum(table.nbytes for table in model.faces[cap])
+    # beyond the tables it stores, the model holds its flags and memos, which
+    # are less than one whole table of the top level
+    assert held < words - top + top // (cap + 1)
 
 
 def test_from_words_rejects_a_stream_of_the_wrong_length():

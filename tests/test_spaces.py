@@ -346,7 +346,7 @@ def test_faces_from_the_identities_equal_the_rule_on_every_simplex(monkeypatch, 
         assert got == want
         if isinstance(got, SimplicialSetModel):
             assert got.content_hash() == want.content_hash()
-            for a, b in zip(got._nondeg_pos, want._nondeg_pos):
+            for a, b in zip(got._nondegenerate_ids, want._nondegenerate_ids):
                 assert np.array_equal(a, b)
 
 

@@ -172,6 +172,31 @@ def test_corrupt_cache_rebuilds_with_warning(tmp_path):
     assert any("rebuilt" in w for w in report.warnings)
 
 
+def test_cli_verify_prints_each_warning_to_stderr(tmp_path, capsys):
+    cache_dir = str(tmp_path / "cache")
+    assert main(["verify", "betti-exp2-circle", "--cache-dir", cache_dir]) == 0
+    victim, header, body = _cache_entry(cache_dir)
+    header["hash"] = "0" * 64
+    with open(victim, "wb") as fh:
+        fh.write(_header_line(header) + body)
+    capsys.readouterr()
+    assert main(["verify", "betti-exp2-circle", "--cache-dir", cache_dir]) == 0
+    out, err = capsys.readouterr()
+    (warning,) = [line for line in err.splitlines() if "warning" in line]
+    assert warning.startswith(f"expk: warning: cache entry {victim} rebuilt")
+    assert "warning" not in out
+    # the rebuild rewrote the entry; damage it again for the json format,
+    # whose report carries the warnings, so none is printed
+    with open(victim, "wb") as fh:
+        fh.write(_header_line(header) + body)
+    argv = ["verify", "betti-exp2-circle", "--cache-dir", cache_dir, "--format", "json"]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert "warning" not in err
+    (reported,) = json.loads(out)["warnings"]
+    assert reported.startswith(f"cache entry {victim} rebuilt")
+
+
 def _flip_first_word(header, body):
     words = np.frombuffer(body, dtype="<i4").copy()
     flipped = (words[0] + 1) % header["level_sizes"][0]  # still a valid face id
@@ -268,9 +293,9 @@ def test_model_cache_hashes_each_model_once(tmp_path, monkeypatch):
     calls = []
     content_hash = SimplicialSetModel.content_hash
 
-    def counting_hash(model):
+    def counting_hash(model, *words):
         calls.append(model.description)
-        return content_hash(model)
+        return content_hash(model, *words)
 
     monkeypatch.setattr(SimplicialSetModel, "content_hash", counting_hash)
     spec = SpaceSpec("sphere", n=1, cap=3)
