@@ -24,10 +24,11 @@ Conventions
   ``SimplicialSetModel`` is one.  ``restrict(n, kept)`` gives each
   nondegenerate n-simplex's face spanned by the vertex positions ``kept``;
   -1 marks a degenerate face.  Its arrays are memoized and read-only.
-* The chain layer reads faces only from one memoized face stack per
-  degree: row i of the degree-n stack is ``restrict(n, all but i)``.  An
-  array it indexes by the stack is one longer than the level below, so -1
-  reads the trailing slot: a row never kept, or the 0 of ``_padded_values``.
+* The chain layer reads faces only from the face stack of each degree:
+  row i of the degree-n stack is the memoized ``restrict(n, all but i)``
+  itself, so the stack copies nothing.  An array it indexes by the stack
+  is one longer than the level below, so -1 reads the trailing slot: a
+  row never kept, or the 0 of ``_padded_values``.
   A coboundary gathers the cochain's values through the stack and xors
   over the faces; only the stored model's ``boundary_matrix`` builds a
   matrix.  The degree-n cocycles are the relations among the rows of
@@ -50,7 +51,9 @@ Construction
 ------------
 ``from_operators`` builds every model of ``expk.spaces`` from one image
 rule.  The rule gives every degeneracy table, and the faces of the
-nondegenerate simplices only.  Each degenerate simplex x is written once
+nondegenerate simplices only; it is never asked about an empty id set,
+so a constructor never keys a level without nondegenerate simplices,
+such as a closed top.  Each degenerate simplex x is written once
 as s_j y, with j the smallest index whose degeneracy hits it, and its
 faces come from the tables of the level below by the identities
 d_i s_j = s_{j-1} d_i (i < j), id (i = j, j+1), s_j d_{i-1} (i > j+1).
@@ -61,18 +64,30 @@ identities, against what the rule gave.  The faces are derived one j
 at a time, on intp ids (numpy's index type), so no scatter converts its
 index array; the gathers chain ``take``.
 
-Below the top level the build stores every face table.  The top level
-keeps only the faces of its nondegenerate simplices and each simplex's
-smallest degeneracy index, and derives a whole face table, by the same
-identities, each time a reader asks for one (``_DerivedFaces``).  The
-chain layer never asks: ``restrict`` starts at a nondegenerate simplex
-and reads the faces of degenerate ones only below its starting level.
-The word stream, and so the content hash, is the same as if the top
-level were stored.
+The build splits the levels at the top nondegenerate level: below it
+the build stores every face table; at and above it (the last two levels
+of a closed model) a level keeps only the faces of its nondegenerate
+simplices and each simplex's smallest degeneracy index, and derives its
+tables by the same identities when read (``_DerivedFaces``).  The chain
+layer never reads them: ``restrict`` starts at a nondegenerate
+n-simplex, takes its first face from the kept faces, and reads whole
+tables only below level n.  A derived level is read in one of two ways.
+An indexed read, ``faces[n][i]`` (as the image rules of ``expk.spaces``
+read a base model), derives the whole level once and keeps it.  A walk
+over every level (``_face_levels``: the word stream and so ``words``,
+``content_hash`` and ``__eq__``, ``validate``, ``to_json_dict`` and
+``SimplicialMapModel.commutes``) derives each level from the one below
+and keeps nothing it did not find kept.  The word stream, and so the
+content hash, is the same as if every level were stored.  The split
+stays at the top nondegenerate level because the multi-deletion
+``restrict`` calls of cup-i and Sq read whole tables of every level
+below it.
 
 A model is its tables: besides them and its memos it keeps only the
-nondegenerate ids, ``_nondegenerate_ids``; ``restrict`` spreads them
-into a position table of the level it reads for one call.  It stores no
+nondegenerate ids, ``_nondegenerate_ids``, and at a derived level the
+faces and flags it derives its tables from (a kept level adds the
+tables, and no other form of them); ``restrict`` spreads the ids into a
+position table of the level it reads for one call.  It stores no
 simplex keys; the key rows a constructor of ``expk.spaces`` ranks are a
 function of its input's level sizes there, so a model read back from its
 words behaves as the one built.  A model given its tables, by
@@ -270,8 +285,12 @@ class _DerivedFaces(collections.abc.Sequence):
         d_i s_j y = s_{j-1} d_i y (i < j), y (i = j, j+1),
                     s_j d_{i-1} y (i > j+1).
 
-    Indexing derives one whole, read-only table; iterating finds the ys of
-    each j once and derives the tables one at a time.
+    ``derive`` is the one derivation, for both kinds of read.  Indexing
+    derives the whole level once, reading the level below by index too,
+    and keeps it; the kept tuple is assigned whole, so two racing readers
+    may both derive it but neither sees part of it.  A walk
+    (``SimplicialSetModel._face_levels``) hands ``derive`` the tables it
+    gave for the level below and keeps nothing.
     """
 
     def __init__(self, model, n: int, first):
@@ -280,34 +299,41 @@ class _DerivedFaces(collections.abc.Sequence):
         self._ids, self._first = model._nondegenerate_ids[n], first
         self._into, self._below = model.degeneracies[n - 1], model.faces[n - 1]
         self._under = model.degeneracies[n - 2] if n > 1 else []
+        self._kept = None
 
     def __len__(self):
         return len(self.nondegenerate)
 
     def __getitem__(self, i):
-        return next(self._derive([range(len(self))[i]]))
+        if self._kept is None:
+            self._kept = tuple(self.derive(self._below))
+        return self._kept[i]
 
-    def __iter__(self):
-        return self._derive(range(len(self)))
+    def derive(self, below):
+        """This level's tables, one at a time, from the whole tables ``below``.
 
-    def _derive(self, indices):
-        d, s = self._below, self._under
-        # the ys of each j, and their images x = s_j y, on intp ids (numpy's
-        # index type) so that no scatter converts its index array
+        The kept tables when the level is kept.  Otherwise the ys of each j
+        are found once, and they and their images x = s_j y are intp ids
+        (numpy's index type), so no scatter converts its index array.
+        """
+        if self._kept is not None:
+            yield from self._kept
+            return
+        s = self._under
         groups = []
         for j, into in enumerate(self._into):
             ys = np.flatnonzero(self._first.take(into) == j)
             groups.append((ys, into.take(ys).astype(np.intp)))
-        for i in indices:
+        for i in range(len(self)):
             out = np.empty(self._first.size, dtype=np.int32)
             out[self._ids] = self.nondegenerate[i]
             for j, (ys, xs) in enumerate(groups):
                 if i < j:
-                    out[xs] = s[j - 1].take(d[i].take(ys))
+                    out[xs] = s[j - 1].take(below[i].take(ys))
                 elif i <= j + 1:
                     out[xs] = ys
                 else:
-                    out[xs] = s[j].take(d[i - 1].take(ys))
+                    out[xs] = s[j].take(below[i - 1].take(ys))
             out.setflags(write=False)
             yield out
 
@@ -335,22 +361,19 @@ class ChainModel:
                 return n
         return -1
 
-    def _face_stack(self, n: int) -> np.ndarray:
+    def _face_stack(self, n: int) -> tuple:
         """The faces of the nondegenerate n-simplices, one row per deleted vertex.
 
-        An (n+1) x nondeg_count(n) intp array: row i is
-        ``restrict(n, all but i)``, whose -1 (a degenerate face) indexes the
+        Row i is the memoized array ``restrict(n, all but i)`` itself, so
+        the stack copies nothing; its -1 (a degenerate face) indexes the
         trailing slot of an array one longer than the level below.
-        Memoized per degree; read-only.
+        Memoized per degree.
         """
         if not 1 <= n <= self.level_cap:
             raise ContractViolation(f"boundary degree {n} outside 1..cap")
         if n not in self._face_stacks:
             kept_sets = [tuple(t for t in range(n + 1) if t != i) for i in range(n + 1)]
-            faces = np.stack([self.restrict(n, kept) for kept in kept_sets])
-            faces = faces.astype(np.intp)
-            faces.setflags(write=False)
-            self._face_stacks[n] = faces
+            self._face_stacks[n] = tuple(self.restrict(n, kept) for kept in kept_sets)
         return self._face_stacks[n]
 
     def _boundary_rows(self, n: int, skip=()) -> tuple[list[int], list[int]]:
@@ -359,16 +382,20 @@ class ChainModel:
         Row p is the dual of (n-1)-simplex p, bit j set when p is a face of
         n-simplex j an odd number of times; only the rows returned are packed.
         """
-        faces = self._face_stack(n)
         length = self.nondeg_count(n - 1)
         keep = np.ones(length + 1, dtype=bool)
         keep[[*skip, length]] = False  # -1, a degenerate face, reads keep[length]
         slot = np.cumsum(keep) - 1  # a kept row's place among the kept rows
-        hit = keep[faces]
-        cols = np.broadcast_to(np.arange(faces.shape[1]), faces.shape)[hit]
+        rows, cols = [], []
+        for faces in self._face_stack(n):  # take: a fancy index would convert int32
+            hit = np.flatnonzero(keep.take(faces))  # the simplices whose face is kept
+            rows.append(slot.take(faces.take(hit)))
+            cols.append(hit)
         kept = np.flatnonzero(keep)
-        rows = pack_rows(kept.size, faces.shape[1], slot[faces[hit]], cols)
-        return kept.tolist(), rows
+        packed = pack_rows(
+            kept.size, self.nondeg_count(n), np.concatenate(rows), np.concatenate(cols)
+        )
+        return kept.tolist(), packed
 
     def _require_closed_top(self):
         top = self.top_nondegenerate_level()
@@ -429,11 +456,14 @@ class ChainModel:
         """Coboundary of a cochain: on each simplex, the xor of its faces' values."""
         if degree >= self.level_cap:
             raise CapError(f"coboundary at degree {degree} needs level {degree + 1}")
-        faces = self._face_stack(degree + 1)
+        first, *others = self._face_stack(degree + 1)
         if support.length != self.nondeg_count(degree):
             raise ContractViolation("cochain length does not fit its degree")
         values = _padded_values(support)
-        return Gf2Vector.from_bits(np.bitwise_xor.reduce(values[faces], axis=0))
+        out = values.take(first)
+        for faces in others:
+            out ^= values.take(faces)
+        return Gf2Vector.from_bits(out)
 
     def is_cocycle(self, degree: int, support: Gf2Vector) -> bool:
         return self.apply_coboundary(degree, support).is_zero()
@@ -463,7 +493,7 @@ class SimplicialSetModel(ChainModel):
         self.description = description
         # from_operators passes each level's _first_degeneracy and the faces
         # of the nondegenerate simplices only; the other faces are derived,
-        # below the top here and on the top level when a reader asks
+        # here below the top nondegenerate level and at or above it on read
         derive = first_degeneracy is not None
         if not derive:
             self._check_shapes(self.level_sizes)
@@ -474,9 +504,12 @@ class SimplicialSetModel(ChainModel):
         self._nondegenerate_ids = [np.flatnonzero(f < 0) for f in first_degeneracy]
         if derive:
             self._check_shapes([ids.size for ids in self._nondegenerate_ids])
+            top = self.top_nondegenerate_level()
             for n in range(1, self.level_cap + 1):
                 level = _DerivedFaces(self, n, first_degeneracy[n])
-                self.faces[n] = level if n == self.level_cap else list(level)
+                if n < top:
+                    level = list(level.derive(self.faces[n - 1]))
+                self.faces[n] = level
         # memos shared by every caller and thread; their arrays are read-only
         self._restrict_cache = {}
         super().__init__()
@@ -534,11 +567,13 @@ class SimplicialSetModel(ChainModel):
             for t in range(n, -1, -1):
                 if t not in kept:
                     faces = self.faces[level]
-                    if isinstance(faces, _DerivedFaces):
-                        # a built top level, so level == n and ids are all of
-                        # its nondegenerate simplices: their faces are kept
+                    if level == n and isinstance(faces, _DerivedFaces):
+                        # ids are all of the level's nondegenerate simplices,
+                        # whose faces a derived level keeps
                         ids = faces.nondegenerate[t]
-                    else:
+                    elif ids.size:
+                        # only an n above the top nondegenerate level, which
+                        # has no simplex to follow, meets a derived level here
                         ids = faces[t][ids]
                     level -= 1
             # each simplex's nondegenerate position, built for this call only:
@@ -611,7 +646,7 @@ class SimplicialSetModel(ChainModel):
         simplex.  No separate injectivity scan: d_j s_j = id already fails
         on any non-injective s_j.
         """
-        faces = [list(level) for level in self.faces]  # each derived table once
+        faces = [list(level) for level in self._face_levels()]
         for family, n, i, j, lhs, rhs in _identities(self.level_cap):
             sides = self._compose(n, lhs, faces), self._compose(n, rhs, faces)
             bad = np.flatnonzero(sides[0] != sides[1])
@@ -627,7 +662,7 @@ class SimplicialSetModel(ChainModel):
             "description": self.description,
             "level_cap": self.level_cap,
             "level_sizes": self.level_sizes,
-            "faces": [[f.tolist() for f in fs] for fs in self.faces],
+            "faces": [[f.tolist() for f in fs] for fs in self._face_levels()],
             "degeneracies": [[s.tolist() for s in ss] for ss in self.degeneracies],
         }
 
@@ -649,11 +684,32 @@ class SimplicialSetModel(ChainModel):
             "level_sizes": list(self.level_sizes),
         }
 
+    def _face_levels(self):
+        """Every level's face tables, whole, in level order: one walk.
+
+        A derived level that is not kept is derived from the tables the
+        walk gave for the level below, and nothing keeps it: the cap's
+        tables come one at a time, each lower level's as a tuple that the
+        next level reads.
+        """
+        below = ()
+        for n, level in enumerate(self.faces):
+            if isinstance(level, _DerivedFaces):
+                level = level.derive(below)
+                if n < self.level_cap:
+                    level = tuple(level)
+            yield level
+            below = level
+
+    def operator_tables(self):
+        """(operator, table) for every operator in ``operators`` order, one walk."""
+        levels = itertools.chain(self._face_levels(), self.degeneracies)
+        return zip(operators(self.level_cap), (t for level in levels for t in level))
+
     def _word_stream(self):
         """Every operator table, whole, in ``operators`` order, one at a time."""
-        for level in (*self.faces, *self.degeneracies):
-            for table in level:
-                yield np.asarray(table, dtype="<i4")
+        for _, table in self.operator_tables():
+            yield np.asarray(table, dtype="<i4")
 
     def words(self) -> list:
         """The word stream: every operator table, in ``operators`` order."""
@@ -670,11 +726,14 @@ class SimplicialSetModel(ChainModel):
         level) under operator i of ``kind`` ("faces" or "degeneracies").
         The rule is asked for every degeneracy on whole levels first, then
         level by level for the faces of the nondegenerate simplices only.
-        Every other face is that of a degenerate x = s_j y, with j the
-        smallest index whose degeneracy hits x, and the simplicial
-        identities read it off the tables of the level below
-        (``_DerivedFaces``): on every level below the top when the model is
-        built, and on the top level each time a reader asks for a table.
+        The rule is never asked about an empty id set, so it keys no level
+        that has no nondegenerate simplex.  Every other face is that of a
+        degenerate x = s_j y, with j the smallest index whose degeneracy
+        hits x, and the simplicial identities read it off the tables of the
+        level below (``_DerivedFaces``): when the model is built on every
+        level below the top nondegenerate one, and at or above it when a
+        reader asks for a level, which an indexed read keeps and a walk
+        does not.
 
         So a rule that is a simplicial set gives the tables it would give on
         every simplex, and the word stream is the same either way.
@@ -692,7 +751,10 @@ class SimplicialSetModel(ChainModel):
         faces = [[]]
         for n in range(1, cap + 1):
             ids = np.flatnonzero(first[n] < 0)
-            faces.append([rule("faces", n, i, n - 1, ids) for i in range(n + 1)])
+            if ids.size:
+                faces.append([rule("faces", n, i, n - 1, ids) for i in range(n + 1)])
+            else:  # the rule is never asked about an empty id set
+                faces.append([np.empty(0, dtype=np.int32)] * (n + 1))
         return cls(cap, sizes, faces, degeneracies, description, first)
 
     @classmethod

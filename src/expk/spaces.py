@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, LevelSizeError
-from .simplicial import SimplicialSetModel, canonical_json, operators
+from .simplicial import SimplicialSetModel, canonical_json
 
 DEFAULT_MAX_LEVEL_SIZE = 5_000_000
 
@@ -86,13 +86,16 @@ class SimplicialMapModel:
         self.level_maps = maps
 
     def commutes(self) -> bool:
-        """Exhaustive levelwise check against all faces and degeneracies."""
-        src, tgt, f = self.source, self.target, self.level_maps
+        """Exhaustive levelwise check against all faces and degeneracies.
+
+        Walks each model's tables once, as its word stream does, so a
+        derived level is derived once per model and kept by neither.
+        """
+        f = self.level_maps
+        pairs = zip(self.source.operator_tables(), self.target.operator_tables())
         return all(
-            np.array_equal(
-                getattr(tgt, kind)[n][i][f[n]], f[t][getattr(src, kind)[n][i]]
-            )
-            for kind, n, i, t in operators(src.level_cap)
+            np.array_equal(target[f[n]], f[t][source])
+            for ((_, n, _, t), source), (_, target) in pairs
         )
 
     def __eq__(self, other):
@@ -250,19 +253,26 @@ def _key_quotient(x, k: int, padded: bool, description: str):
 
     Padded keys are ``_subset_keys``: −1 marks an empty slot and repeated
     ids collapse to it.  Otherwise keys are the sorted multisets of
-    ``_combos``.  They live only while the model is built.  A strictly
-    increasing table keeps key rows sorted and their distinct entries
-    distinct, so its key rows are ranked through it, with −1 appended to
-    a padded one (``_rank``'s ``through``): no image row is built or
-    sorted.  Every degeneracy table of both sphere models is increasing;
-    any other table maps the keys and canonicalises them.
+    ``_combos``.  They live only while the model is built, and a level's
+    keys are built the first time the rule asks about that level; the
+    level sizes come from the closed forms of the budget check.  So a
+    closed top, whose faces the rule is never asked for, is never keyed.
+    A strictly increasing table keeps key rows sorted and their distinct
+    entries distinct, so its key rows are ranked through it, with −1
+    appended to a padded one (``_rank``'s ``through``): no image row is
+    built or sorted.  Every degeneracy table of both sphere models is
+    increasing; any other table maps the keys and canonicalises them.
     """
     sizes = x.level_sizes
-    level_keys = [_subset_keys(s, k) if padded else _combos(s, k, True) for s in sizes]
+    count = _subset_level_count if padded else _multiset_level_count
     rank = functools.partial(_rank, padded=True) if padded else _multiset_rank
+    level_keys = {}  # built the first time the rule asks about a level
 
     def image(op, m, i, t, ids):
         table = getattr(x, op)[m][i]
+        if m not in level_keys:
+            size = sizes[m]
+            level_keys[m] = _subset_keys(size, k) if padded else _combos(size, k, True)
         keys = level_keys[m][ids]
         increasing = _increasing(table)
         if padded:
@@ -274,7 +284,7 @@ def _key_quotient(x, k: int, padded: bool, description: str):
         return rank(rows, sizes[t]).astype(np.int32)
 
     return SimplicialSetModel.from_operators(
-        x.level_cap, [len(keys) for keys in level_keys], image, description
+        x.level_cap, [count(s, k) for s in sizes], image, description
     )
 
 
@@ -471,8 +481,12 @@ def sym_power(
     if k < 1:
         raise ContractViolation("multiset size must be at least 1")
     for m, lm in enumerate(x.level_sizes):
-        _check_level_size("sym-power", m, math.comb(lm + k - 1, k), max_level_size)
+        _check_level_size("sym-power", m, _multiset_level_count(lm, k), max_level_size)
     return _key_quotient(x, k, False, f"sym_{k}({x.description})")
+
+
+def _multiset_level_count(level_size: int, k: int) -> int:
+    return math.comb(level_size + k - 1, k)
 
 
 def _subset_level_count(level_size: int, k: int) -> int:
@@ -521,7 +535,7 @@ def _multiset_map(x, source, target, k, rows, description) -> SimplicialMapModel
             raise ContractViolation(f"level {m} source ids are not keys of x^{k}")
         image = _canonical(rows(_digits([n] * k)))
         width = image.shape[1]
-        fits = target.level_sizes[m] == math.comb(n + width - 1, width)
+        fits = target.level_sizes[m] == _multiset_level_count(n, width)
         if not (fits and ((image >= 0) & (image < n)).all()):
             raise ContractViolation(f"level {m} images are not keys of the target")
         maps.append(_multiset_rank(image, n))

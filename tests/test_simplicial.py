@@ -4,15 +4,17 @@ import hashlib
 import itertools
 import json
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from expk import spaces
 from expk.complexes import projective_plane, torus
 from expk.errors import CapError, ContractViolation
 from expk.gf2 import Gf2Span, Gf2Vector, relations
-from expk.simplicial import BettiTable, SimplicialSetModel
+from expk.simplicial import BettiTable, SimplicialSetModel, _DerivedFaces
 from expk.spaces import (
     DEFAULT_MAX_LEVEL_SIZE,
     SpaceSpec,
@@ -379,12 +381,16 @@ def test_memos_are_read_only_and_shared_by_threads():
         sys.setswitchinterval(interval)
     assert all(r == want for r in results)
     assert model.restrict(2, (0, 2)) is model.restrict(2, (0, 2))
-    memos = [*model._restrict_cache.values(), *model._face_stacks.values()]
+    # the face stack's rows are the memoized restrict arrays themselves
+    stack = model._face_stack(2)
+    kept_sets = ((1, 2), (0, 2), (0, 1))
+    assert all(row is model.restrict(2, kept) for row, kept in zip(stack, kept_sets))
+    memos = [*model._restrict_cache.values(), *stack]
     assert memos and not any(a.flags.writeable for a in memos)
     with pytest.raises(ValueError):
         model.restrict(2, (0, 2))[0] = 0
     with pytest.raises(ValueError):
-        model._face_stack(2)[0, 0] = 0
+        model._face_stack(2)[0][0] = 0
 
 
 def test_bases_count_betti_and_spans_carry_no_tags():
@@ -480,23 +486,72 @@ READ_BACK_MODELS = {
 }
 
 
+def _derived_levels(model) -> list[int]:
+    return [n for n, level in enumerate(model.faces) if isinstance(level, _DerivedFaces)]
+
+
+def _kept_levels(model) -> list[int]:
+    return [n for n in _derived_levels(model) if model.faces[n]._kept is not None]
+
+
+def _tables_agree(model, other, n) -> bool:
+    return all(np.array_equal(model.faces[n][i], other.faces[n][i]) for i in range(n + 1))
+
+
 @pytest.mark.parametrize("name", sorted(READ_BACK_MODELS))
 def test_a_built_model_and_its_words_read_back_agree(name):
-    built = READ_BACK_MODELS[name]()
+    built, indexed = READ_BACK_MODELS[name](), READ_BACK_MODELS[name]()
     cap = built.level_cap
     assert (built.nondeg_count(cap) > 0) == (name == "sphere2-cap2")
+    # derived from the top nondegenerate level up: the last two levels of a
+    # closed model
+    top = built.top_nondegenerate_level()
+    assert _derived_levels(built) == list(range(top, cap + 1)) == _derived_levels(indexed)
+    assert top == (cap if name == "sphere2-cap2" else cap - 1)
     read = SimplicialSetModel.from_words(built.header(), np.concatenate(built.words()))
+    assert _derived_levels(read) == []
+    # every level's tables indexed before any walk, each table of a level
+    # once the level is kept
+    for n in range(1, cap + 1):
+        assert _tables_agree(indexed, read, n), n
+    assert _kept_levels(indexed) == list(range(top, cap + 1))
+    # walks, which keep nothing, then every level's tables indexed after them
     assert all(map(np.array_equal, built.words(), read.words()))
-    assert built.content_hash() == read.content_hash()
+    assert built.content_hash() == read.content_hash() == indexed.content_hash()
     assert built.validate() is None and read.validate() is None
+    assert built.to_json_dict() == read.to_json_dict() == indexed.to_json_dict()
+    assert _kept_levels(built) == []
     for n in range(cap + 1):
         for size in range(1, n + 2):
             for kept in itertools.combinations(range(n + 1), size):
                 assert np.array_equal(built.restrict(n, kept), read.restrict(n, kept))
-    # the top level's tables, one at a time and all together
-    for i, table in enumerate(built.faces[cap]):
-        assert np.array_equal(table, read.faces[cap][i])
-        assert np.array_equal(built.faces[cap][i], table)
+    assert _kept_levels(built) == []
+    for n in range(cap, 0, -1):  # from the top, so a level reads the one below by index
+        assert _tables_agree(built, read, n), n
+    assert all(map(np.array_equal, built.words(), read.words()))
+
+
+@pytest.mark.parametrize("name", sorted(READ_BACK_MODELS))
+def test_two_threads_indexing_one_derived_level_read_equal_tables(name):
+    built = READ_BACK_MODELS[name]()
+    read = SimplicialSetModel.from_words(built.header(), np.concatenate(built.words()))
+    cap = built.level_cap
+    start = threading.Barrier(2)
+
+    def index():
+        start.wait(timeout=60)
+        return [built.faces[cap][i] for i in range(cap + 1)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(index) for _ in range(2)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for tables in results:
+        assert all(map(np.array_equal, tables, read.faces[cap]))
 
 
 def _array_bytes(obj, seen) -> int:
@@ -517,13 +572,47 @@ def test_a_built_model_holds_no_top_level_face_table():
     model = build_space(SpaceSpec("exp", n=2, k=3))
     model.content_hash()
     model.betti_table()
+    cap, top = model.level_cap, model.top_nondegenerate_level()
+    # no whole face table at or above the top nondegenerate level
+    assert top == cap - 1
+    assert _derived_levels(model) == [top, cap] and _kept_levels(model) == []
     held = _array_bytes(model, set())
-    cap = model.level_cap
     words = sum(table.nbytes for table in model.words())
-    top = sum(table.nbytes for table in model.faces[cap])
+    unstored = sum(4 * (n + 1) * model.level_sizes[n] for n in (top, cap))
     # beyond the tables it stores, the model holds its flags and memos, which
-    # are less than one whole table of the top level
-    assert held < words - top + top // (cap + 1)
+    # are less than one whole table of the cap level
+    assert held < words - unstored + 4 * model.level_sizes[cap]
+
+
+def test_a_closed_top_is_never_keyed_nor_asked_about(monkeypatch):
+    keyed, empty = [], []
+    subset_keys = spaces._subset_keys
+    from_operators = SimplicialSetModel.from_operators.__func__
+
+    def counting_keys(level_size, k):
+        keyed.append(level_size)
+        return subset_keys(level_size, k)
+
+    def checking_rule(cls, cap, level_sizes, rule, description=""):
+        def checked(kind, n, i, t, ids):
+            if not isinstance(ids, slice) and ids.size == 0:
+                empty.append((description, kind, n, i))
+            return rule(kind, n, i, t, ids)
+
+        return from_operators(cls, cap, level_sizes, checked, description)
+
+    monkeypatch.setattr(spaces, "_subset_keys", counting_keys)
+    monkeypatch.setattr(SimplicialSetModel, "from_operators", classmethod(checking_rule))
+    model = build_space(SpaceSpec("exp", n=2, k=3))
+    cap = model.level_cap
+    assert model.nondeg_count(cap) == 0 and model.level_sizes[cap] == 366_275
+    assert keyed == sphere(2, cap).level_sizes[:cap]
+    # closed tops of the other constructors: complexes, one-vertex spheres,
+    # products and symmetric powers
+    for build in READ_BACK_MODELS.values():
+        build()
+    build_space(SpaceSpec("sym", n=2, k=3))
+    assert empty == []
 
 
 def test_from_words_rejects_a_stream_of_the_wrong_length():
