@@ -13,6 +13,7 @@ constructed colimit.
 from expk import (
     compare_pushout_with_subsets,
     diagonal_insertion,
+    exp_subsets,
     product,
     pushout,
     sphere,
@@ -23,7 +24,8 @@ from expk import (
 x = sphere(1, cap=4)
 square = product(x, x)
 sym3 = sym_power(x, 3)
-proj2 = sym_projection(x, 2, source=square, sym=sym_power(x, 2))
+sym2 = sym_power(x, 2)
+proj2 = sym_projection(x, 2, source=square, sym=sym2)
 alpha = diagonal_insertion(x, square=square, sym3=sym3)
 
 print("doubling map commutes with faces and degeneracies:", alpha.commutes())
@@ -31,8 +33,10 @@ glued, into_sym3, into_sym2 = pushout(alpha, proj2)
 print("glued level sizes:   ", glued.level_sizes)
 print("glued Betti table:   ", glued.betti_table())
 
-ok, detail = compare_pushout_with_subsets(x)
+ok, detail = compare_pushout_with_subsets(x, square, sym3, sym2, exp_subsets(x, 3))
 print("support comparison for the circle:", ok, "-", detail)
 
-ok, detail = compare_pushout_with_subsets(sphere(2, cap=7))
+s2 = sphere(2, cap=7)
+models = product(s2, s2), sym_power(s2, 3), sym_power(s2, 2), exp_subsets(s2, 3)
+ok, detail = compare_pushout_with_subsets(s2, *models)
 print("support comparison for the 2-sphere:", ok, "-", detail)

@@ -25,6 +25,9 @@ C3            space of three distinct unordered points in the n-sphere:
               the sphere-bundle sequence.
 grassmannian  2-planes in (n+1)-space: stable pattern 1,1,2,2,3,3,...
               truncated symmetrically about degree n-1.
+CP            complex projective n-space, which is the n-fold symmetric
+              product of the 2-sphere: one dimension in each even degree
+              0..2n.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 
 from .errors import ContractViolation
 
-KINDS = ("exp2", "exp3", "E0", "E", "C3", "grassmannian")
+KINDS = ("exp2", "exp3", "E0", "E", "C3", "grassmannian", "CP")
 
 
 @dataclass(frozen=True)
@@ -122,6 +125,10 @@ def expected_betti(kind: str, n: int) -> ExpectedTable:
             "the circle-bundle sequence over the Grassmannian",
             documentation_only=True,
         )
+
+    if kind == "CP":
+        dims = tuple(int(d % 2 == 0) for d in range(2 * n + 1))
+        return ExpectedTable("CP", n, dims, "catalog:complex-projective-space")
 
     # grassmannian: stable dims floor(i/2)+1, symmetric about n-1
     top = 2 * n - 2

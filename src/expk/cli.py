@@ -3,7 +3,7 @@
 Subcommands map one-to-one onto library entry points:
 
   build   space spec -> model file
-  betti   model file -> graded dimension table
+  betti   model file, or space spec -> graded dimension table
   sq      model file + degree + index -> square coordinates per generator
   solve   exact-sequence template file -> solution or certificate
   verify  run the named checks (all by default) and emit a report
@@ -44,8 +44,21 @@ from .spaces import (
 from .verify import CHECKS, run_verify
 
 
-def _add_spec_arguments(p):
-    p.add_argument("--kind", required=True, choices=SPACE_KINDS)
+# each spec argument's default: a model file is refused any other value
+SPEC_DEFAULTS = {
+    "kind": None,
+    "n": None,
+    "k": None,
+    "cap": None,
+    "facets": None,
+    "max_level_size": DEFAULT_MAX_LEVEL_SIZE,
+    "base": "boundary",
+    "normalized": False,
+}
+
+
+def _add_spec_arguments(p, required=True):
+    p.add_argument("--kind", required=required, choices=SPACE_KINDS)
     p.add_argument("--n", type=int, help="sphere dimension")
     p.add_argument("--k", type=int, help="arity / cardinality bound")
     p.add_argument("--cap", type=int, help="level cap (defaults per kind)")
@@ -56,14 +69,20 @@ def _add_spec_arguments(p):
     p.add_argument(
         "--max-level-size",
         type=int,
-        default=DEFAULT_MAX_LEVEL_SIZE,
+        default=SPEC_DEFAULTS["max_level_size"],
         help="per-level simplex budget",
     )
     p.add_argument(
         "--base",
         choices=tuple(SPHERE_BASES),
-        default="boundary",
+        default=SPEC_DEFAULTS["base"],
         help="sphere model the space is built on (not for --kind complex)",
+    )
+    p.add_argument(
+        "--normalized",
+        action="store_true",
+        help="the normalized complex: --kind exp or sym, --base one-vertex; "
+        "only betti computes it",
     )
 
 
@@ -80,6 +99,7 @@ def _spec_from_args(args) -> SpaceSpec:
         facets=facets,
         max_level_size=args.max_level_size,
         base=args.base,
+        normalized=args.normalized,
     )
 
 
@@ -93,6 +113,11 @@ def _write_out(text, out):
 
 def cmd_build(args) -> int:
     spec = _spec_from_args(args)
+    if spec.normalized:
+        raise ContractViolation(
+            "a normalized complex has no stored tables to write; "
+            "compute its table with expk betti and the same arguments"
+        )
     model = build_space(spec)
     doc = {
         "spec": spec.to_json_dict(),
@@ -116,9 +141,24 @@ def _load_model(path) -> SimplicialSetModel:
     return model
 
 
+def _model_from_args(args):
+    """The model of a model file, or of the spec the arguments give."""
+    given = [
+        "--" + field.replace("_", "-")
+        for field, default in SPEC_DEFAULTS.items()
+        if getattr(args, field) != default
+    ]
+    if args.model is not None:
+        if given:
+            raise ContractViolation(f"a model file takes no spec arguments: {given}")
+        return _load_model(args.model)
+    if args.kind is None:
+        raise ContractViolation("give a model file or --kind and its spec arguments")
+    return build_space(_spec_from_args(args))
+
+
 def cmd_betti(args) -> int:
-    model = _load_model(args.model)
-    table = model.betti_table()
+    table = _model_from_args(args).betti_table()
     if args.format == "json":
         _write_out(canonical_json(table.to_json_dict()), args.out)
     else:
@@ -229,8 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output path (stdout when omitted)")
     p.set_defaults(fn=cmd_build)
 
-    p = sub.add_parser("betti", help="graded dimensions of a stored model")
-    p.add_argument("model", help="model file produced by build")
+    p = sub.add_parser("betti", help="graded dimensions of a model file or a space")
+    p.add_argument("model", nargs="?", help="model file produced by build")
+    _add_spec_arguments(p, required=False)
     p.add_argument("--format", choices=("human", "json"), default="human")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_betti)

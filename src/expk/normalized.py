@@ -1,0 +1,210 @@
+"""The normalized chain complex of exp_k and Sym_k over the one-vertex sphere.
+
+A stored model (``expk.spaces``) keeps every simplex of every level and
+marks the nondegenerate ones; exp₅(S²) stores 6.47M simplices for 18,763
+nondegenerate ones.  ``NormalizedModel`` keeps only the nondegenerate
+simplices, and gives the cohomology layer the three members it reads
+(``level_cap``, ``nondeg_count`` and ``restrict``, see
+``simplicial.ChainModel``).
+
+Keys
+----
+A level-m simplex of Δⁿ/∂Δⁿ is the basepoint or a monotone surjection
+[m] -> [n], written as its step set: the n positions among 1..m where
+its label goes up.  Its element id is 0 for the basepoint, then 1 plus
+the lexicographic rank of the step set, the ids of
+``spaces.one_vertex_sphere``.  A step set is also kept as a bitmask, bit
+p for position p, with 0 for the basepoint.
+
+A level-m simplex of exp_k is a set of at most k elements and one of
+Sym_k a multiset of k; both are rows of k element ids sorted
+ascending, an exp row padded in front with -1.  Degeneracies act
+elementwise, and s_i hits exactly the elements without a step at i + 1,
+so a simplex is nondegenerate exactly when its elements' masks cover
+1..m.  So the levels stop at kn, and ``level_cap`` is kn + 1.  A level's
+rows are kept in lexicographic order, which is the order of the stored
+model's ids (subsets by size, then lexicographically; multisets
+lexicographically), so nondegenerate positions, cohomology bases and
+ring tables are the stored model's.
+
+Enumeration
+-----------
+A level's families grow one element at a time, in increasing id order
+(nondecreasing for Sym), as ``spaces._combos`` grows its rows.  Ids
+in lexicographic order have nondecreasing first steps, so an element
+whose first step lies past a family's lowest uncovered position, and
+every element after it, leaves that position uncovered: only ids up to
+the last one whose first step is at or below it are offered.  A family
+with more positions uncovered than n times its free slots is dropped.
+The per-level budget is checked before a level is enumerated, against
+its count by inclusion–exclusion (``nondegenerate_count``).
+
+Faces
+-----
+The face of an element spanned by vertex positions v_0 < … < v_r is the
+basepoint when it has a step at or before v_0, after v_r, or two steps
+in one gap (v_(j-1), v_j]; otherwise its steps are the gaps that hold a
+step.  ``restrict`` builds this as one lookup table over the element
+ids of (level, kept), gathers every row through it, sorts the rows
+(for exp, a repeat becomes padding), drops the faces whose masks do not
+cover, and finds the rest by ``searchsorted`` over the sorted radix
+codes of the level below.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .errors import ContractViolation
+from .simplicial import ChainModel
+from .spaces import (
+    DEFAULT_MAX_LEVEL_SIZE,
+    _canonical,
+    _check_level_size,
+    _combos,
+    _rank,
+)
+
+KINDS = ("exp", "sym")
+
+
+def nondegenerate_count(kind: str, n: int, k: int, m: int) -> int:
+    """How many nondegenerate level-m simplices exp_k or Sym_k of Sⁿ has.
+
+    Inclusion–exclusion over the positions left uncovered: the families
+    whose masks avoid j given positions are those of the C(m − j, n) + 1
+    elements that avoid them.
+    """
+
+    def families(elements):
+        if kind == "exp":
+            return sum(math.comb(elements, s) for s in range(1, k + 1))
+        return math.comb(elements + k - 1, k)
+
+    return sum(
+        (-1) ** j * math.comb(m, j) * families(math.comb(m - j, n) + 1)
+        for j in range(m + 1)
+    )
+
+
+def _first_bit(masks: np.ndarray) -> np.ndarray:
+    """The position of each mask's lowest set bit; 64 for a zero mask."""
+    # bitwise_count counts the bits of |x|, so a zero mask is read apart
+    return np.where(masks == 0, 64, np.bitwise_count((masks & -masks) - 1))
+
+
+class NormalizedModel(ChainModel):
+    """The nondegenerate simplices of exp_k or Sym_k of Δⁿ/∂Δⁿ, levels 0..kn + 1.
+
+    Every level is enumerated when the model is built; over the budget,
+    the build raises ``LevelSizeError``.  ``restrict`` is memoized and its
+    arrays are read-only, so threads share a model.
+    """
+
+    def __init__(self, kind, n, k, max_level_size=DEFAULT_MAX_LEVEL_SIZE):
+        if kind not in KINDS:
+            raise ContractViolation(f"no normalized complex of kind {kind!r}")
+        if n < 1 or k < 1:
+            raise ContractViolation("a normalized complex needs n >= 1 and k >= 1")
+        self.kind, self.n, self.k = kind, n, k
+        self.level_cap = k * n + 1
+        if self.level_cap > 61:  # a mask holds bits 1..m of one int64
+            raise ContractViolation(f"level cap {self.level_cap} exceeds 61")
+        self.description = f"{kind}_{k}(one_vertex_sphere({n})), normalized"
+        self._steps, self._masks, self._rows, self._codes = [], [], [], []
+        for m in range(self.level_cap + 1):
+            count = nondegenerate_count(kind, n, k, m)
+            _check_level_size(f"normalized {kind}", m, count, max_level_size)
+            steps = _combos(m, n, repeat=False) + 1
+            masks = np.concatenate([[0], (1 << steps.astype(np.int64)).sum(axis=1)])
+            radix = self._radix(masks.size)
+            rows = self._families(masks, m)
+            codes = (rows + 1) @ radix
+            order = np.argsort(codes)
+            self._steps.append(steps)
+            self._masks.append(masks)
+            self._rows.append(rows[order])
+            self._codes.append(codes[order])
+        self._restrict_cache = {}
+        super().__init__()
+
+    def _radix(self, elements: int) -> np.ndarray:
+        """Place values of a row's digits, id + 1 (so -1 pads as 0), last fastest."""
+        if (elements + 1) ** self.k >= 2**63:
+            raise ContractViolation("row codes overflow int64")
+        return (elements + 1) ** np.arange(self.k - 1, -1, -1, dtype=np.int64)
+
+    def _families(self, masks: np.ndarray, m: int) -> np.ndarray:
+        """The nondegenerate level-m rows, in no particular order."""
+        n, k, repeat = self.n, self.k, self.kind == "sym"
+        full = (1 << (m + 1)) - 2
+        first = np.concatenate([[0], _first_bit(masks[1:])])  # nondecreasing
+        rows = np.empty((1, 0), dtype=np.intp)
+        cover = np.zeros(1, dtype=np.int64)
+        low = np.zeros(1, dtype=np.intp)  # each family's smallest next id
+        found = []
+        for size in range(1, k + 1):
+            high = np.searchsorted(first, _first_bit(full & ~cover), side="right")
+            count = np.maximum(high - low, 0)
+            parent = np.repeat(np.arange(count.size), count)
+            starts = np.cumsum(count) - count
+            ids = np.repeat(low - starts, count) + np.arange(count.sum())
+            cover = cover[parent] | masks[ids]
+            uncovered = np.bitwise_count(full & ~cover)
+            keep = uncovered <= n * (k - size)
+            rows = np.column_stack([rows[parent[keep]], ids[keep]])
+            cover, low = cover[keep], ids[keep] + (not repeat)
+            if not repeat or size == k:
+                done = rows[cover == full]
+                found.append(np.pad(done, ((0, 0), (k - size, 0)), constant_values=-1))
+        return np.concatenate(found)
+
+    def nondeg_count(self, n: int) -> int:
+        if 0 <= n <= self.level_cap:
+            return int(self._codes[n].size)
+        return 0
+
+    def _face_elements(self, m: int, kept) -> np.ndarray:
+        """The id of each level-m element's face spanned by ``kept``, then -1.
+
+        The trailing -1 is what a row's padding, -1, reads.
+        """
+        vertices = sorted(set(kept))
+        r = len(vertices) - 1
+        gaps = np.searchsorted(vertices, self._steps[m])  # kept vertices before
+        onto = (gaps >= 1).all(axis=1) & (gaps <= r).all(axis=1)
+        onto &= (np.diff(gaps, axis=1) > 0).all(axis=1)
+        table = np.zeros(len(gaps) + 2, dtype=np.intp)
+        table[-1] = -1
+        table[1:-1][onto] = 1 + _rank(gaps[onto] - 1, r)
+        return table
+
+    def restrict(self, n: int, kept) -> np.ndarray:
+        """Where the face spanned by ``kept`` of each nondegenerate n-simplex lies.
+
+        The contract of ``SimplicialSetModel.restrict``: the face's
+        nondegenerate position, or -1 where it is degenerate; memoized per
+        (n, kept), read-only.
+        """
+        key = n, kept
+        if key not in self._restrict_cache:
+            if not (kept and 0 <= min(kept) <= max(kept) <= n <= self.level_cap):
+                raise ContractViolation(f"{kept} is not a nonempty subset of 0..{n}")
+            r = len(set(kept)) - 1
+            faces = self._face_elements(n, kept).take(self._rows[n])
+            faces = _canonical(faces, -1 if self.kind == "exp" else None)
+            masks = np.append(self._masks[r], 0)  # -1 pads, and covers nothing
+            nondegenerate = np.bitwise_or.reduce(masks.take(faces), axis=1) == (
+                (1 << (r + 1)) - 2
+            )
+            codes = (faces[nondegenerate] + 1) @ self._radix(self._masks[r].size)
+            found = np.searchsorted(self._codes[r], codes)
+            if (self._codes[r].take(found, mode="clip") != codes).any():
+                raise AssertionError("a nondegenerate face missing from its level")
+            out = np.full(len(faces), -1, dtype=np.int32)
+            out[nondegenerate] = found
+            out.setflags(write=False)
+            self._restrict_cache.setdefault(key, out)  # the first stored wins
+        return self._restrict_cache[key]

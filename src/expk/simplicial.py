@@ -21,7 +21,8 @@ Conventions
 * The cohomology layer (``ChainModel`` here, cup-i and Sq in ``cochains``)
   reads a model only through ``nondeg_count``, ``restrict`` and
   ``level_cap``, the three members a model kind implements; the stored
-  ``SimplicialSetModel`` is one.  ``restrict(n, kept)`` gives each
+  ``SimplicialSetModel`` is one, ``expk.normalized.NormalizedModel``
+  another.  ``restrict(n, kept)`` gives each
   nondegenerate n-simplex's face spanned by the vertex positions ``kept``;
   -1 marks a degenerate face.  Its arrays are memoized and read-only.
 * The chain layer reads faces only from the face stack of each degree:
@@ -373,7 +374,8 @@ class ChainModel:
             raise ContractViolation(f"boundary degree {n} outside 1..cap")
         if n not in self._face_stacks:
             kept_sets = [tuple(t for t in range(n + 1) if t != i) for i in range(n + 1)]
-            self._face_stacks[n] = tuple(self.restrict(n, kept) for kept in kept_sets)
+            stack = tuple(self.restrict(n, kept) for kept in kept_sets)
+            self._face_stacks.setdefault(n, stack)
         return self._face_stacks[n]
 
     def _boundary_rows(self, n: int, skip=()) -> tuple[list[int], list[int]]:
@@ -584,7 +586,9 @@ class SimplicialSetModel(ChainModel):
             position[nondegenerate] = np.arange(nondegenerate.size, dtype=np.int32)
             face = position[ids]
             face.setflags(write=False)
-            self._restrict_cache[key] = face
+            # the first array stored is the one every caller gets: a racing
+            # thread's equal copy is dropped, so a face stack holds no copy
+            self._restrict_cache.setdefault(key, face)
         return self._restrict_cache[key]
 
     def boundary_matrix(self, n: int) -> Gf2Matrix:

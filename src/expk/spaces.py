@@ -26,6 +26,8 @@ hold by construction for that (j, y):
   elementwise with duplicates collapsing.
 * ``pushout`` glues two maps with a shared source, level by level,
   labelling each class by its smallest element.
+* A ``SpaceSpec`` with ``normalized=True`` builds no stored model:
+  ``build_space`` gives the normalized complex of ``expk.normalized``.
 
 Symmetric powers, subset spaces and the maps into them share one
 canonical-key path: map key rows entrywise, sort them (collapsing repeats
@@ -56,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, LevelSizeError
-from .simplicial import SimplicialSetModel, canonical_json
+from .simplicial import ChainModel, SimplicialSetModel, canonical_json
 
 DEFAULT_MAX_LEVEL_SIZE = 5_000_000
 
@@ -665,22 +667,20 @@ def _supports_biject(source, subsets, supports):
     return True, "supports give a levelwise bijection"
 
 
-def compare_pushout_with_subsets(x, max_level_size: int = DEFAULT_MAX_LEVEL_SIZE):
+def compare_pushout_with_subsets(x, square, sym3, sym2, subsets):
     """Levelwise comparison of the gluing square with the subset space.
 
-    Glues the triple symmetric power and the double symmetric power along
-    the square of x (doubled-coordinate insertion on one leg, quotient
-    projection on the other) and checks that taking supports is a
-    bijection from the glued classes onto the levels of the space of at
-    most three points, commuting with every operator.  Returns (ok, detail).
+    Glues the triple symmetric power ``sym3`` and the double symmetric
+    power ``sym2`` of x along its square ``square`` (doubled-coordinate
+    insertion on one leg, quotient projection on the other) and checks
+    that taking supports is a bijection from the glued classes onto the
+    levels of ``subsets``, the space of at most three points, commuting
+    with every operator.  The caller builds every model.  Returns
+    (ok, detail).
     """
-    square = product(x, x, max_level_size=max_level_size)
-    sym3 = sym_power(x, 3, max_level_size=max_level_size)
-    sym2 = sym_power(x, 2, max_level_size=max_level_size)
     alpha = diagonal_insertion(x, square, sym3)
     proj2 = sym_projection(x, 2, square, sym2)
     glued, into_sym3, into_sym2 = pushout(alpha, proj2)
-    subsets = exp_subsets(x, 3, max_level_size=max_level_size)
     supports = []
     for m, lm in enumerate(x.level_sizes):
         if not np.array_equal(
@@ -703,10 +703,11 @@ def compare_pushout_with_subsets(x, max_level_size: int = DEFAULT_MAX_LEVEL_SIZE
     return _supports_biject(glued, subsets, supports)
 
 
-def compare_sym2_with_subsets(x, max_level_size: int = DEFAULT_MAX_LEVEL_SIZE):
-    """Supports biject double multisets onto two-point subsets, commuting."""
-    sym2 = sym_power(x, 2, max_level_size=max_level_size)
-    subsets = exp_subsets(x, 2, max_level_size=max_level_size)
+def compare_sym2_with_subsets(x, sym2, subsets):
+    """Supports biject the double multisets ``sym2`` of x onto ``subsets``.
+
+    The support map must also commute with every operator.
+    """
     supports = [_support_codes(_combos(lm, 2, True), lm, 2) for lm in x.level_sizes]
     return _supports_biject(sym2, subsets, supports)
 
@@ -727,10 +728,14 @@ class SpaceSpec:
 
     ``base`` names the sphere model that every kind but ``complex`` is
     built on: ``"boundary"`` (∂Δⁿ⁺¹, the default) or ``"one-vertex"``
-    (Δⁿ/∂Δⁿ).  The JSON form carries ``base`` only for ``"one-vertex"``,
-    so a boundary spec's text, and every hash keyed by it, is the one it
-    had before the field existed.  A field its kind does not read is
-    refused, so one space has one spec text.
+    (Δⁿ/∂Δⁿ).  ``normalized`` selects the normalized complex
+    (``expk.normalized``) instead of the stored model; only ``exp`` and
+    ``sym`` over the one-vertex sphere have one, at the cap kn + 1.  The
+    JSON form carries ``base`` only for ``"one-vertex"`` and
+    ``normalized`` only when set, so every other spec's text, and every
+    hash keyed by it, is the one it had before the fields existed.  A
+    field its kind does not read is refused, so one space has one spec
+    text.
     """
 
     kind: str
@@ -740,6 +745,7 @@ class SpaceSpec:
     facets: tuple | None = None
     max_level_size: int = DEFAULT_MAX_LEVEL_SIZE
     base: str = "boundary"
+    normalized: bool = False
 
     def __post_init__(self):
         if self.kind not in SPACE_KINDS:
@@ -766,6 +772,15 @@ class SpaceSpec:
             raise ContractViolation("cap must be at least 1")
         if self.max_level_size < 1:
             raise ContractViolation("max_level_size must be at least 1")
+        if self.normalized:
+            if self.kind not in ("exp", "sym"):
+                raise ContractViolation(
+                    "only exp and sym specs have a normalized complex"
+                )
+            if self.base != "one-vertex":
+                raise ContractViolation("a normalized complex needs base 'one-vertex'")
+            if self.cap not in (None, self.k * self.n + 1):
+                raise ContractViolation("a normalized complex has the level cap kn + 1")
 
     def default_cap(self) -> int:
         if self.cap is not None:
@@ -788,16 +803,22 @@ class SpaceSpec:
         d["max_level_size"] = self.max_level_size
         if self.base != "boundary":  # boundary specs keep their pre-base text
             d["base"] = self.base
+        if self.normalized:  # stored specs keep their text
+            d["normalized"] = True
         return d
 
     def to_json_text(self) -> str:
         return canonical_json(self.to_json_dict())
 
 
-def build_space(spec: SpaceSpec) -> SimplicialSetModel:
+def build_space(spec: SpaceSpec) -> ChainModel:
     """Build the model a spec describes."""
     cap = spec.default_cap()
     bound = spec.max_level_size
+    if spec.normalized:
+        from .normalized import NormalizedModel  # it builds on this module's keys
+
+        return NormalizedModel(spec.kind, spec.n, spec.k, max_level_size=bound)
     if spec.kind == "complex":
         return from_complex(spec.facets, cap, max_level_size=bound)
     base = SPHERE_BASES[spec.base](spec.n, cap, max_level_size=bound)

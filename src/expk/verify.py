@@ -46,14 +46,7 @@ from .exact_sequences import (
 )
 from .gf2 import Gf2Span, Gf2Vector, relations
 from .simplicial import BettiTable, SimplicialSetModel, canonical_json
-from .spaces import (
-    DEFAULT_MAX_LEVEL_SIZE,
-    SPHERE_BASES,
-    SpaceSpec,
-    build_space,
-    product,
-    sphere,
-)
+from .spaces import DEFAULT_MAX_LEVEL_SIZE, SpaceSpec, build_space, product, sphere
 
 REPORT_FORMAT = "verification-report/1"
 
@@ -117,7 +110,11 @@ class VerificationReport:
 
 
 class ModelCache:
-    """Builds models on demand; optionally persists them with hashes."""
+    """Builds models on demand; optionally persists them with hashes.
+
+    A normalized model is built in milliseconds, so it is only kept in
+    ``memory``: it never reads or writes ``cache_dir`` and has no hash.
+    """
 
     def __init__(self, cache_dir=None):
         self.cache_dir = cache_dir
@@ -131,6 +128,9 @@ class ModelCache:
         # one setdefault call on a str key is atomic: every thread gets one lock
         with self._locks.setdefault(key, threading.Lock()):
             if key in self.memory:
+                return self.memory[key]
+            if spec.normalized:
+                self.memory[key] = build_space(spec)
                 return self.memory[key]
             model = model_hash = path = None
             if self.cache_dir is not None:
@@ -197,10 +197,18 @@ class CheckContext:
     max_level_size: int
     seed: int
 
-    def spec(self, kind, n=None, k=None, cap=None, base="boundary") -> SpaceSpec:
+    def spec(
+        self, kind, n=None, k=None, cap=None, base="boundary", normalized=False
+    ) -> SpaceSpec:
         """The spec of a space under the run's per-level simplex budget."""
         return SpaceSpec(
-            kind, n=n, k=k, cap=cap, max_level_size=self.max_level_size, base=base
+            kind,
+            n=n,
+            k=k,
+            cap=cap,
+            max_level_size=self.max_level_size,
+            base=base,
+            normalized=normalized,
         )
 
     def build(self, constructor, *args):
@@ -238,29 +246,31 @@ def _all_hold(bad, detail, **fields) -> dict:
 # row kinds: each factory turns one row's data into a check
 
 
-def _betti(kind, n, k, expected=None, source="", detail="", base="boundary"):
-    """The Betti table of ``kind`` (``exp`` or ``sym``) at (n, k) is ``expected``.
+def _normalized(kind, n, k):
+    """The ``CheckContext.spec`` arguments of the normalized ``kind`` at (n, k)."""
+    return kind, n, k, None, "one-vertex", True
 
-    Without ``expected`` the row compares with the catalog table of
-    ``f"{kind}{k}"`` and reports that table's source.  ``base`` names the
-    sphere model the space is built on.
+
+def _betti(kind, n, k, oracle=None, detail=""):
+    """The normalized ``kind`` (exp or sym) at (n, k) has the catalog's Betti table.
+
+    ``oracle`` is the catalog (kind, n) the row compares with, by default
+    ``(f"{kind}{k}", n)``; the row reports that table's source.
     """
 
-    space = (kind, n, k, None, base)
+    space = _normalized(kind, n, k)
+    oracle = oracle or (f"{kind}{k}", n)
 
     @_reads(space)
     def run(ctx, model):
         computed = model.betti_table()
-        want, tag = expected, source
-        if want is None:
-            table = catalog.expected_betti(f"{kind}{k}", n)
-            want, tag = table.dims, table.source
+        table = catalog.expected_betti(*oracle)
         return _verdict(
-            computed.matches(want),
+            computed.matches(table.dims),
             detail,
             computed=list(computed.dims),
-            expected=list(want),
-            source=tag,
+            expected=list(table.dims),
+            source=table.source,
             spec=ctx.spec(*space).to_json_dict(),
         )
 
@@ -312,20 +322,31 @@ def _sequence(ns, template, prefix, expected_kind, detail, source=""):
     return run
 
 
-def _comparison(compare, cap_per_n, n, base="boundary"):
-    """The ``spaces`` comparison named ``compare`` holds on the n-sphere.
+def _comparison(compare, *reads):
+    """The ``spaces`` comparison named ``compare`` holds on the declared ``reads``.
 
-    The sphere, the model ``base`` names, gets level cap ``cap_per_n * n + 1``.
     The function is looked up when the check runs, so a wrapper installed
     on ``spaces`` after import (as the benchmark's tracer does) is the one
     called.
     """
 
-    def run(ctx):
-        x = ctx.build(SPHERE_BASES[base], n, cap_per_n * n + 1)
-        return _verdict(*getattr(spaces, compare)(x, max_level_size=ctx.max_level_size))
+    @_reads(*reads)
+    def run(ctx, *models):
+        return _verdict(*getattr(spaces, compare)(*models))
 
     return run
+
+
+def _pushout_reads(n):
+    """The one-vertex n-sphere, its square, Sym₃, Sym₂ and exp₃, at cap 3n + 1."""
+    parts = (("sphere", None), ("product", None), ("sym", 3), ("sym", 2), ("exp", 3))
+    return [(kind, n, k, 3 * n + 1, "one-vertex") for kind, k in parts]
+
+
+def _bijection_reads(n):
+    """The boundary n-sphere, its Sym₂ and exp₂, at cap 2n + 1."""
+    parts = (("sphere", None), ("sym", 2), ("exp", 2))
+    return [(kind, n, k, 2 * n + 1) for kind, k in parts]
 
 
 # templates of the ``_sequence`` rows, as (ctx, n, *models) -> ExactTemplate
@@ -373,7 +394,12 @@ def _gluing_square(ctx, n, *models):
 # bespoke checks
 
 
-@_reads(("exp", 2, 3), ("sym", 2, 3), ("exp", 2, 2), ("sphere", 2, None, 7))
+@_reads(
+    _normalized("exp", 2, 3),
+    _normalized("sym", 2, 3),
+    _normalized("exp", 2, 2),
+    ("sphere", 2, None, 7),
+)
 def check_euler_exp3_sphere2(ctx, exp3, sym3, exp2, s2):
     chi = {
         name: model.betti_table().euler_characteristic()
@@ -420,6 +446,53 @@ def check_models_agree(ctx, *models):
     return _all_hold(
         bad,
         "one-vertex and boundary sphere models give the same tables",
+        computed=computed,
+        expected=expected,
+    )
+
+
+# (kind, n, k) -> the (i, d) of each Sq^i on H^d its sq row checks
+SQUARED_SPACES = {
+    ("exp", 2, 2): ((2, 2),),
+    ("exp", 3, 2): ((2, 3), (3, 3)),
+    ("sym", 2, 3): ((2, 2),),
+}
+
+
+def _squares_on(kind, n, k):
+    """The ``SQUARED_SPACES`` row of (kind, n, k), on its normalized complex."""
+    return _reads(_normalized(kind, n, k))(_squares(*SQUARED_SPACES[kind, n, k]))
+
+
+def _invariants(model, squares) -> dict:
+    """What a chain model computes for a space: counts, tables, ring and squares."""
+    return {
+        "counts": [model.nondeg_count(m) for m in range(model.level_cap + 1)],
+        "betti": list(model.betti_table().dims),
+        "ring": ring_table(model).to_json_dict(),
+        "squares": {
+            f"Sq{i} H{d}": square_coordinates(model, i, d) for i, d in squares
+        },
+    }
+
+
+@_reads(*[spec for space in AGREEING_SPACES
+          for spec in ((*space, None, "one-vertex"), _normalized(*space))])
+def check_normalized_agree(ctx, *models):
+    """Each space's normalized complex computes what its one-vertex model does."""
+    computed, expected, bad = {}, {}, []
+    pairs = zip(models[::2], models[1::2])
+    for space, (stored, normalized) in zip(AGREEING_SPACES, pairs):
+        kind, n, k = space
+        label = f"{kind}{k}(S{n})"
+        squares = SQUARED_SPACES.get(space, ())
+        got = computed[label] = _invariants(normalized, squares)
+        want = expected[label] = _invariants(stored, squares)
+        bad += [(label, aspect) for aspect in got if got[aspect] != want[aspect]]
+    return _all_hold(
+        bad,
+        "normalized and stored one-vertex models give the same counts, tables, "
+        "rings and squares",
         computed=computed,
         expected=expected,
     )
@@ -619,29 +692,28 @@ CHECKS = {
     "betti-exp2-sphere2": ("two-point subsets of the 2-sphere", _betti("exp", 2, 2)),
     "betti-exp3-circle": ("three-point subsets of the circle", _betti("exp", 1, 3)),
     "betti-exp3-sphere2": ("three-point subsets of the 2-sphere", _betti("exp", 2, 3)),
-    "betti-exp3-sphere3": ("three-point subsets of the 3-sphere",
-        _betti("exp", 3, 3, base="one-vertex")),
+    "betti-exp3-sphere3": ("three-point subsets of the 3-sphere", _betti("exp", 3, 3)),
     "betti-sym3-sphere2": ("triple symmetric power of the 2-sphere", _betti(
-        "sym", 2, 3, expected=(1, 0, 1, 0, 1, 0, 1),
-        source="derived:triple-symmetric-power-of-2-sphere",
-        detail="table of complex projective 3-space",
+        "sym", 2, 3, oracle=("CP", 3), detail="table of complex projective 3-space",
     )),
     "euler-exp3-sphere2": ("euler characteristic cross-check", check_euler_exp3_sphere2),
     "models-agree": ("tables on the two sphere models", check_models_agree),
+    "normalized-agree": ("normalized and stored models of the same spaces",
+        check_normalized_agree),
     "pushout-circle": ("gluing square vs subsets, circle",
-        _comparison("compare_pushout_with_subsets", 3, 1, base="one-vertex")),
+        _comparison("compare_pushout_with_subsets", *_pushout_reads(1))),
     "pushout-sphere2": ("gluing square vs subsets, 2-sphere",
-        _comparison("compare_pushout_with_subsets", 3, 2, base="one-vertex")),
+        _comparison("compare_pushout_with_subsets", *_pushout_reads(2))),
     "sym2-bijection-circle": ("double power vs two-point subsets, circle",
-        _comparison("compare_sym2_with_subsets", 2, 1)),
+        _comparison("compare_sym2_with_subsets", *_bijection_reads(1))),
     "sym2-bijection-sphere2": ("double power vs two-point subsets, 2-sphere",
-        _comparison("compare_sym2_with_subsets", 2, 2)),
+        _comparison("compare_sym2_with_subsets", *_bijection_reads(2))),
     "sq-exp2-sphere2": ("square of the middle generator, 2-sphere",
-        _reads(("exp", 2, 2))(_squares((2, 2)))),
+        _squares_on("exp", 2, 2)),
     "sq-exp2-sphere3": ("squares of the middle generator, 3-sphere",
-        _reads(("exp", 3, 2))(_squares((2, 3), (3, 3)))),
+        _squares_on("exp", 3, 2)),
     "sq-sym3-sphere2": ("square on the triple symmetric power",
-        _reads(("sym", 2, 3))(_squares((2, 2)))),
+        _squares_on("sym", 2, 3)),
     "sq0-identity": ("degree-0 squares are the identity", check_sq0_identity),
     "sq1-projective-plane": ("degree-1 square on the projective plane",
         check_sq1_projective_plane),

@@ -454,8 +454,11 @@ class ThreeMembers(ChainModel):
         projective_plane,
         lambda: build_space(SpaceSpec("exp", n=2, k=2)),
         lambda: build_space(SpaceSpec("sym", n=2, k=3)),
+        lambda: build_space(
+            SpaceSpec("exp", n=2, k=3, base="one-vertex", normalized=True)
+        ),
     ],
-    ids=["torus", "rp2", "exp2_s2", "sym3_s2"],
+    ids=["torus", "rp2", "exp2_s2", "sym3_s2", "exp3_s2_normalized"],
 )
 def test_the_chain_layer_needs_only_three_members(build):
     model = build()

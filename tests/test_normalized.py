@@ -1,0 +1,184 @@
+"""The normalized complexes of exp_k and Sym_k over the one-vertex sphere."""
+
+import os
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+
+from expk import catalog
+from expk.cochains import ring_table, square_coordinates
+from expk.errors import ContractViolation, LevelSizeError
+from expk.gf2 import Gf2Span
+from expk.normalized import NormalizedModel, nondegenerate_count
+from expk.spaces import SpaceSpec, build_space
+from expk.verify import ModelCache
+
+# the spaces on which both paths were first compared, at the cap kn + 1
+AGREEING = [
+    ("exp", 1, 2), ("exp", 1, 3), ("exp", 1, 4), ("exp", 1, 5),
+    ("exp", 2, 2), ("exp", 2, 3), ("exp", 3, 2), ("exp", 3, 3), ("exp", 4, 2),
+    ("sym", 1, 3), ("sym", 2, 2), ("sym", 2, 3), ("sym", 3, 2), ("sym", 3, 3),
+    ("sym", 4, 2),
+]
+
+
+def normalized(kind, n, k, **fields):
+    return build_space(
+        SpaceSpec(kind, n=n, k=k, base="one-vertex", normalized=True, **fields)
+    )
+
+
+def stored(kind, n, k):
+    return build_space(SpaceSpec(kind, n=n, k=k, base="one-vertex"))
+
+
+def counts(model):
+    return [model.nondeg_count(m) for m in range(model.level_cap + 1)]
+
+
+@pytest.mark.parametrize("kind, n, k", AGREEING)
+def test_normalized_and_stored_one_vertex_models_agree(kind, n, k):
+    model, reference = normalized(kind, n, k), stored(kind, n, k)
+    assert model.level_cap == reference.level_cap == k * n + 1
+    assert counts(model) == counts(reference)
+    assert model.betti_table() == reference.betti_table()
+    assert ring_table(model) == ring_table(reference)
+
+
+@pytest.mark.parametrize(
+    "kind, n, k", [("sym", 3, 2), ("sym", 4, 2), ("exp", 2, 3), ("exp", 3, 3)]
+)
+def test_normalized_and_stored_squares_agree(kind, n, k):
+    model, reference = normalized(kind, n, k), stored(kind, n, k)
+    top = model.top_nondegenerate_level()
+    for d in range(top + 1):
+        for i in range(top - d + 1):
+            want = square_coordinates(reference, i, d)
+            assert square_coordinates(model, i, d) == want, (i, d)
+
+
+def square_rank(model, i, d):
+    """The rank of Sq^i: H^d -> H^(d+i), which no basis choice moves."""
+    rows = square_coordinates(model, i, d)
+    return len(Gf2Span(int("".join(map(str, row)), 2) for row in rows))
+
+
+def test_the_nonzero_squares_below_the_top_degree():
+    # Sq¹ has rank 1 on H⁴ of exp₃(S²), and 2 on H⁵ and 1 on H⁸ of exp₃(S³)
+    assert square_rank(normalized("exp", 2, 3), 1, 4) == 1
+    exp3 = normalized("exp", 3, 3)
+    assert (square_rank(exp3, 1, 5), square_rank(exp3, 1, 8)) == (2, 1)
+
+
+@pytest.mark.parametrize(
+    "kind, n, k", [("exp", 2, 5), ("sym", 2, 5), ("exp", 3, 3), ("sym", 4, 2)]
+)
+def test_levels_hold_the_inclusion_exclusion_counts(kind, n, k):
+    model = normalized(kind, n, k)
+    assert counts(model) == [
+        nondegenerate_count(kind, n, k, m) for m in range(model.level_cap + 1)
+    ]
+    assert model.nondeg_count(k * n + 1) == 0 and model.nondeg_count(k * n) > 0
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_symmetric_powers_of_the_2_sphere_are_complex_projective_spaces(k):
+    table = normalized("sym", 2, k).betti_table()
+    assert table.dims == catalog.expected_betti("CP", k).dims
+
+
+def test_exp5_of_the_2_sphere_is_pinned_and_fast():
+    start = time.perf_counter()
+    table = normalized("exp", 2, 5).betti_table()
+    elapsed = time.perf_counter() - start
+    assert table.dims == (1, 0, 0, 0, 0, 0, 0, 1, 3, 1, 1)
+    assert elapsed < 1.0, elapsed
+
+
+def test_restrict_is_memoized_read_only_and_checks_its_positions():
+    model = normalized("exp", 2, 3)
+    faces = model.restrict(5, (0, 2, 4))
+    assert faces is model.restrict(5, (0, 2, 4))
+    assert faces.dtype == np.int32 and not faces.flags.writeable
+    assert faces.shape == (model.nondeg_count(5),)
+    assert faces.min() >= -1 and faces.max() < model.nondeg_count(2)
+    for kept in [(), (0, 6), (-1, 2)]:
+        with pytest.raises(ContractViolation):
+            model.restrict(5, kept)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"kind": "sphere"},
+        {"kind": "product"},
+        {"kind": "power", "k": 2},
+        {"kind": "exp", "k": 2, "base": "boundary"},
+        {"kind": "sym", "k": 2, "base": "boundary"},
+        {"kind": "exp", "k": 2, "base": "one-vertex", "cap": 7},
+    ],
+    ids=["sphere", "product", "power", "exp-boundary", "sym-boundary", "cap"],
+)
+def test_a_spec_of_another_kind_base_or_cap_is_refused(fields):
+    with pytest.raises(ContractViolation):
+        SpaceSpec(n=2, normalized=True, **fields)
+
+
+def test_a_normalized_spec_text_carries_the_field_only_when_set():
+    plain = SpaceSpec("exp", n=2, k=3, base="one-vertex")
+    assert "normalized" not in plain.to_json_dict()
+    spec = SpaceSpec("exp", n=2, k=3, base="one-vertex", normalized=True, cap=7)
+    assert spec.to_json_dict() == {**plain.to_json_dict(), "normalized": True}
+
+
+def test_the_budget_bounds_each_level_before_it_is_enumerated():
+    # the normalized exp₃(S²) holds 30 simplices at level 5, its largest
+    assert max(counts(normalized("exp", 2, 3, max_level_size=30))) == 30
+    with pytest.raises(LevelSizeError) as err:
+        normalized("exp", 2, 3, max_level_size=29)
+    assert (err.value.level, err.value.size, err.value.bound) == (5, 30, 29)
+
+
+def test_the_model_refuses_other_kinds_directly():
+    with pytest.raises(ContractViolation):
+        NormalizedModel("power", 2, 2)
+    with pytest.raises(ContractViolation):
+        NormalizedModel("exp", 0, 2)
+
+
+def test_the_cache_keeps_a_normalized_model_in_memory_only(tmp_path):
+    cache_dir = tmp_path / "cache"
+    cache = ModelCache(cache_dir=str(cache_dir))
+    spec = SpaceSpec("sym", n=2, k=3, base="one-vertex", normalized=True)
+    model = cache.model_for(spec)
+    assert isinstance(model, NormalizedModel)
+    assert cache.model_for(spec) is model
+    assert cache.hashes == {} and not os.path.exists(cache_dir)
+
+
+def test_threads_share_one_model_and_its_memos():
+    reference = normalized("exp", 3, 2)
+    degrees = range(reference.level_cap + 1)
+    want = [[c.support for c in reference.cohomology_basis(d)] for d in degrees]
+    model = normalized("exp", 3, 2)
+
+    def work(reverse):
+        order = sorted(degrees, reverse=reverse)
+        return {d: [c.support for c in model.cohomology_basis(d)] for d in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(work, k % 2 == 1) for k in range(4)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all([r[d] for d in degrees] == want for r in results)
+    for n in range(1, model.level_cap + 1):
+        kept_sets = [tuple(t for t in range(n + 1) if t != i) for i in range(n + 1)]
+        stack = model._face_stack(n)
+        assert all(row is model.restrict(n, kept) for row, kept in zip(stack, kept_sets))

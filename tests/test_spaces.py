@@ -92,11 +92,18 @@ def test_one_vertex_exp3_nondegenerate_totals(n, total):
 
 
 ORACLE_CASES = [(1, 2), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3)]
+# the stored cases, then normalized ones past what the stored path builds cheaply
+ORACLE_SPECS = [(n, k, False) for n, k in ORACLE_CASES] + [(2, 4, True), (2, 5, True)]
 
 
-@pytest.mark.parametrize("n, k", ORACLE_CASES)
-def test_exp_tables_meet_the_closed_form_oracles(n, k):
-    table = build_space(SpaceSpec("exp", n=n, k=k, base="one-vertex")).betti_table()
+@pytest.mark.parametrize(
+    "n, k, normalized",
+    ORACLE_SPECS,
+    ids=[f"{n}-{k}" + "-normalized" * normalized for n, k, normalized in ORACLE_SPECS],
+)
+def test_exp_tables_meet_the_closed_form_oracles(n, k, normalized):
+    spec = SpaceSpec("exp", n=n, k=k, base="one-vertex", normalized=normalized)
+    table = build_space(spec).betti_table()
     # Gal: χ(exp_k X) = Σ_{j=1..k} C(χ(X), j), with χ(Sⁿ) = 1 + (-1)ⁿ
     chi = 1 + (-1) ** n
     gal = sum(math.comb(chi, j) for j in range(1, k + 1))
@@ -543,34 +550,39 @@ def test_pushout_square_commutes_and_maps_commute():
         )
 
 
+def _comparison_models(compare, x, more=0):
+    """What ``compare`` reads: x, its powers, and its subsets (``more`` points more)."""
+    if compare is compare_pushout_with_subsets:
+        powers = product(x, x), sym_power(x, 3), sym_power(x, 2)
+        return x, *powers, exp_subsets(x, 3 + more)
+    return x, sym_power(x, 2), exp_subsets(x, 2 + more)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_pushout_matches_subsets_levelwise(n):
-    ok, detail = compare_pushout_with_subsets(sphere(n, 3 * n + 1))
+    models = _comparison_models(compare_pushout_with_subsets, sphere(n, 3 * n + 1))
+    ok, detail = compare_pushout_with_subsets(*models)
     assert ok, detail
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_sym2_supports_match_exp2_levelwise(n):
-    ok, detail = compare_sym2_with_subsets(sphere(n, 2 * n + 1))
+    models = _comparison_models(compare_sym2_with_subsets, sphere(n, 2 * n + 1))
+    ok, detail = compare_sym2_with_subsets(*models)
     assert ok, detail
 
 
 @pytest.mark.parametrize(
     "compare", [compare_pushout_with_subsets, compare_sym2_with_subsets]
 )
-def test_support_comparisons_read_the_subset_space_operators(monkeypatch, compare):
-    build = spaces.exp_subsets
-
-    def reversed_edges(x, k, **kwargs):
-        model = build(x, k, **kwargs)
-        faces = [list(level) for level in model.faces]
-        faces[1].reverse()  # each edge's two ends swap
-        return SimplicialSetModel(
-            model.level_cap, model.level_sizes, faces, model.degeneracies
-        )
-
-    monkeypatch.setattr(spaces, "exp_subsets", reversed_edges)
-    ok, detail = compare(sphere(1, 4))
+def test_support_comparisons_read_the_subset_space_operators(compare):
+    *models, subsets = _comparison_models(compare, sphere(1, 4))
+    faces = [list(level) for level in subsets.faces]
+    faces[1].reverse()  # each edge's two ends swap
+    reversed_edges = SimplicialSetModel(
+        subsets.level_cap, subsets.level_sizes, faces, subsets.degeneracies
+    )
+    ok, detail = compare(*models, reversed_edges)
     assert not ok and "does not commute" in detail
 
 
@@ -578,14 +590,10 @@ def test_support_comparisons_read_the_subset_space_operators(monkeypatch, compar
     "compare, level",
     [(compare_pushout_with_subsets, 1), (compare_sym2_with_subsets, 0)],
 )
-def test_support_comparisons_refuse_a_subset_space_of_other_size(
-    monkeypatch, compare, level
-):
+def test_support_comparisons_refuse_a_subset_space_of_other_size(compare, level):
     # one point more: the circle's 3 vertices give as many subsets of at most
     # 4 as of at most 3, so the pushout first differs on the edges
-    build = spaces.exp_subsets
-    monkeypatch.setattr(spaces, "exp_subsets", lambda x, k, **kw: build(x, k + 1, **kw))
-    ok, detail = compare(sphere(1, 4))
+    ok, detail = compare(*_comparison_models(compare, sphere(1, 4), more=1))
     assert not ok and detail.endswith(f"at level {level}"), detail
 
 

@@ -70,28 +70,45 @@ def test_unknown_check_rejected():
         run_verify(scope=["no-such-check"])
 
 
+@pytest.fixture
+def stored_row(monkeypatch):
+    """The id of a row that reads one stored model, exp₂(S¹), through the cache."""
+
+    @verify._reads(("exp", 1, 2))
+    def run(ctx, model):
+        dims = list(model.betti_table().dims)
+        return verify._verdict(dims == [1, 1, 0], computed=dims)
+
+    monkeypatch.setitem(CHECKS, "stored-exp2-circle", ("a stored model", run))
+    return "stored-exp2-circle"
+
+
 def test_over_budget_reports_skipped_not_crash():
-    report = run_verify(scope=["betti-exp3-sphere2"], max_level_size=1000)
+    # the normalized exp_3 of the 2-sphere holds 22 simplices at level 4
+    report = run_verify(scope=["betti-exp3-sphere2"], max_level_size=20)
     (res,) = report.results
     assert res.status == "skipped"
-    assert "over budget" in res.detail
+    assert "over budget: normalized exp: level 4" in res.detail
     assert report.passed  # skips do not fail a run
 
 
 def test_one_vertex_row_over_budget_reports_skipped():
-    # exp_3 of the one-vertex 3-sphere has 295,361 subsets at level 10
-    report = run_verify(scope=["betti-exp3-sphere3"], max_level_size=10_000)
+    # the normalized exp_3 of the 3-sphere holds 500 simplices at level 6, 945 at 7
+    report = run_verify(scope=["betti-exp3-sphere3"], max_level_size=500)
     (res,) = report.results
     assert res.status == "skipped"
-    assert "over budget" in res.detail
+    assert "over budget: normalized exp: level 7 would hold 945" in res.detail
     assert report.passed
 
 
 def test_a_row_reports_the_spec_its_model_was_built_from():
     report = run_verify(scope=["betti-exp2-circle"], max_level_size=100)
     (res,) = report.results
-    assert res.status == "pass" and res.spec["max_level_size"] == 100
-    assert list(report.model_hashes) == [canonical_json(res.spec)]
+    spec = SpaceSpec(
+        "exp", n=1, k=2, max_level_size=100, base="one-vertex", normalized=True
+    )
+    assert res.status == "pass" and res.spec == spec.to_json_dict()
+    assert report.model_hashes == {}  # a normalized model is not hashed
 
 
 def test_models_built_outside_the_cache_obey_the_budget():
@@ -138,7 +155,7 @@ def test_report_is_self_contained_and_ordered():
 
 def test_cache_round_trip_bit_identical(tmp_path):
     cache_dir = str(tmp_path / "cache")
-    scope = ["betti-exp2-circle", "betti-exp3-circle"]
+    scope = ["pushout-circle", "sym2-bijection-circle"]
     first = run_verify(scope=scope, cache_dir=cache_dir)
     second = run_verify(scope=scope, cache_dir=cache_dir)
     assert entries_without_time(first) == entries_without_time(second)
@@ -160,27 +177,27 @@ def _header_line(header):
     return canonical_json(header).encode() + b"\n"
 
 
-def test_corrupt_cache_rebuilds_with_warning(tmp_path):
+def test_corrupt_cache_rebuilds_with_warning(tmp_path, stored_row):
     cache_dir = str(tmp_path / "cache")
-    run_verify(scope=["betti-exp2-circle"], cache_dir=cache_dir)
+    run_verify(scope=[stored_row], cache_dir=cache_dir)
     victim, header, body = _cache_entry(cache_dir)
     header["hash"] = "0" * 64
     with open(victim, "wb") as fh:
         fh.write(_header_line(header) + body)
-    report = run_verify(scope=["betti-exp2-circle"], cache_dir=cache_dir)
+    report = run_verify(scope=[stored_row], cache_dir=cache_dir)
     assert report.passed
     assert any("rebuilt" in w for w in report.warnings)
 
 
-def test_cli_verify_prints_each_warning_to_stderr(tmp_path, capsys):
+def test_cli_verify_prints_each_warning_to_stderr(tmp_path, capsys, stored_row):
     cache_dir = str(tmp_path / "cache")
-    assert main(["verify", "betti-exp2-circle", "--cache-dir", cache_dir]) == 0
+    assert main(["verify", stored_row, "--cache-dir", cache_dir]) == 0
     victim, header, body = _cache_entry(cache_dir)
     header["hash"] = "0" * 64
     with open(victim, "wb") as fh:
         fh.write(_header_line(header) + body)
     capsys.readouterr()
-    assert main(["verify", "betti-exp2-circle", "--cache-dir", cache_dir]) == 0
+    assert main(["verify", stored_row, "--cache-dir", cache_dir]) == 0
     out, err = capsys.readouterr()
     (warning,) = [line for line in err.splitlines() if "warning" in line]
     assert warning.startswith(f"expk: warning: cache entry {victim} rebuilt")
@@ -189,7 +206,7 @@ def test_cli_verify_prints_each_warning_to_stderr(tmp_path, capsys):
     # whose report carries the warnings, so none is printed
     with open(victim, "wb") as fh:
         fh.write(_header_line(header) + body)
-    argv = ["verify", "betti-exp2-circle", "--cache-dir", cache_dir, "--format", "json"]
+    argv = ["verify", stored_row, "--cache-dir", cache_dir, "--format", "json"]
     assert main(argv) == 0
     out, err = capsys.readouterr()
     assert "warning" not in err
@@ -220,23 +237,23 @@ DAMAGE = {
 
 
 @pytest.mark.parametrize("damage", sorted(DAMAGE))
-def test_damaged_cache_entry_is_rebuilt(tmp_path, damage):
+def test_damaged_cache_entry_is_rebuilt(tmp_path, damage, stored_row):
     damaged, reason = DAMAGE[damage]
     cache_dir = str(tmp_path / "cache")
-    first = run_verify(scope=["betti-exp2-circle"], cache_dir=cache_dir)
+    first = run_verify(scope=[stored_row], cache_dir=cache_dir)
     victim, header, body = _cache_entry(cache_dir)
     with open(victim, "wb") as fh:
         fh.write(damaged(header, body))
-    report = run_verify(scope=["betti-exp2-circle"], cache_dir=cache_dir)
+    report = run_verify(scope=[stored_row], cache_dir=cache_dir)
     assert report.passed
     (warning,) = report.warnings
     assert "rebuilt" in warning and reason in warning
     assert report.model_hashes == first.model_hashes
-    again = run_verify(scope=["betti-exp2-circle"], cache_dir=cache_dir)
+    again = run_verify(scope=[stored_row], cache_dir=cache_dir)
     assert not again.warnings  # the rebuild rewrote the entry
 
 
-def test_failed_cache_write_leaves_no_entry(tmp_path, monkeypatch):
+def test_failed_cache_write_leaves_no_entry(tmp_path, monkeypatch, stored_row):
     fdopen = os.fdopen
 
     class TornFile:
@@ -266,8 +283,8 @@ def test_failed_cache_write_leaves_no_entry(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         ModelCache(cache_dir=cache_dir).model_for(SpaceSpec("exp", n=1, k=2))
     assert os.listdir(cache_dir) == []
-    monkeypatch.undo()
-    report = run_verify(scope=["betti-exp2-circle"], cache_dir=cache_dir)
+    monkeypatch.setattr(verify.os, "fdopen", fdopen)
+    report = run_verify(scope=[stored_row], cache_dir=cache_dir)
     assert report.passed
     assert not report.warnings
     assert [f for f in os.listdir(cache_dir) if f.endswith(".bin")]
@@ -415,7 +432,10 @@ def test_rows_read_what_they_declare_and_each_model_is_built_once(monkeypatch, j
         c: {ctx.spec(*space).to_json_text() for space in getattr(fn, "reads", ())}
         for c, (_, fn) in CHECKS.items()
     }
-    assert sorted(built) == sorted(set(built)) == sorted(report.model_hashes)
+    assert sorted(built) == sorted(set(built))
+    # a normalized model is built like any other, but gets no hash
+    stored = [key for key in built if not json.loads(key).get("normalized")]
+    assert len(stored) < len(built) and sorted(stored) == sorted(report.model_hashes)
     (cache,) = caches
     assert cache.memory == {}
 
@@ -526,7 +546,7 @@ ROW_KINDS_SCOPE = [
     "pushout-circle",
     "sq1-projective-plane",
 ]
-ROW_KINDS_DIGEST = "896f77df87f0b32e83083dfb125bc0ff35a4524d6ddb47b423426ddac644d9e2"
+ROW_KINDS_DIGEST = "d7f32d30b13c2604fe1f574159931c9b5bba89a65384fe491da76511084691d3"
 
 
 def test_one_row_of_each_kind_is_pinned():
@@ -606,6 +626,61 @@ def test_cli_build_on_the_one_vertex_base(tmp_path, capsys):
     complex_build = ["build", "--kind", "complex", "--facets", "[[0,1]]"]
     assert main(complex_build + ["--base", "one-vertex"]) == 2
     assert "no sphere base" in capsys.readouterr().err
+
+
+def test_cli_betti_computes_a_spec_normalized_or_stored(capsys):
+    normalized = ["--kind", "exp", "--n", "2", "--k", "3", "--base", "one-vertex"]
+    assert main(["betti", *normalized, "--normalized", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["dims"] == [1, 0, 0, 0, 2, 1, 1]
+    assert main(["betti", "--kind", "exp", "--n", "1", "--k", "2"]) == 0
+    assert capsys.readouterr().out == "H^0: 1\nH^1: 1\nH^2: 0\n"
+    # over its budget, a normalized spec is refused like a stored one
+    argv = ["betti", *normalized, "--normalized", "--max-level-size", "29"]
+    assert main(argv) == 2
+    assert "level 5 would hold 30 simplices" in capsys.readouterr().err
+
+
+def test_cli_betti_takes_a_model_file_or_a_spec_and_build_refuses_normalized(
+    tmp_path, capsys
+):
+    model_path = str(tmp_path / "exp2s1.json")
+    spec = ["--kind", "exp", "--n", "1", "--k", "2"]
+    assert main(["build", *spec, "--out", model_path]) == 0
+    capsys.readouterr()
+    for argv, named in (
+        (["betti", model_path, *spec], "a model file takes no spec arguments"),
+        (["betti", model_path, "--normalized"], "--normalized"),
+        (["betti", model_path, "--base", "one-vertex"], "--base"),
+        (["betti"], "give a model file or --kind"),
+        (["build", *spec, "--base", "one-vertex", "--normalized"], "expk betti"),
+        (["betti", *spec, "--normalized"], "base 'one-vertex'"),
+        (["betti", "--kind", "power", "--n", "1", "--k", "2", "--base", "one-vertex",
+          "--normalized"], "only exp and sym"),
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1, argv
+        assert captured.err.startswith("expk: ") and named in captured.err, argv
+
+
+def test_the_pushout_rows_build_each_model_once(monkeypatch):
+    # models-agree reads the one-vertex exp₃ and Sym₃ that the pushout rows glue
+    built = []
+    build = SimplicialSetModel.from_operators.__func__
+
+    def recording(cls, cap, level_sizes, rule, description=""):
+        built.append((description, tuple(level_sizes)))
+        return build(cls, cap, level_sizes, rule, description)
+
+    monkeypatch.setattr(SimplicialSetModel, "from_operators", classmethod(recording))
+    scope = ["models-agree", "pushout-circle", "pushout-sphere2"]
+    assert run_verify(scope=scope).passed
+    # each spec builds its own sphere; every other model is built once
+    spaces_built = [b for b in built if not b[0].startswith(("sphere", "one_vertex"))]
+    assert len(spaces_built) == len(set(spaces_built))
+    names = [name for name, _ in spaces_built]
+    for shared in ("exp_3(one_vertex_sphere(2))", "sym_3(one_vertex_sphere(2))"):
+        assert names.count(shared) == 1
 
 
 def test_package_runs_as_a_module():
@@ -852,10 +927,10 @@ def test_cli_an_error_inside_a_check_surfaces_as_itself(monkeypatch):
         main(["verify", "broken"])
 
 
-def test_cli_verify_env_cache_dir(tmp_path, capsys, monkeypatch):
+def test_cli_verify_env_cache_dir(tmp_path, capsys, monkeypatch, stored_row):
     cache_dir = str(tmp_path / "envcache")
     monkeypatch.setenv("EXPK_CACHE_DIR", cache_dir)
-    rc = main(["verify", "betti-exp2-circle"])
+    rc = main(["verify", stored_row])
     assert rc == 0
     assert os.path.isdir(cache_dir)
     capsys.readouterr()
