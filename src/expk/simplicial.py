@@ -105,7 +105,10 @@ Serialization
 * ``content_hash`` is SHA-256 over one header line -- the canonical JSON of
   ``{"scheme": HASH_SCHEME, "description", "level_cap", "level_sizes"}``
   and a newline -- followed by the word stream.  No JSON is built for the
-  arrays.
+  arrays.  It walks the stream once and can hand each table to a sink as
+  it hashes it, which is how the cache of ``expk.verify`` writes an
+  entry; a load there reads the words into one read-only array that
+  ``from_words`` slices.
 * The JSON document (``MODEL_FORMAT``, ``to_json_text``/``from_json_dict``)
   is the exchange format of the command line.
 """
@@ -783,14 +786,18 @@ class SimplicialSetModel(ChainModel):
             cap, sizes, tables["faces"], tables["degeneracies"], header["description"]
         )
 
-    def content_hash(self, words=None) -> str:
-        """The model's hash; ``words``, when given, is its ``words()``.
+    def content_hash(self, sink=None) -> str:
+        """The model's hash, over its header line and one walk of its word stream.
 
-        A caller that writes the words too passes them, so a built model's
-        top level is derived once.
+        ``sink``, when given, is called with each table as it is hashed: a
+        caller that writes the words too (``ModelCache._store``) writes them
+        in the same walk, so a built model's top levels are derived once and
+        the cap's tables are held one at a time.
         """
         head = canonical_json({"scheme": HASH_SCHEME, **self.header()}) + "\n"
         h = hashlib.sha256(head.encode())
-        for table in self._word_stream() if words is None else words:
+        for table in self._word_stream():
             h.update(table)
+            if sink is not None:
+                sink(table)
         return h.hexdigest()

@@ -154,11 +154,13 @@ class ModelCache:
 
         A crash leaves the old file or none.  An entry is one canonical-JSON
         header line (``spec``, ``hash`` and the model's ``header()``), then
-        the model's word stream, which the hash reads too.
+        the model's word stream, which the hash reads too.  One walk writes
+        each table as ``content_hash`` hashes it, so a store holds one table
+        at a time.  The header line is written first with a placeholder
+        hash of the same width (a SHA-256 hex digest is 64 characters), and
+        the real line over it before the rename.
         """
-        words = model.words()
-        model_hash = model.content_hash(words)
-        header = {"spec": json.loads(key), "hash": model_hash, **model.header()}
+        header = {"spec": json.loads(key), "hash": "0" * 64, **model.header()}
         # mode 0o666 under the umask, as a plain open() gives; O_EXCL keeps
         # a name clash from sharing a file
         tmp = os.path.join(self.cache_dir, f".model-{os.urandom(8).hex()}.tmp")
@@ -166,20 +168,32 @@ class ModelCache:
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(canonical_json(header).encode() + b"\n")
-                for table in words:
-                    fh.write(table)
+                header["hash"] = model.content_hash(fh.write)
+                fh.seek(0)
+                fh.write(canonical_json(header).encode() + b"\n")
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
             raise
-        return model_hash
+        return header["hash"]
 
     def _load(self, path, key):
-        """The cached model and its verified content hash, or None."""
+        """The cached model and its verified content hash, or None.
+
+        The word block is read straight into one little-endian int32 array,
+        sized from the file's length, so a load holds one copy of the words.
+        The array is read-only and the model's tables are slices of it.
+        """
         try:
             with open(path, "rb") as fh:
                 header = json.loads(fh.readline())
-                words = np.frombuffer(fh.read(), dtype="<i4")
+                size = os.fstat(fh.fileno()).st_size - fh.tell()
+                if size % 4:
+                    raise ValueError("buffer size must be a multiple of element size")
+                words = np.empty(size // 4, dtype="<i4")
+                if (got := fh.readinto(words.view(np.uint8))) != size:
+                    raise ValueError(f"word block read short: {got} of {size} bytes")
+            words.setflags(write=False)
             if canonical_json(header["spec"]) != key:
                 raise ValueError("entry is for another spec")
             model = SimplicialSetModel.from_words(header, words)

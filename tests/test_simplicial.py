@@ -26,7 +26,7 @@ from expk.spaces import (
     sphere,
     sym_power,
 )
-from expk.verify import SUITE_SPACES, CheckContext, _suite_models
+from expk.verify import SUITE_SPACES, CheckContext, ModelCache, _suite_models
 
 
 def circle():
@@ -350,7 +350,7 @@ def test_coboundary_is_the_xor_of_the_boundary_rows_it_selects():
                 model.apply_coboundary(d, Gf2Vector.zeros(model.nondeg_count(d)))
 
 
-def test_memos_are_read_only_and_shared_by_threads():
+def test_memos_are_read_only_and_shared_by_threads(tmp_path):
     spec = SpaceSpec("exp", n=2, k=3)
     serial = build_space(spec)
     degrees = range(serial.level_cap + 1)
@@ -391,6 +391,16 @@ def test_memos_are_read_only_and_shared_by_threads():
         model.restrict(2, (0, 2))[0] = 0
     with pytest.raises(ValueError):
         model._face_stack(2)[0][0] = 0
+    # a model read from a cache entry: its tables are slices of one word
+    # array, and neither they nor that array are writeable
+    small = SpaceSpec("exp", n=1, k=2)
+    ModelCache(cache_dir=str(tmp_path)).model_for(small)
+    cache = ModelCache(cache_dir=str(tmp_path))
+    loaded = cache.model_for(small)
+    assert not cache.warnings
+    tables = [t for level in loaded.faces + loaded.degeneracies for t in level]
+    (words,) = {id(t.base): t.base for t in tables}.values()
+    assert not any(t.flags.writeable for t in tables) and not words.flags.writeable
 
 
 def test_bases_count_betti_and_spans_carry_no_tags():

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -17,7 +18,7 @@ from expk import complexes, verify
 from expk.cli import main
 from expk.errors import ContractViolation
 from expk.gf2 import Gf2Matrix
-from expk.simplicial import SimplicialSetModel, canonical_json
+from expk.simplicial import SimplicialSetModel, _DerivedFaces, canonical_json
 from expk.verify import CHECKS, ModelCache, run_verify
 from expk.spaces import DEFAULT_MAX_LEVEL_SIZE, SpaceSpec
 
@@ -233,6 +234,7 @@ DAMAGE = {
     "empty-file": (lambda h, b: b"", "Expecting value"),
     "flipped-word": (_flip_first_word, "hash mismatch"),
     "other-spec": (_other_spec, "another spec"),
+    "appended-word": (lambda h, b: _header_line(h) + b + b[:4], "length"),
 }
 
 
@@ -288,6 +290,55 @@ def test_failed_cache_write_leaves_no_entry(tmp_path, monkeypatch, stored_row):
     assert report.passed
     assert not report.warnings
     assert [f for f in os.listdir(cache_dir) if f.endswith(".bin")]
+
+
+def test_a_cache_entry_is_its_header_line_and_the_word_stream(tmp_path):
+    spec = SpaceSpec("exp", n=1, k=2)
+    model = ModelCache(cache_dir=str(tmp_path / "built")).model_for(spec)
+    cap = model.level_cap
+    # a built model whose top two levels are derived on read
+    assert model.top_nondegenerate_level() == cap - 1
+    assert all(isinstance(model.faces[n], _DerivedFaces) for n in (cap - 1, cap))
+    header = {
+        "spec": spec.to_json_dict(),
+        "hash": model.content_hash(),
+        **model.header(),
+    }
+    want = _header_line(header) + b"".join(t.tobytes() for t in model.words())
+    path, _, _ = _cache_entry(str(tmp_path / "built"))
+    with open(path, "rb") as fh:
+        assert fh.read() == want
+    # loaded and stored again, the entry is the same bytes
+    cache = ModelCache(cache_dir=str(tmp_path / "again"))
+    os.makedirs(cache.cache_dir)
+    loaded, loaded_hash = cache._load(path, spec.to_json_text())
+    again = os.path.join(cache.cache_dir, os.path.basename(path))
+    assert cache._store(again, spec.to_json_text(), loaded) == loaded_hash
+    with open(again, "rb") as fh:
+        assert fh.read() == want
+    assert not cache.warnings
+
+
+def test_a_cache_store_and_load_hold_at_most_one_copy_of_the_words(tmp_path):
+    spec = SpaceSpec("exp", n=3, k=2)
+    model = verify.build_space(spec)
+    words = sum(table.nbytes for table in model.words())
+    cache, key = ModelCache(cache_dir=str(tmp_path)), spec.to_json_text()
+    path = str(tmp_path / "entry.bin")
+    tracemalloc.start()
+    try:
+        model_hash = cache._store(path, key, model)
+        stored = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        loaded, loaded_hash = cache._load(path, key)
+        read = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert loaded_hash == model_hash and loaded == model
+    # the store holds one derived cap table at a time, the load one word array
+    assert stored < 0.8 * words
+    assert read < 1.5 * words
 
 
 def test_cache_entries_get_the_mode_of_a_plain_open(tmp_path):
