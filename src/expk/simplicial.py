@@ -62,8 +62,8 @@ So on a built model these face-degeneracy identities hold by
 construction for that one (j, y) per simplex; ``validate`` still checks
 them for every other pair, and the face-face and degeneracy-degeneracy
 identities, against what the rule gave.  The faces are derived one j
-at a time, on intp ids (numpy's index type), so no scatter converts its
-index array; the gathers chain ``take``.
+at a time, the simplices of each j as int32 ids like the tables, and
+the gathers chain ``take``.
 
 The build splits the levels at the top nondegenerate level: below it
 the build stores every face table; at and above it (the last two levels
@@ -78,8 +78,10 @@ read a base model), derives the whole level once and keeps it.  A walk
 over every level (``_face_levels``: the word stream and so ``words``,
 ``content_hash`` and ``__eq__``, ``validate``, ``to_json_dict`` and
 ``SimplicialMapModel.commutes``) derives each level from the one below
-and keeps nothing it did not find kept.  The word stream, and so the
-content hash, is the same as if every level were stored.  The split
+and keeps nothing it did not find kept.  It holds the level below the
+cap two tables at a time: it derives them once for its reader and once
+more, in order, for the cap.  The word stream, and so the content hash,
+is the same as if every level were stored.  The split
 stays at the top nondegenerate level because the multi-deletion
 ``restrict`` calls of cup-i and Sq read whole tables of every level
 below it.
@@ -293,8 +295,8 @@ class _DerivedFaces(collections.abc.Sequence):
     derives the whole level once, reading the level below by index too,
     and keeps it; the kept tuple is assigned whole, so two racing readers
     may both derive it but neither sees part of it.  A walk
-    (``SimplicialSetModel._face_levels``) hands ``derive`` the tables it
-    gave for the level below and keeps nothing.
+    (``SimplicialSetModel._face_levels``) hands ``derive`` the level
+    below's tables in order and keeps nothing.
     """
 
     def __init__(self, model, n: int, first):
@@ -313,33 +315,49 @@ class _DerivedFaces(collections.abc.Sequence):
             self._kept = tuple(self.derive(self._below))
         return self._kept[i]
 
-    def derive(self, below):
-        """This level's tables, one at a time, from the whole tables ``below``.
+    def groups(self) -> list:
+        """(ys, xs) for each j: the degenerate x = s_j y whose first degeneracy is j.
 
-        The kept tables when the level is kept.  Otherwise the ys of each j
-        are found once, and they and their images x = s_j y are intp ids
-        (numpy's index type), so no scatter converts its index array.
+        Both are int32 ids, as the tables are: a walk holds a level's groups
+        while it derives the level, and intp ids would double them.
+        """
+        groups = []
+        for j, into in enumerate(self._into):
+            ys = np.flatnonzero(self._first.take(into) == j)
+            groups.append((ys.astype(np.int32), into.take(ys)))
+        return groups
+
+    def derive(self, below, groups=None):
+        """This level's tables, one at a time, from the tables ``below``.
+
+        The kept tables when the level is kept.  Otherwise ``below`` is read
+        once, in order, and table i reads only d_(i-1) and d_i of it, so
+        ``below`` may be a generator and two of its tables are held at a
+        time.  ``groups`` are this level's ``groups()``, found here when not
+        given.
         """
         if self._kept is not None:
             yield from self._kept
             return
-        s = self._under
-        groups = []
-        for j, into in enumerate(self._into):
-            ys = np.flatnonzero(self._first.take(into) == j)
-            groups.append((ys, into.take(ys).astype(np.intp)))
+        if groups is None:
+            groups = self.groups()
+        s, below, previous = self._under, iter(below), None
         for i in range(len(self)):
+            current = next(below, None)  # the last table reads d_(i-1) only
             out = np.empty(self._first.size, dtype=np.int32)
             out[self._ids] = self.nondegenerate[i]
             for j, (ys, xs) in enumerate(groups):
                 if i < j:
-                    out[xs] = s[j - 1].take(below[i].take(ys))
+                    values = s[j - 1].take(current.take(ys))
                 elif i <= j + 1:
-                    out[xs] = ys
+                    values = ys
                 else:
-                    out[xs] = s[j].take(below[i - 1].take(ys))
+                    values = s[j].take(previous.take(ys))
+                # numpy converts an int32 index faster than it scatters through one
+                out[xs.astype(np.intp)] = values
             out.setflags(write=False)
             yield out
+            previous = current
 
 
 def _padded_values(support: Gf2Vector) -> np.ndarray:
@@ -695,13 +713,20 @@ class SimplicialSetModel(ChainModel):
         """Every level's face tables, whole, in level order: one walk.
 
         A derived level that is not kept is derived from the tables the
-        walk gave for the level below, and nothing keeps it: the cap's
-        tables come one at a time, each lower level's as a tuple that the
-        next level reads.
+        walk gave for the level below, and nothing keeps it.  The cap's
+        tables come one at a time, and so do those of the level below it:
+        that level's groups are found once, and the cap derives its tables
+        again from them, in order, holding two at a time.  A lower derived
+        level is a tuple that the next level reads.
         """
         below = ()
         for n, level in enumerate(self.faces):
             if isinstance(level, _DerivedFaces):
+                if level._kept is None and n == self.level_cap - 1:
+                    groups = level.groups()
+                    yield level.derive(below, groups)
+                    below = level.derive(below, groups)  # again, for the cap
+                    continue
                 level = level.derive(below)
                 if n < self.level_cap:
                     level = tuple(level)

@@ -811,8 +811,19 @@ class SpaceSpec:
         return canonical_json(self.to_json_dict())
 
 
-def build_space(spec: SpaceSpec) -> ChainModel:
-    """Build the model a spec describes."""
+def sphere_base(spec: SpaceSpec) -> SimplicialSetModel:
+    """The sphere model a stored spec of every kind but ``complex`` builds on."""
+    return SPHERE_BASES[spec.base](
+        spec.n, spec.default_cap(), max_level_size=spec.max_level_size
+    )
+
+
+def build_space(spec: SpaceSpec, base=None) -> ChainModel:
+    """Build the model a spec describes.
+
+    ``base`` is the spec's ``sphere_base``, built here when not given; a
+    caller that builds many specs on one sphere passes the one it built.
+    """
     cap = spec.default_cap()
     bound = spec.max_level_size
     if spec.normalized:
@@ -821,7 +832,8 @@ def build_space(spec: SpaceSpec) -> ChainModel:
         return NormalizedModel(spec.kind, spec.n, spec.k, max_level_size=bound)
     if spec.kind == "complex":
         return from_complex(spec.facets, cap, max_level_size=bound)
-    base = SPHERE_BASES[spec.base](spec.n, cap, max_level_size=bound)
+    if base is None:
+        base = sphere_base(spec)
     if spec.kind == "sphere":
         return base
     if spec.kind == "product":

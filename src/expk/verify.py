@@ -114,14 +114,17 @@ class ModelCache:
 
     A normalized model is built in milliseconds, so it is only kept in
     ``memory``: it never reads or writes ``cache_dir`` and has no hash.
+    The sphere a stored spec builds on is built once and kept in
+    ``bases`` for as long as the cache; it is neither hashed nor stored.
     """
 
     def __init__(self, cache_dir=None):
         self.cache_dir = cache_dir
         self.memory = {}
         self.hashes = {}  # spec key -> content hash of its model
+        self.bases = {}  # (base, n, cap, budget) -> the sphere model
         self.warnings = []
-        self._locks = {}  # spec key -> the lock its build or load holds
+        self._locks = {}  # spec or base key -> the lock its build or load holds
 
     def model_for(self, spec: SpaceSpec):
         key = spec.to_json_text()
@@ -140,7 +143,7 @@ class ModelCache:
                 if os.path.exists(path):
                     model, model_hash = self._load(path, key) or (None, None)
             if model is None:
-                model = build_space(spec)
+                model = build_space(spec, self._base(spec))
                 if path is None:
                     model_hash = model.content_hash()
                 else:
@@ -148,6 +151,17 @@ class ModelCache:
             self.memory[key] = model
             self.hashes[key] = model_hash
             return model
+
+    def _base(self, spec: SpaceSpec):
+        """The sphere ``spec`` builds on, built once; None for a complex."""
+        if spec.kind == "complex":
+            return None
+        key = spec.base, spec.n, spec.default_cap(), spec.max_level_size
+        # taken under the caller's spec lock; a tuple key is never a spec key
+        with self._locks.setdefault(key, threading.Lock()):
+            if key not in self.bases:
+                self.bases[key] = spaces.sphere_base(spec)
+            return self.bases[key]
 
     def _store(self, path, key, model) -> str:
         """Write an entry atomically and return the model's content hash.

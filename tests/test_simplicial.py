@@ -5,6 +5,7 @@ import itertools
 import json
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -539,6 +540,17 @@ def test_a_built_model_and_its_words_read_back_agree(name):
     for n in range(cap, 0, -1):  # from the top, so a level reads the one below by index
         assert _tables_agree(built, read, n), n
     assert all(map(np.array_equal, built.words(), read.words()))
+    # the level below the cap kept by an indexed read and the cap not: a
+    # walk derives the cap from the kept tables
+    below_kept = READ_BACK_MODELS[name]()
+    assert _tables_agree(below_kept, read, cap - 1)
+    kept = [cap - 1] if cap - 1 >= top else []
+    assert _kept_levels(below_kept) == kept
+    assert all(map(np.array_equal, below_kept.words(), read.words()))
+    assert below_kept.content_hash() == read.content_hash()
+    assert below_kept.validate() is None
+    assert below_kept.to_json_dict() == read.to_json_dict()
+    assert _kept_levels(below_kept) == kept
 
 
 @pytest.mark.parametrize("name", sorted(READ_BACK_MODELS))
@@ -562,6 +574,40 @@ def test_two_threads_indexing_one_derived_level_read_equal_tables(name):
         sys.setswitchinterval(interval)
     for tables in results:
         assert all(map(np.array_equal, tables, read.faces[cap]))
+
+
+def test_two_threads_hashing_one_built_model_both_get_its_pinned_hash():
+    model = build_space(SpaceSpec("exp", n=2, k=2))
+    start = threading.Barrier(2)
+
+    def hash_once():
+        start.wait(timeout=60)
+        return model.content_hash()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(hash_once) for _ in range(2)]
+            hashes = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert hashes == [PINNED_CONTENT_HASHES["exp2-s2"]] * 2
+    assert _kept_levels(model) == []
+
+
+def test_hashing_a_built_model_holds_under_half_its_words():
+    model = build_space(SpaceSpec("exp", n=3, k=2))
+    words = sum(table.nbytes for table in model.words())
+    tracemalloc.start()
+    try:
+        model.content_hash()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the cap's tables one at a time, two of the level below it, and each
+    # level's int32 groups
+    assert peak < 0.5 * words
 
 
 def _array_bytes(obj, seen) -> int:

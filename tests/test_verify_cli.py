@@ -1,5 +1,6 @@
 """The verification harness and the command-line surface."""
 
+import collections
 import hashlib
 import json
 import os
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import expk
-from expk import complexes, verify
+from expk import complexes, spaces, verify
 from expk.cli import main
 from expk.errors import ContractViolation
 from expk.gf2 import Gf2Matrix
@@ -351,6 +352,20 @@ def test_cache_entries_get_the_mode_of_a_plain_open(tmp_path):
     assert entry.stat().st_mode == plain.stat().st_mode
 
 
+def test_a_run_builds_each_sphere_base_once(monkeypatch):
+    built = collections.Counter()
+    for name, build in list(spaces.SPHERE_BASES.items()):
+
+        def counting(n, cap, max_level_size, name=name, build=build):
+            built[name, n, cap] += 1
+            return build(n, cap, max_level_size=max_level_size)
+
+        monkeypatch.setitem(spaces.SPHERE_BASES, name, counting)
+    assert run_verify().passed
+    # ten distinct (base, n, cap), one build each
+    assert len(built) == 10 and set(built.values()) == {1}
+
+
 def test_model_cache_memoizes():
     cache = ModelCache()
     spec = SpaceSpec("sphere", n=1, cap=3)
@@ -387,10 +402,10 @@ def test_concurrent_requests_build_or_load_once(tmp_path, monkeypatch, populated
     calls = []
     build_space, load = verify.build_space, ModelCache._load
 
-    def slow_build(spec):
+    def slow_build(spec, base=None):
         calls.append("build")
         time.sleep(0.05)  # keep the other threads waiting at the lock
-        return build_space(spec)
+        return build_space(spec, base)
 
     def slow_load(cache, path, key):
         calls.append("load")
@@ -470,9 +485,9 @@ def test_rows_read_what_they_declare_and_each_model_is_built_once(monkeypatch, j
     def progress(result):  # called in the thread that ran the row
         requested[result.check_id] = local.__dict__.pop("keys", set())
 
-    def counting_build(spec):
+    def counting_build(spec, base=None):
         built.append(spec.to_json_text())
-        return build_space(spec)
+        return build_space(spec, base)
 
     monkeypatch.setattr(ModelCache, "model_for", recording_model_for)
     monkeypatch.setattr(verify, "build_space", counting_build)
@@ -498,7 +513,9 @@ def test_a_model_is_held_until_its_last_declared_reader(monkeypatch):
     caches = _recording_caches(monkeypatch)
     build_space = verify.build_space
     monkeypatch.setattr(
-        verify, "build_space", lambda spec: built.append(spec) or build_space(spec)
+        verify,
+        "build_space",
+        lambda spec, base=None: built.append(spec) or build_space(spec, base),
     )
 
     def row(check_id):
@@ -527,7 +544,9 @@ def test_the_countdown_under_many_threads_builds_once_and_ends_empty(monkeypatch
     caches = _recording_caches(monkeypatch)
     build_space = verify.build_space
     monkeypatch.setattr(
-        verify, "build_space", lambda spec: built.append(spec) or build_space(spec)
+        verify,
+        "build_space",
+        lambda spec, base=None: built.append(spec) or build_space(spec, base),
     )
 
     @verify._reads(circle)
