@@ -6,7 +6,9 @@ count.  A bit past a vector's length, or past a matrix's column count, is
 a ``ContractViolation``.  numpy meets this form only through
 ``_from_bits`` (rows of a 0/1 array to ints; ``_from_bytes`` when the
 rows are packed already), ``pack_rows`` (the entries of a sparse 0/1
-matrix to row ints), ``_to_bits`` (ints to rows of a 0/1 array) and
+matrix to row ints, through one dense packed array of all its rows, so a
+caller with many rows packs them a block at a time, as the chain layer
+packs boundary rows), ``_to_bits`` (ints to rows of a 0/1 array) and
 their one-vector forms ``Gf2Vector.from_bits`` and ``to_bits``.
 
 All elimination goes through one routine, the tagged pivot table
@@ -43,7 +45,8 @@ def _from_bytes(packed) -> list[int]:
 def pack_rows(row_count: int, col_count: int, rows, cols) -> list[int]:
     """The row ints of the matrix with a 1 at each (rows, cols) entry.
 
-    A repeated entry cancels mod 2.  The indices must be in range.
+    A repeated entry cancels mod 2.  The indices must be in range.  The
+    matrix is packed whole first, row_count × col_count / 8 bytes.
     """
     packed = np.zeros((row_count, (col_count + 7) // 8), dtype=np.uint8)
     np.bitwise_xor.at(packed, (rows, cols >> 3), (1 << (cols & 7)).astype(np.uint8))

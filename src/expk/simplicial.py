@@ -35,15 +35,22 @@ Conventions
   matrix.  The degree-n cocycles are the relations among the rows of
   ``boundary_{n+1}`` and the coboundaries are spanned by the rows of
   ``boundary_n``; the elimination packs from the stack only the rows it
-  keeps.
-* Each boundary is eliminated once, with clearing (Chen & Kerber,
-  *Persistent homology computation with a twist*): a row of
-  ``boundary_n`` whose index leads a degree-(n-1) coboundary is a sum of
-  earlier rows, since δδ = 0, and is never packed.  The pass gives the
-  span of the degree-n coboundaries and, as the relations among the kept
-  rows, the basis of H^(n-1) (de Silva, Morozov & Vejdemo-Johansson,
-  *Dualities in persistent (co)homology*): the first cocycles, in kernel
-  order, that are independent modulo coboundaries.
+  keeps, ``ROW_BLOCK`` rows at a time.
+* Each boundary is eliminated once for Betti tables and bases, with
+  clearing (Chen & Kerber, *Persistent homology computation with a
+  twist*): a row of ``boundary_n`` whose index leads a degree-(n-1)
+  coboundary is a sum of earlier rows, since δδ = 0, and is never
+  packed.  The pass gives the span of the degree-n coboundaries and, as
+  the relations among the kept rows, the basis of H^(n-1) (de Silva,
+  Morozov & Vejdemo-Johansson, *Dualities in persistent (co)homology*):
+  the first cocycles, in kernel order, that are independent modulo
+  coboundaries.  A model keeps the basis and only the span's pivots,
+  which are what clearing the next degree reads, as PHAT (Bauer,
+  Kerber, Reininghaus & Wagner, 2017) and Ripser (Bauer, 2021) keep
+  only what clearing reads; ``coboundary_span`` runs the pass once more
+  for a degree whose span is asked for, and keeps that span.  A
+  ``cohomology_basis(n)`` call that runs the pass over ``boundary_n``
+  keeps its span, which expressing classes in that basis reads.
 
 The top stored level must be free of nondegenerate simplices before a
 Betti table is trusted; otherwise ``CapError`` is raised.
@@ -133,6 +140,9 @@ from .gf2 import Gf2Matrix, Gf2Span, Gf2Vector, pack_rows
 MODEL_FORMAT = "simplicial-set-model/1"
 HASH_SCHEME = "simplicial-set-model-hash/2"
 BETTI_FORMAT = "betti-table/1"
+# boundary rows packed at a time: a block of ∂_n's dense bits is
+# ROW_BLOCK × nondeg_count(n) / 8 bytes
+ROW_BLOCK = 4096
 
 
 def canonical_json(obj) -> str:
@@ -370,12 +380,14 @@ class ChainModel:
 
     Every method reads the model only through ``level_cap``,
     ``nondeg_count(n)`` and ``restrict(n, kept)``, which a subclass gives;
-    the face stacks and eliminations are memoized, and threads share them.
+    the face stacks, eliminations and coboundary spans are memoized, and
+    threads share them.
     """
 
     def __init__(self):
         self._face_stacks = {}
         self._elimination_cache = {}
+        self._spans = {}
 
     def top_nondegenerate_level(self) -> int:
         for n in range(self.level_cap, -1, -1):
@@ -399,26 +411,34 @@ class ChainModel:
             self._face_stacks.setdefault(n, stack)
         return self._face_stacks[n]
 
-    def _boundary_rows(self, n: int, skip=()) -> tuple[list[int], list[int]]:
-        """The rows of ∂_n whose index is not in ``skip``: (indices, row ints).
+    def _boundary_rows(self, n: int, skip=()):
+        """The rows of ∂_n whose index is not in ``skip``, in blocks of ``ROW_BLOCK``.
 
-        Row p is the dual of (n-1)-simplex p, bit j set when p is a face of
-        n-simplex j an odd number of times; only the rows returned are packed.
+        Yields (indices, row ints) per block, in ascending row order.  Row p
+        is the dual of (n-1)-simplex p, bit j set when p is a face of
+        n-simplex j an odd number of times.  Only the rows yielded are
+        packed, one block at a time, so the dense bits of a single block
+        are all that exist at once.
         """
-        length = self.nondeg_count(n - 1)
-        keep = np.ones(length + 1, dtype=bool)
-        keep[[*skip, length]] = False  # -1, a degenerate face, reads keep[length]
-        slot = np.cumsum(keep) - 1  # a kept row's place among the kept rows
-        rows, cols = [], []
-        for faces in self._face_stack(n):  # take: a fancy index would convert int32
-            hit = np.flatnonzero(keep.take(faces))  # the simplices whose face is kept
-            rows.append(slot.take(faces.take(hit)))
-            cols.append(hit)
+        stack, length = self._face_stack(n), self.nondeg_count(n - 1)
+        keep = np.ones(length, dtype=bool)
+        keep[np.asarray(skip, dtype=np.intp)] = False
         kept = np.flatnonzero(keep)
-        packed = pack_rows(
-            kept.size, self.nondeg_count(n), np.concatenate(rows), np.concatenate(cols)
-        )
-        return kept.tolist(), packed
+        width = self.nondeg_count(n)
+        for start in range(0, kept.size, ROW_BLOCK):
+            block = kept[start : start + ROW_BLOCK]
+            # each row's place in the block, -1 for a row outside it; the
+            # trailing slot, which a degenerate face's -1 reads, is -1 too
+            place = np.full(length + 1, -1)
+            place[block] = np.arange(block.size)
+            rows, cols = [], []
+            for faces in stack:  # take: a fancy index would convert int32
+                at = place.take(faces)
+                hit = np.flatnonzero(at >= 0)  # the simplices with a face here
+                rows.append(at.take(hit))
+                cols.append(hit)
+            rows, cols = np.concatenate(rows), np.concatenate(cols)
+            yield block.tolist(), pack_rows(block.size, width, rows, cols)
 
     def _require_closed_top(self):
         top = self.top_nondegenerate_level()
@@ -438,42 +458,69 @@ class ChainModel:
     def cohomology_basis(self, n: int) -> list[CochainClass]:
         """Deterministic cocycle representatives of a basis of H^n.
 
-        Computed once per degree; each call returns a fresh list.
+        Computed once per degree; each call returns a fresh list.  A call
+        that runs the pass over ∂_n keeps that pass's span for
+        ``coboundary_span(n)``.
         """
         self._require_closed_top()
         if not 0 <= n <= self.level_cap:
             raise ContractViolation(f"degree {n} outside 0..cap")
         if n == self.level_cap:  # a closed top holds no n-simplices
             return []
+        if n not in self._elimination_cache:
+            # the pass over ∂_n runs now for the clearing below: keep its
+            # span too, which expressing a class in this basis reads
+            self._spans.setdefault(n, self._eliminate(n))
         return list(self._elimination(n + 1)[1])
 
     def coboundary_span(self, n: int) -> Gf2Span:
-        """Span of the degree-n coboundaries, as a copy: threads share the cache."""
-        return self._elimination(n)[0].copy()
+        """Span of the degree-n coboundaries, as a copy: threads share the memo.
 
-    def _elimination(self, n: int) -> tuple[Gf2Span, list[CochainClass]]:
-        """The cached cleared pass over ∂_n: (δC^(n−1), basis of H^(n−1)).
+        The elimination keeps only its pivots, so the first call per degree
+        runs the cleared pass over ∂_n once more and keeps its span, unless
+        ``cohomology_basis(n)`` ran that pass and kept it.
+        """
+        if n not in self._spans:
+            self._spans.setdefault(n, self._eliminate(n))
+        return self._spans[n].copy()
 
-        Row p of ∂_n is δ of the dual of (n−1)-simplex p; it enters tagged
-        1 << p.  When p leads a row c = δb of the degree-(n−1) span,
-        δc = δδb = 0, so row p is the sum of the rows at the other bits of
-        c, all below p, and is skipped.  The kept rows build the pivot table
-        that eliminating every row builds; its tags are dropped.  Their
-        relations have no bit at a pivot of the degree-(n−1) span, so they
-        are independent modulo coboundaries, and there are
-        nondeg_count(n−1) − rank ∂_(n−1) − rank ∂_n of them: a basis.
+    def _elimination(self, n: int) -> tuple[np.ndarray, list[CochainClass]]:
+        """The memoized cleared pass over ∂_n: (pivots, basis of H^(n−1)).
+
+        The pivots are the sorted leading bits of δC^(n−1), the span of the
+        degree-n coboundaries, as a read-only array: all that the pass over
+        ∂_(n+1) reads of it.  ``coboundary_span`` rebuilds the span itself.
         """
         if n not in self._elimination_cache:
-            span, basis = Gf2Span(), []
-            if n >= 1:
-                cleared = self._elimination(n - 1)[0].pivots()
-                length = self.nondeg_count(n - 1)
-                for p, row in zip(*self._boundary_rows(n, cleared)):
+            self._eliminate(n)
+        return self._elimination_cache[n]
+
+    def _eliminate(self, n: int) -> Gf2Span:
+        """The cleared pass over ∂_n: memoizes its pivots and basis, returns its span.
+
+        Row p of ∂_n is δ of the dual of (n−1)-simplex p; it enters tagged
+        1 << p, in ascending p, block by block.  When p leads a row c = δb
+        of the degree-(n−1) span, δc = δδb = 0, so row p is the sum of the
+        rows at the other bits of c, all below p, and is skipped.  The kept
+        rows build the pivot table that eliminating every row builds; its
+        tags are dropped.  Their relations have no bit at a pivot of the
+        degree-(n−1) span, so they are independent modulo coboundaries, and
+        there are nondeg_count(n−1) − rank ∂_(n−1) − rank ∂_n of them: a
+        basis.  The first result stored is the one every caller gets.
+        """
+        span, basis = Gf2Span(), []
+        if n >= 1:
+            cleared = self._elimination(n - 1)[0]
+            length = self.nondeg_count(n - 1)
+            for indices, rows in self._boundary_rows(n, cleared):
+                for p, row in zip(indices, rows):
                     if (z := span.add(row, 1 << p)) is not None:
                         basis.append(CochainClass(n - 1, Gf2Vector(length, z)))
-                span.drop_tags()
-            self._elimination_cache[n] = span, basis
-        return self._elimination_cache[n]
+            span.drop_tags()
+        pivots = np.array(span.pivots(), dtype=np.intp)
+        pivots.setflags(write=False)
+        self._elimination_cache.setdefault(n, (pivots, basis))
+        return span
 
     def apply_coboundary(self, degree: int, support: Gf2Vector) -> Gf2Vector:
         """Coboundary of a cochain: on each simplex, the xor of its faces' values."""
@@ -620,7 +667,8 @@ class SimplicialSetModel(ChainModel):
         stack on each call, for callers that want the whole matrix: Betti
         tables, bases and coboundaries never build it.
         """
-        return Gf2Matrix(self._boundary_rows(n)[1], self.nondeg_count(n))
+        rows = [row for _, block in self._boundary_rows(n) for row in block]
+        return Gf2Matrix(rows, self.nondeg_count(n))
 
     def apply(self, level: int, word) -> np.ndarray:
         """The images of every level-``level`` id under a word.

@@ -638,7 +638,8 @@ def check_props_simplicial(ctx, cap3, cap4, *cached):
         for n in range(2, top + 1):
             # boundary squared is zero: every row of d_(n-1) is an (n-1)-cocycle
             length = model.nondeg_count(n - 1)
-            rows = (Gf2Vector(length, row) for row in model._boundary_rows(n - 1)[1])
+            blocks = model._boundary_rows(n - 1)
+            rows = (Gf2Vector(length, row) for _, block in blocks for row in block)
             if not all(model.is_cocycle(n - 1, row) for row in rows):
                 return _verdict(
                     False, f"{model.description}: boundary squared nonzero at {n}"

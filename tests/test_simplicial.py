@@ -11,7 +11,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from expk import spaces
+from expk import simplicial, spaces
+from expk.cochains import ring_table
 from expk.complexes import projective_plane, torus
 from expk.errors import CapError, ContractViolation
 from expk.gf2 import Gf2Span, Gf2Vector, relations
@@ -274,7 +275,7 @@ def test_cohomology_bases_are_pinned():
 
 
 def test_cohomology_basis_is_cached_per_degree(monkeypatch):
-    passes = []  # the degree of every boundary whose rows an elimination packed
+    passes = []  # the degree of every boundary whose rows a pass packed
     pack = SimplicialSetModel._boundary_rows
 
     def counted(model, n, skip=()):
@@ -293,12 +294,77 @@ def test_cohomology_basis_is_cached_per_degree(monkeypatch):
     model.betti_table()
     for n in range(model.level_cap + 1):
         model.cohomology_basis(n)
-        model.coboundary_span(n)
-    assert passes == list(degrees)  # each degree once
+    assert passes == list(degrees)  # tables and bases: each degree once
+    for _ in range(2):
+        for n in range(model.level_cap + 1):
+            model.coboundary_span(n)
+    # the elimination keeps pivots, not spans: a span asked for afterwards
+    # costs one more pass per degree, never two, and none for degree 1,
+    # whose span the first basis call kept from the pass it ran
+    assert passes == [*degrees, 2, 3]
     capped = sphere(2, 2)
     for _ in range(2):  # the cap check still runs on every call
         with pytest.raises(CapError):
             capped.cohomology_basis(0)
+
+
+def test_betti_table_holds_pivots_not_spans():
+    model = build_space(SpaceSpec("sym", n=2, k=3))
+    tracemalloc.start()
+    try:
+        model.betti_table()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # the face stacks, each degree's pivots and the bases: about 0.3 MiB;
+    # each degree's whole pivot table would add about 2.5 MiB
+    assert held < 1 << 20
+
+
+def _elimination_outputs(model):
+    degrees = range(model.level_cap + 1)
+    return (
+        [model._elimination(n)[0].tolist() for n in degrees],
+        [[c.support for c in model.cohomology_basis(n)] for n in degrees],
+        [model.coboundary_span(n)._rows for n in degrees],
+        ring_table(model),
+    )
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_row_blocks_do_not_change_the_elimination(monkeypatch, rows):
+    builds = {
+        "torus": torus,
+        "rp2": projective_plane,
+        "sym3-sphere2": lambda: build_space(SpaceSpec("sym", n=2, k=3)),
+    }
+    for name, build in builds.items():
+        monkeypatch.setattr(simplicial, "ROW_BLOCK", 1 << 30)
+        whole = _elimination_outputs(build())
+        monkeypatch.setattr(simplicial, "ROW_BLOCK", rows)
+        assert _elimination_outputs(build()) == whole, name
+
+
+def test_two_threads_asking_one_span_share_one():
+    model = build_space(SpaceSpec("exp", n=2, k=3))
+    n = 4
+    start = threading.Barrier(2)
+
+    def span():
+        start.wait(timeout=60)
+        return model.coboundary_span(n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(span) for _ in range(2)]
+            spans = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert spans[0]._rows == spans[1]._rows == model._spans[n]._rows
+    assert len(spans[0]) == len(model._elimination(n)[0]) > 0
+    assert list(model._spans) == [n]
 
 
 def _cleared_span_models():
