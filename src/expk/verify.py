@@ -1,11 +1,10 @@
 """Batch verification: every quantitative claim as a named, budgeted check.
 
-``run_verify`` executes a selection of checks, each of which gets the
-cached models it declares (and builds any fixed ones it needs), compares
-computed values against the catalog, and reports pass / fail / skipped
-together with the numbers involved.  A check that would blow the
-per-level simplex budget reports ``skipped`` with the offending level
-rather than failing the run.
+``run_verify`` executes a selection of checks, each of which gets every
+model it declares from the run's ``ModelCache``, compares computed values
+against the catalog, and reports pass / fail / skipped together with the
+numbers involved.  A check that would blow the per-level simplex budget
+reports ``skipped`` with the offending level rather than failing the run.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -46,7 +45,7 @@ from .exact_sequences import (
 )
 from .gf2 import Gf2Span, Gf2Vector, relations
 from .simplicial import BettiTable, SimplicialSetModel, canonical_json
-from .spaces import DEFAULT_MAX_LEVEL_SIZE, SpaceSpec, build_space, product, sphere
+from .spaces import DEFAULT_MAX_LEVEL_SIZE, SpaceSpec, build_space, product
 
 REPORT_FORMAT = "verification-report/1"
 
@@ -114,8 +113,9 @@ class ModelCache:
 
     A normalized model is built in milliseconds, so it is only kept in
     ``memory``: it never reads or writes ``cache_dir`` and has no hash.
-    The sphere a stored spec builds on is built once and kept in
-    ``bases`` for as long as the cache; it is neither hashed nor stored.
+    The sphere a stored spec builds on, and the model of a sphere spec, is
+    built once and kept in ``bases`` for as long as the cache; it is
+    neither hashed nor stored.
     """
 
     def __init__(self, cache_dir=None):
@@ -132,6 +132,8 @@ class ModelCache:
         with self._locks.setdefault(key, threading.Lock()):
             if key in self.memory:
                 return self.memory[key]
+            if spec.kind == "sphere":
+                return self._base(spec)
             if spec.normalized:
                 self.memory[key] = build_space(spec)
                 return self.memory[key]
@@ -225,32 +227,16 @@ class CheckContext:
     max_level_size: int
     seed: int
 
-    def spec(
-        self, kind, n=None, k=None, cap=None, base="boundary", normalized=False
-    ) -> SpaceSpec:
-        """The spec of a space under the run's per-level simplex budget."""
-        return SpaceSpec(
-            kind,
-            n=n,
-            k=k,
-            cap=cap,
-            max_level_size=self.max_level_size,
-            base=base,
-            normalized=normalized,
-        )
-
-    def build(self, constructor, *args):
-        """A model built outside the cache, under the run's budget."""
-        return constructor(*args, max_level_size=self.max_level_size)
-
 
 def _reads(*specs):
-    """Declare the models a row reads, as ``CheckContext.spec`` arguments.
+    """Declare the models a row reads, as ``SpaceSpec``s at the default budget.
 
-    ``run_verify`` gets each declared model from the run's cache and calls
-    the row as ``fn(ctx, *models)``, in declaration order; this is the only
-    way a row reads a cached model.  Each model stays in memory until the
-    last row in scope that declares it ends.
+    ``run_verify`` puts the run's budget on each spec, gets its model from
+    the run's cache and calls the row as ``fn(ctx, *models)``, in
+    declaration order.  This is the only way a row gets a model: it may
+    combine the ones it read, under ``ctx.max_level_size``, but never
+    builds a fixed one.  Each model stays in memory until the last row in
+    scope that declares it ends.
     """
 
     def declare(fn):
@@ -275,8 +261,8 @@ def _all_hold(bad, detail, **fields) -> dict:
 
 
 def _normalized(kind, n, k):
-    """The ``CheckContext.spec`` arguments of the normalized ``kind`` at (n, k)."""
-    return kind, n, k, None, "one-vertex", True
+    """The spec of the normalized ``kind`` at (n, k)."""
+    return SpaceSpec(kind, n=n, k=k, base="one-vertex", normalized=True)
 
 
 def _betti(kind, n, k, oracle=None, detail=""):
@@ -299,7 +285,7 @@ def _betti(kind, n, k, oracle=None, detail=""):
             computed=list(computed.dims),
             expected=list(table.dims),
             source=table.source,
-            spec=ctx.spec(*space).to_json_dict(),
+            spec=replace(space, max_level_size=ctx.max_level_size).to_json_dict(),
         )
 
     return run
@@ -368,13 +354,16 @@ def _comparison(compare, *reads):
 def _pushout_reads(n):
     """The one-vertex n-sphere, its square, Sym₃, Sym₂ and exp₃, at cap 3n + 1."""
     parts = (("sphere", None), ("product", None), ("sym", 3), ("sym", 2), ("exp", 3))
-    return [(kind, n, k, 3 * n + 1, "one-vertex") for kind, k in parts]
+    return [
+        SpaceSpec(kind, n=n, k=k, cap=3 * n + 1, base="one-vertex")
+        for kind, k in parts
+    ]
 
 
 def _bijection_reads(n):
     """The boundary n-sphere, its Sym₂ and exp₂, at cap 2n + 1."""
     parts = (("sphere", None), ("sym", 2), ("exp", 2))
-    return [(kind, n, k, 2 * n + 1) for kind, k in parts]
+    return [SpaceSpec(kind, n=n, k=k, cap=2 * n + 1) for kind, k in parts]
 
 
 # templates of the ``_sequence`` rows, as (ctx, n, *models) -> ExactTemplate
@@ -402,19 +391,24 @@ def _circle_bundle_over_grassmannian(ctx, n):
     return gysin_template(grassmannian.graded_dims(n), 1, ranks)
 
 
-# (kind, n, k) of the cached models _gluing_square reads for n = 1, 2
-GLUING_SPACES = (("exp", 1, 2), ("sym", 1, 3), ("exp", 2, 2), ("sym", 2, 3))
+# (kind, n) -> the spec of each model _gluing_square reads for n = 1, 2:
+# exp₂ and Sym₃ of Sⁿ, and Sⁿ at cap 2n + 1 for its square
+GLUING_SPACES = {
+    (kind, n): SpaceSpec(kind, n=n, k=k, cap=2 * n + 1 if kind == "sphere" else None)
+    for n in (1, 2)
+    for kind, k in (("exp", 2), ("sym", 3), ("sphere", None))
+}
 
 
 def _gluing_square(ctx, n, *models):
-    """The gluing template at n, from the pair of ``GLUING_SPACES`` models for n."""
+    """The gluing template at n, from the ``GLUING_SPACES`` models for n."""
     by_space = dict(zip(GLUING_SPACES, models))
-    s = ctx.build(sphere, n, 2 * n + 1)
+    s = by_space["sphere", n]
     return exp3_gluing_template(
         n,
-        by_space["exp", n, 2].betti_table(),
-        by_space["sym", n, 3].betti_table(),
-        ctx.build(product, s, s).betti_table(),
+        by_space["exp", n].betti_table(),
+        by_space["sym", n].betti_table(),
+        product(s, s, max_level_size=ctx.max_level_size).betti_table(),
     )
 
 
@@ -426,14 +420,14 @@ def _gluing_square(ctx, n, *models):
     _normalized("exp", 2, 3),
     _normalized("sym", 2, 3),
     _normalized("exp", 2, 2),
-    ("sphere", 2, None, 7),
+    SpaceSpec("sphere", n=2, cap=7),
 )
 def check_euler_exp3_sphere2(ctx, exp3, sym3, exp2, s2):
     chi = {
         name: model.betti_table().euler_characteristic()
         for name, model in (("exp3", exp3), ("sym3", sym3), ("exp2", exp2))
     }
-    square = ctx.build(product, s2, s2)
+    square = product(s2, s2, max_level_size=ctx.max_level_size)
     chi["square"] = square.betti_table().euler_characteristic()
     lhs = chi["exp3"]
     rhs = chi["sym3"] + chi["exp2"] - chi["square"]
@@ -456,7 +450,7 @@ AGREEING_SPACES = (
 )
 
 
-@_reads(*[(*space, None, base) for space in AGREEING_SPACES
+@_reads(*[SpaceSpec(kind, n=n, k=k, base=base) for kind, n, k in AGREEING_SPACES
           for base in ("one-vertex", "boundary")])
 def check_models_agree(ctx, *models):
     """Each space's table on the one-vertex sphere is its table on ∂Δⁿ⁺¹."""
@@ -504,8 +498,9 @@ def _invariants(model, squares) -> dict:
     }
 
 
-@_reads(*[spec for space in AGREEING_SPACES
-          for spec in ((*space, None, "one-vertex"), _normalized(*space))])
+@_reads(*[spec for kind, n, k in AGREEING_SPACES
+          for spec in (SpaceSpec(kind, n=n, k=k, base="one-vertex"),
+                       _normalized(kind, n, k))])
 def check_normalized_agree(ctx, *models):
     """Each space's normalized complex computes what its one-vertex model does."""
     computed, expected, bad = {}, {}, []
@@ -526,41 +521,46 @@ def check_normalized_agree(ctx, *models):
     )
 
 
-# (kind, n, k, cap) of the cached models of the sq0 and simplicial suites
-SUITE_SPACES = (
-    ("exp", 1, 2, 3),
-    ("exp", 1, 3, 4),
-    ("exp", 2, 2),
-    ("sym", 1, 2, 3),
-    ("sym", 2, 2),
+TORUS = SpaceSpec("complex", facets=complexes.torus_facets(), cap=3)
+PROJECTIVE_PLANE = SpaceSpec("complex", facets=complexes.PROJECTIVE_PLANE_FACETS)
+MOEBIUS_BAND = SpaceSpec("complex", facets=complexes.MOEBIUS_BAND_FACETS, cap=3)
+
+# the models of the sq0 and simplicial suites, by the name a failure gives
+SUITE = {
+    "sphere(1)": SpaceSpec("sphere", n=1, cap=3),
+    "sphere(2)": SpaceSpec("sphere", n=2, cap=4),
+    "9-vertex torus": TORUS,
+    "projective plane": PROJECTIVE_PLANE,
+    "moebius band": MOEBIUS_BAND,
+    "exp_2(sphere(1))": SpaceSpec("exp", n=1, k=2, cap=3),
+    "exp_3(sphere(1))": SpaceSpec("exp", n=1, k=3),
+    "exp_2(sphere(2))": SpaceSpec("exp", n=2, k=2),
+    "sym_2(sphere(1))": SpaceSpec("sym", n=1, k=2, cap=3),
+    "sym_2(sphere(2))": SpaceSpec("sym", n=2, k=2),
+}
+# the SUITE models the coboundary identity is checked on, in its order
+CUP_IDENTITY_SUITE = (
+    "9-vertex torus",
+    "projective plane",
+    "exp_2(sphere(2))",
+    "sym_2(sphere(1))",
+    "sphere(2)",
 )
 
 
-def _suite_models(ctx, *cached):
-    """The suites' fixed models, then ``cached``, the ``SUITE_SPACES`` models."""
-    return [
-        ctx.build(sphere, 1, 3),
-        ctx.build(sphere, 2, 4),
-        ctx.build(complexes.torus),
-        ctx.build(complexes.projective_plane),
-        ctx.build(complexes.moebius_band),
-        *cached,
-    ]
-
-
-@_reads(*SUITE_SPACES)
-def check_sq0_identity(ctx, *cached):
+@_reads(*SUITE.values())
+def check_sq0_identity(ctx, *models):
     bad = []
-    for model in _suite_models(ctx, *cached):
+    for name, model in zip(SUITE, models):
         for d in range(model.top_nondegenerate_level() + 1):
             coords = square_coordinates(model, 0, d)
             if coords != np.eye(len(coords), dtype=int).tolist():
-                bad.append((model.description, d))
+                bad.append((name, d))
     return _all_hold(bad, "degree-0 square is the identity on every basis class")
 
 
-def check_cup_torus(ctx):
-    t2 = ctx.build(complexes.torus)
+@_reads(TORUS)
+def check_cup_torus(ctx, t2):
     a = t2.cohomology_basis(1)[0]
     unit_ok = cohomologous(t2, cup(t2, unit_class(t2), a), a)
     table = ring_table(t2)
@@ -629,11 +629,12 @@ def check_props_gf2(ctx):
     )
 
 
-@_reads(("exp", 1, 2, 3), ("exp", 1, 2, 4), *SUITE_SPACES)
-def check_props_simplicial(ctx, cap3, cap4, *cached):
-    for model in _suite_models(ctx, *cached):
+@_reads(SUITE["exp_2(sphere(1))"], SpaceSpec("exp", n=1, k=2, cap=4),
+        *SUITE.values())
+def check_props_simplicial(ctx, cap3, cap4, *models):
+    for name, model in zip(SUITE, models):
         if (bad := model.validate()) is not None:
-            return _verdict(False, f"{model.description}: fail: {bad}")
+            return _verdict(False, f"{name}: fail: {bad}")
         top = model.top_nondegenerate_level()
         for n in range(2, top + 1):
             # boundary squared is zero: every row of d_(n-1) is an (n-1)-cocycle
@@ -641,26 +642,27 @@ def check_props_simplicial(ctx, cap3, cap4, *cached):
             blocks = model._boundary_rows(n - 1)
             rows = (Gf2Vector(length, row) for _, block in blocks for row in block)
             if not all(model.is_cocycle(n - 1, row) for row in rows):
-                return _verdict(
-                    False, f"{model.description}: boundary squared nonzero at {n}"
-                )
+                return _verdict(False, f"{name}: boundary squared nonzero at {n}")
         cells = sum(
             (-1) ** n * model.nondeg_count(n) for n in range(model.level_cap + 1)
         )
         if cells != model.betti_table().euler_characteristic():
-            return _verdict(False, f"{model.description}: euler characteristic mismatch")
+            return _verdict(False, f"{name}: euler characteristic mismatch")
     # cap stability on a representative pair
     if not cap3.betti_table().matches(cap4.betti_table().dims):
         return _verdict(False, "betti table changed with the cap")
     return _verdict(True, "identities, boundary-squared, euler counts, cap stability")
 
 
-def check_props_kunneth(ctx):
-    pairs = [(1, 1), (1, 2), (2, 2)]
-    for na, nb in pairs:
-        cap = na + nb + 1
-        a, b = ctx.build(sphere, na, cap), ctx.build(sphere, nb, cap)
-        pt = ctx.build(product, a, b).betti_table()
+# (na, nb) of each pair of spheres, at cap na + nb + 1, whose product is checked
+KUNNETH_PAIRS = ((1, 1), (1, 2), (2, 2))
+
+
+@_reads(*[SpaceSpec("sphere", n=n, cap=na + nb + 1)
+          for na, nb in KUNNETH_PAIRS for n in (na, nb)])
+def check_props_kunneth(ctx, *spheres):
+    for (na, nb), a, b in zip(KUNNETH_PAIRS, spheres[::2], spheres[1::2]):
+        pt = product(a, b, max_level_size=ctx.max_level_size).betti_table()
         ta, tb = a.betti_table(), b.betti_table()
         for k in range(pt.max_degree + 1):
             want = sum(ta.dim(i) * tb.dim(k - i) for i in range(k + 1))
@@ -671,17 +673,10 @@ def check_props_kunneth(ctx):
     return _verdict(True, "kunneth over the two-element field")
 
 
-@_reads(("exp", 2, 2), ("sym", 1, 2, 3))
-def check_props_cup_identity(ctx, exp2, sym2):
+@_reads(*[SUITE[name] for name in CUP_IDENTITY_SUITE])
+def check_props_cup_identity(ctx, *models):
     rng = np.random.default_rng(ctx.seed)
-    models = [
-        ctx.build(complexes.torus),
-        ctx.build(complexes.projective_plane),
-        exp2,
-        sym2,
-        ctx.build(sphere, 2, 4),
-    ]
-    for model in models:
+    for name, model in zip(CUP_IDENTITY_SUITE, models):
         top = model.top_nondegenerate_level()
         checked = 0
         while checked < 100:
@@ -704,16 +699,9 @@ def check_props_cup_identity(ctx, exp2, sym2):
                     ^ cup_i(model, b, a, i - 1).support
                 )
             if lhs != rhs:
-                return _verdict(
-                    False,
-                    f"{model.description}: identity fails at p={p} q={q} i={i}",
-                )
+                return _verdict(False, f"{name}: identity fails at p={p} q={q} i={i}")
             checked += 1
     return _verdict(True, "coboundary identity on 100 seeded pairs per model")
-
-
-def check_sq1_projective_plane(ctx):
-    return _squares((1, 1))(ctx, ctx.build(complexes.projective_plane))
 
 
 CHECKS = {
@@ -745,7 +733,7 @@ CHECKS = {
         _squares_on("sym", 2, 3)),
     "sq0-identity": ("degree-0 squares are the identity", check_sq0_identity),
     "sq1-projective-plane": ("degree-1 square on the projective plane",
-        check_sq1_projective_plane),
+        _reads(PROJECTIVE_PLANE)(_squares((1, 1)))),
     "cup-torus": ("cup products on the torus", check_cup_torus),
     "grassmannian-dims": ("graded dimensions of the Grassmannian ring", check_grassmannian_dims),
     "grassmannian-alpha2": ("multiplication by the degree-2 class", check_grassmannian_alpha2),
@@ -769,7 +757,7 @@ CHECKS = {
         source="catalog:distinct-triples",
     )),
     "lesolve-gluing": ("gluing-square sequence with computed inputs",
-        _reads(*GLUING_SPACES)(_sequence(
+        _reads(*GLUING_SPACES.values())(_sequence(
             (1, 2), _gluing_square, "X^", "exp3",
             "gluing-square sequence with computed inputs reproduces the "
             "three-point tables for n=1,2",
@@ -808,7 +796,10 @@ def run_verify(
     cache = ModelCache(cache_dir=cache_dir)
     ctx = CheckContext(max_level_size=max_level_size, seed=seed)
     specs = {
-        c: [ctx.spec(*args) for args in getattr(CHECKS[c][1], "reads", ())]
+        c: [
+            replace(spec, max_level_size=max_level_size)
+            for spec in getattr(CHECKS[c][1], "reads", ())
+        ]
         for c in selected
     }
     reads = {c: {spec.to_json_text() for spec in specs[c]} for c in selected}

@@ -18,7 +18,6 @@ from expk.errors import CapError, ContractViolation
 from expk.gf2 import Gf2Span, Gf2Vector, relations
 from expk.simplicial import BettiTable, SimplicialSetModel, _DerivedFaces
 from expk.spaces import (
-    DEFAULT_MAX_LEVEL_SIZE,
     SpaceSpec,
     build_space,
     exp_subsets,
@@ -28,7 +27,7 @@ from expk.spaces import (
     sphere,
     sym_power,
 )
-from expk.verify import SUITE_SPACES, CheckContext, ModelCache, _suite_models
+from expk.verify import SUITE, ModelCache
 
 
 def circle():
@@ -368,9 +367,8 @@ def test_two_threads_asking_one_span_share_one():
 
 
 def _cleared_span_models():
-    ctx = CheckContext(DEFAULT_MAX_LEVEL_SIZE, 0)
-    cached = [build_space(ctx.spec(*space)) for space in SUITE_SPACES]
-    return _suite_models(ctx, *cached) + [build_space(SpaceSpec("exp", n=2, k=3))]
+    suite = [build_space(spec) for spec in SUITE.values()]
+    return suite + [build_space(SpaceSpec("exp", n=2, k=3))]
 
 
 def test_cleared_coboundary_spans_are_the_uncleared_ones():

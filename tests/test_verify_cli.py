@@ -10,12 +10,13 @@ import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import expk
-from expk import complexes, spaces, verify
+from expk import spaces, verify
 from expk.cli import main
 from expk.errors import ContractViolation
 from expk.gf2 import Gf2Matrix
@@ -76,7 +77,7 @@ def test_unknown_check_rejected():
 def stored_row(monkeypatch):
     """The id of a row that reads one stored model, exp₂(S¹), through the cache."""
 
-    @verify._reads(("exp", 1, 2))
+    @verify._reads(SpaceSpec("exp", n=1, k=2))
     def run(ctx, model):
         dims = list(model.betti_table().dims)
         return verify._verdict(dims == [1, 1, 0], computed=dims)
@@ -362,8 +363,85 @@ def test_a_run_builds_each_sphere_base_once(monkeypatch):
 
         monkeypatch.setitem(spaces.SPHERE_BASES, name, counting)
     assert run_verify().passed
-    # ten distinct (base, n, cap), one build each
-    assert len(built) == 10 and set(built.values()) == {1}
+    # eleven distinct (base, n, cap), one build each
+    assert len(built) == 11 and set(built.values()) == {1}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_run_builds_no_model_twice_but_the_products_rows_compute(monkeypatch, jobs):
+    built = collections.Counter()
+    build = SimplicialSetModel.from_operators.__func__
+
+    def counting(cls, cap, level_sizes, *args, **kwargs):
+        model = build(cls, cap, level_sizes, *args, **kwargs)
+        built[model.description, tuple(level_sizes)] += 1
+        return model
+
+    monkeypatch.setattr(SimplicialSetModel, "from_operators", classmethod(counting))
+    assert run_verify(jobs=jobs).passed
+    # props-kunneth and lesolve-gluing each square S¹ at cap 3 and S² at cap 5
+    repeated = {description: n for (description, _), n in built.items() if n > 1}
+    assert repeated == {"(sphere(1) x sphere(1))": 2, "(sphere(2) x sphere(2))": 2}
+    assert sum(built.values()) <= 43
+
+
+def test_every_stored_model_a_row_receives_is_hashed_and_no_sphere_is(monkeypatch):
+    received = set()  # spec texts of the models the rows were called with
+    for check_id, (description, fn) in list(CHECKS.items()):
+        reads = getattr(fn, "reads", ())
+
+        def recording(ctx, *models, fn=fn, reads=reads):
+            assert len(models) == len(reads)
+            received.update(spec.to_json_text() for spec in reads)
+            return fn(ctx, *models)
+
+        recording.reads = reads
+        monkeypatch.setitem(CHECKS, check_id, (description, recording))
+    report = run_verify()
+    assert report.passed
+    specs = {key: json.loads(key) for key in received}
+    stored = {key for key, spec in specs.items() if not spec.get("normalized")}
+    spheres = {key for key in stored if specs[key]["kind"] == "sphere"}
+    assert spheres and set(report.model_hashes) == stored - spheres
+    complexes = {key for key in stored if specs[key]["kind"] == "complex"}
+    assert len(complexes) == 3
+
+
+@pytest.mark.parametrize(
+    "check_id, target, failing",
+    [
+        ("sq0-identity", "square_coordinates", lambda coords: [[0] * len(coords)]),
+        ("props-simplicial", "validate", lambda bad: "a broken identity"),
+    ],
+)
+def test_a_failing_suite_model_is_named_in_the_detail(
+    monkeypatch, check_id, target, failing
+):
+    served = {}  # spec text -> the model the cache gave
+    model_for = ModelCache.model_for
+
+    def recording(cache, spec):
+        served[spec.to_json_text()] = model = model_for(cache, spec)
+        return model
+
+    def broken(original):
+        def call(model, *args):
+            out = original(model, *args)
+            return failing(out) if model is served.get(plane) else out
+
+        return call
+
+    plane = verify.PROJECTIVE_PLANE.to_json_text()
+    monkeypatch.setattr(ModelCache, "model_for", recording)
+    if target == "validate":
+        monkeypatch.setattr(
+            SimplicialSetModel, "validate", broken(SimplicialSetModel.validate)
+        )
+    else:
+        monkeypatch.setattr(verify, target, broken(getattr(verify, target)))
+    (res,) = run_verify(scope=[check_id]).results
+    assert res.status == "fail"
+    assert "projective plane" in res.detail
 
 
 def test_model_cache_memoizes():
@@ -381,7 +459,7 @@ def test_model_cache_hashes_each_model_once(tmp_path, monkeypatch):
         return content_hash(model, *words)
 
     monkeypatch.setattr(SimplicialSetModel, "content_hash", counting_hash)
-    spec = SpaceSpec("sphere", n=1, cap=3)
+    spec = SpaceSpec("exp", n=1, k=2, cap=3)
     cache_dir = str(tmp_path / "cache")
     built = ModelCache(cache_dir=cache_dir)
     built.model_for(spec)
@@ -455,7 +533,7 @@ def _recording_caches(monkeypatch):
 
 def test_a_row_receives_the_models_it_declares_in_order(monkeypatch):
     # declared out of the order of their spec texts, to show the row gets its own
-    declared = (("sphere", 1, None, 3), ("exp", 1, 2, 3))
+    declared = (SpaceSpec("sym", n=1, k=2, cap=3), SpaceSpec("exp", n=1, k=2, cap=3))
     received = []
 
     @verify._reads(*declared)
@@ -466,8 +544,7 @@ def test_a_row_receives_the_models_it_declares_in_order(monkeypatch):
     monkeypatch.setitem(CHECKS, "two-models", ("receives its two models", run))
     report = run_verify(scope=["two-models"])
     assert report.passed
-    ctx = verify.CheckContext(DEFAULT_MAX_LEVEL_SIZE, 0)
-    want = [verify.build_space(ctx.spec(*space)).content_hash() for space in declared]
+    want = [verify.build_space(spec).content_hash() for spec in declared]
     assert [model.content_hash() for model in received] == want
     assert sorted(report.model_hashes.values()) == sorted(want)
 
@@ -493,9 +570,11 @@ def test_rows_read_what_they_declare_and_each_model_is_built_once(monkeypatch, j
     monkeypatch.setattr(verify, "build_space", counting_build)
     report = run_verify(jobs=jobs, progress=progress)
     assert report.passed
-    ctx = verify.CheckContext(DEFAULT_MAX_LEVEL_SIZE, 0)
     assert requested == {
-        c: {ctx.spec(*space).to_json_text() for space in getattr(fn, "reads", ())}
+        c: {
+            replace(spec, max_level_size=DEFAULT_MAX_LEVEL_SIZE).to_json_text()
+            for spec in getattr(fn, "reads", ())
+        }
         for c, (_, fn) in CHECKS.items()
     }
     assert sorted(built) == sorted(set(built))
@@ -507,8 +586,8 @@ def test_rows_read_what_they_declare_and_each_model_is_built_once(monkeypatch, j
 
 
 def test_a_model_is_held_until_its_last_declared_reader(monkeypatch):
-    circle = ("sphere", 1, None, 3)
-    key = SpaceSpec("sphere", n=1, cap=3).to_json_text()
+    exp2 = SpaceSpec("exp", n=1, k=2, cap=3)
+    key = exp2.to_json_text()
     held, built = {}, []
     caches = _recording_caches(monkeypatch)
     build_space = verify.build_space
@@ -527,8 +606,8 @@ def test_a_model_is_held_until_its_last_declared_reader(monkeypatch):
         return run
 
     rows = {
-        "held-1": verify._reads(circle)(row("held-1")),
-        "held-2": verify._reads(circle)(row("held-2")),
+        "held-1": verify._reads(exp2)(row("held-1")),
+        "held-2": verify._reads(exp2)(row("held-2")),
         "held-3": row("held-3"),
     }
     for check_id, fn in rows.items():
@@ -539,7 +618,7 @@ def test_a_model_is_held_until_its_last_declared_reader(monkeypatch):
 
 
 def test_the_countdown_under_many_threads_builds_once_and_ends_empty(monkeypatch):
-    circle = ("sphere", 1, None, 3)
+    exp2 = SpaceSpec("exp", n=1, k=2, cap=3)
     built = []
     caches = _recording_caches(monkeypatch)
     build_space = verify.build_space
@@ -549,14 +628,14 @@ def test_the_countdown_under_many_threads_builds_once_and_ends_empty(monkeypatch
         lambda spec, base=None: built.append(spec) or build_space(spec, base),
     )
 
-    @verify._reads(circle)
+    @verify._reads(exp2)
     def run(ctx, model):
         time.sleep(0.001)  # let the other rows end and count down meanwhile
         return verify._verdict(model is not None)
 
-    scope = [f"reads-circle-{i}" for i in range(16)]
+    scope = [f"reads-exp2-{i}" for i in range(16)]
     for check_id in scope:
-        monkeypatch.setitem(CHECKS, check_id, ("reads the circle", run))
+        monkeypatch.setitem(CHECKS, check_id, ("reads exp2(S1)", run))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -630,9 +709,7 @@ def test_one_row_of_each_kind_is_pinned():
 
 def test_a_squares_row_that_misses_the_generator_fails(monkeypatch):
     # on the torus Sq1 = 0 from H1 (two generators) to H2: coordinates [[0], [0]]
-    def row(ctx):
-        return verify._squares((1, 1))(ctx, ctx.build(complexes.torus))
-
+    row = verify._reads(verify.TORUS)(verify._squares((1, 1)))
     monkeypatch.setitem(CHECKS, "sq1-torus", ("degree-1 square on the torus", row))
     report = run_verify(scope=["sq1-torus"])
     (res,) = report.results
