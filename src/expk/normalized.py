@@ -3,9 +3,8 @@
 A stored model (``expk.spaces``) keeps every simplex of every level and
 marks the nondegenerate ones; exp₅(S²) stores 6.47M simplices for 18,763
 nondegenerate ones.  ``NormalizedModel`` keeps only the nondegenerate
-simplices, and gives the cohomology layer the three members it reads
-(``level_cap``, ``nondeg_count`` and ``restrict``, see
-``simplicial.ChainModel``).
+simplices, and gives ``simplicial.ChainModel`` the members it builds on:
+``level_cap``, ``_nondegenerate_ids`` and ``_restrict``.
 
 Keys
 ----
@@ -17,15 +16,16 @@ the lexicographic rank of the step set, the ids of
 p for position p, with 0 for the basepoint.
 
 A level-m simplex of exp_k is a set of at most k elements and one of
-Sym_k a multiset of k; both are rows of k element ids sorted
-ascending, an exp row padded in front with -1.  Degeneracies act
-elementwise, and s_i hits exactly the elements without a step at i + 1,
-so a simplex is nondegenerate exactly when its elements' masks cover
-1..m.  So the levels stop at kn, and ``level_cap`` is kn + 1.  A level's
-rows are kept in lexicographic order, which is the order of the stored
-model's ids (subsets by size, then lexicographically; multisets
-lexicographically), so nondegenerate positions, cohomology bases and
-ring tables are the stored model's.
+Sym_k a multiset of k: the key rows of ``spaces.KEY_LAYOUTS``, k element
+ids sorted ascending, an exp row padded in front with -1.  Degeneracies
+act elementwise, and s_i hits exactly the elements without a step at
+i + 1, so a simplex is nondegenerate exactly when its elements' masks
+cover 1..m.  So the levels stop at kn, and ``level_cap`` is kn + 1.  A
+row's id is the one the stored model gives it, the layout's rank; a
+level keeps its rows sorted by id and the ids, ascending, as
+``_nondegenerate_ids``, so nondegenerate positions, cohomology bases and
+ring tables are the stored model's.  A level whose ids could pass int64
+is refused.
 
 Enumeration
 -----------
@@ -47,8 +47,8 @@ in one gap (v_(j-1), v_j]; otherwise its steps are the gaps that hold a
 step.  ``restrict`` builds this as one lookup table over the element
 ids of (level, kept), gathers every row through it, sorts the rows
 (for exp, a repeat becomes padding), drops the faces whose masks do not
-cover, and finds the rest by ``searchsorted`` over the sorted radix
-codes of the level below.
+cover, ranks the rest and finds them by ``searchsorted`` over the ids of
+the level below.
 """
 
 from __future__ import annotations
@@ -61,30 +61,24 @@ from .errors import ContractViolation
 from .simplicial import ChainModel
 from .spaces import (
     DEFAULT_MAX_LEVEL_SIZE,
+    KEY_LAYOUTS,
     _canonical,
     _check_level_size,
     _combos,
     _rank,
 )
 
-KINDS = ("exp", "sym")
-
 
 def nondegenerate_count(kind: str, n: int, k: int, m: int) -> int:
     """How many nondegenerate level-m simplices exp_k or Sym_k of Sⁿ has.
 
     Inclusion–exclusion over the positions left uncovered: the families
-    whose masks avoid j given positions are those of the C(m − j, n) + 1
+    whose masks avoid j given positions are the keys over the C(m − j, n) + 1
     elements that avoid them.
     """
-
-    def families(elements):
-        if kind == "exp":
-            return sum(math.comb(elements, s) for s in range(1, k + 1))
-        return math.comb(elements + k - 1, k)
-
+    count = KEY_LAYOUTS[kind].count
     return sum(
-        (-1) ** j * math.comb(m, j) * families(math.comb(m - j, n) + 1)
+        (-1) ** j * math.comb(m, j) * count(math.comb(m - j, n) + 1, k)
         for j in range(m + 1)
     )
 
@@ -99,42 +93,39 @@ class NormalizedModel(ChainModel):
     """The nondegenerate simplices of exp_k or Sym_k of Δⁿ/∂Δⁿ, levels 0..kn + 1.
 
     Every level is enumerated when the model is built; over the budget,
-    the build raises ``LevelSizeError``.  ``restrict`` is memoized and its
-    arrays are read-only, so threads share a model.
+    the build raises ``LevelSizeError``.  A level's ids are the stored
+    model's, sorted, in ``_nondegenerate_ids``.
     """
 
     def __init__(self, kind, n, k, max_level_size=DEFAULT_MAX_LEVEL_SIZE):
-        if kind not in KINDS:
+        if kind not in KEY_LAYOUTS:
             raise ContractViolation(f"no normalized complex of kind {kind!r}")
         if n < 1 or k < 1:
             raise ContractViolation("a normalized complex needs n >= 1 and k >= 1")
         self.kind, self.n, self.k = kind, n, k
+        self._layout = KEY_LAYOUTS[kind]
         self.level_cap = k * n + 1
         if self.level_cap > 61:  # a mask holds bits 1..m of one int64
             raise ContractViolation(f"level cap {self.level_cap} exceeds 61")
         self.description = f"{kind}_{k}(one_vertex_sphere({n})), normalized"
-        self._steps, self._masks, self._rows, self._codes = [], [], [], []
+        self._steps, self._masks, self._rows, self._nondegenerate_ids = [], [], [], []
         for m in range(self.level_cap + 1):
             count = nondegenerate_count(kind, n, k, m)
             _check_level_size(f"normalized {kind}", m, count, max_level_size)
+            size = math.comb(m, n) + 1  # the sphere's level-m elements
+            # the clip of _weights: no valid row reads a weight above its level's count
+            if self._layout.count(size, k) > np.iinfo(np.int64).max // (k + 1):
+                raise ContractViolation(f"the ids of level {m} overflow int64")
             steps = _combos(m, n, repeat=False) + 1
             masks = np.concatenate([[0], (1 << steps.astype(np.int64)).sum(axis=1)])
-            radix = self._radix(masks.size)
             rows = self._families(masks, m)
-            codes = (rows + 1) @ radix
-            order = np.argsort(codes)
+            ids = self._layout.rank(rows, size)
+            order = np.argsort(ids)
             self._steps.append(steps)
             self._masks.append(masks)
             self._rows.append(rows[order])
-            self._codes.append(codes[order])
-        self._restrict_cache = {}
+            self._nondegenerate_ids.append(ids[order])
         super().__init__()
-
-    def _radix(self, elements: int) -> np.ndarray:
-        """Place values of a row's digits, id + 1 (so -1 pads as 0), last fastest."""
-        if (elements + 1) ** self.k >= 2**63:
-            raise ContractViolation("row codes overflow int64")
-        return (elements + 1) ** np.arange(self.k - 1, -1, -1, dtype=np.int64)
 
     def _families(self, masks: np.ndarray, m: int) -> np.ndarray:
         """The nondegenerate level-m rows, in no particular order."""
@@ -161,11 +152,6 @@ class NormalizedModel(ChainModel):
                 found.append(np.pad(done, ((0, 0), (k - size, 0)), constant_values=-1))
         return np.concatenate(found)
 
-    def nondeg_count(self, n: int) -> int:
-        if 0 <= n <= self.level_cap:
-            return int(self._codes[n].size)
-        return 0
-
     def _face_elements(self, m: int, kept) -> np.ndarray:
         """The id of each level-m element's face spanned by ``kept``, then -1.
 
@@ -181,30 +167,19 @@ class NormalizedModel(ChainModel):
         table[1:-1][onto] = 1 + _rank(gaps[onto] - 1, r)
         return table
 
-    def restrict(self, n: int, kept) -> np.ndarray:
-        """Where the face spanned by ``kept`` of each nondegenerate n-simplex lies.
-
-        The contract of ``SimplicialSetModel.restrict``: the face's
-        nondegenerate position, or -1 where it is degenerate; memoized per
-        (n, kept), read-only.
-        """
-        key = n, kept
-        if key not in self._restrict_cache:
-            if not (kept and 0 <= min(kept) <= max(kept) <= n <= self.level_cap):
-                raise ContractViolation(f"{kept} is not a nonempty subset of 0..{n}")
-            r = len(set(kept)) - 1
-            faces = self._face_elements(n, kept).take(self._rows[n])
-            faces = _canonical(faces, -1 if self.kind == "exp" else None)
-            masks = np.append(self._masks[r], 0)  # -1 pads, and covers nothing
-            nondegenerate = np.bitwise_or.reduce(masks.take(faces), axis=1) == (
-                (1 << (r + 1)) - 2
-            )
-            codes = (faces[nondegenerate] + 1) @ self._radix(self._masks[r].size)
-            found = np.searchsorted(self._codes[r], codes)
-            if (self._codes[r].take(found, mode="clip") != codes).any():
-                raise AssertionError("a nondegenerate face missing from its level")
-            out = np.full(len(faces), -1, dtype=np.int32)
-            out[nondegenerate] = found
-            out.setflags(write=False)
-            self._restrict_cache.setdefault(key, out)  # the first stored wins
-        return self._restrict_cache[key]
+    def _restrict(self, n: int, kept) -> np.ndarray:
+        r = len(set(kept)) - 1
+        faces = self._face_elements(n, kept).take(self._rows[n])
+        faces = _canonical(faces, self._layout.sentinel)  # a repeat pads, for exp
+        masks = np.append(self._masks[r], 0)  # -1 pads, and covers nothing
+        nondegenerate = np.bitwise_or.reduce(masks.take(faces), axis=1) == (
+            (1 << (r + 1)) - 2
+        )
+        ids = self._layout.rank(faces[nondegenerate], self._masks[r].size)
+        below = self._nondegenerate_ids[r]
+        found = np.searchsorted(below, ids)
+        if (below.take(found, mode="clip") != ids).any():
+            raise AssertionError("a nondegenerate face missing from its level")
+        out = np.full(len(faces), -1, dtype=np.int32)
+        out[nondegenerate] = found
+        return out

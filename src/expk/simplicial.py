@@ -20,11 +20,13 @@ Conventions
   cohomology dimensions.
 * The cohomology layer (``ChainModel`` here, cup-i and Sq in ``cochains``)
   reads a model only through ``nondeg_count``, ``restrict`` and
-  ``level_cap``, the three members a model kind implements; the stored
-  ``SimplicialSetModel`` is one, ``expk.normalized.NormalizedModel``
-  another.  ``restrict(n, kept)`` gives each
-  nondegenerate n-simplex's face spanned by the vertex positions ``kept``;
-  -1 marks a degenerate face.  Its arrays are memoized and read-only.
+  ``level_cap``.  ``ChainModel`` owns the first two and the ``restrict``
+  contract; a model kind gives ``level_cap``, ``_nondegenerate_ids`` and
+  ``_restrict``: the stored ``SimplicialSetModel`` is one,
+  ``expk.normalized.NormalizedModel`` another.  ``restrict(n, kept)``
+  gives each nondegenerate n-simplex's face spanned by the vertex
+  positions ``kept``; -1 marks a degenerate face.  Its arrays are
+  memoized and read-only.
 * The chain layer reads faces only from the face stack of each degree:
   row i of the degree-n stack is the memoized ``restrict(n, all but i)``
   itself, so the stack copies nothing.  An array it indexes by the stack
@@ -378,16 +380,44 @@ def _padded_values(support: Gf2Vector) -> np.ndarray:
 class ChainModel:
     """The normalized mod-2 cochain layer of a model.
 
-    Every method reads the model only through ``level_cap``,
-    ``nondeg_count(n)`` and ``restrict(n, kept)``, which a subclass gives;
-    the face stacks, eliminations and coboundary spans are memoized, and
-    threads share them.
+    A subclass gives ``level_cap``, ``_nondegenerate_ids`` (each level's
+    nondegenerate ids, ascending) and ``_restrict(n, kept)``, the faces of
+    one valid call.  Every other method reads the model only through
+    ``level_cap``, ``nondeg_count(n)`` and ``restrict(n, kept)``, which
+    hold the contract here: the check on ``kept``, the memo and the
+    read-only arrays.  The restrict arrays, face stacks, eliminations and
+    coboundary spans are memoized, and threads share them.
     """
 
     def __init__(self):
+        self._restrict_cache = {}
         self._face_stacks = {}
         self._elimination_cache = {}
         self._spans = {}
+
+    def nondeg_count(self, n: int) -> int:
+        if 0 <= n <= self.level_cap:
+            return int(self._nondegenerate_ids[n].size)
+        return 0
+
+    def restrict(self, n: int, kept) -> np.ndarray:
+        """Where the face spanned by ``kept`` of each nondegenerate n-simplex lies.
+
+        ``kept`` is a nonempty tuple of positions in 0..n, read as a set.
+        One int32 entry per nondegenerate n-simplex: the face's
+        nondegenerate position, or -1 where the face is degenerate.
+        Memoized per (n, kept); the array is read-only.
+        """
+        key = n, kept
+        if key not in self._restrict_cache:
+            if not (kept and 0 <= min(kept) <= max(kept) <= n <= self.level_cap):
+                raise ContractViolation(f"{kept} is not a nonempty subset of 0..{n}")
+            face = self._restrict(n, kept)
+            face.setflags(write=False)
+            # the first array stored is the one every caller gets: a racing
+            # thread's equal copy is dropped, so a face stack holds no copy
+            self._restrict_cache.setdefault(key, face)
+        return self._restrict_cache[key]
 
     def top_nondegenerate_level(self) -> int:
         for n in range(self.level_cap, -1, -1):
@@ -580,8 +610,6 @@ class SimplicialSetModel(ChainModel):
                 if n < top:
                     level = list(level.derive(self.faces[n - 1]))
                 self.faces[n] = level
-        # memos shared by every caller and thread; their arrays are read-only
-        self._restrict_cache = {}
         super().__init__()
 
     # perfbench/tracer.py wraps these through SimplicialSetModel.__dict__
@@ -615,49 +643,28 @@ class SimplicialSetModel(ChainModel):
 
     # -- basic queries -------------------------------------------------------
 
-    def nondeg_count(self, n: int) -> int:
-        if 0 <= n <= self.level_cap:
-            return int(self._nondegenerate_ids[n].size)
-        return 0
-
-    def restrict(self, n: int, kept) -> np.ndarray:
-        """Where the face spanned by ``kept`` of each nondegenerate n-simplex lies.
-
-        ``kept`` is a nonempty tuple of positions in 0..n, read as a set.
-        One int32 entry per nondegenerate n-simplex: the face's
-        nondegenerate position, or -1 where the face is degenerate.
-        Memoized per (n, kept); the array is read-only.
-        """
-        key = n, kept
-        if key not in self._restrict_cache:
-            if not (kept and 0 <= min(kept) <= max(kept) <= n <= self.level_cap):
-                raise ContractViolation(f"{kept} is not a nonempty subset of 0..{n}")
-            ids, level = self._nondegenerate_ids[n], n
-            # delete from the highest position down, so lower positions keep their index
-            for t in range(n, -1, -1):
-                if t not in kept:
-                    faces = self.faces[level]
-                    if level == n and isinstance(faces, _DerivedFaces):
-                        # ids are all of the level's nondegenerate simplices,
-                        # whose faces a derived level keeps
-                        ids = faces.nondegenerate[t]
-                    elif ids.size:
-                        # only an n above the top nondegenerate level, which
-                        # has no simplex to follow, meets a derived level here
-                        ids = faces[t][ids]
-                    level -= 1
-            # each simplex's nondegenerate position, built for this call only:
-            # the model keeps no per-simplex table (a binary search over the
-            # ids made the squares pass's restrict calls three times slower)
-            nondegenerate = self._nondegenerate_ids[level]
-            position = np.full(self.level_sizes[level], -1, dtype=np.int32)
-            position[nondegenerate] = np.arange(nondegenerate.size, dtype=np.int32)
-            face = position[ids]
-            face.setflags(write=False)
-            # the first array stored is the one every caller gets: a racing
-            # thread's equal copy is dropped, so a face stack holds no copy
-            self._restrict_cache.setdefault(key, face)
-        return self._restrict_cache[key]
+    def _restrict(self, n: int, kept) -> np.ndarray:
+        ids, level = self._nondegenerate_ids[n], n
+        # delete from the highest position down, so lower positions keep their index
+        for t in range(n, -1, -1):
+            if t not in kept:
+                faces = self.faces[level]
+                if level == n and isinstance(faces, _DerivedFaces):
+                    # ids are all of the level's nondegenerate simplices,
+                    # whose faces a derived level keeps
+                    ids = faces.nondegenerate[t]
+                elif ids.size:
+                    # only an n above the top nondegenerate level, which
+                    # has no simplex to follow, meets a derived level here
+                    ids = faces[t][ids]
+                level -= 1
+        # each simplex's nondegenerate position, built for this call only:
+        # the model keeps no per-simplex table (a binary search over the
+        # ids made the squares pass's restrict calls three times slower)
+        nondegenerate = self._nondegenerate_ids[level]
+        position = np.full(self.level_sizes[level], -1, dtype=np.int32)
+        position[nondegenerate] = np.arange(nondegenerate.size, dtype=np.int32)
+        return position[ids]
 
     def boundary_matrix(self, n: int) -> Gf2Matrix:
         """Normalized boundary: nondegenerate n-simplices to level n-1.

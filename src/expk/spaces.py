@@ -43,13 +43,14 @@ One-vertex sphere rows rank their step positions, complex rows their
 vertex multisets.
 
 A model stores no keys: its constructor and every reader call one layout
-function of the input's level sizes, ``_digits`` for products,
-``_combos(l, k, True)`` for symmetric powers and ``_subset_keys(l, k)``
-for subset spaces, so a model read back from a file acts as a built one.
+function of the input's level sizes, ``_digits`` for products and
+``KEY_LAYOUTS[kind].keys`` for symmetric powers and subset spaces, so a
+model read back from a file acts as a built one.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -250,43 +251,44 @@ def _increasing(table: np.ndarray) -> bool:
     return bool((table[1:] > table[:-1]).all())
 
 
-def _key_quotient(x, k: int, padded: bool, description: str):
+def _key_quotient(x, kind: str, k: int, max_level_size: int):
     """Model on width-k canonical key rows of x's level ids; operators act entrywise.
 
-    Padded keys are ``_subset_keys``: −1 marks an empty slot and repeated
-    ids collapse to it.  Otherwise keys are the sorted multisets of
-    ``_combos``.  They live only while the model is built, and a level's
-    keys are built the first time the rule asks about that level; the
-    level sizes come from the closed forms of the budget check.  So a
-    closed top, whose faces the rule is never asked for, is never keyed.
-    A strictly increasing table keeps key rows sorted and their distinct
-    entries distinct, so its key rows are ranked through it, with −1
-    appended to a padded one (``_rank``'s ``through``): no image row is
-    built or sorted.  Every degeneracy table of both sphere models is
-    increasing; any other table maps the keys and canonicalises them.
+    ``KEY_LAYOUTS[kind]`` lays out the keys: for ``exp`` −1 marks an empty
+    slot and repeated ids collapse to it.  Every level's count is checked
+    against the budget first.  Keys live only while the model is built,
+    and a level's keys are built the first time the rule asks about that
+    level, so a closed top, whose faces the rule is never asked for, is
+    never keyed.  A strictly increasing table keeps key rows sorted and
+    their distinct entries distinct, so its key rows are ranked through
+    it, with −1 appended to a padded one (``_rank``'s ``through``): no
+    image row is built or sorted.  Every degeneracy table of both sphere
+    models is increasing; any other table maps the keys and canonicalises
+    them.
     """
+    layout = KEY_LAYOUTS[kind]
     sizes = x.level_sizes
-    count = _subset_level_count if padded else _multiset_level_count
-    rank = functools.partial(_rank, padded=True) if padded else _multiset_rank
+    counts = [layout.count(s, k) for s in sizes]
+    for m, count in enumerate(counts):
+        _check_level_size(layout.what, m, count, max_level_size)
     level_keys = {}  # built the first time the rule asks about a level
 
     def image(op, m, i, t, ids):
         table = getattr(x, op)[m][i]
         if m not in level_keys:
-            size = sizes[m]
-            level_keys[m] = _subset_keys(size, k) if padded else _combos(size, k, True)
+            level_keys[m] = layout.keys(sizes[m], k)
         keys = level_keys[m][ids]
         increasing = _increasing(table)
-        if padded:
-            table = np.append(table, np.int32(-1))  # empty slots stay empty
+        if layout.sentinel is not None:  # empty slots stay empty
+            table = np.append(table, np.int32(layout.sentinel))
         if increasing:  # one table per key column
             through = np.broadcast_to(table, (keys.shape[1], table.size))
-            return rank(keys, sizes[t], through=through).astype(np.int32)
-        rows = _canonical(table.take(keys), -1 if padded else None)
-        return rank(rows, sizes[t]).astype(np.int32)
+            return layout.rank(keys, sizes[t], through=through).astype(np.int32)
+        rows = _canonical(table.take(keys), layout.sentinel)
+        return layout.rank(rows, sizes[t]).astype(np.int32)
 
     return SimplicialSetModel.from_operators(
-        x.level_cap, [count(s, k) for s in sizes], image, description
+        x.level_cap, counts, image, f"{kind}_{k}({x.description})"
     )
 
 
@@ -331,9 +333,9 @@ def from_complex(
     if math.comb(vertices.size + cap, cap + 1) > np.iinfo(np.int64).max // (cap + 2):
         raise ContractViolation(f"vertex multiset ranks of level {cap} overflow int64")
 
-    # keys hold vertex positions, not vertices; level_codes[m] holds the
+    # keys hold vertex positions, not vertices; level_ranks[m] holds the
     # sorted multiset ranks of level m's rows
-    level_keys, level_codes = [], []
+    level_keys, level_ranks = [], []
     for m in range(cap + 1):
         count = math.comb(max(sizes) + m, m + 1)  # a facet's multisets, at most
         _check_level_size("complex facet rows", m, count, max_level_size)
@@ -342,12 +344,12 @@ def from_complex(
         codes, first = np.unique(_multiset_rank(rows, vertices.size), return_index=True)
         _check_level_size("complex", m, codes.size, max_level_size)
         level_keys.append(rows[first])
-        level_codes.append(codes)
+        level_ranks.append(codes)
 
     def image(op, m, i, t, ids):
         codes = _multiset_rank(_vertex_rows(level_keys[m][ids], op, i), vertices.size)
-        found = level_codes[t].searchsorted(codes)
-        if (level_codes[t].take(found, mode="clip") != codes).any():
+        found = level_ranks[t].searchsorted(codes)
+        if (level_ranks[t].take(found, mode="clip") != codes).any():
             raise ContractViolation("a vertex row off the complex")
         return found
 
@@ -482,17 +484,7 @@ def sym_power(
     """
     if k < 1:
         raise ContractViolation("multiset size must be at least 1")
-    for m, lm in enumerate(x.level_sizes):
-        _check_level_size("sym-power", m, _multiset_level_count(lm, k), max_level_size)
-    return _key_quotient(x, k, False, f"sym_{k}({x.description})")
-
-
-def _multiset_level_count(level_size: int, k: int) -> int:
-    return math.comb(level_size + k - 1, k)
-
-
-def _subset_level_count(level_size: int, k: int) -> int:
-    return sum(math.comb(level_size, s) for s in range(1, k + 1))
+    return _key_quotient(x, "sym", k, max_level_size)
 
 
 def _subset_keys(level_size: int, k: int) -> np.ndarray:
@@ -501,6 +493,32 @@ def _subset_keys(level_size: int, k: int) -> np.ndarray:
     return np.concatenate(
         [np.pad(r, ((0, 0), (k - r.shape[1], 0)), constant_values=-1) for r in rows]
     )
+
+
+# How exp_k or Sym_k keys a level of ``size`` ids, decided once per kind
+# for ``_key_quotient`` and ``expk.normalized``: ``count(size, k)`` keys,
+# listed in id order by ``keys(size, k)`` and ranked by ``rank``; the
+# ``sentinel`` pads a subset key, and ``what`` names a level over budget
+KeyLayout = collections.namedtuple("KeyLayout", "what sentinel count keys rank")
+
+KEY_LAYOUTS = {
+    # subsets of at most k ids, sorted and padded in front with −1
+    "exp": KeyLayout(
+        what="subset space",
+        sentinel=-1,
+        count=lambda size, k: sum(math.comb(size, s) for s in range(1, k + 1)),
+        keys=lambda size, k: _subset_keys(size, k),  # the module's, at each call
+        rank=functools.partial(_rank, padded=True),
+    ),
+    # multisets of k ids, sorted
+    "sym": KeyLayout(
+        what="sym-power",
+        sentinel=None,
+        count=lambda size, k: math.comb(size + k - 1, k),
+        keys=functools.partial(_combos, repeat=True),
+        rank=_multiset_rank,
+    ),
+}
 
 
 def exp_subsets(
@@ -514,9 +532,7 @@ def exp_subsets(
     """
     if k < 1:
         raise ContractViolation("cardinality bound must be at least 1")
-    for m, lm in enumerate(x.level_sizes):
-        _check_level_size("subset space", m, _subset_level_count(lm, k), max_level_size)
-    return _key_quotient(x, k, True, f"exp_{k}({x.description})")
+    return _key_quotient(x, "exp", k, max_level_size)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +553,7 @@ def _multiset_map(x, source, target, k, rows, description) -> SimplicialMapModel
             raise ContractViolation(f"level {m} source ids are not keys of x^{k}")
         image = _canonical(rows(_digits([n] * k)))
         width = image.shape[1]
-        fits = target.level_sizes[m] == _multiset_level_count(n, width)
+        fits = target.level_sizes[m] == KEY_LAYOUTS["sym"].count(n, width)
         if not (fits and ((image >= 0) & (image < n)).all()):
             raise ContractViolation(f"level {m} images are not keys of the target")
         maps.append(_multiset_rank(image, n))
@@ -650,7 +666,7 @@ def pushout(f: SimplicialMapModel, g: SimplicialMapModel):
 # comparisons pinning the subset-space models to the gluing square
 
 
-def _support_codes(keys: np.ndarray, level_size: int, width: int) -> np.ndarray:
+def _support_ids(keys: np.ndarray, level_size: int, width: int) -> np.ndarray:
     """The id of each key row's support among subsets of at most ``width`` ids."""
     rows = np.full((keys.shape[0], width), -1, dtype=np.int32)
     rows[:, width - keys.shape[1] :] = keys
@@ -691,8 +707,8 @@ def compare_pushout_with_subsets(x, square, sym3, sym2, subsets):
         # support must be constant on classes
         class_support = np.full(glued.level_sizes[m], -1, dtype=np.int64)
         batches = [
-            (_support_codes(_combos(lm, 3, True), lm, 3), into_sym3.level_maps[m]),
-            (_support_codes(_combos(lm, 2, True), lm, 3), into_sym2.level_maps[m]),
+            (_support_ids(_combos(lm, 3, True), lm, 3), into_sym3.level_maps[m]),
+            (_support_ids(_combos(lm, 2, True), lm, 3), into_sym2.level_maps[m]),
         ]
         for codes, cls in batches:
             class_support[cls] = codes
@@ -708,7 +724,7 @@ def compare_sym2_with_subsets(x, sym2, subsets):
 
     The support map must also commute with every operator.
     """
-    supports = [_support_codes(_combos(lm, 2, True), lm, 2) for lm in x.level_sizes]
+    supports = [_support_ids(_combos(lm, 2, True), lm, 2) for lm in x.level_sizes]
     return _supports_biject(sym2, subsets, supports)
 
 

@@ -1,5 +1,7 @@
 """The normalized complexes of exp_k and Sym_k over the one-vertex sphere."""
 
+import hashlib
+import itertools
 import os
 import sys
 import time
@@ -44,6 +46,9 @@ def test_normalized_and_stored_one_vertex_models_agree(kind, n, k):
     model, reference = normalized(kind, n, k), stored(kind, n, k)
     assert model.level_cap == reference.level_cap == k * n + 1
     assert counts(model) == counts(reference)
+    # a normalized row's id is the one the stored model gives the same simplex
+    for m in range(model.level_cap + 1):
+        assert np.array_equal(model._nondegenerate_ids[m], reference._nondegenerate_ids[m])
     assert model.betti_table() == reference.betti_table()
     assert ring_table(model) == ring_table(reference)
 
@@ -71,6 +76,25 @@ def test_the_nonzero_squares_below_the_top_degree():
     assert square_rank(normalized("exp", 2, 3), 1, 4) == 1
     exp3 = normalized("exp", 3, 3)
     assert (square_rank(exp3, 1, 5), square_rank(exp3, 1, 8)) == (2, 1)
+    # and rank 1 on H⁷ of exp₅(S²)
+    assert square_rank(normalized("exp", 2, 5), 1, 7) == 1
+
+
+RESTRICT_DIGEST = "bfcc2b9e89244be9e4fc8f5d4f0dc3faf5ec84b5b1d0b5837dd7f40bdad79d1e"
+
+
+def test_normalized_restrict_arrays_are_pinned():
+    """Every face array, for every nonempty ``kept`` at every level."""
+    h = hashlib.sha256()
+    for kind, n, k in [
+        ("exp", 2, 3), ("sym", 2, 3), ("exp", 3, 2), ("exp", 1, 4), ("sym", 3, 2)
+    ]:
+        model = normalized(kind, n, k)
+        for m in range(model.level_cap + 1):
+            for size in range(1, m + 2):
+                for kept in itertools.combinations(range(m + 1), size):
+                    h.update(model.restrict(m, kept).tobytes())
+    assert h.hexdigest() == RESTRICT_DIGEST
 
 
 @pytest.mark.parametrize(
@@ -98,8 +122,10 @@ def test_exp5_of_the_2_sphere_is_pinned_and_fast():
     assert elapsed < 1.0, elapsed
 
 
-def test_restrict_is_memoized_read_only_and_checks_its_positions():
-    model = normalized("exp", 2, 3)
+@pytest.mark.parametrize("build", [normalized, stored], ids=["normalized", "stored"])
+def test_restrict_is_memoized_read_only_and_checks_its_positions(build):
+    # the contract lives in ChainModel, so both model kinds keep it
+    model = build("exp", 2, 3)
     faces = model.restrict(5, (0, 2, 4))
     assert faces is model.restrict(5, (0, 2, 4))
     assert faces.dtype == np.int32 and not faces.flags.writeable
