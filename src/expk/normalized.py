@@ -24,8 +24,8 @@ cover 1..m.  So the levels stop at kn, and ``level_cap`` is kn + 1.  A
 row's id is the one the stored model gives it, the layout's rank; a
 level keeps its rows sorted by id and the ids, ascending, as
 ``_nondegenerate_ids``, so nondegenerate positions, cohomology bases and
-ring tables are the stored model's.  A level whose ids could pass int64
-is refused.
+ring tables are the stored model's.  A level with a row whose ids could
+pass int64 is refused.
 
 Enumeration
 -----------
@@ -113,8 +113,10 @@ class NormalizedModel(ChainModel):
             count = nondegenerate_count(kind, n, k, m)
             _check_level_size(f"normalized {kind}", m, count, max_level_size)
             size = math.comb(m, n) + 1  # the sphere's level-m elements
-            # the clip of _weights: no valid row reads a weight above its level's count
-            if self._layout.count(size, k) > np.iinfo(np.int64).max // (k + 1):
+            # the clip of _weights: no valid row reads a weight above its
+            # level's count; a level with no row, such as the cap, ranks none
+            limit = np.iinfo(np.int64).max // (k + 1)
+            if count and self._layout.count(size, k) > limit:
                 raise ContractViolation(f"the ids of level {m} overflow int64")
             steps = _combos(m, n, repeat=False) + 1
             masks = np.concatenate([[0], (1 << steps.astype(np.int64)).sum(axis=1)])

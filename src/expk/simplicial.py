@@ -102,24 +102,33 @@ tables, and no other form of them); ``restrict`` spreads the ids into a
 position table of the level it reads for one call.  It stores no
 simplex keys; the key rows a constructor of ``expk.spaces`` ranks are a
 function of its input's level sizes there, so a model read back from its
-words behaves as the one built.  A model given its tables, by
-``from_words``, ``from_json_dict`` or the constructor, keeps all of them
-verbatim.
+words behaves as the one built.  ``from_words`` keeps what
+``from_operators`` keeps, so a model read back from its words is the
+model built, derived levels included; a damaged word of a face it does
+not keep leaves the model as it is and shows only in the hash of the
+words read.  A model given its tables by ``from_json_dict`` or the
+constructor keeps all of them verbatim.
 
 Serialization
 -------------
 * ``operators(cap)`` is the one operator order: every ``faces[n][i]``,
   then every ``degeneracies[n][i]``, in (n, i) order.  ``words()`` is the
   model's canonical word stream, its tables in that order as
-  little-endian int32; ``from_words`` slices such a stream back into
-  operator tables and reads every one of them verbatim.
+  little-endian int32.  ``from_words`` reads such a stream back: the
+  degeneracy tables whole, which give each level's nondegenerate ids,
+  then the face tables one at a time, in stream order.  It keeps a face
+  table whole below the top nondegenerate level, and at and above it
+  only the faces of the nondegenerate simplices.  It hands every table
+  it reads to an optional sink, in stream order.
 * ``content_hash`` is SHA-256 over one header line -- the canonical JSON of
   ``{"scheme": HASH_SCHEME, "description", "level_cap", "level_sizes"}``
-  and a newline -- followed by the word stream.  No JSON is built for the
-  arrays.  It walks the stream once and can hand each table to a sink as
-  it hashes it, which is how the cache of ``expk.verify`` writes an
-  entry; a load there reads the words into one read-only array that
-  ``from_words`` slices.
+  and a newline, which ``content_hasher`` hashes -- followed by the word
+  stream.  No JSON is built for the arrays.  It walks the stream once and
+  can hand each table to a sink as it hashes it, which is how the cache
+  of ``expk.verify`` writes an entry.  A load there reads the entry's
+  tables from the file through ``from_words`` and hashes what its sink
+  gets, so besides what the model keeps it holds one face table at a
+  time.
 * The JSON document (``MODEL_FORMAT``, ``to_json_text``/``from_json_dict``)
   is the exchange format of the command line.
 """
@@ -231,6 +240,22 @@ class Violation:
             f"identity '{self.identity}' fails at level {self.level}, "
             f"indices (i={self.i}, j={self.j}), simplex {self.simplex}"
         )
+
+
+def content_hasher(header: dict):
+    """A SHA-256 that has read the hash header line of a model's ``header()``.
+
+    ``content_hash`` goes on with the word stream; a cache load, given the
+    header of an entry, goes on with the words it reads.
+    """
+    fields = ("description", "level_cap", "level_sizes")
+    head = canonical_json({"scheme": HASH_SCHEME, **{f: header[f] for f in fields}})
+    return hashlib.sha256((head + "\n").encode())
+
+
+def _check_range(kind: str, n: int, i: int, table, bound: int):
+    if table.size and (table.min() < 0 or table.max() >= bound):
+        raise ContractViolation(f"{kind}[{n}][{i}] points out of range")
 
 
 def _as_id_array(a):
@@ -592,8 +617,10 @@ class SimplicialSetModel(ChainModel):
         ]
         self.description = description
         # from_operators passes each level's _first_degeneracy and the faces
-        # of the nondegenerate simplices only; the other faces are derived,
-        # here below the top nondegenerate level and at or above it on read
+        # of the nondegenerate simplices only; from_words passes the same at
+        # and above the top nondegenerate level, and below it the whole
+        # tables its stream holds.  The faces not given are derived, here
+        # below the top and at or above it on read
         derive = first_degeneracy is not None
         if not derive:
             self._check_shapes(self.level_sizes)
@@ -603,13 +630,19 @@ class SimplicialSetModel(ChainModel):
             ]
         self._nondegenerate_ids = [np.flatnonzero(f < 0) for f in first_degeneracy]
         if derive:
-            self._check_shapes([ids.size for ids in self._nondegenerate_ids])
-            top = self.top_nondegenerate_level()
+            top, sizes = self.top_nondegenerate_level(), self.level_sizes
+            # a whole table is longer than the level's nondegenerate faces,
+            # since s_0 hits a simplex of every level above a nonempty one
+            whole = {n for n in range(1, top) if self.faces[n][0].size == sizes[n]}
+            counts = [ids.size for ids in self._nondegenerate_ids]
+            lengths = [sizes[n] if n in whole else c for n, c in enumerate(counts)]
+            self._check_shapes(lengths)
             for n in range(1, self.level_cap + 1):
-                level = _DerivedFaces(self, n, first_degeneracy[n])
-                if n < top:
-                    level = list(level.derive(self.faces[n - 1]))
-                self.faces[n] = level
+                if n not in whole:
+                    level = _DerivedFaces(self, n, first_degeneracy[n])
+                    if n < top:
+                        level = list(level.derive(self.faces[n - 1]))
+                    self.faces[n] = level
         super().__init__()
 
     # perfbench/tracer.py wraps these through SimplicialSetModel.__dict__
@@ -638,8 +671,7 @@ class SimplicialSetModel(ChainModel):
             table = getattr(self, kind)[n][i]
             if table.shape != ((face_lengths if kind == "faces" else sizes)[n],):
                 raise ContractViolation(f"{kind}[{n}][{i}] has wrong length")
-            if table.size and (table.min() < 0 or table.max() >= sizes[t]):
-                raise ContractViolation(f"{kind}[{n}][{i}] points out of range")
+            _check_range(kind, n, i, table, sizes[t])
 
     # -- basic queries -------------------------------------------------------
 
@@ -824,7 +856,7 @@ class SimplicialSetModel(ChainModel):
 
         So a rule that is a simplicial set gives the tables it would give on
         every simplex, and the word stream is the same either way.
-        ``from_words`` reads tables verbatim instead.
+        ``from_words`` keeps the same of a word stream.
         """
         sizes = [int(s) for s in level_sizes]
         degeneracies = [
@@ -845,11 +877,25 @@ class SimplicialSetModel(ChainModel):
         return cls(cap, sizes, faces, degeneracies, description, first)
 
     @classmethod
-    def from_words(cls, header: dict, words) -> "SimplicialSetModel":
-        """The model of a ``header()`` and its word stream, as slices of ``words``.
+    def from_words(cls, header: dict, words, sink=None) -> "SimplicialSetModel":
+        """The model of a ``header()`` and its word stream, kept as a build keeps it.
 
-        Every table is read verbatim, so a damaged word changes the model
-        and its content hash.
+        ``words`` is the stream: anything with a length whose slices are
+        int32 arrays, such as an array (whose views the model then keeps)
+        or a reader of an open file.  The degeneracy tables are read whole,
+        in one slice, and give each level's ``_first_degeneracy``; then the
+        face tables are read in stream order.  Below the top nondegenerate
+        level a table is kept whole, as a build keeps it; at and above it,
+        only the faces of the level's nondegenerate simplices are kept, and
+        the constructor derives the rest when read, as for
+        ``from_operators``.  So a model read back is the model built.  (The
+        degenerate simplices' faces at and above the top are not read back:
+        a stream that breaks the simplicial identities there reads back as
+        the model the identities give.)  ``sink``, when given, is called
+        with every table read, in stream order: each face table as it is
+        read, then the degeneracy tables.  A word the model does not keep
+        reaches only the sink, which is how ``ModelCache._load`` hashes
+        every word of an entry.
         """
         cap = int(header["level_cap"])
         sizes = [int(s) for s in header["level_sizes"]]
@@ -859,12 +905,28 @@ class SimplicialSetModel(ChainModel):
         starts = list(itertools.accumulate((sizes[n] for _, n, _, _ in ops), initial=0))
         if len(words) != starts[-1]:
             raise ContractViolation("word stream length does not match level_sizes")
-        tables = {"faces": [[] for _ in sizes], "degeneracies": [[] for _ in sizes]}
-        for (kind, n, _, _), first in zip(ops, starts):
-            tables[kind][n].append(words[first : first + sizes[n]])
-        return cls(
-            cap, sizes, tables["faces"], tables["degeneracies"], header["description"]
-        )
+        count = sum(kind == "faces" for kind, _, _, _ in ops)  # faces lead the stream
+        block = words[starts[count] :]  # the degeneracy tables, in one read
+        faces, degeneracies = [[] for _ in sizes], [[] for _ in sizes]
+        for (kind, n, i, t), at in zip(ops[count:], starts[count:]):
+            at -= starts[count]
+            degeneracies[n].append(block[at : at + sizes[n]])
+            _check_range(kind, n, i, degeneracies[n][i], sizes[t])
+        first = [
+            _first_degeneracy(into, size)
+            for into, size in zip([[]] + degeneracies, sizes)
+        ]
+        ids = [np.flatnonzero(f < 0) for f in first]
+        top = max((n for n, level in enumerate(ids) if level.size), default=-1)
+        for (_, n, _, _), at in zip(ops[:count], starts):
+            table = words[at : at + sizes[n]]
+            if sink is not None:
+                sink(table)
+            faces[n].append(table if n < top else table.take(ids[n]))
+        if sink is not None:
+            for table in itertools.chain.from_iterable(degeneracies):
+                sink(table)
+        return cls(cap, sizes, faces, degeneracies, header["description"], first)
 
     def content_hash(self, sink=None) -> str:
         """The model's hash, over its header line and one walk of its word stream.
@@ -874,8 +936,7 @@ class SimplicialSetModel(ChainModel):
         in the same walk, so a built model's top levels are derived once and
         the cap's tables are held one at a time.
         """
-        head = canonical_json({"scheme": HASH_SCHEME, **self.header()}) + "\n"
-        h = hashlib.sha256(head.encode())
+        h = content_hasher(self.header())
         for table in self._word_stream():
             h.update(table)
             if sink is not None:

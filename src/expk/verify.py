@@ -44,7 +44,12 @@ from .exact_sequences import (
     solve_template,
 )
 from .gf2 import Gf2Span, Gf2Vector, relations
-from .simplicial import BettiTable, SimplicialSetModel, canonical_json
+from .simplicial import (
+    BettiTable,
+    SimplicialSetModel,
+    canonical_json,
+    content_hasher,
+)
 from .spaces import DEFAULT_MAX_LEVEL_SIZE, SpaceSpec, build_space, product
 
 REPORT_FORMAT = "verification-report/1"
@@ -111,8 +116,11 @@ class VerificationReport:
 class ModelCache:
     """Builds models on demand; optionally persists them with hashes.
 
-    A normalized model is built in milliseconds, so it is only kept in
-    ``memory``: it never reads or writes ``cache_dir`` and has no hash.
+    A stored model is written to ``cache_dir`` as its content hash reads
+    it (``_store``) and read back as a build keeps it, verified against
+    that hash (``_load``), so a loaded model holds no more than a built
+    one.  A normalized model is built in milliseconds, so it is only kept
+    in ``memory``: it never reads or writes ``cache_dir`` and has no hash.
     The sphere a stored spec builds on, and the model of a sphere spec, is
     built once and kept in ``bases`` for as long as the cache; it is
     neither hashed nor stored.
@@ -196,30 +204,51 @@ class ModelCache:
     def _load(self, path, key):
         """The cached model and its verified content hash, or None.
 
-        The word block is read straight into one little-endian int32 array,
-        sized from the file's length, so a load holds one copy of the words.
-        The array is read-only and the model's tables are slices of it.
+        ``from_words`` reads the entry's tables from the open file, each at
+        its offset, and keeps what a build keeps, so besides the model a
+        load holds one face table at a time, never the whole word block.
+        Every word it reads is hashed, the ones the model does not keep
+        too, so a damaged word is refused wherever it lies.
         """
         try:
             with open(path, "rb") as fh:
                 header = json.loads(fh.readline())
-                size = os.fstat(fh.fileno()).st_size - fh.tell()
-                if size % 4:
-                    raise ValueError("buffer size must be a multiple of element size")
-                words = np.empty(size // 4, dtype="<i4")
-                if (got := fh.readinto(words.view(np.uint8))) != size:
-                    raise ValueError(f"word block read short: {got} of {size} bytes")
-            words.setflags(write=False)
-            if canonical_json(header["spec"]) != key:
-                raise ValueError("entry is for another spec")
-            model = SimplicialSetModel.from_words(header, words)
-            model_hash = model.content_hash()
-            if model_hash != header["hash"]:
+                if canonical_json(header["spec"]) != key:
+                    raise ValueError("entry is for another spec")
+                h = content_hasher(header)
+                model = SimplicialSetModel.from_words(header, _EntryWords(fh), h.update)
+            if h.hexdigest() != header["hash"]:
                 raise ValueError("hash mismatch")
-            return model, model_hash
+            return model, header["hash"]
         except Exception as exc:  # corrupt cache: rebuild with a warning
             self.warnings.append(f"cache entry {path} rebuilt: {exc}")
             return None
+
+
+class _EntryWords:
+    """The word block of an open cache entry, from the file's position on.
+
+    A slice is read from the file when taken, as a little-endian int32
+    array, so ``from_words`` holds only the tables it has not let go.
+    """
+
+    def __init__(self, fh):
+        self._fh, self._start = fh, fh.tell()
+        size = os.fstat(fh.fileno()).st_size - self._start
+        if size % 4:
+            raise ValueError("buffer size must be a multiple of element size")
+        self._len = size // 4
+
+    def __len__(self):
+        return self._len
+
+    def __getitem__(self, words: slice) -> np.ndarray:
+        start, stop, _ = words.indices(self._len)
+        table = np.empty(stop - start, dtype="<i4")
+        self._fh.seek(self._start + 4 * start)
+        if (got := self._fh.readinto(table.view(np.uint8))) != table.nbytes:
+            raise ValueError(f"word block read short: {got} of {table.nbytes} bytes")
+        return table
 
 
 @dataclass

@@ -168,6 +168,15 @@ def test_the_budget_bounds_each_level_before_it_is_enumerated():
     assert (err.value.level, err.value.size, err.value.bound) == (5, 30, 29)
 
 
+def test_the_id_bound_is_checked_only_on_levels_that_rank_rows():
+    # the cap kn + 1 holds no row, so exp₅₆(S¹) builds: Tuffley's S⁵⁵
+    model = NormalizedModel("exp", 1, 56)
+    assert model.nondeg_count(model.level_cap) == 0
+    assert [d for d, dim in enumerate(model.betti_table().dims) if dim] == [0, 55]
+    with pytest.raises(ContractViolation, match="level 57 overflow int64"):
+        NormalizedModel("exp", 1, 57)
+
+
 def test_the_model_refuses_other_kinds_directly():
     with pytest.raises(ContractViolation):
         NormalizedModel("power", 2, 2)

@@ -456,16 +456,18 @@ def test_memos_are_read_only_and_shared_by_threads(tmp_path):
         model.restrict(2, (0, 2))[0] = 0
     with pytest.raises(ValueError):
         model._face_stack(2)[0][0] = 0
-    # a model read from a cache entry: its tables are slices of one word
-    # array, and neither they nor that array are writeable
+    # a model read from a cache entry: neither the tables it read nor the
+    # faces its derived levels keep are writeable
     small = SpaceSpec("exp", n=1, k=2)
     ModelCache(cache_dir=str(tmp_path)).model_for(small)
     cache = ModelCache(cache_dir=str(tmp_path))
     loaded = cache.model_for(small)
     assert not cache.warnings
-    tables = [t for level in loaded.faces + loaded.degeneracies for t in level]
-    (words,) = {id(t.base): t.base for t in tables}.values()
-    assert not any(t.flags.writeable for t in tables) and not words.flags.writeable
+    derived = [level for level in loaded.faces if isinstance(level, _DerivedFaces)]
+    stored = [level for level in loaded.faces if not isinstance(level, _DerivedFaces)]
+    tables = [t for level in stored + loaded.degeneracies for t in level]
+    tables += [t for level in derived for t in level.nondegenerate]
+    assert derived and tables and not any(t.flags.writeable for t in tables)
 
 
 def test_bases_count_betti_and_spans_carry_no_tags():
@@ -542,13 +544,27 @@ def test_content_hash_is_pinned():
     stream = b"".join(np.asarray(a, dtype="<i4").tobytes() for a in tables)
     assert hashlib.sha256(head.encode() + b"\n" + stream).hexdigest() == t.content_hash()
 
+    def read_back(header, words):
+        """The model of ``words`` and the hash of its header and every word read."""
+        h = simplicial.content_hasher(header)
+        return SimplicialSetModel.from_words(header, words, h.update), h.hexdigest()
+
     words = np.concatenate(t.words())
-    assert SimplicialSetModel.from_words(t.header(), words) == t
-    words[0] = (words[0] + 1) % t.level_sizes[0]  # one face id, still in range
-    flipped = SimplicialSetModel.from_words(t.header(), words)
-    renamed = SimplicialSetModel.from_words({**t.header(), "description": "other"}, words)
-    hashes = {t.content_hash(), flipped.content_hash(), renamed.content_hash()}
-    assert len(hashes) == 3
+    assert read_back(t.header(), words) == (t, t.content_hash())
+    # a face id, still in range, of a level below the top nondegenerate one,
+    # which the model keeps whole; then one of a degenerate simplex of the
+    # cap, whose faces the model does not keep: the hash reads both
+    cap = t.level_cap
+    assert t.top_nondegenerate_level() < cap
+    words[0] = (words[0] + 1) % t.level_sizes[0]
+    flipped, flipped_hash = read_back(t.header(), words)
+    at = sum((n + 1) * t.level_sizes[n] for n in range(1, cap))
+    words[at] = (words[at] + 1) % t.level_sizes[cap - 1]
+    unkept, unkept_hash = read_back(t.header(), words)
+    renamed = read_back({**t.header(), "description": "other"}, words)[1]
+    assert flipped != t and unkept == flipped
+    assert flipped.content_hash() == flipped_hash != t.content_hash()
+    assert len({t.content_hash(), flipped_hash, unkept_hash, renamed}) == 4
 
 
 # built models whose top level holds no nondegenerate simplex, and one
@@ -584,7 +600,8 @@ def test_a_built_model_and_its_words_read_back_agree(name):
     assert _derived_levels(built) == list(range(top, cap + 1)) == _derived_levels(indexed)
     assert top == (cap if name == "sphere2-cap2" else cap - 1)
     read = SimplicialSetModel.from_words(built.header(), np.concatenate(built.words()))
-    assert _derived_levels(read) == []
+    # the words read back keep what the build kept
+    assert _derived_levels(read) == _derived_levels(built) and _kept_levels(read) == []
     # every level's tables indexed before any walk, each table of a level
     # once the level is kept
     for n in range(1, cap + 1):
@@ -704,6 +721,25 @@ def test_a_built_model_holds_no_top_level_face_table():
     assert held < words - unstored + 4 * model.level_sizes[cap]
 
 
+@pytest.mark.parametrize("kind", ["exp", "sym"])
+def test_a_model_loaded_from_the_cache_is_the_model_built(tmp_path, kind):
+    spec = SpaceSpec(kind, n=2, k=2)
+    built = ModelCache(cache_dir=str(tmp_path)).model_for(spec)
+    cache = ModelCache(cache_dir=str(tmp_path))
+    loaded = cache.model_for(spec)
+    assert not cache.warnings and loaded is not built
+    cap = built.level_cap
+    assert _derived_levels(loaded) == _derived_levels(built) == [cap - 1, cap]
+    assert _kept_levels(loaded) == _kept_levels(built) == []
+    # the same tables, flags and kept faces: no more and no less
+    assert _array_bytes(loaded, set()) == _array_bytes(built, set())
+    for n in range(cap + 1):
+        for size in range(1, n + 2):
+            for kept in itertools.combinations(range(n + 1), size):
+                assert np.array_equal(built.restrict(n, kept), loaded.restrict(n, kept))
+    assert loaded == built and _kept_levels(loaded) == []
+
+
 def test_a_closed_top_is_never_keyed_nor_asked_about(monkeypatch):
     keyed, empty = [], []
     subset_keys = spaces._subset_keys
@@ -742,6 +778,16 @@ def test_from_words_rejects_a_stream_of_the_wrong_length():
         SimplicialSetModel.from_words(t.header(), words[:-1])
     with pytest.raises(ContractViolation):
         SimplicialSetModel.from_words({**t.header(), "level_cap": t.level_cap + 1}, words)
+
+
+def test_from_words_rejects_a_degeneracy_out_of_range():
+    # the degeneracy tables are read before any face table, and index the
+    # level above when they give its nondegenerate ids
+    t = torus()
+    words = np.concatenate(t.words())
+    words[-1] = t.level_sizes[-1]
+    with pytest.raises(ContractViolation, match="out of range"):
+        SimplicialSetModel.from_words(t.header(), words)
 
 
 def test_betti_table_serialization():

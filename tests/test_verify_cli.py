@@ -217,12 +217,28 @@ def test_cli_verify_prints_each_warning_to_stderr(tmp_path, capsys, stored_row):
     assert reported.startswith(f"cache entry {victim} rebuilt")
 
 
-def _flip_first_word(header, body):
+def _flip_word(header, body, at, level):
+    """The entry with word ``at``, a face id into ``level``, moved to another id."""
     words = np.frombuffer(body, dtype="<i4").copy()
-    flipped = (words[0] + 1) % header["level_sizes"][0]  # still a valid face id
-    assert flipped != words[0]
-    words[0] = flipped
+    flipped = (words[at] + 1) % header["level_sizes"][level]  # still a valid face id
+    assert flipped != words[at]
+    words[at] = flipped
     return _header_line(header) + words.tobytes()
+
+
+def _flip_first_word(header, body):
+    return _flip_word(header, body, 0, 0)
+
+
+def _flip_cap_face_word(header, body):
+    """Flip the first word of the cap's d_0: a face of a degenerate simplex,
+    which a loaded model does not keep."""
+    cap, sizes = header["level_cap"], header["level_sizes"]
+    assert SimplicialSetModel.from_words(
+        header, np.frombuffer(body, dtype="<i4")
+    ).top_nondegenerate_level() < cap
+    at = sum((n + 1) * sizes[n] for n in range(1, cap))
+    return _flip_word(header, body, at, cap - 1)
 
 
 def _other_spec(header, body):
@@ -235,6 +251,7 @@ DAMAGE = {
     "header-only": (lambda h, b: _header_line(h), "length"),
     "empty-file": (lambda h, b: b"", "Expecting value"),
     "flipped-word": (_flip_first_word, "hash mismatch"),
+    "flipped-unkept-word": (_flip_cap_face_word, "hash mismatch"),
     "other-spec": (_other_spec, "another spec"),
     "appended-word": (lambda h, b: _header_line(h) + b + b[:4], "length"),
 }
@@ -323,24 +340,28 @@ def test_a_cache_entry_is_its_header_line_and_the_word_stream(tmp_path):
 
 def test_a_cache_store_and_load_hold_at_most_one_copy_of_the_words(tmp_path):
     spec = SpaceSpec("exp", n=3, k=2)
-    model = verify.build_space(spec)
-    words = sum(table.nbytes for table in model.words())
     cache, key = ModelCache(cache_dir=str(tmp_path)), spec.to_json_text()
     path = str(tmp_path / "entry.bin")
     tracemalloc.start()
     try:
+        model = verify.build_space(spec)
+        built = tracemalloc.get_traced_memory()[0]
+        words = sum(table.nbytes for table in model.words())
+        tracemalloc.reset_peak()
         model_hash = cache._store(path, key, model)
-        stored = tracemalloc.get_traced_memory()[1]
+        stored = tracemalloc.get_traced_memory()[1] - built
         tracemalloc.reset_peak()
         held = tracemalloc.get_traced_memory()[0]
         loaded, loaded_hash = cache._load(path, key)
-        read = tracemalloc.get_traced_memory()[1] - held
+        read, kept = (m - held for m in tracemalloc.get_traced_memory()[::-1])
     finally:
         tracemalloc.stop()
     assert loaded_hash == model_hash and loaded == model
-    # the store holds one derived cap table at a time, the load one word array
+    # the store holds one derived cap table at a time; the load keeps what
+    # the build kept, and besides it holds one face table at a time
     assert stored < 0.8 * words
-    assert read < 1.5 * words
+    assert read < 0.6 * words
+    assert kept <= built
 
 
 def test_cache_entries_get_the_mode_of_a_plain_open(tmp_path):
@@ -458,15 +479,26 @@ def test_model_cache_hashes_each_model_once(tmp_path, monkeypatch):
         calls.append(model.description)
         return content_hash(model, *words)
 
+    hashed = []  # the tables a load hands its hash, as it reads them
+    from_words = SimplicialSetModel.from_words.__func__
+
+    def counting_read(cls, header, words, sink):
+        return from_words(cls, header, words, lambda t: hashed.append(t) or sink(t))
+
     monkeypatch.setattr(SimplicialSetModel, "content_hash", counting_hash)
+    monkeypatch.setattr(SimplicialSetModel, "from_words", classmethod(counting_read))
     spec = SpaceSpec("exp", n=1, k=2, cap=3)
     cache_dir = str(tmp_path / "cache")
     built = ModelCache(cache_dir=cache_dir)
-    built.model_for(spec)
-    assert len(calls) == 1
+    model = built.model_for(spec)
+    assert len(calls) == 1 and hashed == []
     loaded = ModelCache(cache_dir=cache_dir)
     loaded.model_for(spec)
-    assert len(calls) == 2
+    # a load makes one hash pass, over the words it reads, and no
+    # content_hash call
+    assert len(calls) == 1
+    assert all(map(np.array_equal, hashed, model.words()))
+    assert len(hashed) == len(model.words())
     assert not loaded.warnings
     assert loaded.hashes == built.hashes
 
