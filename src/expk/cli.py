@@ -81,7 +81,7 @@ def _add_spec_arguments(p, required=True):
     p.add_argument(
         "--normalized",
         action="store_true",
-        help="the normalized complex: --kind exp or sym, --base one-vertex; "
+        help="the normalized complex: --kind exp or sym, on either --base; "
         "only betti computes it",
     )
 

@@ -27,7 +27,8 @@ hold by construction for that (j, y):
 * ``pushout`` glues two maps with a shared source, level by level,
   labelling each class by its smallest element.
 * A ``SpaceSpec`` with ``normalized=True`` builds no stored model:
-  ``build_space`` gives the normalized complex of ``expk.normalized``.
+  ``build_space`` gives the normalized complex of ``expk.normalized``
+  over the spec's sphere.
 
 Symmetric powers, subset spaces and the maps into them share one
 canonical-key path: map key rows entrywise, sort them (collapsing repeats
@@ -746,7 +747,7 @@ class SpaceSpec:
     built on: ``"boundary"`` (∂Δⁿ⁺¹, the default) or ``"one-vertex"``
     (Δⁿ/∂Δⁿ).  ``normalized`` selects the normalized complex
     (``expk.normalized``) instead of the stored model; only ``exp`` and
-    ``sym`` over the one-vertex sphere have one, at the cap kn + 1.  The
+    ``sym`` have one, over either sphere, at the cap kn + 1.  The
     JSON form carries ``base`` only for ``"one-vertex"`` and
     ``normalized`` only when set, so every other spec's text, and every
     hash keyed by it, is the one it had before the fields existed.  A
@@ -793,8 +794,6 @@ class SpaceSpec:
                 raise ContractViolation(
                     "only exp and sym specs have a normalized complex"
                 )
-            if self.base != "one-vertex":
-                raise ContractViolation("a normalized complex needs base 'one-vertex'")
             if self.cap not in (None, self.k * self.n + 1):
                 raise ContractViolation("a normalized complex has the level cap kn + 1")
 
@@ -828,7 +827,7 @@ class SpaceSpec:
 
 
 def sphere_base(spec: SpaceSpec) -> SimplicialSetModel:
-    """The sphere model a stored spec of every kind but ``complex`` builds on."""
+    """The sphere model a spec of every kind but ``complex`` builds on."""
     return SPHERE_BASES[spec.base](
         spec.n, spec.default_cap(), max_level_size=spec.max_level_size
     )
@@ -839,17 +838,18 @@ def build_space(spec: SpaceSpec, base=None) -> ChainModel:
 
     ``base`` is the spec's ``sphere_base``, built here when not given; a
     caller that builds many specs on one sphere passes the one it built.
+    A normalized complex reads it as a stored model does.
     """
     cap = spec.default_cap()
     bound = spec.max_level_size
-    if spec.normalized:
-        from .normalized import NormalizedModel  # it builds on this module's keys
-
-        return NormalizedModel(spec.kind, spec.n, spec.k, max_level_size=bound)
     if spec.kind == "complex":
         return from_complex(spec.facets, cap, max_level_size=bound)
     if base is None:
         base = sphere_base(spec)
+    if spec.normalized:
+        from .normalized import NormalizedModel  # it builds on this module's keys
+
+        return NormalizedModel(spec.kind, base, spec.k, max_level_size=bound)
     if spec.kind == "sphere":
         return base
     if spec.kind == "product":

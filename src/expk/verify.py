@@ -121,9 +121,9 @@ class ModelCache:
     that hash (``_load``), so a loaded model holds no more than a built
     one.  A normalized model is built in milliseconds, so it is only kept
     in ``memory``: it never reads or writes ``cache_dir`` and has no hash.
-    The sphere a stored spec builds on, and the model of a sphere spec, is
-    built once and kept in ``bases`` for as long as the cache; it is
-    neither hashed nor stored.
+    The sphere a stored or normalized spec builds on, and the model of a
+    sphere spec, is built once and kept in ``bases`` for as long as the
+    cache; it is neither hashed nor stored.
     """
 
     def __init__(self, cache_dir=None):
@@ -143,7 +143,7 @@ class ModelCache:
             if spec.kind == "sphere":
                 return self._base(spec)
             if spec.normalized:
-                self.memory[key] = build_space(spec)
+                self.memory[key] = build_space(spec, self._base(spec))
                 return self.memory[key]
             model = model_hash = path = None
             if self.cache_dir is not None:
@@ -289,9 +289,9 @@ def _all_hold(bad, detail, **fields) -> dict:
 # row kinds: each factory turns one row's data into a check
 
 
-def _normalized(kind, n, k):
-    """The spec of the normalized ``kind`` at (n, k)."""
-    return SpaceSpec(kind, n=n, k=k, base="one-vertex", normalized=True)
+def _normalized(kind, n, k, base="one-vertex"):
+    """The spec of the normalized ``kind`` at (n, k) over the sphere ``base``."""
+    return SpaceSpec(kind, n=n, k=k, base=base, normalized=True)
 
 
 def _betti(kind, n, k, oracle=None, detail=""):
@@ -421,11 +421,11 @@ def _circle_bundle_over_grassmannian(ctx, n):
 
 
 # (kind, n) -> the spec of each model _gluing_square reads for n = 1, 2:
-# exp₂ and Sym₃ of Sⁿ, and Sⁿ at cap 2n + 1 for its square
+# the normalized exp₂ and Sym₃ of Sⁿ, and Sⁿ at cap 2n + 1 for its square
 GLUING_SPACES = {
-    (kind, n): SpaceSpec(kind, n=n, k=k, cap=2 * n + 1 if kind == "sphere" else None)
-    for n in (1, 2)
-    for kind, k in (("exp", 2), ("sym", 3), ("sphere", None))
+    **{(kind, n): _normalized(kind, n, k) for n in (1, 2)
+       for kind, k in (("exp", 2), ("sym", 3))},
+    **{("sphere", n): SpaceSpec("sphere", n=n, cap=2 * n + 1) for n in (1, 2)},
 }
 
 
@@ -479,10 +479,15 @@ AGREEING_SPACES = (
 )
 
 
-@_reads(*[SpaceSpec(kind, n=n, k=k, base=base) for kind, n, k in AGREEING_SPACES
-          for base in ("one-vertex", "boundary")])
+@_reads(*[spec for kind, n, k in AGREEING_SPACES
+          for spec in (SpaceSpec(kind, n=n, k=k, base="one-vertex"),
+                       _normalized(kind, n, k, base="boundary"))])
 def check_models_agree(ctx, *models):
-    """Each space's table on the one-vertex sphere is its table on ∂Δⁿ⁺¹."""
+    """Each space's stored table on the one-vertex sphere is its table on ∂Δⁿ⁺¹.
+
+    The ∂Δⁿ⁺¹ side is the normalized complex; ``normalized-agree`` holds
+    it to the stored ∂Δⁿ⁺¹ models of the three smallest spaces.
+    """
     computed, expected = {}, {}
     pairs = zip(models[::2], models[1::2])
     for (kind, n, k), (one_vertex, boundary) in zip(AGREEING_SPACES, pairs):
@@ -496,7 +501,8 @@ def check_models_agree(ctx, *models):
     ]
     return _all_hold(
         bad,
-        "one-vertex and boundary sphere models give the same tables",
+        "stored one-vertex and normalized boundary sphere models give the same "
+        "tables",
         computed=computed,
         expected=expected,
     )
@@ -527,24 +533,31 @@ def _invariants(model, squares) -> dict:
     }
 
 
-@_reads(*[spec for kind, n, k in AGREEING_SPACES
-          for spec in (SpaceSpec(kind, n=n, k=k, base="one-vertex"),
-                       _normalized(kind, n, k))])
+# (kind, n, k, base) of each space whose normalized complex is held to its
+# stored model: every AGREEING_SPACES space on the one-vertex sphere, and
+# on ∂Δⁿ⁺¹ the three whose stored models the SUITE rows read
+NORMALIZED_AGREEING = [(*space, "one-vertex") for space in AGREEING_SPACES] + [
+    (*space, "boundary") for space in AGREEING_SPACES[:3]
+]
+
+
+@_reads(*[spec for kind, n, k, base in NORMALIZED_AGREEING
+          for spec in (SpaceSpec(kind, n=n, k=k, base=base),
+                       _normalized(kind, n, k, base=base))])
 def check_normalized_agree(ctx, *models):
-    """Each space's normalized complex computes what its one-vertex model does."""
+    """Each space's normalized complex computes what its stored model does."""
     computed, expected, bad = {}, {}, []
     pairs = zip(models[::2], models[1::2])
-    for space, (stored, normalized) in zip(AGREEING_SPACES, pairs):
-        kind, n, k = space
-        label = f"{kind}{k}(S{n})"
-        squares = SQUARED_SPACES.get(space, ())
+    for (kind, n, k, base), (stored, normalized) in zip(NORMALIZED_AGREEING, pairs):
+        label = f"{kind}{k}(S{n})" + (", boundary" if base == "boundary" else "")
+        squares = SQUARED_SPACES.get((kind, n, k), ())
         got = computed[label] = _invariants(normalized, squares)
         want = expected[label] = _invariants(stored, squares)
         bad += [(label, aspect) for aspect in got if got[aspect] != want[aspect]]
     return _all_hold(
         bad,
-        "normalized and stored one-vertex models give the same counts, tables, "
-        "rings and squares",
+        "normalized and stored models on either sphere give the same counts, "
+        "tables, rings and squares",
         computed=computed,
         expected=expected,
     )

@@ -1,4 +1,4 @@
-"""The normalized complexes of exp_k and Sym_k over the one-vertex sphere."""
+"""The normalized complexes of exp_k and Sym_k over a stored base."""
 
 import hashlib
 import itertools
@@ -10,12 +10,19 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from expk import catalog
+from expk import catalog, complexes
 from expk.cochains import ring_table, square_coordinates
 from expk.errors import ContractViolation, LevelSizeError
 from expk.gf2 import Gf2Span
 from expk.normalized import NormalizedModel, nondegenerate_count
-from expk.spaces import SpaceSpec, build_space
+from expk.spaces import (
+    SpaceSpec,
+    build_space,
+    exp_subsets,
+    from_complex,
+    one_vertex_sphere,
+    sym_power,
+)
 from expk.verify import ModelCache
 
 # the spaces on which both paths were first compared, at the cap kn + 1
@@ -27,24 +34,29 @@ AGREEING = [
 ]
 
 
-def normalized(kind, n, k, **fields):
-    return build_space(
-        SpaceSpec(kind, n=n, k=k, base="one-vertex", normalized=True, **fields)
-    )
+# the spaces held to their stored models on ∂Δⁿ⁺¹; verify compares only
+# the first three there
+BOUNDARY_AGREEING = [
+    ("exp", 1, 2), ("exp", 1, 3), ("exp", 2, 2), ("exp", 2, 3), ("exp", 3, 2),
+    ("sym", 1, 3), ("sym", 2, 2), ("sym", 2, 3),
+]
 
 
-def stored(kind, n, k):
-    return build_space(SpaceSpec(kind, n=n, k=k, base="one-vertex"))
+def normalized(kind, n, k, base="one-vertex", **fields):
+    return build_space(SpaceSpec(kind, n=n, k=k, base=base, normalized=True, **fields))
+
+
+def stored(kind, n, k, base="one-vertex"):
+    return build_space(SpaceSpec(kind, n=n, k=k, base=base))
 
 
 def counts(model):
     return [model.nondeg_count(m) for m in range(model.level_cap + 1)]
 
 
-@pytest.mark.parametrize("kind, n, k", AGREEING)
-def test_normalized_and_stored_one_vertex_models_agree(kind, n, k):
-    model, reference = normalized(kind, n, k), stored(kind, n, k)
-    assert model.level_cap == reference.level_cap == k * n + 1
+def assert_models_agree(model, reference):
+    """Same cap, counts and ids, so the same Betti table and ring table."""
+    assert model.level_cap == reference.level_cap
     assert counts(model) == counts(reference)
     # a normalized row's id is the one the stored model gives the same simplex
     for m in range(model.level_cap + 1):
@@ -53,16 +65,63 @@ def test_normalized_and_stored_one_vertex_models_agree(kind, n, k):
     assert ring_table(model) == ring_table(reference)
 
 
-@pytest.mark.parametrize(
-    "kind, n, k", [("sym", 3, 2), ("sym", 4, 2), ("exp", 2, 3), ("exp", 3, 3)]
-)
-def test_normalized_and_stored_squares_agree(kind, n, k):
-    model, reference = normalized(kind, n, k), stored(kind, n, k)
+def assert_squares_agree(model, reference):
     top = model.top_nondegenerate_level()
     for d in range(top + 1):
         for i in range(top - d + 1):
             want = square_coordinates(reference, i, d)
             assert square_coordinates(model, i, d) == want, (i, d)
+
+
+@pytest.mark.parametrize("kind, n, k", AGREEING)
+def test_normalized_and_stored_one_vertex_models_agree(kind, n, k):
+    model, reference = normalized(kind, n, k), stored(kind, n, k)
+    assert model.level_cap == k * n + 1
+    assert_models_agree(model, reference)
+
+
+@pytest.mark.parametrize("kind, n, k", BOUNDARY_AGREEING)
+def test_normalized_and_stored_boundary_models_agree(kind, n, k):
+    model = normalized(kind, n, k, base="boundary")
+    assert model.level_cap == k * n + 1
+    assert_models_agree(model, stored(kind, n, k, base="boundary"))
+
+
+@pytest.mark.parametrize(
+    "kind, n, k", [("sym", 3, 2), ("sym", 4, 2), ("exp", 2, 3), ("exp", 3, 3)]
+)
+def test_normalized_and_stored_squares_agree(kind, n, k):
+    assert_squares_agree(normalized(kind, n, k), stored(kind, n, k))
+
+
+@pytest.mark.parametrize("kind, n, k", [("exp", 3, 2), ("sym", 2, 3)])
+def test_normalized_and_stored_boundary_squares_agree(kind, n, k):
+    model = normalized(kind, n, k, base="boundary")
+    assert_squares_agree(model, stored(kind, n, k, base="boundary"))
+
+
+# the 9-vertex torus and the 6-vertex projective plane, at the cap 2·2 + 1
+COMPLEX_BASES = {
+    "rp2": complexes.PROJECTIVE_PLANE_FACETS,
+    "torus": complexes.torus_facets(),
+}
+
+
+@pytest.mark.parametrize(
+    "name, kind, table",
+    [
+        # Sym₂(RP²) is RP⁴; Sym₂(T²) is Macdonald's table; exp₂ = Sym₂
+        ("rp2", "sym", (1, 1, 1, 1, 1)),
+        ("rp2", "exp", (1, 1, 1, 1, 1)),
+        ("torus", "sym", (1, 2, 2, 2, 1)),
+        ("torus", "exp", (1, 2, 2, 2, 1)),
+    ],
+)
+def test_normalized_and_stored_models_over_a_complex_agree(name, kind, table):
+    base = from_complex(COMPLEX_BASES[name], 5)
+    model = NormalizedModel(kind, base, 2)
+    assert_models_agree(model, {"sym": sym_power, "exp": exp_subsets}[kind](base, 2))
+    assert model.betti_table().dims == table
 
 
 def square_rank(model, i, d):
@@ -81,6 +140,9 @@ def test_the_nonzero_squares_below_the_top_degree():
 
 
 RESTRICT_DIGEST = "bfcc2b9e89244be9e4fc8f5d4f0dc3faf5ec84b5b1d0b5837dd7f40bdad79d1e"
+# every face-stack array of every AGREEING model, pinned before the
+# constructor read its base's tables: the one-vertex faces stay bit-identical
+FACE_STACK_DIGEST = "da5517d1f96b5c352ff557980e00db2217e25fa676a7036d7c03e86feea4c67c"
 
 
 def test_normalized_restrict_arrays_are_pinned():
@@ -97,13 +159,26 @@ def test_normalized_restrict_arrays_are_pinned():
     assert h.hexdigest() == RESTRICT_DIGEST
 
 
+def test_normalized_face_stacks_are_pinned():
+    """``restrict(m, all but i)`` of every one-vertex AGREEING model."""
+    h = hashlib.sha256()
+    for kind, n, k in AGREEING:
+        model = normalized(kind, n, k)
+        for m in range(1, model.level_cap + 1):
+            for i in range(m + 1):
+                kept = tuple(t for t in range(m + 1) if t != i)
+                h.update(model.restrict(m, kept).tobytes())
+    assert h.hexdigest() == FACE_STACK_DIGEST
+
+
 @pytest.mark.parametrize(
     "kind, n, k", [("exp", 2, 5), ("sym", 2, 5), ("exp", 3, 3), ("sym", 4, 2)]
 )
 def test_levels_hold_the_inclusion_exclusion_counts(kind, n, k):
     model = normalized(kind, n, k)
+    cells = (1,) + (0,) * (n - 1) + (1,)  # Δⁿ/∂Δⁿ: a basepoint and one n-cell
     assert counts(model) == [
-        nondegenerate_count(kind, n, k, m) for m in range(model.level_cap + 1)
+        nondegenerate_count(kind, cells, k, m) for m in range(model.level_cap + 1)
     ]
     assert model.nondeg_count(k * n + 1) == 0 and model.nondeg_count(k * n) > 0
 
@@ -142,11 +217,9 @@ def test_restrict_is_memoized_read_only_and_checks_its_positions(build):
         {"kind": "sphere"},
         {"kind": "product"},
         {"kind": "power", "k": 2},
-        {"kind": "exp", "k": 2, "base": "boundary"},
-        {"kind": "sym", "k": 2, "base": "boundary"},
         {"kind": "exp", "k": 2, "base": "one-vertex", "cap": 7},
     ],
-    ids=["sphere", "product", "power", "exp-boundary", "sym-boundary", "cap"],
+    ids=["sphere", "product", "power", "cap"],
 )
 def test_a_spec_of_another_kind_base_or_cap_is_refused(fields):
     with pytest.raises(ContractViolation):
@@ -170,18 +243,22 @@ def test_the_budget_bounds_each_level_before_it_is_enumerated():
 
 def test_the_id_bound_is_checked_only_on_levels_that_rank_rows():
     # the cap kn + 1 holds no row, so exp₅₆(S¹) builds: Tuffley's S⁵⁵
-    model = NormalizedModel("exp", 1, 56)
+    model = normalized("exp", 1, 56)
     assert model.nondeg_count(model.level_cap) == 0
     assert [d for d, dim in enumerate(model.betti_table().dims) if dim] == [0, 55]
     with pytest.raises(ContractViolation, match="level 57 overflow int64"):
-        NormalizedModel("exp", 1, 57)
+        normalized("exp", 1, 57)
 
 
 def test_the_model_refuses_other_kinds_directly():
+    base = one_vertex_sphere(2, 5)
+    assert NormalizedModel("exp", base, 2).level_cap == 5
     with pytest.raises(ContractViolation):
-        NormalizedModel("power", 2, 2)
+        NormalizedModel("power", base, 2)
     with pytest.raises(ContractViolation):
-        NormalizedModel("exp", 0, 2)
+        NormalizedModel("exp", base, 0)
+    with pytest.raises(ContractViolation, match="up to level 7"):
+        NormalizedModel("exp", base, 3)
 
 
 def test_the_cache_keeps_a_normalized_model_in_memory_only(tmp_path):

@@ -87,11 +87,12 @@ def stored_row(monkeypatch):
 
 
 def test_over_budget_reports_skipped_not_crash():
-    # the normalized exp_3 of the 2-sphere holds 22 simplices at level 4
-    report = run_verify(scope=["betti-exp3-sphere2"], max_level_size=20)
+    # the normalized exp_3 of the 2-sphere holds 30 simplices at level 5; its
+    # sphere, at most 22 at a level, fits
+    report = run_verify(scope=["betti-exp3-sphere2"], max_level_size=22)
     (res,) = report.results
     assert res.status == "skipped"
-    assert "over budget: normalized exp: level 4" in res.detail
+    assert "over budget: normalized exp: level 5" in res.detail
     assert report.passed  # skips do not fail a run
 
 
@@ -384,8 +385,9 @@ def test_a_run_builds_each_sphere_base_once(monkeypatch):
 
         monkeypatch.setitem(spaces.SPHERE_BASES, name, counting)
     assert run_verify().passed
-    # eleven distinct (base, n, cap), one build each
-    assert len(built) == 11 and set(built.values()) == {1}
+    # twelve distinct (base, n, cap), one build each: normalized specs read
+    # their spheres from the same bases as stored ones
+    assert len(built) == 12 and set(built.values()) == {1}
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -403,7 +405,7 @@ def test_a_run_builds_no_model_twice_but_the_products_rows_compute(monkeypatch, 
     # props-kunneth and lesolve-gluing each square S¹ at cap 3 and S² at cap 5
     repeated = {description: n for (description, _), n in built.items() if n > 1}
     assert repeated == {"(sphere(1) x sphere(1))": 2, "(sphere(2) x sphere(2))": 2}
-    assert sum(built.values()) <= 43
+    assert sum(built.values()) <= 40
 
 
 def test_every_stored_model_a_row_receives_is_hashed_and_no_sphere_is(monkeypatch):
@@ -681,11 +683,12 @@ def test_the_countdown_under_many_threads_builds_once_and_ends_empty(monkeypatch
 
 
 def test_cache_scope_with_jobs_writes_no_entry_on_a_second_pass(tmp_path, monkeypatch):
+    # rows that share stored models, so two threads ask for the same entries
     scope = [
-        "betti-exp3-sphere2",
-        "betti-sym3-sphere2",
-        "euler-exp3-sphere2",
-        "lesolve-gluing",
+        "models-agree",
+        "normalized-agree",
+        "sym2-bijection-circle",
+        "sym2-bijection-sphere2",
     ]
     cache_dir = str(tmp_path / "cache")
     first = run_verify(scope=scope, cache_dir=cache_dir, jobs=2)
@@ -811,8 +814,10 @@ def test_cli_betti_computes_a_spec_normalized_or_stored(capsys):
     normalized = ["--kind", "exp", "--n", "2", "--k", "3", "--base", "one-vertex"]
     assert main(["betti", *normalized, "--normalized", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["dims"] == [1, 0, 0, 0, 2, 1, 1]
-    assert main(["betti", "--kind", "exp", "--n", "1", "--k", "2"]) == 0
-    assert capsys.readouterr().out == "H^0: 1\nH^1: 1\nH^2: 0\n"
+    # on the default boundary sphere, normalized or stored
+    for flags in (["--normalized"], []):
+        assert main(["betti", "--kind", "exp", "--n", "1", "--k", "2", *flags]) == 0
+        assert capsys.readouterr().out == "H^0: 1\nH^1: 1\nH^2: 0\n"
     # over its budget, a normalized spec is refused like a stored one
     argv = ["betti", *normalized, "--normalized", "--max-level-size", "29"]
     assert main(argv) == 2
@@ -832,7 +837,6 @@ def test_cli_betti_takes_a_model_file_or_a_spec_and_build_refuses_normalized(
         (["betti", model_path, "--base", "one-vertex"], "--base"),
         (["betti"], "give a model file or --kind"),
         (["build", *spec, "--base", "one-vertex", "--normalized"], "expk betti"),
-        (["betti", *spec, "--normalized"], "base 'one-vertex'"),
         (["betti", "--kind", "power", "--n", "1", "--k", "2", "--base", "one-vertex",
           "--normalized"], "only exp and sym"),
     ):
