@@ -96,7 +96,7 @@ def cup_i(s: ChainModel, a: CochainClass, b: CochainClass, i: int) -> CochainCla
     av, bv = (_padded_values(_support(s, c)) for c in (a, b))
     out = np.zeros(s.nondeg_count(n), dtype=np.uint8)
     for even, odd in _interval_cuts(n, i, p):
-        out ^= av[s.restrict(n, even)] & bv[s.restrict(n, odd)]
+        out ^= av.take(s.restrict(n, even)) & bv.take(s.restrict(n, odd))
     return CochainClass(n, Gf2Vector.from_bits(out))
 
 

@@ -84,7 +84,7 @@ class Gf2Vector:
     def from_bits(cls, bits) -> "Gf2Vector":
         bits = np.asarray(bits, dtype=np.uint8).ravel() & 1
         packed = np.packbits(bits, bitorder="little")
-        return cls(bits.size, int.from_bytes(packed.tobytes(), "little"))
+        return cls(bits.size, int.from_bytes(packed, "little"))
 
     def to_int(self) -> int:
         return self._int

@@ -399,7 +399,9 @@ class _DerivedFaces(collections.abc.Sequence):
 
 def _padded_values(support: Gf2Vector) -> np.ndarray:
     """A cochain's values, one per simplex, then the 0 that a -1 face reads."""
-    return Gf2Vector(support.length + 1, support.to_int()).to_bits()
+    data = support.to_int().to_bytes(support.length // 8 + 1, "little")
+    packed = np.frombuffer(data, dtype=np.uint8)
+    return np.unpackbits(packed, count=support.length + 1, bitorder="little")
 
 
 class ChainModel:

@@ -181,21 +181,22 @@ def _weights(n: int, width: int, padded: bool) -> np.ndarray:
     full one, and −1 at r = 1, read once per row.  Row r = 0 is read by
     nothing; it lets column j of a row read ``weights[width − j]``.  Clipped
     so that sums stay in int64: a valid row reads no entry above its
-    level's count, the others can overflow (in ``sphere(1, 70)``).
+    level's count, the others can overflow (in ``sphere(1, 70)``).  Only a
+    row with an entry past the clip is clipped.
     """
     top = np.iinfo(np.int64).max // (width + 1)
     weights = np.zeros((width + 1, n + 1), dtype=np.int64)
     for r in range(1, width + 1):
         before = (math.comb(n, r) if padded or r == width else 0) - (r == 1)
-        row = (before - math.comb(n - 1 - a, r) for a in range(n))
-        weights[r, :n] = [min(max(w, -top), top) for w in row]
+        row = [before - math.comb(n - 1 - a, r) for a in range(n)]
+        if row and (min(row) < -top or max(row) > top):
+            row = [min(max(w, -top), top) for w in row]
+        weights[r, :n] = row
     weights.setflags(write=False)  # shared by every call through the cache
     return weights
 
 
-def _rank(
-    rows: np.ndarray, n: int, padded: bool = False, through: np.ndarray | None = None
-) -> np.ndarray:
+def _rank(rows: np.ndarray, n: int, padded: bool = False, through=None) -> np.ndarray:
     """The level id of each strictly increasing key row over range(n), as int64.
 
     A full row a_0 < … < a_(w−1) has rank
@@ -226,9 +227,7 @@ def _rank(
     return total
 
 
-def _multiset_rank(
-    rows: np.ndarray, n: int, through: np.ndarray | None = None
-) -> np.ndarray:
+def _multiset_rank(rows: np.ndarray, n: int, through=None) -> np.ndarray:
     """The position of each sorted multiset row in ``_combos(n, w, True)``.
 
     Adding (0, 1, …, w−1) turns the rows into rows of distinct entries
@@ -283,7 +282,7 @@ def _key_quotient(x, kind: str, k: int, max_level_size: int):
         if layout.sentinel is not None:  # empty slots stay empty
             table = np.append(table, np.int32(layout.sentinel))
         if increasing:  # one table per key column
-            through = np.broadcast_to(table, (keys.shape[1], table.size))
+            through = (table,) * keys.shape[1]
             return layout.rank(keys, sizes[t], through=through).astype(np.int32)
         rows = _canonical(table.take(keys), layout.sentinel)
         return layout.rank(rows, sizes[t]).astype(np.int32)
@@ -491,9 +490,12 @@ def sym_power(
 def _subset_keys(level_size: int, k: int) -> np.ndarray:
     """The key rows of ``exp_subsets``: subsets of at most k ids, in ``_rank`` order."""
     rows = [_combos(level_size, s, repeat=False) for s in range(1, k + 1)]
-    return np.concatenate(
-        [np.pad(r, ((0, 0), (k - r.shape[1], 0)), constant_values=-1) for r in rows]
-    )
+    keys = np.full((sum(map(len, rows)), k), -1, dtype=np.int32)
+    start = 0
+    for s, r in enumerate(rows, 1):
+        keys[start : start + len(r), k - s :] = r
+        start += len(r)
+    return keys
 
 
 # How exp_k or Sym_k keys a level of ``size`` ids, decided once per kind

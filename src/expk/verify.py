@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import collections
 import hashlib
-import itertools
 import json
 import os
 import platform
@@ -648,6 +647,17 @@ def check_grassmannian_alpha2(ctx):
     )
 
 
+def _enumerated_counts(dense: np.ndarray) -> tuple[int, int]:
+    """The distinct images and the zero images of all 2^c vectors under ``dense``.
+
+    Each image is packed into an int, so counting needs no ``np.unique``.
+    """
+    r, c = dense.shape
+    xs = (np.arange(2**c)[:, None] >> np.arange(c - 1, -1, -1)) & 1
+    images = (xs @ dense.T % 2) @ (1 << np.arange(r))
+    return len(set(images.tolist())), int((images == 0).sum())
+
+
 def check_props_gf2(ctx):
     # the chain layer's two eliminations: Gf2Span of the rows is the rank,
     # relations among the columns a kernel basis
@@ -658,12 +668,9 @@ def check_props_gf2(ctx):
         dense = rng.integers(0, 2, size=(r, c), dtype=np.uint8)
         rows = (dense @ (1 << np.arange(c))).tolist()
         columns = (dense.T @ (1 << np.arange(r))).tolist()
-        # the image of every one of the 2^c vectors, one row each
-        xs = np.array(list(itertools.product((0, 1), repeat=c)), dtype=np.uint8)
-        images = xs @ dense.T % 2
-        if len(Gf2Span(rows)) != len(np.unique(images, axis=0)).bit_length() - 1:
+        distinct, kernel_count = _enumerated_counts(dense)
+        if len(Gf2Span(rows)) != distinct.bit_length() - 1:
             return _verdict(False, "rank disagrees with enumeration")
-        kernel_count = int((~images.any(axis=1)).sum())
         if 2 ** len(relations(columns)) != kernel_count:
             return _verdict(False, "kernel disagrees with enumeration")
     return _verdict(

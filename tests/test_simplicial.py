@@ -415,6 +415,17 @@ def test_coboundary_is_the_xor_of_the_boundary_rows_it_selects():
                 model.apply_coboundary(d, Gf2Vector.zeros(model.nondeg_count(d)))
 
 
+def test_padded_values_are_the_bits_of_one_wider_vector():
+    rng = np.random.default_rng(40)
+    for length in range(71):  # multiples of 8 included: the 0 opens a byte
+        for _ in range(5):
+            x = int.from_bytes(rng.bytes(length // 8 + 1), "little") % (1 << length)
+            got = simplicial._padded_values(Gf2Vector(length, x))
+            want = Gf2Vector(length + 1, x).to_bits()
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert got[-1] == 0
+
+
 def test_memos_are_read_only_and_shared_by_threads(tmp_path):
     spec = SpaceSpec("exp", n=2, k=3)
     serial = build_space(spec)

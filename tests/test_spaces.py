@@ -40,8 +40,9 @@ from expk.spaces import (
     _multiset_rank,
     _rank,
     _subset_keys,
+    _weights,
 )
-from expk.verify import ModelCache
+from expk.verify import ModelCache, run_verify
 
 
 def test_sphere_counts_and_tables():
@@ -218,6 +219,48 @@ def test_subset_ids_invert_the_key_order_of_exp_subsets():
             assert keys.tolist() == want and level_sizes[m] == len(want)
             ids = _rank(keys, size, padded=True)
             assert np.array_equal(ids, np.arange(len(keys)))
+
+
+def test_subset_keys_equal_the_padded_concatenation():
+    for size in range(41):
+        for k in range(1, 5):
+            rows = [_combos(size, s, repeat=False) for s in range(1, k + 1)]
+            want = np.concatenate(
+                [np.pad(r, ((0, 0), (k - s, 0)), constant_values=-1)
+                 for s, r in enumerate(rows, 1)]
+            )
+            got = _subset_keys(size, k)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _always_clipped_weights(n, width, padded):
+    top = np.iinfo(np.int64).max // (width + 1)
+    weights = np.zeros((width + 1, n + 1), dtype=np.int64)
+    for r in range(1, width + 1):
+        before = (math.comb(n, r) if padded or r == width else 0) - (r == 1)
+        row = (before - math.comb(n - 1 - a, r) for a in range(n))
+        weights[r, :n] = [min(max(w, -top), top) for w in row]
+    return weights
+
+
+def test_weights_equal_the_always_clipped_form(monkeypatch):
+    asked = set()
+
+    def recording(n, width, padded):
+        asked.add((n, width, padded))
+        return _weights(n, width, padded)
+
+    monkeypatch.setattr(spaces, "_weights", recording)
+    assert run_verify().passed
+    verify_asked = set(asked)
+    sphere(1, 70)  # vertex rows up to 71 wide, whose widest weights overflow
+    assert verify_asked and asked > verify_asked
+    clipped = 0
+    for key in asked:
+        want = _always_clipped_weights(*key)
+        assert np.array_equal(_weights(*key), want)
+        clipped += (np.abs(want) == np.iinfo(np.int64).max // (key[1] + 1)).any()
+    assert clipped > 0
 
 
 def test_from_complex_rejects_a_row_off_the_complex(monkeypatch):

@@ -2,6 +2,7 @@
 
 import collections
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -19,7 +20,7 @@ import expk
 from expk import spaces, verify
 from expk.cli import main
 from expk.errors import ContractViolation
-from expk.gf2 import Gf2Matrix
+from expk.gf2 import Gf2Matrix, Gf2Span
 from expk.simplicial import SimplicialSetModel, _DerivedFaces, canonical_json
 from expk.verify import CHECKS, ModelCache, run_verify
 from expk.spaces import DEFAULT_MAX_LEVEL_SIZE, SpaceSpec
@@ -46,6 +47,35 @@ def test_single_check_scope():
 def test_a_repeated_check_id_runs_once():
     report = run_verify(scope=["props-gf2", "props-gf2"])
     assert [r.check_id for r in report.results] == ["props-gf2"]
+
+
+class _OneRankTooMany(Gf2Span):
+    def __len__(self):
+        return super().__len__() + 1
+
+
+def test_props_gf2_fails_on_a_rank_one_too_many(monkeypatch):
+    monkeypatch.setattr(verify, "Gf2Span", _OneRankTooMany)
+    (res,) = run_verify(scope=["props-gf2"]).results
+    assert res.status == "fail" and "rank" in res.detail
+
+
+def test_props_gf2_fails_on_a_dropped_relation(monkeypatch):
+    relations = verify.relations
+    monkeypatch.setattr(verify, "relations", lambda columns: relations(columns)[1:])
+    (res,) = run_verify(scope=["props-gf2"]).results
+    assert res.status == "fail" and "kernel" in res.detail
+
+
+def test_packed_enumeration_counts_equal_the_unique_image_rows():
+    rng = np.random.default_rng(40)
+    for r, c in itertools.product(range(1, 7), range(1, 13)):
+        dense = rng.integers(0, 2, size=(r, c), dtype=np.uint8)
+        xs = np.array(list(itertools.product((0, 1), repeat=c)), dtype=np.uint8)
+        images = xs @ dense.T % 2
+        kernel = int((~images.any(axis=1)).sum())
+        want = (len(np.unique(images, axis=0)), kernel)
+        assert verify._enumerated_counts(dense) == want
 
 
 def test_props_simplicial_builds_no_boundary_matrix(monkeypatch):
