@@ -4,7 +4,8 @@ Subcommands map one-to-one onto library entry points:
 
   build   space spec -> model file
   betti   model file, or space spec -> graded dimension table
-  sq      model file + degree + index -> square coordinates per generator
+  sq      model file, or space spec + degree + index -> square coordinates
+          per generator
   solve   exact-sequence template file -> solution or certificate
   verify  run the named checks (all by default) and emit a report
 
@@ -82,7 +83,7 @@ def _add_spec_arguments(p, required=True):
         "--normalized",
         action="store_true",
         help="the normalized complex: --kind exp or sym, on either --base; "
-        "only betti computes it",
+        "betti and sq compute it",
     )
 
 
@@ -116,7 +117,7 @@ def cmd_build(args) -> int:
     if spec.normalized:
         raise ContractViolation(
             "a normalized complex has no stored tables to write; "
-            "compute its table with expk betti and the same arguments"
+            "compute its tables with expk betti or expk sq and the same arguments"
         )
     model = build_space(spec)
     doc = {
@@ -169,7 +170,7 @@ def cmd_betti(args) -> int:
 
 
 def cmd_sq(args) -> int:
-    model = _load_model(args.model)
+    model = _model_from_args(args)
     rows = [
         {"generator": idx, "coordinates": coords}
         for idx, coords in enumerate(
@@ -277,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_betti)
 
     p = sub.add_parser("sq", help="squares of the basis classes of a degree")
-    p.add_argument("model")
+    p.add_argument("model", nargs="?", help="model file produced by build")
+    _add_spec_arguments(p, required=False)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--index", type=int, required=True)
     p.add_argument("--format", choices=("human", "json"), default="human")

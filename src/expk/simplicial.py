@@ -81,19 +81,15 @@ simplices and each simplex's smallest degeneracy index, and derives its
 tables by the same identities when read (``_DerivedFaces``).  The chain
 layer never reads them: ``restrict`` starts at a nondegenerate
 n-simplex, takes its first face from the kept faces, and reads whole
-tables only below level n.  A derived level is read in one of two ways.
-An indexed read, ``faces[n][i]`` (as the image rules of ``expk.spaces``
-read a base model), derives the whole level once and keeps it.  A walk
-over every level (``_face_levels``: the word stream and so ``words``,
-``content_hash`` and ``__eq__``, ``validate``, ``to_json_dict`` and
-``SimplicialMapModel.commutes``) derives each level from the one below
-and keeps nothing it did not find kept.  It holds the level below the
-cap two tables at a time: it derives them once for its reader and once
-more, in order, for the cap.  The word stream, and so the content hash,
-is the same as if every level were stored.  The split
-stays at the top nondegenerate level because the multi-deletion
-``restrict`` calls of cup-i and Sq read whole tables of every level
-below it.
+tables only below level n.  Any other read of a derived level, by
+index, derives the whole level once, from the level below, and keeps
+it.  ``words``, ``content_hash``, ``__eq__``, ``validate``,
+``to_json_dict`` and ``SimplicialMapModel.commutes`` read ``faces`` so,
+as the image rules of ``expk.spaces`` read a base model.  The word
+stream, and so the content hash, is the same as if every level were
+stored.  The split stays at the top nondegenerate level because the
+multi-deletion ``restrict`` calls of cup-i and Sq read whole tables of
+every level below it.
 
 A model is its tables: besides them and its memos it keeps only the
 nondegenerate ids, ``_nondegenerate_ids``, and at a derived level the
@@ -114,21 +110,15 @@ Serialization
 * ``operators(cap)`` is the one operator order: every ``faces[n][i]``,
   then every ``degeneracies[n][i]``, in (n, i) order.  ``words()`` is the
   model's canonical word stream, its tables in that order as
-  little-endian int32.  ``from_words`` reads such a stream back: the
-  degeneracy tables whole, which give each level's nondegenerate ids,
-  then the face tables one at a time, in stream order.  It keeps a face
-  table whole below the top nondegenerate level, and at and above it
-  only the faces of the nondegenerate simplices.  It hands every table
-  it reads to an optional sink, in stream order.
+  little-endian int32.  ``from_words`` reads such a stream back from one
+  int32 array and keeps a copy of what a build keeps.
 * ``content_hash`` is SHA-256 over one header line -- the canonical JSON of
   ``{"scheme": HASH_SCHEME, "description", "level_cap", "level_sizes"}``
   and a newline, which ``content_hasher`` hashes -- followed by the word
-  stream.  No JSON is built for the arrays.  It walks the stream once and
-  can hand each table to a sink as it hashes it, which is how the cache
-  of ``expk.verify`` writes an entry.  A load there reads the entry's
-  tables from the file through ``from_words`` and hashes what its sink
-  gets, so besides what the model keeps it holds one face table at a
-  time.
+  stream.  No JSON is built for the arrays.  It can hand each table to a
+  sink as it hashes it, which is how the cache of ``expk.verify`` writes
+  an entry; a load there reads the entry's word block whole and hashes
+  it in one update.
 * The JSON document (``MODEL_FORMAT``, ``to_json_text``/``from_json_dict``)
   is the exchange format of the command line.
 """
@@ -328,12 +318,9 @@ class _DerivedFaces(collections.abc.Sequence):
         d_i s_j y = s_{j-1} d_i y (i < j), y (i = j, j+1),
                     s_j d_{i-1} y (i > j+1).
 
-    ``derive`` is the one derivation, for both kinds of read.  Indexing
-    derives the whole level once, reading the level below by index too,
-    and keeps it; the kept tuple is assigned whole, so two racing readers
-    may both derive it but neither sees part of it.  A walk
-    (``SimplicialSetModel._face_levels``) hands ``derive`` the level
-    below's tables in order and keeps nothing.
+    The first index derives the whole level, reading the level below by
+    index too, and keeps it; the kept tuple is assigned whole, so two
+    racing readers may both derive it but neither sees part of it.
     """
 
     def __init__(self, model, n: int, first):
@@ -349,52 +336,31 @@ class _DerivedFaces(collections.abc.Sequence):
 
     def __getitem__(self, i):
         if self._kept is None:
-            self._kept = tuple(self.derive(self._below))
+            self._kept = tuple(self.derive())
         return self._kept[i]
 
-    def groups(self) -> list:
-        """(ys, xs) for each j: the degenerate x = s_j y whose first degeneracy is j.
-
-        Both are int32 ids, as the tables are: a walk holds a level's groups
-        while it derives the level, and intp ids would double them.
-        """
-        groups = []
+    def derive(self) -> list:
+        """This level's tables, d_0 first, read off the level below by index."""
+        groups = []  # (ys, xs) per j: the x = s_j y whose first degeneracy is j
         for j, into in enumerate(self._into):
             ys = np.flatnonzero(self._first.take(into) == j)
             groups.append((ys.astype(np.int32), into.take(ys)))
-        return groups
-
-    def derive(self, below, groups=None):
-        """This level's tables, one at a time, from the tables ``below``.
-
-        The kept tables when the level is kept.  Otherwise ``below`` is read
-        once, in order, and table i reads only d_(i-1) and d_i of it, so
-        ``below`` may be a generator and two of its tables are held at a
-        time.  ``groups`` are this level's ``groups()``, found here when not
-        given.
-        """
-        if self._kept is not None:
-            yield from self._kept
-            return
-        if groups is None:
-            groups = self.groups()
-        s, below, previous = self._under, iter(below), None
+        s, below, tables = self._under, self._below, []
         for i in range(len(self)):
-            current = next(below, None)  # the last table reads d_(i-1) only
             out = np.empty(self._first.size, dtype=np.int32)
             out[self._ids] = self.nondegenerate[i]
             for j, (ys, xs) in enumerate(groups):
                 if i < j:
-                    values = s[j - 1].take(current.take(ys))
+                    values = s[j - 1].take(below[i].take(ys))
                 elif i <= j + 1:
                     values = ys
                 else:
-                    values = s[j].take(previous.take(ys))
+                    values = s[j].take(below[i - 1].take(ys))
                 # numpy converts an int32 index faster than it scatters through one
                 out[xs.astype(np.intp)] = values
             out.setflags(write=False)
-            yield out
-            previous = current
+            tables.append(out)
+        return tables
 
 
 def _padded_values(support: Gf2Vector) -> np.ndarray:
@@ -643,7 +609,7 @@ class SimplicialSetModel(ChainModel):
                 if n not in whole:
                     level = _DerivedFaces(self, n, first_degeneracy[n])
                     if n < top:
-                        level = list(level.derive(self.faces[n - 1]))
+                        level = level.derive()
                     self.faces[n] = level
         super().__init__()
 
@@ -718,11 +684,7 @@ class SimplicialSetModel(ChainModel):
         operators: the last pair acts first, so d_i s_j is
         (("faces", i), ("degeneracies", j)).
         """
-        return self._compose(level, word, self.faces)
-
-    def _compose(self, level: int, word, faces) -> np.ndarray:
-        """``apply`` on the face tables ``faces``, which may be whole copies."""
-        tables = {"faces": faces, "degeneracies": self.degeneracies}
+        tables = {"faces": self.faces, "degeneracies": self.degeneracies}
         out = None
         for kind, i in reversed(word):
             table = tables[kind][level][i]
@@ -760,9 +722,8 @@ class SimplicialSetModel(ChainModel):
         simplex.  No separate injectivity scan: d_j s_j = id already fails
         on any non-injective s_j.
         """
-        faces = [list(level) for level in self._face_levels()]
         for family, n, i, j, lhs, rhs in _identities(self.level_cap):
-            sides = self._compose(n, lhs, faces), self._compose(n, rhs, faces)
+            sides = self.apply(n, lhs), self.apply(n, rhs)
             bad = np.flatnonzero(sides[0] != sides[1])
             if bad.size:
                 return Violation(family, n, i, j, int(bad[0]))
@@ -776,7 +737,7 @@ class SimplicialSetModel(ChainModel):
             "description": self.description,
             "level_cap": self.level_cap,
             "level_sizes": self.level_sizes,
-            "faces": [[f.tolist() for f in fs] for fs in self._face_levels()],
+            "faces": [[f.tolist() for f in fs] for fs in self.faces],
             "degeneracies": [[s.tolist() for s in ss] for ss in self.degeneracies],
         }
 
@@ -798,37 +759,13 @@ class SimplicialSetModel(ChainModel):
             "level_sizes": list(self.level_sizes),
         }
 
-    def _face_levels(self):
-        """Every level's face tables, whole, in level order: one walk.
-
-        A derived level that is not kept is derived from the tables the
-        walk gave for the level below, and nothing keeps it.  The cap's
-        tables come one at a time, and so do those of the level below it:
-        that level's groups are found once, and the cap derives its tables
-        again from them, in order, holding two at a time.  A lower derived
-        level is a tuple that the next level reads.
-        """
-        below = ()
-        for n, level in enumerate(self.faces):
-            if isinstance(level, _DerivedFaces):
-                if level._kept is None and n == self.level_cap - 1:
-                    groups = level.groups()
-                    yield level.derive(below, groups)
-                    below = level.derive(below, groups)  # again, for the cap
-                    continue
-                level = level.derive(below)
-                if n < self.level_cap:
-                    level = tuple(level)
-            yield level
-            below = level
-
     def operator_tables(self):
-        """(operator, table) for every operator in ``operators`` order, one walk."""
-        levels = itertools.chain(self._face_levels(), self.degeneracies)
-        return zip(operators(self.level_cap), (t for level in levels for t in level))
+        """(operator, table) for every operator in ``operators`` order."""
+        levels = itertools.chain(self.faces, self.degeneracies)
+        return zip(operators(self.level_cap), itertools.chain.from_iterable(levels))
 
     def _word_stream(self):
-        """Every operator table, whole, in ``operators`` order, one at a time."""
+        """Every operator table, whole, in ``operators`` order."""
         for _, table in self.operator_tables():
             yield np.asarray(table, dtype="<i4")
 
@@ -852,9 +789,8 @@ class SimplicialSetModel(ChainModel):
         degenerate x = s_j y, with j the smallest index whose degeneracy
         hits x, and the simplicial identities read it off the tables of the
         level below (``_DerivedFaces``): when the model is built on every
-        level below the top nondegenerate one, and at or above it when a
-        reader asks for a level, which an indexed read keeps and a walk
-        does not.
+        level below the top nondegenerate one, and at or above it the first
+        time a reader indexes the level, which then keeps it.
 
         So a rule that is a simplicial set gives the tables it would give on
         every simplex, and the word stream is the same either way.
@@ -879,25 +815,19 @@ class SimplicialSetModel(ChainModel):
         return cls(cap, sizes, faces, degeneracies, description, first)
 
     @classmethod
-    def from_words(cls, header: dict, words, sink=None) -> "SimplicialSetModel":
+    def from_words(cls, header: dict, words) -> "SimplicialSetModel":
         """The model of a ``header()`` and its word stream, kept as a build keeps it.
 
-        ``words`` is the stream: anything with a length whose slices are
-        int32 arrays, such as an array (whose views the model then keeps)
-        or a reader of an open file.  The degeneracy tables are read whole,
-        in one slice, and give each level's ``_first_degeneracy``; then the
-        face tables are read in stream order.  Below the top nondegenerate
-        level a table is kept whole, as a build keeps it; at and above it,
-        only the faces of the level's nondegenerate simplices are kept, and
-        the constructor derives the rest when read, as for
-        ``from_operators``.  So a model read back is the model built.  (The
-        degenerate simplices' faces at and above the top are not read back:
-        a stream that breaks the simplicial identities there reads back as
-        the model the identities give.)  ``sink``, when given, is called
-        with every table read, in stream order: each face table as it is
-        read, then the degeneracy tables.  A word the model does not keep
-        reaches only the sink, which is how ``ModelCache._load`` hashes
-        every word of an entry.
+        ``words`` is the stream as one int32 array.  Its degeneracy tables
+        give each level's ``_first_degeneracy``.  Below the top
+        nondegenerate level a face table is kept whole, as a build keeps
+        it; at and above it, only the faces of the level's nondegenerate
+        simplices are kept, and the constructor derives the rest when read,
+        as for ``from_operators``.  Every table kept is a copy, so the model
+        holds no view of ``words`` and a model read back is the model built.
+        (The degenerate simplices' faces at and above the top are not read
+        back: a stream that breaks the simplicial identities there reads
+        back as the model the identities give.)
         """
         cap = int(header["level_cap"])
         sizes = [int(s) for s in header["level_sizes"]]
@@ -907,36 +837,32 @@ class SimplicialSetModel(ChainModel):
         starts = list(itertools.accumulate((sizes[n] for _, n, _, _ in ops), initial=0))
         if len(words) != starts[-1]:
             raise ContractViolation("word stream length does not match level_sizes")
-        count = sum(kind == "faces" for kind, _, _, _ in ops)  # faces lead the stream
-        block = words[starts[count] :]  # the degeneracy tables, in one read
         faces, degeneracies = [[] for _ in sizes], [[] for _ in sizes]
-        for (kind, n, i, t), at in zip(ops[count:], starts[count:]):
-            at -= starts[count]
-            degeneracies[n].append(block[at : at + sizes[n]])
-            _check_range(kind, n, i, degeneracies[n][i], sizes[t])
+        for (kind, n, i, t), at in zip(ops, starts):
+            table = words[at : at + sizes[n]]
+            if kind == "faces":
+                faces[n].append(table)
+            else:  # checked before _first_degeneracy indexes the level above
+                _check_range(kind, n, i, table, sizes[t])
+                degeneracies[n].append(table.copy())
         first = [
             _first_degeneracy(into, size)
             for into, size in zip([[]] + degeneracies, sizes)
         ]
         ids = [np.flatnonzero(f < 0) for f in first]
         top = max((n for n, level in enumerate(ids) if level.size), default=-1)
-        for (_, n, _, _), at in zip(ops[:count], starts):
-            table = words[at : at + sizes[n]]
-            if sink is not None:
-                sink(table)
-            faces[n].append(table if n < top else table.take(ids[n]))
-        if sink is not None:
-            for table in itertools.chain.from_iterable(degeneracies):
-                sink(table)
+        faces = [
+            [table.copy() if n < top else table.take(ids[n]) for table in level]
+            for n, level in enumerate(faces)
+        ]
         return cls(cap, sizes, faces, degeneracies, header["description"], first)
 
     def content_hash(self, sink=None) -> str:
-        """The model's hash, over its header line and one walk of its word stream.
+        """The model's hash, over its header line and its word stream.
 
         ``sink``, when given, is called with each table as it is hashed: a
         caller that writes the words too (``ModelCache._store``) writes them
-        in the same walk, so a built model's top levels are derived once and
-        the cap's tables are held one at a time.
+        in the same pass.
         """
         h = content_hasher(self.header())
         for table in self._word_stream():

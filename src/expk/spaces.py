@@ -90,11 +90,7 @@ class SimplicialMapModel:
         self.level_maps = maps
 
     def commutes(self) -> bool:
-        """Exhaustive levelwise check against all faces and degeneracies.
-
-        Walks each model's tables once, as its word stream does, so a
-        derived level is derived once per model and kept by neither.
-        """
+        """Exhaustive levelwise check against all faces and degeneracies."""
         f = self.level_maps
         pairs = zip(self.source.operator_tables(), self.target.operator_tables())
         return all(

@@ -177,11 +177,11 @@ class ModelCache:
 
         A crash leaves the old file or none.  An entry is one canonical-JSON
         header line (``spec``, ``hash`` and the model's ``header()``), then
-        the model's word stream, which the hash reads too.  One walk writes
-        each table as ``content_hash`` hashes it, so a store holds one table
-        at a time.  The header line is written first with a placeholder
-        hash of the same width (a SHA-256 hex digest is 64 characters), and
-        the real line over it before the rename.
+        the model's word stream, which the hash reads too: each table is
+        written as ``content_hash`` hashes it.  The header line is written
+        first with a placeholder hash of the same width (a SHA-256 hex
+        digest is 64 characters), and the real line over it before the
+        rename.
         """
         header = {"spec": json.loads(key), "hash": "0" * 64, **model.header()}
         # mode 0o666 under the umask, as a plain open() gives; O_EXCL keeps
@@ -203,51 +203,32 @@ class ModelCache:
     def _load(self, path, key):
         """The cached model and its verified content hash, or None.
 
-        ``from_words`` reads the entry's tables from the open file, each at
-        its offset, and keeps what a build keeps, so besides the model a
-        load holds one face table at a time, never the whole word block.
-        Every word it reads is hashed, the ones the model does not keep
-        too, so a damaged word is refused wherever it lies.
+        The entry's word block is read whole, into one int32 array, which
+        ``from_words`` reads and the hash reads in one update.  The model
+        keeps copies of what a build keeps, so it holds no view of the
+        block.  Every word is hashed, the ones the model does not keep too,
+        so a damaged word is refused wherever it lies.
         """
         try:
             with open(path, "rb") as fh:
                 header = json.loads(fh.readline())
                 if canonical_json(header["spec"]) != key:
                     raise ValueError("entry is for another spec")
-                h = content_hasher(header)
-                model = SimplicialSetModel.from_words(header, _EntryWords(fh), h.update)
+                size = os.fstat(fh.fileno()).st_size - fh.tell()
+                if size % 4:
+                    raise ValueError("buffer size must be a multiple of element size")
+                words = np.empty(size // 4, dtype="<i4")
+                if (got := fh.readinto(words.view(np.uint8))) != words.nbytes:
+                    raise ValueError(f"word block read short: {got} of {size} bytes")
+            model = SimplicialSetModel.from_words(header, words)
+            h = content_hasher(header)
+            h.update(words)
             if h.hexdigest() != header["hash"]:
                 raise ValueError("hash mismatch")
             return model, header["hash"]
         except Exception as exc:  # corrupt cache: rebuild with a warning
             self.warnings.append(f"cache entry {path} rebuilt: {exc}")
             return None
-
-
-class _EntryWords:
-    """The word block of an open cache entry, from the file's position on.
-
-    A slice is read from the file when taken, as a little-endian int32
-    array, so ``from_words`` holds only the tables it has not let go.
-    """
-
-    def __init__(self, fh):
-        self._fh, self._start = fh, fh.tell()
-        size = os.fstat(fh.fileno()).st_size - self._start
-        if size % 4:
-            raise ValueError("buffer size must be a multiple of element size")
-        self._len = size // 4
-
-    def __len__(self):
-        return self._len
-
-    def __getitem__(self, words: slice) -> np.ndarray:
-        start, stop, _ = words.indices(self._len)
-        table = np.empty(stop - start, dtype="<i4")
-        self._fh.seek(self._start + 4 * start)
-        if (got := self._fh.readinto(table.view(np.uint8))) != table.nbytes:
-            raise ValueError(f"word block read short: {got} of {table.nbytes} bytes")
-        return table
 
 
 @dataclass

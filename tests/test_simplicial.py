@@ -556,9 +556,10 @@ def test_content_hash_is_pinned():
     assert hashlib.sha256(head.encode() + b"\n" + stream).hexdigest() == t.content_hash()
 
     def read_back(header, words):
-        """The model of ``words`` and the hash of its header and every word read."""
+        """The model of ``words`` and the hash of its header and every word."""
         h = simplicial.content_hasher(header)
-        return SimplicialSetModel.from_words(header, words, h.update), h.hexdigest()
+        h.update(words)
+        return SimplicialSetModel.from_words(header, words), h.hexdigest()
 
     words = np.concatenate(t.words())
     assert read_back(t.header(), words) == (t, t.content_hash())
@@ -618,22 +619,21 @@ def test_a_built_model_and_its_words_read_back_agree(name):
     for n in range(1, cap + 1):
         assert _tables_agree(indexed, read, n), n
     assert _kept_levels(indexed) == list(range(top, cap + 1))
-    # walks, which keep nothing, then every level's tables indexed after them
+    # reads of every level, which derive and keep each derived level
     assert all(map(np.array_equal, built.words(), read.words()))
     assert built.content_hash() == read.content_hash() == indexed.content_hash()
     assert built.validate() is None and read.validate() is None
     assert built.to_json_dict() == read.to_json_dict() == indexed.to_json_dict()
-    assert _kept_levels(built) == []
+    assert _kept_levels(built) == _kept_levels(read) == list(range(top, cap + 1))
     for n in range(cap + 1):
         for size in range(1, n + 2):
             for kept in itertools.combinations(range(n + 1), size):
                 assert np.array_equal(built.restrict(n, kept), read.restrict(n, kept))
-    assert _kept_levels(built) == []
-    for n in range(cap, 0, -1):  # from the top, so a level reads the one below by index
+    for n in range(cap, 0, -1):
         assert _tables_agree(built, read, n), n
     assert all(map(np.array_equal, built.words(), read.words()))
-    # the level below the cap kept by an indexed read and the cap not: a
-    # walk derives the cap from the kept tables
+    # the level below the cap kept by an indexed read and the cap not:
+    # reading every level derives the cap from the kept tables
     below_kept = READ_BACK_MODELS[name]()
     assert _tables_agree(below_kept, read, cap - 1)
     kept = [cap - 1] if cap - 1 >= top else []
@@ -642,7 +642,6 @@ def test_a_built_model_and_its_words_read_back_agree(name):
     assert below_kept.content_hash() == read.content_hash()
     assert below_kept.validate() is None
     assert below_kept.to_json_dict() == read.to_json_dict()
-    assert _kept_levels(below_kept) == kept
 
 
 @pytest.mark.parametrize("name", sorted(READ_BACK_MODELS))
@@ -685,21 +684,50 @@ def test_two_threads_hashing_one_built_model_both_get_its_pinned_hash():
     finally:
         sys.setswitchinterval(interval)
     assert hashes == [PINNED_CONTENT_HASHES["exp2-s2"]] * 2
-    assert _kept_levels(model) == []
 
 
-def test_hashing_a_built_model_holds_under_half_its_words():
+def test_a_second_hash_or_map_check_derives_no_level(monkeypatch):
+    from expk.spaces import diagonal_insertion
+
+    derived = []  # the table count of each level derived
+    derive = _DerivedFaces.derive
+
+    def counting(level):
+        derived.append(len(level))
+        return derive(level)
+
+    model = build_space(SpaceSpec("exp", n=2, k=3))
+    x = sphere(1, 3)
+    alpha = diagonal_insertion(x, square=product(x, x), sym3=sym_power(x, 3))
+    monkeypatch.setattr(_DerivedFaces, "derive", counting)
+    cap = model.level_cap
+    assert model.content_hash() == PINNED_CONTENT_HASHES["exp3-s2"]
+    # the two levels from the top nondegenerate one up, once each
+    assert derived == [cap, cap + 1]
+    derived.clear()
+    assert model.content_hash() == PINNED_CONTENT_HASHES["exp3-s2"]
+    assert derived == []
+    assert alpha.commutes() and derived
+    derived.clear()
+    assert alpha.commutes() and derived == []
+
+
+def test_hashing_a_built_model_keeps_its_derived_levels_and_no_more():
     model = build_space(SpaceSpec("exp", n=3, k=2))
-    words = sum(table.nbytes for table in model.words())
+    cap, sizes = model.level_cap, model.level_sizes
+    derived = sum(4 * (n + 1) * sizes[n] for n in _derived_levels(model))
     tracemalloc.start()
     try:
         model.content_hash()
-        peak = tracemalloc.get_traced_memory()[1]
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the cap's tables one at a time, two of the level below it, and each
-    # level's int32 groups
-    assert peak < 0.5 * words
+    assert _kept_levels(model) == _derived_levels(model) == [cap - 1, cap]
+    # the derived levels' tables, kept whole, and nothing else
+    assert derived <= kept < 1.01 * derived
+    # while a level is derived, its int32 groups and one table's index and
+    # values besides: under five tables of the cap level
+    assert peak < derived + 5 * 4 * sizes[cap]
 
 
 def _array_bytes(obj, seen) -> int:
@@ -716,29 +744,57 @@ def _array_bytes(obj, seen) -> int:
     return _array_bytes(vars(obj), seen) if hasattr(obj, "__dict__") else 0
 
 
+# (kind, n, k) -> the squares (i, source degree, target degree) of the
+# squares benchmark workload, each a generator's square in a rank-1 target
+SQUARE_READS = {
+    ("exp", 2, 2): [(2, 2, 4)],
+    ("exp", 3, 2): [(2, 3, 5), (3, 3, 6)],
+    ("sym", 2, 3): [(2, 2, 4)],
+}
+
+
 def test_a_built_model_holds_no_top_level_face_table():
+    from expk.cochains import express_in_basis, steenrod_square
+
     model = build_space(SpaceSpec("exp", n=2, k=3))
-    model.content_hash()
     model.betti_table()
     cap, top = model.level_cap, model.top_nondegenerate_level()
     # no whole face table at or above the top nondegenerate level
     assert top == cap - 1
     assert _derived_levels(model) == [top, cap] and _kept_levels(model) == []
     held = _array_bytes(model, set())
-    words = sum(table.nbytes for table in model.words())
+    ops = simplicial.operators(cap)
+    words = sum(4 * model.level_sizes[n] for _, n, _, _ in ops)
     unstored = sum(4 * (n + 1) * model.level_sizes[n] for n in (top, cap))
     # beyond the tables it stores, the model holds its flags and memos, which
     # are less than one whole table of the cap level
     assert held < words - unstored + 4 * model.level_sizes[cap]
+    # the chain layer reads a derived level only through the faces it keeps,
+    # so no basis, nor a square of the squares workload, derives one
+    for d in range(cap + 1):
+        model.cohomology_basis(d)
+    assert _kept_levels(model) == []
+    for (kind, n, k), squares in SQUARE_READS.items():
+        other = build_space(SpaceSpec(kind, n=n, k=k))
+        for d in range(other.level_cap + 1):
+            other.cohomology_basis(d)
+        for i, source, target in squares:
+            (generator,) = other.cohomology_basis(source)
+            image = steenrod_square(other, i, generator)
+            coords = express_in_basis(other, image, other.cohomology_basis(target))
+            assert coords.to_bits().tolist() == [1], (kind, n, k, i)
+        assert _derived_levels(other) and _kept_levels(other) == [], (kind, n, k)
 
 
 @pytest.mark.parametrize("kind", ["exp", "sym"])
 def test_a_model_loaded_from_the_cache_is_the_model_built(tmp_path, kind):
     spec = SpaceSpec(kind, n=2, k=2)
-    built = ModelCache(cache_dir=str(tmp_path)).model_for(spec)
+    # stored, and so hashed, which derives and keeps its top levels
+    stored = ModelCache(cache_dir=str(tmp_path)).model_for(spec)
     cache = ModelCache(cache_dir=str(tmp_path))
     loaded = cache.model_for(spec)
-    assert not cache.warnings and loaded is not built
+    built = build_space(spec)
+    assert not cache.warnings and loaded is not stored
     cap = built.level_cap
     assert _derived_levels(loaded) == _derived_levels(built) == [cap - 1, cap]
     assert _kept_levels(loaded) == _kept_levels(built) == []
@@ -748,7 +804,7 @@ def test_a_model_loaded_from_the_cache_is_the_model_built(tmp_path, kind):
         for size in range(1, n + 2):
             for kept in itertools.combinations(range(n + 1), size):
                 assert np.array_equal(built.restrict(n, kept), loaded.restrict(n, kept))
-    assert loaded == built and _kept_levels(loaded) == []
+    assert loaded == built == stored
 
 
 def test_a_closed_top_is_never_keyed_nor_asked_about(monkeypatch):
