@@ -26,6 +26,7 @@ environment variable; flags win over the environment.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -45,16 +46,11 @@ from .spaces import (
 from .verify import CHECKS, run_verify
 
 
-# each spec argument's default: a model file is refused any other value
+# each spec argument's default, None for kind: a model file is refused any
+# other value
 SPEC_DEFAULTS = {
-    "kind": None,
-    "n": None,
-    "k": None,
-    "cap": None,
-    "facets": None,
-    "max_level_size": DEFAULT_MAX_LEVEL_SIZE,
-    "base": "boundary",
-    "normalized": False,
+    f.name: None if f.default is dataclasses.MISSING else f.default
+    for f in dataclasses.fields(SpaceSpec)
 }
 
 
@@ -92,16 +88,8 @@ def _spec_from_args(args) -> SpaceSpec:
     if args.facets:
         with malformed_fields("--facets"):
             facets = tuple(tuple(int(v) for v in f) for f in json.loads(args.facets))
-    return SpaceSpec(
-        kind=args.kind,
-        n=args.n,
-        k=args.k,
-        cap=args.cap,
-        facets=facets,
-        max_level_size=args.max_level_size,
-        base=args.base,
-        normalized=args.normalized,
-    )
+    fields = {f: getattr(args, f) for f in SPEC_DEFAULTS}
+    return SpaceSpec(**{**fields, "facets": facets})
 
 
 def _write_out(text, out):

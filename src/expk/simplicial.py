@@ -59,6 +59,11 @@ Betti table is trusted; otherwise ``CapError`` is raised.
 
 Construction
 ------------
+A model has one of two forms.  It is either built by an image rule
+(``from_operators``) or given its tables (the constructor,
+``from_json_dict`` and ``from_words``).  A model given its tables keeps
+all of them verbatim.
+
 ``from_operators`` builds every model of ``expk.spaces`` from one image
 rule.  The rule gives every degeneracy table, and the faces of the
 nondegenerate simplices only; it is never asked about an empty id set,
@@ -98,27 +103,19 @@ tables, and no other form of them); ``restrict`` spreads the ids into a
 position table of the level it reads for one call.  It stores no
 simplex keys; the key rows a constructor of ``expk.spaces`` ranks are a
 function of its input's level sizes there, so a model read back from its
-words behaves as the one built.  ``from_words`` keeps what
-``from_operators`` keeps, so a model read back from its words is the
-model built, derived levels included; a damaged word of a face it does
-not keep leaves the model as it is and shows only in the hash of the
-words read.  A model given its tables by ``from_json_dict`` or the
-constructor keeps all of them verbatim.
+words behaves as the one built.
 
 Serialization
 -------------
 * ``operators(cap)`` is the one operator order: every ``faces[n][i]``,
   then every ``degeneracies[n][i]``, in (n, i) order.  ``words()`` is the
   model's canonical word stream, its tables in that order as
-  little-endian int32.  ``from_words`` reads such a stream back from one
-  int32 array and keeps a copy of what a build keeps.
+  little-endian int32.  ``from_words`` gives a model the tables of such
+  a stream, held in one int32 array, as views of it.
 * ``content_hash`` is SHA-256 over one header line -- the canonical JSON of
   ``{"scheme": HASH_SCHEME, "description", "level_cap", "level_sizes"}``
-  and a newline, which ``content_hasher`` hashes -- followed by the word
-  stream.  No JSON is built for the arrays.  It can hand each table to a
-  sink as it hashes it, which is how the cache of ``expk.verify`` writes
-  an entry; a load there reads the entry's word block whole and hashes
-  it in one update.
+  and a newline -- followed by the word stream.  No JSON is built for
+  the arrays.
 * The JSON document (``MODEL_FORMAT``, ``to_json_text``/``from_json_dict``)
   is the exchange format of the command line.
 """
@@ -230,17 +227,6 @@ class Violation:
             f"identity '{self.identity}' fails at level {self.level}, "
             f"indices (i={self.i}, j={self.j}), simplex {self.simplex}"
         )
-
-
-def content_hasher(header: dict):
-    """A SHA-256 that has read the hash header line of a model's ``header()``.
-
-    ``content_hash`` goes on with the word stream; a cache load, given the
-    header of an entry, goes on with the words it reads.
-    """
-    fields = ("description", "level_cap", "level_sizes")
-    head = canonical_json({"scheme": HASH_SCHEME, **{f: header[f] for f in fields}})
-    return hashlib.sha256((head + "\n").encode())
 
 
 def _check_range(kind: str, n: int, i: int, table, bound: int):
@@ -585,10 +571,8 @@ class SimplicialSetModel(ChainModel):
         ]
         self.description = description
         # from_operators passes each level's _first_degeneracy and the faces
-        # of the nondegenerate simplices only; from_words passes the same at
-        # and above the top nondegenerate level, and below it the whole
-        # tables its stream holds.  The faces not given are derived, here
-        # below the top and at or above it on read
+        # of the nondegenerate simplices only: the other faces are derived,
+        # here below the top nondegenerate level and at or above it on read
         derive = first_degeneracy is not None
         if not derive:
             self._check_shapes(self.level_sizes)
@@ -598,19 +582,11 @@ class SimplicialSetModel(ChainModel):
             ]
         self._nondegenerate_ids = [np.flatnonzero(f < 0) for f in first_degeneracy]
         if derive:
-            top, sizes = self.top_nondegenerate_level(), self.level_sizes
-            # a whole table is longer than the level's nondegenerate faces,
-            # since s_0 hits a simplex of every level above a nonempty one
-            whole = {n for n in range(1, top) if self.faces[n][0].size == sizes[n]}
-            counts = [ids.size for ids in self._nondegenerate_ids]
-            lengths = [sizes[n] if n in whole else c for n, c in enumerate(counts)]
-            self._check_shapes(lengths)
+            self._check_shapes([ids.size for ids in self._nondegenerate_ids])
+            top = self.top_nondegenerate_level()
             for n in range(1, self.level_cap + 1):
-                if n not in whole:
-                    level = _DerivedFaces(self, n, first_degeneracy[n])
-                    if n < top:
-                        level = level.derive()
-                    self.faces[n] = level
+                level = _DerivedFaces(self, n, first_degeneracy[n])
+                self.faces[n] = level.derive() if n < top else level
         super().__init__()
 
     # perfbench/tracer.py wraps these through SimplicialSetModel.__dict__
@@ -700,7 +676,7 @@ class SimplicialSetModel(ChainModel):
         return (
             self.level_cap == other.level_cap
             and self.level_sizes == other.level_sizes
-            and all(map(np.array_equal, self._word_stream(), other._word_stream()))
+            and all(map(np.array_equal, self.words(), other.words()))
         )
 
     def __hash__(self):
@@ -764,14 +740,9 @@ class SimplicialSetModel(ChainModel):
         levels = itertools.chain(self.faces, self.degeneracies)
         return zip(operators(self.level_cap), itertools.chain.from_iterable(levels))
 
-    def _word_stream(self):
-        """Every operator table, whole, in ``operators`` order."""
-        for _, table in self.operator_tables():
-            yield np.asarray(table, dtype="<i4")
-
     def words(self) -> list:
-        """The word stream: every operator table, in ``operators`` order."""
-        return list(self._word_stream())
+        """The word stream: every operator table, whole, in ``operators`` order."""
+        return [np.asarray(table, dtype="<i4") for _, table in self.operator_tables()]
 
     @classmethod
     def from_operators(
@@ -794,7 +765,6 @@ class SimplicialSetModel(ChainModel):
 
         So a rule that is a simplicial set gives the tables it would give on
         every simplex, and the word stream is the same either way.
-        ``from_words`` keeps the same of a word stream.
         """
         sizes = [int(s) for s in level_sizes]
         degeneracies = [
@@ -816,18 +786,12 @@ class SimplicialSetModel(ChainModel):
 
     @classmethod
     def from_words(cls, header: dict, words) -> "SimplicialSetModel":
-        """The model of a ``header()`` and its word stream, kept as a build keeps it.
+        """The model of a ``header()`` and its word stream, given its tables.
 
-        ``words`` is the stream as one int32 array.  Its degeneracy tables
-        give each level's ``_first_degeneracy``.  Below the top
-        nondegenerate level a face table is kept whole, as a build keeps
-        it; at and above it, only the faces of the level's nondegenerate
-        simplices are kept, and the constructor derives the rest when read,
-        as for ``from_operators``.  Every table kept is a copy, so the model
-        holds no view of ``words`` and a model read back is the model built.
-        (The degenerate simplices' faces at and above the top are not read
-        back: a stream that breaks the simplicial identities there reads
-        back as the model the identities give.)
+        ``words`` is the stream as one int32 array.  Each table is a view of
+        it, so no word is copied and no level is derived; the constructor
+        checks every table's length and range, as for any model given its
+        tables.
         """
         cap = int(header["level_cap"])
         sizes = [int(s) for s in header["level_sizes"]]
@@ -837,36 +801,16 @@ class SimplicialSetModel(ChainModel):
         starts = list(itertools.accumulate((sizes[n] for _, n, _, _ in ops), initial=0))
         if len(words) != starts[-1]:
             raise ContractViolation("word stream length does not match level_sizes")
-        faces, degeneracies = [[] for _ in sizes], [[] for _ in sizes]
-        for (kind, n, i, t), at in zip(ops, starts):
-            table = words[at : at + sizes[n]]
-            if kind == "faces":
-                faces[n].append(table)
-            else:  # checked before _first_degeneracy indexes the level above
-                _check_range(kind, n, i, table, sizes[t])
-                degeneracies[n].append(table.copy())
-        first = [
-            _first_degeneracy(into, size)
-            for into, size in zip([[]] + degeneracies, sizes)
-        ]
-        ids = [np.flatnonzero(f < 0) for f in first]
-        top = max((n for n, level in enumerate(ids) if level.size), default=-1)
-        faces = [
-            [table.copy() if n < top else table.take(ids[n]) for table in level]
-            for n, level in enumerate(faces)
-        ]
-        return cls(cap, sizes, faces, degeneracies, header["description"], first)
+        tables = {"faces": [[] for _ in sizes], "degeneracies": [[] for _ in sizes]}
+        for (kind, n, _, _), at in zip(ops, starts):
+            tables[kind][n].append(words[at : at + sizes[n]])
+        faces, degeneracies = tables["faces"], tables["degeneracies"]
+        return cls(cap, sizes, faces, degeneracies, header["description"])
 
-    def content_hash(self, sink=None) -> str:
-        """The model's hash, over its header line and its word stream.
-
-        ``sink``, when given, is called with each table as it is hashed: a
-        caller that writes the words too (``ModelCache._store``) writes them
-        in the same pass.
-        """
-        h = content_hasher(self.header())
-        for table in self._word_stream():
+    def content_hash(self) -> str:
+        """SHA-256 over the model's hash header line, then its word stream."""
+        head = canonical_json({"scheme": HASH_SCHEME, **self.header()})
+        h = hashlib.sha256((head + "\n").encode())
+        for table in self.words():
             h.update(table)
-            if sink is not None:
-                sink(table)
         return h.hexdigest()

@@ -43,12 +43,7 @@ from .exact_sequences import (
     solve_template,
 )
 from .gf2 import Gf2Span, Gf2Vector, relations
-from .simplicial import (
-    BettiTable,
-    SimplicialSetModel,
-    canonical_json,
-    content_hasher,
-)
+from .simplicial import BettiTable, SimplicialSetModel, canonical_json
 from .spaces import DEFAULT_MAX_LEVEL_SIZE, SpaceSpec, build_space, product
 
 REPORT_FORMAT = "verification-report/1"
@@ -115,11 +110,11 @@ class VerificationReport:
 class ModelCache:
     """Builds models on demand; optionally persists them with hashes.
 
-    A stored model is written to ``cache_dir`` as its content hash reads
-    it (``_store``) and read back as a build keeps it, verified against
-    that hash (``_load``), so a loaded model holds no more than a built
-    one.  A normalized model is built in milliseconds, so it is only kept
-    in ``memory``: it never reads or writes ``cache_dir`` and has no hash.
+    A stored model is written to ``cache_dir`` as its header and word
+    stream, under its content hash (``_store``), and read back given its
+    tables, which its content hash then checks (``_load``).  A normalized
+    model is built in milliseconds, so it is only kept in ``memory``: it
+    never reads or writes ``cache_dir`` and has no hash.
     The sphere a stored or normalized spec builds on, and the model of a
     sphere spec, is built once and kept in ``bases`` for as long as the
     cache; it is neither hashed nor stored.
@@ -177,13 +172,9 @@ class ModelCache:
 
         A crash leaves the old file or none.  An entry is one canonical-JSON
         header line (``spec``, ``hash`` and the model's ``header()``), then
-        the model's word stream, which the hash reads too: each table is
-        written as ``content_hash`` hashes it.  The header line is written
-        first with a placeholder hash of the same width (a SHA-256 hex
-        digest is 64 characters), and the real line over it before the
-        rename.
+        the model's word stream, which the hash reads too.
         """
-        header = {"spec": json.loads(key), "hash": "0" * 64, **model.header()}
+        header = {"spec": json.loads(key), "hash": model.content_hash(), **model.header()}
         # mode 0o666 under the umask, as a plain open() gives; O_EXCL keeps
         # a name clash from sharing a file
         tmp = os.path.join(self.cache_dir, f".model-{os.urandom(8).hex()}.tmp")
@@ -191,9 +182,8 @@ class ModelCache:
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(canonical_json(header).encode() + b"\n")
-                header["hash"] = model.content_hash(fh.write)
-                fh.seek(0)
-                fh.write(canonical_json(header).encode() + b"\n")
+                for table in model.words():
+                    fh.write(table)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -203,11 +193,10 @@ class ModelCache:
     def _load(self, path, key):
         """The cached model and its verified content hash, or None.
 
-        The entry's word block is read whole, into one int32 array, which
-        ``from_words`` reads and the hash reads in one update.  The model
-        keeps copies of what a build keeps, so it holds no view of the
-        block.  Every word is hashed, the ones the model does not keep too,
-        so a damaged word is refused wherever it lies.
+        The entry's word block is read whole, into one int32 array made
+        read-only, and the model is given its tables as views of it
+        (``from_words``).  Its ``content_hash`` reads every word, so a
+        damaged word is refused wherever it lies.
         """
         try:
             with open(path, "rb") as fh:
@@ -220,10 +209,9 @@ class ModelCache:
                 words = np.empty(size // 4, dtype="<i4")
                 if (got := fh.readinto(words.view(np.uint8))) != words.nbytes:
                     raise ValueError(f"word block read short: {got} of {size} bytes")
+            words.setflags(write=False)
             model = SimplicialSetModel.from_words(header, words)
-            h = content_hasher(header)
-            h.update(words)
-            if h.hexdigest() != header["hash"]:
+            if model.content_hash() != header["hash"]:
                 raise ValueError("hash mismatch")
             return model, header["hash"]
         except Exception as exc:  # corrupt cache: rebuild with a warning

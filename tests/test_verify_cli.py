@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import expk
-from expk import spaces, verify
+from expk import simplicial, spaces, verify
 from expk.cli import main
 from expk.errors import ContractViolation
 from expk.gf2 import Gf2Matrix, Gf2Span
@@ -377,23 +377,29 @@ def test_a_cache_store_and_load_hold_at_most_one_copy_of_the_words(tmp_path):
     try:
         model = verify.build_space(spec)
         built = tracemalloc.get_traced_memory()[0]
-        words = sum(table.nbytes for table in model.words())
         tracemalloc.reset_peak()
         model_hash = cache._store(path, key, model)
-        stored = tracemalloc.get_traced_memory()[1] - built
+        hashed, peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        held = tracemalloc.get_traced_memory()[0]
         loaded, loaded_hash = cache._load(path, key)
-        read, kept = (m - held for m in tracemalloc.get_traced_memory()[::-1])
+        read, kept = (m - hashed for m in tracemalloc.get_traced_memory()[::-1])
     finally:
         tracemalloc.stop()
+    cap, sizes = model.level_cap, model.level_sizes
+    words = sum(4 * sizes[n] for _, n, _, _ in simplicial.operators(cap))
+    derived = [n for n, level in enumerate(model.faces) if isinstance(level, _DerivedFaces)]
+    assert derived == [cap - 1, cap]
+    # the store hashes first, which derives and keeps the top levels: while
+    # a level is derived, its int32 groups and one table's index and values
+    # besides, under five tables of the cap level
+    derived_bytes = sum(4 * (n + 1) * sizes[n] for n in derived)
+    assert peak - built < derived_bytes + 5 * 4 * sizes[cap]
     assert loaded_hash == model_hash and loaded == model
-    # the store keeps the derived levels its hash reads; the load reads the
-    # word block whole, once, and keeps copies of what the build kept, so
-    # besides them it holds one copy of the words
-    assert stored < 0.8 * words
+    assert words == sum(table.nbytes for table in model.words())
+    # the load reads the word block whole, once, and the model it gives
+    # views it, so it keeps no more than the built model once hashed
     assert read < kept + 1.1 * words
-    assert kept <= built
+    assert kept <= hashed
 
 
 def test_cache_entries_get_the_mode_of_a_plain_open(tmp_path):
@@ -505,42 +511,37 @@ def test_model_cache_memoizes():
 
 
 def test_model_cache_hashes_each_model_once(tmp_path, monkeypatch):
-    calls = []
-    content_hash = SimplicialSetModel.content_hash
+    calls, running = [], []  # every content_hash call, and those not returned
+    sha256s = []  # per SHA-256 made: whether a content_hash call made it
+    content_hash, sha256 = SimplicialSetModel.content_hash, hashlib.sha256
 
-    def counting_hash(model, *words):
+    def counting_hash(model):
         calls.append(model.description)
-        return content_hash(model, *words)
+        running.append(model)
+        try:
+            return content_hash(model)
+        finally:
+            running.pop()
 
-    hashed = []  # the bytes of each update a load's hash gets
-    content_hasher = verify.content_hasher
-
-    class CountingHasher:
-        def __init__(self, header):
-            self._hash = content_hasher(header)
-
-        def update(self, data):
-            hashed.append(bytes(data))
-            self._hash.update(data)
-
-        def hexdigest(self):
-            return self._hash.hexdigest()
+    def counting_sha256(*data):
+        sha256s.append(bool(running))
+        return sha256(*data)
 
     monkeypatch.setattr(SimplicialSetModel, "content_hash", counting_hash)
-    monkeypatch.setattr(verify, "content_hasher", CountingHasher)
+    monkeypatch.setattr(hashlib, "sha256", counting_sha256)
     spec = SpaceSpec("exp", n=1, k=2, cap=3)
     cache_dir = str(tmp_path / "cache")
     built = ModelCache(cache_dir=cache_dir)
-    model = built.model_for(spec)
-    assert len(calls) == 1 and hashed == []
-    loaded = ModelCache(cache_dir=cache_dir)
-    loaded.model_for(spec)
-    # a load makes one hash update, over the whole word block, and no
-    # content_hash call
+    built.model_for(spec)
     assert len(calls) == 1
-    assert hashed == [b"".join(table.tobytes() for table in model.words())]
+    sha256s.clear()
+    loaded = ModelCache(cache_dir=cache_dir)
+    model = loaded.model_for(spec)
+    # a load hashes the model it read, in one content_hash call; its only
+    # other SHA-256 names the entry's file after the spec
+    assert len(calls) == 2 and sha256s == [False, True]
     assert not loaded.warnings
-    assert loaded.hashes == built.hashes
+    assert loaded.hashes == built.hashes == {spec.to_json_text(): model.content_hash()}
 
 
 @pytest.mark.parametrize("populated", [False, True], ids=["build", "load"])
