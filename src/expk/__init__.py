@@ -35,7 +35,7 @@ from .exact_sequences import (
     gysin_template,
     solve_template,
 )
-from .gf2 import Gf2Matrix, Gf2Vector
+from .gf2 import Gf2Vector
 from .grassmannian import alpha2_multiplication_rank, dual_classes, graded_dims
 from .simplicial import BettiTable, CochainClass, SimplicialSetModel
 from .spaces import (

@@ -19,8 +19,6 @@ that is not JSON or lacks a field of its document, a model file whose
 An unknown check id is rejected, with the list of check ids, before any
 check runs; an exception raised inside a check is not an input error and
 propagates as itself.
-The cache directory may also be set through the EXPK_CACHE_DIR
-environment variable; flags win over the environment.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 from . import catalog
@@ -100,6 +97,12 @@ def _write_out(text, out):
         print(text)
 
 
+def _emit(args, doc, human=None):
+    """Write ``human`` under ``--format human``, else ``doc`` as canonical JSON."""
+    json_text = human is None or args.format == "json"
+    _write_out(canonical_json(doc) if json_text else human, args.out)
+
+
 def cmd_build(args) -> int:
     spec = _spec_from_args(args)
     if spec.normalized:
@@ -113,7 +116,7 @@ def cmd_build(args) -> int:
         "model": model.to_json_dict(),
         "hash": model.content_hash(),
     }
-    _write_out(canonical_json(doc), args.out)
+    _emit(args, doc)
     print(f"built {model.description}: levels {model.level_sizes}", file=sys.stderr)
     return 0
 
@@ -148,42 +151,28 @@ def _model_from_args(args):
 
 def cmd_betti(args) -> int:
     table = _model_from_args(args).betti_table()
-    if args.format == "json":
-        _write_out(canonical_json(table.to_json_dict()), args.out)
-    else:
-        _write_out(
-            "\n".join(f"H^{k}: {d}" for k, d in enumerate(table.dims)), args.out
-        )
+    human = "\n".join(f"H^{k}: {d}" for k, d in enumerate(table.dims))
+    _emit(args, table.to_json_dict(), human)
     return 0
 
 
 def cmd_sq(args) -> int:
     model = _model_from_args(args)
-    rows = [
-        {"generator": idx, "coordinates": coords}
-        for idx, coords in enumerate(
-            square_coordinates(model, args.index, args.degree)
-        )
+    coordinates = square_coordinates(model, args.index, args.degree)
+    doc = {
+        "degree": args.degree,
+        "index": args.index,
+        "target_rank": len(model.cohomology_basis(args.degree + args.index)),
+        "squares": [
+            {"generator": idx, "coordinates": coords}
+            for idx, coords in enumerate(coordinates)
+        ],
+    }
+    lines = [
+        f"Sq^{args.index} on h{args.degree}[{idx}] -> {coords}"
+        for idx, coords in enumerate(coordinates)
     ]
-    target_rank = len(model.cohomology_basis(args.degree + args.index))
-    if args.format == "json":
-        _write_out(
-            canonical_json(
-                {
-                    "degree": args.degree,
-                    "index": args.index,
-                    "target_rank": target_rank,
-                    "squares": rows,
-                }
-            ),
-            args.out,
-        )
-    else:
-        lines = [
-            f"Sq^{args.index} on h{args.degree}[{r['generator']}] -> {r['coordinates']}"
-            for r in rows
-        ]
-        _write_out("\n".join(lines) or "no generators in this degree", args.out)
+    _emit(args, doc, "\n".join(lines) or "no generators in this degree")
     return 0
 
 
@@ -191,24 +180,19 @@ def cmd_solve(args) -> int:
     with open(args.template) as fh:
         template = ExactTemplate.from_json_dict(json.load(fh))
     result = solve_template(template)
-    if args.format == "json":
-        _write_out(canonical_json(result.to_json_dict(template)), args.out)
+    if result.consistent:
+        lines = []
+        for term, (lo, hi) in zip(template.terms, result.dims):
+            shown = str(lo) if lo == hi else f"[{lo}, {'inf' if hi is None else hi}]"
+            lines.append(f"{term.name}: {shown}")
+        human = "\n".join(lines)
     else:
-        if not result.consistent:
-            _write_out(f"inconsistent: {result.certificate}", args.out)
-        else:
-            lines = []
-            for term, (lo, hi) in zip(template.terms, result.dims):
-                shown = str(lo) if lo == hi else f"[{lo}, {'inf' if hi is None else hi}]"
-                lines.append(f"{term.name}: {shown}")
-            _write_out("\n".join(lines), args.out)
+        human = f"inconsistent: {result.certificate}"
+    _emit(args, result.to_json_dict(template), human)
     return 0 if result.consistent else 1
 
 
 def cmd_verify(args) -> int:
-    scope = args.checks or None
-    cache_dir = args.cache_dir or os.environ.get("EXPK_CACHE_DIR")
-
     def progress(result):
         print(
             f"[{result.status:>7}] {result.check_id} ({result.wall_time_s:.2f}s)",
@@ -222,26 +206,22 @@ def cmd_verify(args) -> int:
         print("available checks:", ", ".join(sorted(CHECKS)), file=sys.stderr)
         return 2
     report = run_verify(
-        scope=scope,
+        scope=args.checks or None,
         max_level_size=args.max_level_size,
-        cache_dir=cache_dir,
+        cache_dir=args.cache_dir,
         jobs=args.jobs,
         seed=args.seed,
         progress=progress,
     )
-    if args.format == "json":
-        text = report.to_json_text()
-    else:  # the human table has no room for the report's warnings
-        text = report.human_table()
+    if args.format == "human":  # the human table has no room for the report's warnings
         for warning in report.warnings:
             print(f"expk: warning: {warning}", file=sys.stderr)
-    _write_out(text, args.out)
+    _emit(args, report.to_json_dict(), report.human_table())
     return 0 if report.passed else 1
 
 
 def cmd_catalog(args) -> int:
-    table = catalog.expected_betti(args.kind, args.n)
-    _write_out(canonical_json(table.to_json_dict()), args.out)
+    _emit(args, catalog.expected_betti(args.kind, args.n).to_json_dict())
     return 0
 
 
@@ -252,51 +232,44 @@ def build_parser() -> argparse.ArgumentParser:
         "squares, exact-sequence bookkeeping, verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the arguments subcommands share, each declared once
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="output path (stdout when omitted)")
+    formats = argparse.ArgumentParser(add_help=False, parents=[out])
+    formats.add_argument("--format", choices=("human", "json"), default="human")
+    model = argparse.ArgumentParser(add_help=False, parents=[formats])
+    model.add_argument("model", nargs="?", help="model file produced by build")
+    _add_spec_arguments(model, required=False)
 
-    p = sub.add_parser("build", help="build a model and write it to a file")
+    def add(name, fn, shared, summary):
+        p = sub.add_parser(name, parents=[shared], help=summary)
+        p.set_defaults(fn=fn)
+        return p
+
+    p = add("build", cmd_build, out, "build a model and write it to a file")
     _add_spec_arguments(p)
-    p.add_argument("--out", help="output path (stdout when omitted)")
-    p.set_defaults(fn=cmd_build)
 
-    p = sub.add_parser("betti", help="graded dimensions of a model file or a space")
-    p.add_argument("model", nargs="?", help="model file produced by build")
-    _add_spec_arguments(p, required=False)
-    p.add_argument("--format", choices=("human", "json"), default="human")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_betti)
+    add("betti", cmd_betti, model, "graded dimensions of a model file or a space")
 
-    p = sub.add_parser("sq", help="squares of the basis classes of a degree")
-    p.add_argument("model", nargs="?", help="model file produced by build")
-    _add_spec_arguments(p, required=False)
+    p = add("sq", cmd_sq, model, "squares of the basis classes of a degree")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--index", type=int, required=True)
-    p.add_argument("--format", choices=("human", "json"), default="human")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_sq)
 
-    p = sub.add_parser("solve", help="solve an exact-sequence template file")
+    p = add("solve", cmd_solve, formats, "solve an exact-sequence template file")
     p.add_argument("template")
-    p.add_argument("--format", choices=("human", "json"), default="human")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_solve)
 
-    p = sub.add_parser("verify", help="run verification checks")
+    p = add("verify", cmd_verify, formats, "run verification checks")
     p.add_argument("checks", nargs="*", help="check ids (all when omitted)")
-    p.add_argument("--format", choices=("human", "json"), default="human")
-    p.add_argument("--out")
     p.add_argument("--cache-dir")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--max-level-size", type=int, default=DEFAULT_MAX_LEVEL_SIZE
     )
-    p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("catalog", help="print an expected table")
+    p = add("catalog", cmd_catalog, out, "print an expected table")
     p.add_argument("kind", choices=catalog.KINDS)
     p.add_argument("n", type=int)
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_catalog)
 
     return parser
 

@@ -86,9 +86,6 @@ class VerificationReport:
             "checks": [r.to_json_dict() for r in self.results],
         }
 
-    def to_json_text(self) -> str:
-        return canonical_json(self.to_json_dict())
-
     def human_table(self) -> str:
         width = max([len(r.check_id) for r in self.results] + [8])
         lines = [f"{'check':<{width}}  {'status':<8}  detail"]

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -262,8 +263,8 @@ def _flip_first_word(header, body):
 
 
 def _flip_cap_face_word(header, body):
-    """Flip the first word of the cap's d_0: a face of a degenerate simplex,
-    which a loaded model does not keep."""
+    """Flip the first word of the cap's d_0, a face of a degenerate simplex:
+    a loaded model keeps every word it reads, so the hash sees the flip."""
     cap, sizes = header["level_cap"], header["level_sizes"]
     assert SimplicialSetModel.from_words(
         header, np.frombuffer(body, dtype="<i4")
@@ -282,7 +283,7 @@ DAMAGE = {
     "header-only": (lambda h, b: _header_line(h), "length"),
     "empty-file": (lambda h, b: b"", "Expecting value"),
     "flipped-word": (_flip_first_word, "hash mismatch"),
-    "flipped-unkept-word": (_flip_cap_face_word, "hash mismatch"),
+    "flipped-cap-face-word": (_flip_cap_face_word, "hash mismatch"),
     "other-spec": (_other_spec, "another spec"),
     "appended-word": (lambda h, b: _header_line(h) + b + b[:4], "length"),
 }
@@ -1175,17 +1176,267 @@ def test_cli_an_error_inside_a_check_surfaces_as_itself(monkeypatch):
         main(["verify", "broken"])
 
 
-def test_cli_verify_env_cache_dir(tmp_path, capsys, monkeypatch, stored_row):
-    cache_dir = str(tmp_path / "envcache")
-    monkeypatch.setenv("EXPK_CACHE_DIR", cache_dir)
-    rc = main(["verify", stored_row])
-    assert rc == 0
-    assert os.path.isdir(cache_dir)
-    capsys.readouterr()
-
-
 def test_cli_catalog(capsys):
     rc = main(["catalog", "exp3", "2"])
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["dims"] == [1, 0, 0, 0, 2, 1, 1]
+
+
+# ---------------------------------------------------------------------------
+# every subcommand's results, byte for byte: GOLDEN maps a case to its argv,
+# exit code, stdout, stderr and the text of its --out file (None without one).
+# In argv, {model} is a built exp₂(S²) file, {sound} and {unsound} are solve
+# templates and {out} is an output path. A timing in stderr reads (…s), and a
+# json report drops its toolchain and every wall_time_s.
+
+SOUND_TEMPLATE = (
+    '{"format": "exact-template/1", "terms": [{"name": "0", "dim": 0},'
+    ' {"name": "A", "dim": null}, {"name": "B", "dim": 1}, {"name": "0", "dim": 0}],'
+    ' "arrows": [{"kind": "unconstrained"}, {"kind": "unconstrained"},'
+    ' {"kind": "unconstrained"}]}'
+)
+UNSOUND_TEMPLATE = (
+    '{"format": "exact-template/1", "terms": [{"name": "0", "dim": 0},'
+    ' {"name": "A", "dim": 2}, {"name": "0", "dim": 0}],'
+    ' "arrows": [{"kind": "unconstrained"}, {"kind": "zero"}]}'
+)
+
+SPHERE1_BUILD = (
+    '{"hash":"5849162b051e6997bda24f0dfe37d5767b38b3bd5f7ce0d937ec8cd24e0f55ff",'
+    '"model":{"degeneracies":[[[0,3,5]],[[0,1,2,5,6,8],[0,3,4,5,7,8]],[]],'
+    '"description":"sphere(1)","faces":[[],[[0,1,2,1,2,2],[0,0,0,1,1,2]],[[0,'
+    "1,2,3,5,3,4,5,5],[0,1,2,1,2,3,4,4,5],[0,0,0,1,2,3,3,4,5]]],"
+    '"format":"simplicial-set-model/1","level_cap":2,"level_sizes":[3,6,9]},'
+    '"spec":{"cap":2,"format":"space-spec/1","kind":"sphere",'
+    '"max_level_size":5000000,"n":1}}'
+)
+
+GOLDEN = {
+    "build": (
+        "build --kind sphere --n 1",
+        0,
+        SPHERE1_BUILD + "\n",
+        "built sphere(1): levels [3, 6, 9]\n",
+        None,
+    ),
+    "build-out": (
+        "build --kind sphere --n 1 --out {out}",
+        0,
+        "",
+        "built sphere(1): levels [3, 6, 9]\n",
+        SPHERE1_BUILD,
+    ),
+    "catalog": (
+        "catalog exp3 2",
+        0,
+        '{"dims":[1,0,0,0,2,1,1],"kind":"exp3","n":2,"source":"catalog:exp3-table"}\n',
+        "",
+        None,
+    ),
+    "betti-file": (
+        "betti {model}",
+        0,
+        "H^0: 1\nH^1: 0\nH^2: 1\nH^3: 0\nH^4: 1\n",
+        "",
+        None,
+    ),
+    "betti-file-json": (
+        "betti {model} --format json",
+        0,
+        '{"dims":[1,0,1,0,1],"format":"betti-table/1"}\n',
+        "",
+        None,
+    ),
+    "betti-file-json-out": (
+        "betti {model} --format json --out {out}",
+        0,
+        "",
+        "",
+        '{"dims":[1,0,1,0,1],"format":"betti-table/1"}',
+    ),
+    "betti-spec": (
+        "betti --kind exp --n 1 --k 2",
+        0,
+        "H^0: 1\nH^1: 1\nH^2: 0\n",
+        "",
+        None,
+    ),
+    "betti-spec-json": (
+        "betti --kind exp --n 2 --k 3 --base one-vertex --normalized --format json",
+        0,
+        '{"dims":[1,0,0,0,2,1,1],"format":"betti-table/1"}\n',
+        "",
+        None,
+    ),
+    "sq": (
+        "sq {model} --degree 2 --index 2",
+        0,
+        "Sq^2 on h2[0] -> [1]\n",
+        "",
+        None,
+    ),
+    "sq-json": (
+        "sq {model} --degree 2 --index 2 --format json",
+        0,
+        (
+            '{"degree":2,"index":2,"squares":[{"coordinates":[1],"generator":0}],'
+            '"target_rank":1}\n'
+        ),
+        "",
+        None,
+    ),
+    "sq-no-generators": (
+        "sq {model} --degree 1 --index 1",
+        0,
+        "no generators in this degree\n",
+        "",
+        None,
+    ),
+    "sq-no-generators-json": (
+        "sq {model} --degree 1 --index 1 --format json",
+        0,
+        '{"degree":1,"index":1,"squares":[],"target_rank":1}\n',
+        "",
+        None,
+    ),
+    "solve": (
+        "solve {sound}",
+        0,
+        "0: 0\nA: 1\nB: 1\n0: 0\n",
+        "",
+        None,
+    ),
+    "solve-json": (
+        "solve {sound} --format json",
+        0,
+        (
+            '{"certificate":null,"consistent":true,"dims":[{"hi":0,"lo":0,'
+            '"name":"0"},{"hi":1,"lo":1,"name":"A"},{"hi":1,"lo":1,"name":"B"},'
+            '{"hi":0,"lo":0,"name":"0"}],"ranks":[{"hi":0,"lo":0},{"hi":1,"lo":1},'
+            '{"hi":0,"lo":0}]}\n'
+        ),
+        "",
+        None,
+    ),
+    "solve-inconsistent": (
+        "solve {unsound}",
+        1,
+        "inconsistent: rank pin on arrow A -> 0\n",
+        "",
+        None,
+    ),
+    "solve-inconsistent-json": (
+        "solve {unsound} --format json",
+        1,
+        (
+            '{"certificate":"rank pin on arrow A -> 0","consistent":false,"dims":[],'
+            '"ranks":[]}\n'
+        ),
+        "",
+        None,
+    ),
+    "verify": (
+        "verify props-gf2 cup-torus",
+        0,
+        (
+            "check      status    detail\n"
+            "-------------------------------------------------\ncup-torus  pass      "
+            "[a.b]=[1] [a.a]=[0] [b.b]=[0] unit=True\nprops-gf2  pass      rank and "
+            "kernel match exhaustive enumeration up to 12 columns\nTOTAL      pass   "
+            "   2 passed, 0 failed, 0 skipped\n"
+        ),
+        "[   pass] cup-torus (…s)\n[   pass] props-gf2 (…s)\n",
+        None,
+    ),
+    "verify-json": (
+        "verify props-gf2 cup-torus --format json",
+        0,
+        (
+            '{"checks":[{"check_id":"cup-torus","computed":{"basis":[{"degree":0,'
+            '"labels":["h0[0]"]},{"degree":1,"labels":["h1[0]","h1[1]"]},{"degree":2,'
+            '"labels":["h2[0]"]}],"format":"ring-table/1","products":[{"coords":[1],'
+            '"left":[0,0],"right":[0,0]},{"coords":[1,0],"left":[0,0],"right":[1,0]},'
+            '{"coords":[0,1],"left":[0,0],"right":[1,1]},{"coords":[1],"left":[0,0],'
+            '"right":[2,0]},{"coords":[1,0],"left":[1,0],"right":[0,0]},'
+            '{"coords":[0],"left":[1,0],"right":[1,0]},{"coords":[1],"left":[1,0],'
+            '"right":[1,1]},{"coords":[0,1],"left":[1,1],"right":[0,0]},'
+            '{"coords":[1],"left":[1,1],"right":[1,0]},{"coords":[0],"left":[1,1],'
+            '"right":[1,1]},{"coords":[1],"left":[2,0],"right":[0,0]}]},'
+            '"description":"cup products on the torus","detail":"[a.b]=[1] [a.a]=[0] '
+            '[b.b]=[0] unit=True","expected":null,"source":"","spec":null,'
+            '"status":"pass"},{"check_id":"props-gf2","computed":null,'
+            '"description":"rank/kernel against enumeration","detail":"rank and '
+            'kernel match exhaustive enumeration up to 12 columns","expected":null,'
+            '"source":"","spec":null,"status":"pass"}],'
+            '"format":"verification-report/1","model_hashes":{"{\\"cap\\":3,'
+            '\\"facets\\":[[0,3,4],[0,1,4],[1,4,5],[1,2,5],[2,3,5],[0,2,3],[3,6,7],'
+            "[3,4,7],[4,7,8],[4,5,8],[5,6,8],[3,5,6],[0,1,6],[1,6,7],[1,2,7],[2,7,8],"
+            '[0,2,8],[0,6,8]],\\"format\\":\\"space-spec/1\\",'
+            '\\"kind\\":\\"complex\\",'
+            '\\"max_level_size\\":5000000}":'
+            '"d548c606fd35ced38b652ac0a396498f64f0dfac47e1a17fb8443f9ef5b35728"},'
+            '"passed":true,"warnings":[]}\n'
+        ),
+        "[   pass] cup-torus (…s)\n[   pass] props-gf2 (…s)\n",
+        None,
+    ),
+    "verify-out": (
+        "verify cup-torus --out {out}",
+        0,
+        "",
+        "[   pass] cup-torus (…s)\n",
+        (
+            "check      status    detail\n"
+            "-------------------------------------------------\ncup-torus  pass      "
+            "[a.b]=[1] [a.a]=[0] [b.b]=[0] unit=True\nTOTAL      pass      1 passed, "
+            "0 failed, 0 skipped"
+        ),
+    ),
+    "verify-unknown": (
+        "verify nope",
+        2,
+        "",
+        "expk: unknown checks: ['nope']\n"
+        f"available checks: {', '.join(sorted(CHECKS))}\n",
+        None,
+    ),
+    "betti-bare": (
+        "betti",
+        2,
+        "",
+        "expk: give a model file or --kind and its spec arguments\n",
+        None,
+    ),
+    "build-normalized": (
+        "build --kind exp --n 1 --k 2 --normalized",
+        2,
+        "",
+        (
+            "expk: a normalized complex has no stored tables to write; compute its "
+            "tables with expk betti or expk sq and the same arguments\n"
+        ),
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", GOLDEN)
+def test_cli_writes_each_result_byte_for_byte(tmp_path, capsys, case):
+    command, *want = GOLDEN[case]
+    spec = SpaceSpec("exp", n=2, k=2)
+    model = spaces.build_space(spec)
+    names = ("model", "sound", "unsound", "out")
+    paths = {name: tmp_path / f"{name}.json" for name in names}
+    doc = {"spec": spec.to_json_dict(), "model": model.to_json_dict()}
+    paths["model"].write_text(canonical_json({**doc, "hash": model.content_hash()}))
+    paths["sound"].write_text(SOUND_TEMPLATE)
+    paths["unsound"].write_text(UNSOUND_TEMPLATE)
+    argv = [arg.format(**paths) for arg in command.split()]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    err = re.sub(r"\(\d+\.\d+s\)", "(…s)", err)
+    if argv[0] == "verify":
+        out = re.sub(r'"toolchain":\{[^}]*\},|,"wall_time_s":[0-9.]+', "", out)
+    written = paths["out"].read_text() if paths["out"].exists() else None
+    assert [code, out, err, written] == want
